@@ -5,6 +5,8 @@ asserts the criterion at its stated tolerance.  The heavy path batches come
 from the session fixtures (10^5 paths, 2048 steps per family).
 """
 
+from pathlib import Path
+
 import numpy as np
 from scipy.special import ndtr
 from scipy.stats import norm
@@ -35,6 +37,9 @@ from outail.verify import (
 )
 
 E = float(np.e)
+# seed-42 verify-all CSV at 2000 paths x 128 steps; a change to these bytes
+# is a re-baseline and must be stated with its reason
+GOLDEN_CSV = Path(__file__).parent / "data" / "verify_all_seed42_2000x128.csv"
 
 
 def criterion(n, description, ok):
@@ -216,12 +221,14 @@ def test_12_negative_control(batches, families):
 
 
 def test_13_determinism(tmp_path):
-    """verify-all reproduces byte-identical CSV across runs and chunkings."""
+    """verify-all reproduces byte-identical CSV across runs and chunkings,
+    and matches the committed seed-42 CSV."""
     r1 = verify_all(seed=42, out_dir=tmp_path / "a", paths=2000, steps=128)
     r2 = verify_all(seed=42, out_dir=tmp_path / "b", paths=2000, steps=128)
     r3 = verify_all(seed=42, out_dir=tmp_path / "c", paths=2000, steps=128, chunk_paths=307)
     ok = (
         r1.csv_path.read_bytes() == r2.csv_path.read_bytes() == r3.csv_path.read_bytes()
+        == GOLDEN_CSV.read_bytes()
         and r1.exit_code == 0
     )
-    criterion(13, "byte-identical verify-all CSV across runs and worker chunkings", ok)
+    criterion(13, "byte-identical verify-all CSV across runs, chunkings and the golden file", ok)
