@@ -9,7 +9,6 @@ estimates behind them.
 """
 
 from .errors import (
-    BandwidthFloorError,
     ClosedFormUnavailableError,
     ConfigError,
     DimensionMismatchError,
@@ -21,15 +20,11 @@ from .foellmer import (
     BatchStats,
     DriftField,
     PathConfig,
-    PerturbationRecord,
     Trajectory,
-    pathwise_convexity_check,
-    perturb,
     perturbation_arrays,
     pipeline_config,
     simulate_batch,
     simulate_path,
-    stopping_index,
 )
 from .measures import (
     DensityModel,
@@ -43,13 +38,8 @@ from .measures import (
 from .quadrature import QuadratureRule
 from .reports import BoundReport, TailCurve
 from .semigroup import (
-    SemigroupQuery,
-    heat_apply,
-    heat_grad_log,
-    heat_log,
     hypercontractivity_check,
     nelson_exponent,
-    ou_apply,
     ou_apply_mc,
     ou_log,
     ou_log_hessian_min_eig,

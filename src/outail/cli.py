@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, OutailError, ResolutionError
-from .measures import DensityModel, MixtureDensity, SinePerturbationDensity, TiltDensity
-from .reports import CSV_COLUMNS, BoundReport
+from .measures import FAMILIES, DensityModel
+from .reports import CSV_COLUMNS, BoundReport, TailCurve
 from .semigroup import hypercontractivity_check
 from . import verify
 from .verify import (
@@ -88,6 +88,29 @@ def _parse_floats(field_name: str, raw: str) -> tuple[float, ...]:
     return tuple(vals)
 
 
+def _parse_float(field_name: str, raw: str) -> float:
+    vals = _parse_floats(field_name, raw)
+    if len(vals) != 1:
+        raise ConfigError(field_name, f"expected one value, got {len(vals)}")
+    return vals[0]
+
+
+def _parse_param(field_name: str, raw: str, default):
+    """A family parameter in the shape of its default: a scalar, a vector,
+    or a tuple of points.  Points are separated by ';'; a single row lists
+    1-D points."""
+    if not isinstance(default, tuple):
+        return _parse_float(field_name, raw)
+    if not isinstance(default[0], tuple):
+        return _parse_floats(field_name, raw)
+    rows = [_parse_floats(field_name, row) for row in raw.split(";") if row.strip()]
+    if len(rows) == 1:
+        return tuple((v,) for v in rows[0])
+    if len({len(row) for row in rows}) != 1:
+        raise ConfigError(field_name, "rows must share one dimension")
+    return tuple(rows)
+
+
 def parse_config(path) -> ExperimentConfig:
     """Parse the flat key = value config (one [experiment] section).
 
@@ -116,29 +139,12 @@ def _build_experiment(parser: configparser.ConfigParser) -> ExperimentConfig:
     sec = parser["experiment"]
 
     family = sec.get("family", "").strip().lower()
-    if family not in ("tilt", "mixture", "sine"):
+    if family not in FAMILIES:
         raise ConfigError("family", f"unknown family {family!r}")
-
-    params: dict = {}
-    if family == "tilt":
-        params["u"] = _parse_floats("u", sec.get("u", "2.0"))
-    elif family == "mixture":
-        params["weights"] = _parse_floats("weights", sec.get("weights", "0.5, 0.5"))
-        raw_means = sec.get("means", "-1, 1")
-        rows = [r for r in raw_means.split(";") if r.strip()]
-        means = [
-            [float(tok) for tok in row.split(",") if tok.strip()] for row in rows
-        ]
-        if len({len(row) for row in means}) != 1:
-            raise ConfigError("means", "rows must share one dimension")
-        params["means"] = means if len(means) > 1 else _parse_floats("means", raw_means)
-        spread = sec.getfloat("spread", fallback=0.5)
-        if not 0.0 < spread < 1.0:
-            raise ConfigError("spread", "must lie in (0, 1)")
-        params["spread"] = spread
-    else:
-        params["eps"] = sec.getfloat("eps", fallback=0.3)
-        params["wave"] = _parse_floats("wave", sec.get("wave", "2.0"))
+    params = {
+        key: default if key not in sec else _parse_param(key, sec[key], default)
+        for key, default in FAMILIES[family].defaults.items()
+    }
 
     t_values = _parse_floats("t", sec.get("t", "0.1, 0.5, 1.0"))
     if any(t < 0 for t in t_values):
@@ -147,6 +153,8 @@ def _build_experiment(parser: configparser.ConfigParser) -> ExperimentConfig:
     if any(r <= 1.0 for r in r_values):
         raise ConfigError("r", "all thresholds must exceed 1")
     r_values = tuple(sorted(r_values))
+    if len(set(r_values)) != len(r_values):
+        raise ConfigError("r", "thresholds must be distinct")
 
     delta_raw = sec.get("delta", "paper_rule").strip()
     if delta_raw == "paper_rule":
@@ -163,7 +171,7 @@ def _build_experiment(parser: configparser.ConfigParser) -> ExperimentConfig:
         raise ConfigError("delta", "expected 'paper_rule' or 'fixed:<value>'")
 
     beta_raw = sec.get("beta", "auto").strip().lower()
-    beta_override = None if beta_raw == "auto" else float(beta_raw)
+    beta_override = None if beta_raw == "auto" else _parse_float("beta", beta_raw)
 
     paths = sec.getint("paths", fallback=10**5)
     if paths < MIN_MC_PATHS:
@@ -202,18 +210,17 @@ def _build_experiment(parser: configparser.ConfigParser) -> ExperimentConfig:
         out_dir=out_dir,
         p=sec.getfloat("p", fallback=2.0),
     )
-    density = build_density(cfg)  # validates family parameters early
+    try:
+        density = build_density(cfg)  # validates family parameters early
+    except ValueError as exc:
+        raise ConfigError("family", f"{family} parameters rejected: {exc}") from exc
     if cfg.dim and density.dim != cfg.dim:
         raise ConfigError("dim", f"family parameters imply dim {density.dim}, config says {cfg.dim}")
     return cfg
 
 
 def build_density(cfg: ExperimentConfig) -> DensityModel:
-    if cfg.family == "tilt":
-        return TiltDensity(cfg.params["u"])
-    if cfg.family == "mixture":
-        return MixtureDensity(cfg.params["weights"], cfg.params["means"], cfg.params["spread"])
-    return SinePerturbationDensity(cfg.params["eps"], cfg.params["wave"])
+    return FAMILIES[cfg.family].build(**cfg.params)
 
 
 @dataclass
@@ -241,16 +248,9 @@ def collect_rows(cfg: ExperimentConfig, chunk_paths: int | None = None) -> list[
     for tok in cfg.checks:
         if tok == "tail":
             for t in cfg.t_values:
-                for r in cfg.r_values:
-                    rows.append(_tail_row(density, t, r, cfg))
-                curve = verify.tail_curve(density, t, cfg.r_values, seed=cfg.seed)
-                rows.append(BoundReport(
-                    name="tail_curve_ceiling", family=density.name, dim=density.dim,
-                    t=t, beta=density.beta, estimate=curve.c_hat,
-                    ci_half_width=float(curve.ci.max(initial=0.0)),
-                    bound=verify.DESK_RATIO_CEILING,
-                    n_samples=len(cfg.r_values), seed=cfg.seed, anchored=False,
-                ))
+                tails = [_tail_row(density, t, r, cfg) for r in cfg.r_values]
+                rows.extend(tails)
+                rows.append(_ceiling_row(density, t, tails, cfg))
         elif tok == "sharpness":
             rows.append(verify.sharpness_report(seed=cfg.seed))
         elif tok == "entropy":
@@ -303,6 +303,29 @@ def _tail_row(density: DensityModel, t: float, r: float, cfg: ExperimentConfig) 
     return BoundReport(
         name="tail_markov", estimate=est, ci_half_width=ci, bound=1.0 / r,
         n_samples=cfg.paths, **meta,
+    )
+
+
+def _ceiling_row(
+    density: DensityModel, t: float, tails: list[BoundReport], cfg: ExperimentConfig
+) -> BoundReport:
+    """Largest OU-tail constant over the resolved ``tail_markov`` rows at t;
+    NaN when no threshold resolves."""
+    resolved = [row for row in tails if row.name == "tail_markov"]
+    est = ci = float("nan")
+    if resolved:
+        curve = TailCurve(
+            family=density.name, t=t, r_grid=np.array([row.r for row in resolved]),
+            tail=np.array([row.estimate for row in resolved]),
+            ci=np.array([row.ci_half_width for row in resolved]),
+            method="auto", beta=density.beta,
+        )
+        est, ci = curve.c_hat, float(curve.ci.max(initial=0.0))
+    return BoundReport(
+        name="tail_curve_ceiling", family=density.name, dim=density.dim,
+        t=t, beta=density.beta, estimate=est, ci_half_width=ci,
+        bound=verify.DESK_RATIO_CEILING,
+        n_samples=len(cfg.r_values), seed=cfg.seed, anchored=False,
     )
 
 
@@ -363,11 +386,11 @@ def verify_all(
 ) -> RunResult:
     """Default experiment matrix: every family, check, t, and r."""
     rows: list[BoundReport] = []
-    for offset, name in enumerate(sorted(verify.default_families())):
+    for offset, name in enumerate(sorted(FAMILIES)):
         cfg = ExperimentConfig(
             family=name,
-            params=_default_params(name),
-            dim=verify.default_families()[name].dim,
+            params=dict(FAMILIES[name].defaults),
+            dim=0,
             t_values=DEFAULT_T_GRID,
             r_values=DEFAULT_R_GRID,
             delta_rule="paper_rule",
@@ -381,19 +404,6 @@ def verify_all(
         )
         rows.extend(collect_rows(cfg, chunk_paths=chunk_paths))
     return write_reports(rows, out_dir or os.environ.get(OUT_ENV_VAR, "reports"), "verify_all", seed)
-
-
-def _default_params(name: str) -> dict:
-    fam = verify.default_families()[name]
-    if name == "tilt":
-        return {"u": tuple(fam.u)}
-    if name == "mixture":
-        return {
-            "weights": tuple(fam.weights),
-            "means": tuple(fam.means[:, 0]),
-            "spread": fam.spread,
-        }
-    return {"eps": fam.eps, "wave": tuple(fam.wave)}
 
 
 def main(argv=None) -> int:
@@ -413,7 +423,7 @@ def main(argv=None) -> int:
     p_all.add_argument("--chunk-size", type=int, default=None)
 
     p_tail = sub.add_parser("tail", help="one tail probability")
-    p_tail.add_argument("--family", choices=("tilt", "mixture", "sine"), default="tilt")
+    p_tail.add_argument("--family", choices=tuple(FAMILIES), default="tilt")
     p_tail.add_argument("--t", type=float, default=0.0)
     p_tail.add_argument("--r", type=float, required=True)
     p_tail.add_argument("--method", default="auto",
@@ -450,9 +460,6 @@ def main(argv=None) -> int:
             for r, c in zip(r_grid, verify.sharpness_values(r_grid)):
                 print(f"r={r:.6g}  c_hat={c:.6f}")
             return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OutailError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,10 +17,6 @@ class NonFiniteValueError(OutailError, FloatingPointError):
     """A log-density, drift, or semigroup value came out non-finite."""
 
 
-class BandwidthFloorError(OutailError):
-    """Heat-kernel gradient quadrature requested below the bandwidth floor."""
-
-
 class ResolutionError(OutailError):
     """Monte Carlo cannot resolve the requested quantity; use an exact or
     quadrature method instead."""

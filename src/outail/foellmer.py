@@ -25,13 +25,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ClosedFormUnavailableError, NonFiniteValueError
-from .measures import DensityModel
+from .measures import DensityModel, TiltDensity
 from .quadrature import QuadratureRule
 from .rng import path_normals
-from .semigroup import S_MIN
+from .semigroup import heat_log_grad
 
 DEFAULT_STEPS = 2048
 DRIFT_QUAD_NODES = 24
@@ -68,16 +67,11 @@ class PathConfig:
             raise ValueError(f"unknown drift method {self.drift_method!r}")
 
 
-def default_drift_method(density: DensityModel) -> str:
-    return "closed_form" if density.has_closed_heat else "quadrature"
-
-
 class DriftField:
     """Evaluates (K, v)(s, x) = (log P_s f(x), grad log P_s f(x)).
 
-    Closed forms are used when the family has them; otherwise Gauss-Hermite
-    quadrature with the kernel-score gradient, switching to the exact
-    s -> 0 limit (log f, grad log f) below the bandwidth floor.  With
+    Closed forms are used when the family has them; otherwise the
+    Gauss-Hermite heat kernel ``semigroup.heat_log_grad``.  With
     ``drift_grid_points`` > 0 (1-D), each bandwidth's field is tabulated on
     a fixed spatial grid and evaluated by linear interpolation; the table
     depends only on s, so results are independent of batch layout.
@@ -113,20 +107,7 @@ class DriftField:
             return d.log_f(x), d.grad_log_f(x)
         if self.method == "closed_form":
             return d.closed_heat_log(s, x), d.closed_heat_grad_log(s, x)
-        rule = self.rule
-        sqrt_s = np.sqrt(s)
-        pts = x[..., None, :] + sqrt_s * rule.nodes
-        logs = rule.log_weights + d.log_f(pts)
-        k = logsumexp(logs, axis=-1)
-        if s >= S_MIN:
-            peak = logs.max(axis=-1, keepdims=True)
-            w = np.exp(logs - peak)
-            den = w.sum(-1)
-            num = np.einsum("...m,mn->...n", w, rule.nodes)
-            v = num / (sqrt_s * den[..., None])
-        else:
-            v = d.grad_log_f(x)
-        return k, v
+        return heat_log_grad(d, s, x, self.rule)
 
     def _table(self, s: float) -> tuple[np.ndarray, np.ndarray]:
         tab = self._tables.get(s)
@@ -195,25 +176,6 @@ class Trajectory:
                 row += [repr(float(val)) for val in self.v[i]]
                 row.append(repr(float(self.k[i])))
                 fh.write(",".join(row) + "\n")
-
-
-@dataclass(frozen=True)
-class PerturbationRecord:
-    """Stopped-integral summary of one path under a delta perturbation."""
-
-    t_index: int
-    x_delta_1: np.ndarray
-    d_delta_1: float
-    y: float
-    z: float
-    f_x1: float
-    f_x_delta: float
-    log_d_delta_1: float
-    log_f_x1: float
-    log_f_x_delta: float
-    stoch_stopped: float
-    energy_stopped: float
-    vds_stopped: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -471,20 +433,16 @@ def simulate_path(density: DensityModel, cfg: PathConfig, path_index: int = 0) -
     )
 
 
-def stopping_index(traj: Trajectory, r: float) -> int:
-    """First grid index whose K value strictly exceeds log r, else m."""
-    if r <= 1.0:
-        raise ValueError("threshold r must exceed 1")
-    above = traj.k > np.log(r)
-    if above.any():
-        return int(np.argmax(above))
-    return traj.steps
+# -- batch-level perturbation arrays ---------------------------------------
 
 
-def perturb(traj: Trajectory, cfg: PathConfig) -> PerturbationRecord:
-    """Endpoint perturbation, Girsanov weight, and the deviation variables.
+def perturbation_arrays(
+    stats: BatchStats, density: DensityModel, r: float, delta: float, beta: float
+) -> dict[str, np.ndarray]:
+    """Endpoint perturbation, Girsanov weight and deviation variables of
+    every path in a batch.
 
-    With T the passage index for cfg.r and delta = cfg.delta:
+    With T the passage index for r:
 
       X_1^d  = X_1 + delta * sum_{i<T} v_i dt
       D_1^d  = exp(-S_1 - delta S_T - E_1/2 - (delta + delta^2/2) E_T)
@@ -494,58 +452,8 @@ def perturb(traj: Trajectory, cfg: PathConfig) -> PerturbationRecord:
     where S, E, I are the stochastic integral, drift energy, and drift
     integral, subscripted by their upper limit.  The algebraic identity
     Y = Z - delta S_T + (delta^2/2) E_T holds exactly in the discretization.
-    """
-    delta, beta = cfg.delta, cfg.beta
-    t_idx = stopping_index(traj, cfg.r)
-    dt = 1.0 / traj.steps
-    stoch_t = float(traj.stoch_int[t_idx])
-    energy_t = float(traj.energy[t_idx])
-    vds_t = traj.v[:t_idx].sum(axis=0) * dt
-    x_delta = traj.x[-1] + delta * vds_t
-    log_f_x1 = float(traj.k[-1])
-    log_f_xd = float(np.squeeze(traj.density.log_f(x_delta)))
-    stoch_1 = float(traj.stoch_int[-1])
-    energy_1 = float(traj.energy[-1])
-    log_d = -(stoch_1 + delta * stoch_t) - 0.5 * energy_1 - (delta + 0.5 * delta**2) * energy_t
-    vdot = float(traj.v[-1] @ vds_t)
-    z = -delta * stoch_t + delta * (vdot - energy_t) - 0.5 * (beta + 1.0) * delta**2 * energy_t
-    y = -2.0 * delta * stoch_t + delta * (vdot - energy_t) - 0.5 * beta * delta**2 * energy_t
-    return PerturbationRecord(
-        t_index=t_idx,
-        x_delta_1=x_delta,
-        d_delta_1=float(np.exp(log_d)),
-        y=y,
-        z=z,
-        f_x1=float(np.exp(log_f_x1)),
-        f_x_delta=float(np.exp(log_f_xd)),
-        log_d_delta_1=log_d,
-        log_f_x1=log_f_x1,
-        log_f_x_delta=log_f_xd,
-        stoch_stopped=stoch_t,
-        energy_stopped=energy_t,
-        vds_stopped=vds_t,
-    )
-
-
-def pathwise_convexity_check(rec: PerturbationRecord, traj: Trajectory, cfg: PathConfig) -> float:
-    """Margin of the first-order expansion bound at the perturbed endpoint.
-
-    Returns log f(X_1^d) - [log f(X_1) + delta <v_1, I_T> - beta/2 delta^2 E_T],
-    which is >= 0 whenever cfg.beta genuinely certifies the log-density
-    (the evaluation uses exact function values, so no discretization enters).
-    """
-    vdot = float(traj.v[-1] @ rec.vds_stopped)
-    lower = rec.log_f_x1 + cfg.delta * vdot - 0.5 * cfg.beta * cfg.delta**2 * rec.energy_stopped
-    return rec.log_f_x_delta - lower
-
-
-# -- batch-level perturbation arrays ---------------------------------------
-
-
-def perturbation_arrays(
-    stats: BatchStats, density: DensityModel, r: float, delta: float, beta: float
-) -> dict[str, np.ndarray]:
-    """Vectorized perturbation quantities for every path in a batch.
+    The convexity margin log f(X_1^d) - [log f(X_1) + delta <v_1, I_T> -
+    beta/2 delta^2 E_T] is >= 0 whenever beta certifies the log-density.
 
     Keys: x_delta (N, n), log_f_xd (N,), log_d (N,), z (N,), y (N,),
     convexity_margin (N,), product_excess (N,) = log(f(X^d) D^d) - Z.
@@ -575,13 +483,6 @@ def perturbation_arrays(
     )
 
 
-def has_constant_drift(density: DensityModel) -> bool:
-    """True when the drift field is state-independent (log-linear family)."""
-    from .measures import TiltDensity
-
-    return isinstance(density, TiltDensity)
-
-
 def pipeline_config(
     density: DensityModel,
     steps: int = DEFAULT_STEPS,
@@ -594,11 +495,12 @@ def pipeline_config(
     """PathConfig with sensible per-family defaults.
 
     Uses the closed drift when the family has one and enables spatial
-    tabulation for 1-D fields with state-dependent drift.
+    tabulation for 1-D fields with state-dependent drift (every family but
+    the log-linear tilt).
     """
-    method = default_drift_method(density)
+    method = "closed_form" if density.has_closed_heat else "quadrature"
     grid = 0
-    if density.dim == 1 and not has_constant_drift(density):
+    if density.dim == 1 and not isinstance(density, TiltDensity):
         grid = drift_grid_points
     return PathConfig(
         dim=density.dim,

@@ -16,6 +16,7 @@ in the semigroup module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp, softmax
@@ -90,9 +91,6 @@ class DensityModel:
         """gamma_n({Q_t f > r}) in closed form (t=0 gives the tail of f)."""
         raise ClosedFormUnavailableError(f"{self.name} has no exact tail")
 
-    def describe(self) -> str:
-        return f"{self.name}(dim={self.dim}, beta={self.beta:g})"
-
 
 @dataclass(frozen=True)
 class TiltDensity(DensityModel):
@@ -161,13 +159,6 @@ class TiltDensity(DensityModel):
         if a == 0.0:
             return 0.0
         return float(np.exp(log_gauss_tail(np.log(r) / a + 0.5 * a)))
-
-    def log_tail(self, r: float, t: float = 0.0) -> float:
-        """log of closed_tail, stable for very large r."""
-        a = self.alpha * np.exp(-t)
-        if a == 0.0:
-            return -np.inf
-        return float(log_gauss_tail(np.log(r) / a + 0.5 * a))
 
 
 class MixtureDensity(DensityModel):
@@ -344,6 +335,24 @@ class SinePerturbationDensity(DensityModel):
 def constant_density(dim: int = 1) -> TiltDensity:
     """The density f = 1 (zero tilt)."""
     return TiltDensity(np.zeros(dim))
+
+
+class Family(NamedTuple):
+    """A density family: its constructor and the keyword parameters of its
+    default member.  Vector parameters are tuples; ``means`` is a tuple of
+    points."""
+
+    build: Callable[..., DensityModel]
+    defaults: dict
+
+
+FAMILIES: dict[str, Family] = {
+    "tilt": Family(TiltDensity, {"u": (2.0,)}),
+    "mixture": Family(
+        MixtureDensity, {"weights": (0.5, 0.5), "means": ((-1.0,), (1.0,)), "spread": 0.5}
+    ),
+    "sine": Family(SinePerturbationDensity, {"eps": 0.3, "wave": (2.0,)}),
+}
 
 
 def validate_normalization(density: DensityModel, rule: QuadratureRule) -> float:

@@ -103,10 +103,6 @@ def gauss_tail(z) -> np.ndarray:
     return ndtr(-np.asarray(z, dtype=float))
 
 
-def gauss_cdf(z) -> np.ndarray:
-    return ndtr(np.asarray(z, dtype=float))
-
-
 def gauss_interval_mass(a: float, b: float) -> float:
     """P(a < G <= b), computed on the better-conditioned side of the mode."""
     if b <= a:

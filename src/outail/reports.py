@@ -9,7 +9,7 @@ pass rule applies; such names carry a ``_floor`` suffix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,7 +109,3 @@ class TailCurve:
     def nonincreasing_trend(self) -> bool:
         """Flag (not an assertion): tail is non-increasing along the grid."""
         return bool(np.all(np.diff(self.tail) <= self.ci[:-1] + self.ci[1:] + 1e-12))
-
-
-def report_fields() -> tuple[str, ...]:
-    return tuple(f.name for f in fields(BoundReport))

@@ -11,24 +11,19 @@ the quadrature sum (score trick), never by outer finite differences:
 
     grad log P_s f(x) = E[f(x + sqrt(s) Y) Y] / (sqrt(s) E[f(x + sqrt(s) Y)]).
 
-Below the bandwidth floor ``S_MIN`` the score weights degenerate and the
-gradient quadrature refuses to run; callers that need the s -> 0 limit use
-grad log f directly (the drift field does this).
+Below the bandwidth floor ``S_MIN`` the score weights degenerate, so the
+kernel returns the exact s -> 0 limit grad log f instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Literal, Optional
+from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import (
-    BandwidthFloorError,
-    ClosedFormUnavailableError,
-    NonFiniteValueError,
-)
+from .errors import NonFiniteValueError
 from .measures import DensityModel, _as_points
 from .numeric import fd_hessian
 from .quadrature import QuadratureRule
@@ -39,40 +34,19 @@ from .stats import batch_means
 S_MIN = 1e-4
 DEFAULT_NODES = 64
 
-Method = Literal["closed_form", "quadrature", "monte_carlo"]
 
-
-@dataclass(frozen=True)
-class SemigroupQuery:
-    """One semigroup evaluation request.
-
-    ``time`` is t for OU queries and the bandwidth s for heat queries; heat
-    queries used by the drift keep time in (0, 1].
-    """
-
-    density: DensityModel
-    time: float
-    point: np.ndarray
-    method: Method = "quadrature"
-    rule: Optional[QuadratureRule] = None
-    n_samples: int = 10**5
-    seed: int = 0
-
-    def resolved_rule(self) -> QuadratureRule:
-        if self.rule is not None:
-            return self.rule
-        return QuadratureRule.gauss_hermite(self.density.dim, DEFAULT_NODES)
-
-
-def _default_rule(density: DensityModel, rule: Optional[QuadratureRule]) -> QuadratureRule:
-    return rule if rule is not None else QuadratureRule.gauss_hermite(density.dim, DEFAULT_NODES)
+@lru_cache(maxsize=None)
+def default_rule(dim: int) -> QuadratureRule:
+    """The DEFAULT_NODES-per-axis Gauss-Hermite rule in ``dim`` dimensions,
+    built once per dimension."""
+    return QuadratureRule.gauss_hermite(dim, DEFAULT_NODES)
 
 
 def ou_log(density: DensityModel, t: float, x, rule: Optional[QuadratureRule] = None) -> np.ndarray:
     """log Q_t f(x) by Gauss-Hermite quadrature, vectorized over points."""
     if t < 0:
         raise ValueError("OU time must be >= 0")
-    rule = _default_rule(density, rule)
+    rule = rule or default_rule(density.dim)
     x = _as_points(x, density.dim)
     rho = np.exp(-t)
     tau = np.sqrt(-np.expm1(-2.0 * t))
@@ -84,59 +58,29 @@ def ou_log(density: DensityModel, t: float, x, rule: Optional[QuadratureRule] = 
     return out
 
 
-def heat_log(density: DensityModel, s: float, x, rule: Optional[QuadratureRule] = None) -> np.ndarray:
-    """log P_s f(x) by quadrature with kernel covariance s * id."""
+def heat_log_grad(
+    density: DensityModel, s: float, x, rule: QuadratureRule
+) -> tuple[np.ndarray, np.ndarray]:
+    """(log P_s f(x), grad log P_s f(x)) by quadrature with kernel covariance
+    s * id; the gradient is grad log f(x) itself below ``S_MIN``."""
     if not 0.0 < s <= 1.0:
         raise ValueError("heat bandwidth must lie in (0, 1]")
-    rule = _default_rule(density, rule)
-    x = _as_points(x, density.dim)
-    pts = x[..., None, :] + np.sqrt(s) * rule.nodes
-    out = logsumexp(rule.log_weights + density.log_f(pts), axis=-1)
-    if not np.isfinite(out).all():
-        raise NonFiniteValueError("log P_s f evaluated non-finite")
-    return out
-
-
-def heat_grad_log_quadrature(
-    density: DensityModel, s: float, x, rule: Optional[QuadratureRule] = None
-) -> np.ndarray:
-    """grad log P_s f(x) with the kernel score inside the quadrature sum."""
-    if s < S_MIN:
-        raise BandwidthFloorError(
-            f"heat gradient quadrature needs s >= {S_MIN}; got {s:g} "
-            "(use the closed form or the s -> 0 limit grad log f)"
-        )
-    rule = _default_rule(density, rule)
     x = _as_points(x, density.dim)
     sqrt_s = np.sqrt(s)
     pts = x[..., None, :] + sqrt_s * rule.nodes
     logs = rule.log_weights + density.log_f(pts)
-    peak = logs.max(axis=-1, keepdims=True)
-    w = np.exp(logs - peak)
-    den = w.sum(-1)
-    num = np.einsum("...m,mn->...n", w, rule.nodes)
-    grad = num / (sqrt_s * den[..., None])
-    if not np.isfinite(grad).all():
-        raise NonFiniteValueError("heat gradient evaluated non-finite")
-    return grad
-
-
-def ou_apply(query: SemigroupQuery) -> float:
-    """Q_t f(x) = integral of f(x e^-t + sqrt(1 - e^-2t) y) gamma_n(dy)."""
-    d, t, x = query.density, query.time, query.point
-    if query.method == "closed_form":
-        if not d.has_closed_ou:
-            raise ClosedFormUnavailableError(f"{d.name} has no closed OU image")
-        val = float(np.exp(np.squeeze(d.closed_ou(t).log_f(x))))
-    elif query.method == "quadrature":
-        val = float(np.exp(np.squeeze(ou_log(d, t, x, query.resolved_rule()))))
-    elif query.method == "monte_carlo":
-        val, _ = ou_apply_mc(d, t, x, query.n_samples, query.seed)
+    k = logsumexp(logs, axis=-1)
+    if s >= S_MIN:
+        peak = logs.max(axis=-1, keepdims=True)
+        w = np.exp(logs - peak)
+        den = w.sum(-1)
+        num = np.einsum("...m,mn->...n", w, rule.nodes)
+        v = num / (sqrt_s * den[..., None])
     else:
-        raise ValueError(f"unknown method {query.method!r}")
-    if not np.isfinite(val):
-        raise NonFiniteValueError("Q_t f overflowed the exponential scale")
-    return val
+        v = density.grad_log_f(x)
+    if not (np.isfinite(k).all() and np.isfinite(v).all()):
+        raise NonFiniteValueError(f"log P_s f or its gradient non-finite at s={s:g}")
+    return k, v
 
 
 def ou_apply_mc(
@@ -155,31 +99,6 @@ def ou_apply_mc(
     return batch_means(vals)
 
 
-def heat_apply(query: SemigroupQuery) -> float:
-    """P_s f(x) = E[f(x + B_s)]."""
-    d, s, x = query.density, query.time, query.point
-    if query.method == "closed_form":
-        if not d.has_closed_heat:
-            raise ClosedFormUnavailableError(f"{d.name} has no closed heat transform")
-        val = float(np.exp(np.squeeze(d.closed_heat_log(s, x))))
-    else:
-        val = float(np.exp(np.squeeze(heat_log(d, s, x, query.resolved_rule()))))
-    if not np.isfinite(val):
-        raise NonFiniteValueError("P_s f overflowed the exponential scale")
-    return val
-
-
-def heat_grad_log(query: SemigroupQuery) -> np.ndarray:
-    """grad log P_s f(x); closed form when available, else kernel-score
-    quadrature (raises below the bandwidth floor)."""
-    d, s, x = query.density, query.time, query.point
-    if query.method == "closed_form":
-        if not d.has_closed_heat:
-            raise ClosedFormUnavailableError(f"{d.name} has no closed heat transform")
-        return np.squeeze(d.closed_heat_grad_log(s, x))
-    return np.squeeze(heat_grad_log_quadrature(d, s, x, query.resolved_rule()))
-
-
 def ou_log_hessian_min_eig(
     density: DensityModel,
     t: float,
@@ -194,7 +113,7 @@ def ou_log_hessian_min_eig(
     """
     if t <= 0:
         raise ValueError("Hessian floor check needs t > 0")
-    rule = _default_rule(density, rule)
+    rule = rule or default_rule(density.dim)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     fn = lambda pts: ou_log(density, t, pts, rule)
     hess = fd_hessian(fn, x, h=fd_step)
@@ -230,7 +149,7 @@ def hypercontractivity_check(
     """
     if density.dim > 2:
         raise ValueError("norm quadrature limited to dim <= 2")
-    rule = _default_rule(density, rule)
+    rule = rule or default_rule(density.dim)
     q = nelson_exponent(p, t)
     lhs = np.exp(log_lp_norm(lambda z: ou_log(density, t, z, rule), q, rule))
     rhs = np.exp(log_lp_norm(density.log_f, p, rule))

@@ -42,12 +42,6 @@ def batch_means(values: np.ndarray, n_batches: int = N_BATCHES) -> tuple[float, 
     return mean, float(np.sqrt(var_bm / n))
 
 
-def mean_ci(values: np.ndarray, z: float = 3.0) -> tuple[float, float]:
-    """Mean and z-sigma half-width from batch means."""
-    m, se = batch_means(values)
-    return m, z * se
-
-
 def ks_one_sample(samples: np.ndarray, cdf) -> float:
     """One-sample Kolmogorov-Smirnov distance against a CDF callable."""
     xs = np.sort(np.asarray(samples, dtype=float))

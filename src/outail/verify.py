@@ -21,12 +21,12 @@ import numpy as np
 
 from .errors import ResolutionError
 from .foellmer import BatchStats, pipeline_config, perturbation_arrays, simulate_batch
-from .measures import DensityModel, MixtureDensity, SinePerturbationDensity, TiltDensity
+from .measures import FAMILIES, DensityModel
 from .numeric import log_gauss_tail
 from .quadrature import QuadratureRule
 from .reports import BoundReport, TailCurve
 from .rng import gaussian_sample
-from .semigroup import DEFAULT_NODES, ou_log, ou_log_hessian_min_eig
+from .semigroup import default_rule, ou_log, ou_log_hessian_min_eig
 from .stats import (
     KS_TWO_SAMPLE_CRIT,
     batch_means,
@@ -52,12 +52,8 @@ def canonical_delta(r: float) -> float:
 
 
 def default_families() -> dict[str, DensityModel]:
-    """The shipped verification families: one per convexity regime."""
-    return {
-        "tilt": TiltDensity([2.0]),
-        "mixture": MixtureDensity([0.5, 0.5], [-1.0, 1.0], 0.5),
-        "sine": SinePerturbationDensity(0.3, [2.0]),
-    }
+    """The default member of every registered family: one per convexity regime."""
+    return {name: fam.build(**fam.defaults) for name, fam in FAMILIES.items()}
 
 
 def simulate_family_batch(
@@ -155,16 +151,6 @@ def tail_curve(
     )
 
 
-def matched_tilt_tail(r: float, t: float = 0.0) -> float:
-    """Exact tail at threshold r of the extremal log-linear density.
-
-    The tilt magnitude is matched to r (alpha = sqrt(2 log r) after OU
-    shrinkage), which maximizes the tail; computed in log space.
-    """
-    a = np.sqrt(2.0 * np.log(r))
-    return float(np.exp(log_gauss_tail((np.log(r) / a + 0.5 * a))))
-
-
 def sharpness_values(r_grid=SHARPNESS_R_GRID) -> np.ndarray:
     """tail * r * sqrt(log r) for the matched log-linear density, exactly.
 
@@ -198,7 +184,7 @@ def sharpness_report(r_grid=SHARPNESS_R_GRID, floor: float = SHARPNESS_FLOOR, se
 
 def relative_entropy_quadrature(density: DensityModel, rule: QuadratureRule | None = None) -> float:
     """H(f dgamma | gamma) = integral of f log f dgamma by quadrature."""
-    rule = rule or QuadratureRule.gauss_hermite(density.dim, DEFAULT_NODES)
+    rule = rule or default_rule(density.dim)
     logs = np.asarray(density.log_f(rule.nodes))
     return float((rule.weights * np.exp(logs) * logs).sum())
 

@@ -8,27 +8,16 @@ entropy, Girsanov, and acceptance tests.
 import numpy as np
 import pytest
 
-from outail import MixtureDensity, SinePerturbationDensity, TiltDensity
-from outail.verify import DEFAULT_R_GRID, simulate_family_batch
+from outail.verify import DEFAULT_R_GRID, default_families, simulate_family_batch
 
 N_PATHS = 10**5
 STEPS = 2048
 SEED = 42
 
 
-def make_family(name):
-    if name == "tilt":
-        return TiltDensity([2.0])
-    if name == "mixture":
-        return MixtureDensity([0.5, 0.5], [-1.0, 1.0], 0.5)
-    if name == "sine":
-        return SinePerturbationDensity(0.3, [2.0])
-    raise KeyError(name)
-
-
 @pytest.fixture(scope="session")
 def families():
-    return {name: make_family(name) for name in ("tilt", "mixture", "sine")}
+    return default_families()
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,9 @@ from outail.cli import (
     verify_all,
 )
 from outail.errors import ConfigError
+from outail.measures import FAMILIES
 from outail.reports import CSV_COLUMNS
+from outail.verify import default_families
 
 GOOD_CONFIG = """
 [experiment]
@@ -89,6 +91,27 @@ class TestConfigParsing:
             parse_config(write_cfg(tmp_path, text))
         assert exc.value.field == "checks"
 
+    @pytest.mark.parametrize("old, new, field", [
+        ("seed = 7", "seed = 7\nbeta = abc", "beta"),
+        ("means = -1, 1", "means = a, b", "means"),
+        ("r = e1, e2", "r = e1, e1", "r"),
+        ("weights = 0.5, 0.5", "weights = 0.3, 0.3", "family"),
+    ], ids=["beta", "means", "duplicate_r", "rejected_by_family"])
+    def test_bad_value_names_field(self, tmp_path, old, new, field):
+        text = GOOD_CONFIG.format(out=tmp_path).replace(old, new)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(write_cfg(tmp_path, text))
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_family_only_config_builds_default(self, tmp_path, name):
+        density = build_density(parse_config(write_cfg(tmp_path, f"[experiment]\nfamily = {name}\n")))
+        default = default_families()[name]
+        assert type(density) is type(default) and density.beta == default.beta
+        xs = np.linspace(-3.0, 3.0, 13)[:, None]
+        assert np.array_equal(density.log_f(xs), default.log_f(xs))
+        assert np.array_equal(density.grad_log_f(xs), default.grad_log_f(xs))
+
     def test_all_expands_in_order(self, tmp_path):
         text = GOOD_CONFIG.format(out=tmp_path).replace("checks = energy, z, prop2", "checks = all")
         assert parse_config(write_cfg(tmp_path, text)).checks == CHECK_TOKENS
@@ -135,6 +158,23 @@ out = {out}
         tails = [float(r.estimate) for r in result.rows if r.name == "tail_markov"]
         assert len(tails) == 4
         assert all(a >= b for a, b in zip(tails, tails[1:]))
+
+    def test_2d_mixture_tail_writes_reports(self, tmp_path):
+        text = """
+[experiment]
+family = mixture
+means = -1, 0; 1, 0
+checks = tail
+t = 0.5
+r = e1
+out = {out}
+""".format(out=tmp_path / "reports")
+        result = run(write_cfg(tmp_path, text))
+        assert result.csv_path.exists() and result.json_path.exists()
+        assert result.exit_code == int(any(r.anchored and not r.passed for r in result.rows))
+        # no Monte Carlo hit at r = e: the ceiling has no resolved tail either
+        assert [r.name for r in result.rows] == ["tail_markov!exact_required", "tail_curve_ceiling"]
+        assert math.isnan(result.rows[1].estimate)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = write_cfg(tmp_path, GOOD_CONFIG.format(out=tmp_path / "reports"))

@@ -2,21 +2,19 @@ import numpy as np
 import pytest
 
 from outail import (
+    DensityModel,
     MixtureDensity,
     PathConfig,
     SinePerturbationDensity,
     TiltDensity,
     constant_density,
-    pathwise_convexity_check,
-    perturb,
     perturbation_arrays,
     pipeline_config,
     simulate_batch,
     simulate_path,
-    stopping_index,
 )
 from outail.errors import ClosedFormUnavailableError
-from outail.foellmer import DriftField, Trajectory
+from outail.foellmer import DriftField
 
 E = float(np.e)
 TILT = TiltDensity([2.0])
@@ -28,6 +26,19 @@ def small_cfg(density, **kw):
     kw.setdefault("steps", 256)
     kw.setdefault("seed", 1234)
     return pipeline_config(density, **kw)
+
+
+def small_batch(density, cfg, n_paths=16):
+    """A batch stopped at cfg.r and its perturbation arrays at cfg.delta and
+    cfg.beta; ``simulate_path`` reproduces any of its paths node by node."""
+    stats = simulate_batch(density, cfg, n_paths, r_values=(cfg.r,))
+    return stats, perturbation_arrays(stats, density, cfg.r, cfg.delta, cfg.beta)
+
+
+def first_passage(traj, r):
+    """First grid node whose K value strictly exceeds log r, else m."""
+    above = traj.k > np.log(r)
+    return int(np.argmax(above)) if above.any() else traj.steps
 
 
 class TestPathConfigValidation:
@@ -83,9 +94,9 @@ class TestConstantDensityPaths:
         np.testing.assert_allclose(traj.v, 0.0, atol=0.0)
         np.testing.assert_allclose(traj.k, 0.0, atol=0.0)
         assert traj.x[-1, 0] == pytest.approx(float(traj.db.sum()), abs=1e-14)
-        rec = perturb(traj, cfg)
-        assert rec.d_delta_1 == pytest.approx(1.0, abs=1e-14)
-        assert rec.y == 0.0 and rec.z == 0.0
+        _, arr = small_batch(flat, cfg)
+        np.testing.assert_allclose(np.exp(arr["log_d"]), 1.0, atol=1e-14)
+        assert np.all(arr["y"] == 0.0) and np.all(arr["z"] == 0.0)
 
 
 class TestValueProcess:
@@ -111,28 +122,42 @@ class TestValueProcess:
         assert np.abs(traj.reconstruction_residual()).max() < 0.25
 
 
+class RaisedTilt(DensityModel):
+    """The unit tilt times e^10: not normalized, so K_0 = 10 > log e."""
+
+    name, dim, beta = "raised", 1, 0.0
+
+    def log_f(self, x):
+        return TiltDensity([1.0]).log_f(x) + 10.0
+
+    def grad_log_f(self, x):
+        return TiltDensity([1.0]).grad_log_f(x)
+
+
 class TestStopping:
     def test_never_stopped_convention(self):
         cfg = small_cfg(TILT, r=float(np.exp(50.0)))
-        traj = simulate_path(TILT, cfg)
-        assert stopping_index(traj, cfg.r) == cfg.steps
+        stats, _ = small_batch(TILT, cfg)
+        assert np.all(stats.stopped[cfg.r].t_index == cfg.steps)
 
     def test_immediate_stop_when_k0_exceeds(self):
-        base = simulate_path(TILT, small_cfg(TILT))
-        doctored = Trajectory(
-            times=base.times, x=base.x, db=base.db, v=base.v,
-            k=base.k + 10.0, stoch_int=base.stoch_int, energy=base.energy,
-            density=base.density, config=base.config,
-        )
-        assert stopping_index(doctored, E) == 0
+        cfg = PathConfig(steps=128, r=E, drift_method="quadrature")
+        stats, _ = small_batch(RaisedTilt(), cfg)
+        sl = stats.stopped[E]
+        assert stats.k0 > 1.0
+        assert np.all(sl.t_index == 0)
+        assert np.all(sl.stoch == 0.0) and np.all(sl.energy == 0.0)
 
     def test_first_passage_definition(self):
         cfg = small_cfg(TILT, r=E)
-        traj = simulate_path(TILT, cfg, path_index=11)
-        idx = stopping_index(traj, E)
-        if idx < cfg.steps:
-            assert traj.k[idx] > 1.0
-            assert np.all(traj.k[:idx] <= 1.0)
+        stats, _ = small_batch(TILT, cfg)
+        t_index = stats.stopped[E].t_index
+        for idx in range(len(t_index)):
+            traj = simulate_path(TILT, cfg, path_index=idx)
+            assert t_index[idx] == first_passage(traj, E)
+            if t_index[idx] < cfg.steps:
+                assert traj.k[t_index[idx]] > 1.0
+                assert np.all(traj.k[: t_index[idx]] <= 1.0)
 
     def test_tilt_first_passage_oracle(self):
         # for the tilt the value process is exactly the drifted Brownian
@@ -141,19 +166,20 @@ class TestStopping:
         alpha, r = 3.0, E
         tilt3 = TiltDensity([alpha])
         cfg = small_cfg(tilt3, r=r, steps=512)
+        stats, _ = small_batch(tilt3, cfg, n_paths=40)
+        sl = stats.stopped[r]
         stopped = 0
         for idx in range(40):
             traj = simulate_path(tilt3, cfg, path_index=idx)
             b = np.concatenate([[0.0], np.cumsum(traj.db[:, 0])])
             walk = alpha * b + 0.5 * alpha**2 * traj.times
             np.testing.assert_allclose(traj.k, walk, atol=1e-10)
-            t_idx = stopping_index(traj, r)
             oracle = np.argmax(walk > np.log(r)) if (walk > np.log(r)).any() else cfg.steps
-            assert t_idx == oracle
-            if t_idx < cfg.steps:
+            assert sl.t_index[idx] == oracle
+            if sl.t_index[idx] < cfg.steps:
                 stopped += 1
                 step_bound = np.abs(np.diff(walk)).max()
-                assert np.log(r) < traj.k[t_idx] <= np.log(r) + step_bound
+                assert np.log(r) < sl.k_at_stop[idx] <= np.log(r) + step_bound
         assert stopped > 20  # drift 4.5/unit time crosses log r = 1 often
 
     def test_stopped_cap_with_overshoot(self, batches, families):
@@ -171,30 +197,32 @@ class TestStopping:
 class TestPerturbation:
     def test_delta_zero_is_identity(self):
         cfg = small_cfg(MIX, r=E, delta=0.0, beta=MIX.beta)
+        stats, arr = small_batch(MIX, cfg)
+        np.testing.assert_allclose(arr["x_delta"], stats.x1, atol=0.0)
+        assert np.all(arr["y"] == 0.0) and np.all(arr["z"] == 0.0)
         traj = simulate_path(MIX, cfg, path_index=4)
-        rec = perturb(traj, cfg)
-        np.testing.assert_allclose(rec.x_delta_1, traj.x[-1], atol=0.0)
-        assert rec.y == 0.0 and rec.z == 0.0
         expected_log_d = -traj.stoch_int[-1] - 0.5 * traj.energy[-1]
-        assert rec.log_d_delta_1 == pytest.approx(expected_log_d, abs=1e-12)
+        assert arr["log_d"][4] == pytest.approx(expected_log_d, abs=1e-12)
 
     def test_endpoint_shift_formula(self):
         cfg = small_cfg(MIX, r=E, delta=0.2, beta=MIX.beta)
+        _, arr = small_batch(MIX, cfg)
         traj = simulate_path(MIX, cfg, path_index=9)
-        rec = perturb(traj, cfg)
-        t_idx = stopping_index(traj, E)
+        t_idx = first_passage(traj, E)
         shift = 0.2 * traj.v[:t_idx].sum(axis=0) / cfg.steps
-        np.testing.assert_allclose(rec.x_delta_1, traj.x[-1] + shift, atol=1e-14)
+        np.testing.assert_allclose(arr["x_delta"][9], traj.x[-1] + shift, atol=1e-14)
 
     def test_deviation_identity_exact(self):
         # Y = Z - delta * S_T + (delta^2 / 2) * E_T, an algebraic identity
-        # of the discretized integrals
+        # of the discretized integrals, with S_T and E_T read off each path
         cfg = small_cfg(MIX, r=E, delta=0.3, beta=MIX.beta)
+        _, arr = small_batch(MIX, cfg, n_paths=8)
         for idx in range(8):
-            rec = perturb(simulate_path(MIX, cfg, path_index=idx), cfg)
-            lhs = rec.y
-            rhs = rec.z - cfg.delta * rec.stoch_stopped + 0.5 * cfg.delta**2 * rec.energy_stopped
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+            traj = simulate_path(MIX, cfg, path_index=idx)
+            t_idx = first_passage(traj, E)
+            rhs = (arr["z"][idx] - cfg.delta * traj.stoch_int[t_idx]
+                   + 0.5 * cfg.delta**2 * traj.energy[t_idx])
+            assert arr["y"][idx] == pytest.approx(rhs, abs=1e-12)
 
     def test_deviation_identity_batch(self, batches, families):
         for name, stats in batches.items():
@@ -216,15 +244,13 @@ class TestPerturbation:
 class TestConvexityMargin:
     def test_tilt_margin_vanishes(self):
         cfg = small_cfg(TILT, r=E, delta=0.25, beta=0.0)
-        traj = simulate_path(TILT, cfg, path_index=2)
-        rec = perturb(traj, cfg)
-        assert pathwise_convexity_check(rec, traj, cfg) == pytest.approx(0.0, abs=1e-12)
+        _, arr = small_batch(TILT, cfg)
+        np.testing.assert_allclose(arr["convexity_margin"], 0.0, atol=1e-12)
 
     def test_delta_zero_margin_vanishes(self):
         cfg = small_cfg(MIX, r=E, delta=0.0, beta=MIX.beta)
-        traj = simulate_path(MIX, cfg, path_index=7)
-        rec = perturb(traj, cfg)
-        assert pathwise_convexity_check(rec, traj, cfg) == pytest.approx(0.0, abs=1e-13)
+        _, arr = small_batch(MIX, cfg)
+        np.testing.assert_allclose(arr["convexity_margin"], 0.0, atol=1e-13)
 
     def test_mixture_batch_margins_nonnegative(self, batches, families):
         mix = families["mixture"]

@@ -4,58 +4,63 @@ import pytest
 from outail import (
     MixtureDensity,
     QuadratureRule,
-    SemigroupQuery,
     SinePerturbationDensity,
     TiltDensity,
     constant_density,
-    heat_apply,
-    heat_grad_log,
-    heat_log,
     hypercontractivity_check,
     nelson_exponent,
-    ou_apply,
     ou_apply_mc,
     ou_log,
     ou_log_hessian_min_eig,
 )
-from outail.errors import BandwidthFloorError, ClosedFormUnavailableError
-from outail.semigroup import heat_grad_log_quadrature, log_lp_norm
+from outail.errors import ClosedFormUnavailableError, NonFiniteValueError
+from outail.semigroup import S_MIN, default_rule, heat_log_grad, log_lp_norm
 
 RULE = QuadratureRule.gauss_hermite(1, 64)
 MIX = MixtureDensity([0.5, 0.5], [-1.0, 1.0], 0.5)
 SINE = SinePerturbationDensity(0.3, [2.0])
 
 
+def ou_value(density, t, x):
+    """Q_t f(x) by the default quadrature."""
+    return float(np.exp(ou_log(density, t, np.array([x]))))
+
+
+def heat(density, s, x, rule=None):
+    """(log P_s f(x), grad log P_s f(x)) at one 1-D point by the heat kernel."""
+    k, v = heat_log_grad(density, s, np.array([x]), rule or default_rule(density.dim))
+    return float(k), float(v[0])
+
+
 class TestOuApply:
     def test_constant_is_fixed_point(self):
         for t in (0.05, 0.5, 2.0):
             for x in (-1.0, 0.0, 2.5):
-                q = SemigroupQuery(constant_density(1), t, np.array([x]))
-                assert ou_apply(q) == pytest.approx(1.0, abs=1e-13)
+                assert ou_value(constant_density(1), t, x) == pytest.approx(1.0, abs=1e-13)
 
     def test_tilt_half_life_value(self):
         # alpha e^-t = 1/2 at alpha = 1, t = log 2; value at 0 is e^{-1/8}
-        q = SemigroupQuery(TiltDensity([1.0]), np.log(2.0), np.array([0.0]))
-        assert ou_apply(q) == pytest.approx(np.exp(-0.125), rel=1e-10)
+        assert ou_value(TiltDensity([1.0]), np.log(2.0), 0.0) == pytest.approx(
+            np.exp(-0.125), rel=1e-10
+        )
 
     def test_closed_matches_quadrature_on_grid(self):
         for alpha in (0.5, 1.5, 3.0):
             tilt = TiltDensity([alpha])
             for t in (0.1, 0.7, 2.0):
                 for x in (-2.0, 0.3, 1.7):
-                    quad = ou_apply(SemigroupQuery(tilt, t, np.array([x])))
-                    closed = ou_apply(SemigroupQuery(tilt, t, np.array([x]), method="closed_form"))
-                    assert quad == pytest.approx(closed, rel=1e-10)
+                    closed = float(np.exp(tilt.closed_ou(t).log_f(np.array([x]))))
+                    assert ou_value(tilt, t, x) == pytest.approx(closed, rel=1e-10)
 
     def test_mixture_quadrature_vs_monte_carlo(self):
         x = np.array([0.3])
-        quad = ou_apply(SemigroupQuery(MIX, 0.5, x))
+        quad = ou_value(MIX, 0.5, 0.3)
         mc, se = ou_apply_mc(MIX, 0.5, x, n_samples=10**6, seed=3)
         assert abs(mc - quad) <= 3.0 * se
 
     def test_closed_form_unavailable(self):
         with pytest.raises(ClosedFormUnavailableError):
-            ou_apply(SemigroupQuery(SINE, 0.5, np.array([0.0]), method="closed_form"))
+            SINE.closed_ou(0.5)
 
     def test_mc_deterministic(self):
         x = np.array([0.1])
@@ -68,22 +73,20 @@ class TestHeatApply:
     def test_tiny_bandwidth_recovers_f(self):
         for d in (MIX, SINE):
             for x in (-1.2, 0.4):
-                val = heat_apply(SemigroupQuery(d, 1e-6, np.array([x])))
+                val = np.exp(heat(d, 1e-6, x)[0])
                 assert val == pytest.approx(float(np.exp(d.log_f(np.array([x])))), abs=1e-4)
 
     def test_tilt_closed_formula(self):
         alpha, s, x = 1.4, 0.6, 0.8
         tilt = TiltDensity([alpha])
         expected = np.exp(alpha * x - alpha**2 / 2 + alpha**2 * s / 2)
-        quad = heat_apply(SemigroupQuery(tilt, s, np.array([x])))
-        closed = heat_apply(SemigroupQuery(tilt, s, np.array([x]), method="closed_form"))
+        quad = np.exp(heat(tilt, s, x)[0])
+        closed = float(np.exp(tilt.closed_heat_log(s, np.array([x]))))
         assert closed == pytest.approx(expected, rel=1e-14)
         assert quad == pytest.approx(expected, rel=1e-10)
 
     def test_mass_conserved_for_constant(self):
-        assert heat_apply(SemigroupQuery(constant_density(1), 1.0, np.array([3.0]))) == pytest.approx(
-            1.0, abs=1e-13
-        )
+        assert np.exp(heat(constant_density(1), 1.0, 3.0)[0]) == pytest.approx(1.0, abs=1e-13)
 
 
 class TestHeatGradLog:
@@ -91,27 +94,36 @@ class TestHeatGradLog:
         tilt = TiltDensity([1.7])
         for s in (0.01, 0.5, 1.0):
             for x in (-2.0, 0.0, 1.3):
-                g = heat_grad_log(SemigroupQuery(tilt, s, np.array([x])))
-                assert float(g) == pytest.approx(1.7, rel=1e-9)
+                assert heat(tilt, s, x)[1] == pytest.approx(1.7, rel=1e-9)
 
     def test_constant_density_zero_gradient(self):
-        g = heat_grad_log(SemigroupQuery(constant_density(1), 0.5, np.array([1.0])))
-        assert abs(float(g)) < 1e-12
+        assert abs(heat(constant_density(1), 0.5, 1.0)[1]) < 1e-12
 
     def test_matches_finite_differences_of_heat_log(self):
         s, h = 0.5, 1e-5
         for x in (-0.7, 0.0, 1.1):
-            g = heat_grad_log_quadrature(MIX, s, np.array([x]), RULE)[0]
-            num = float(heat_log(MIX, s, np.array([x + h]), RULE))
-            den = float(heat_log(MIX, s, np.array([x - h]), RULE))
+            g = heat(MIX, s, x, RULE)[1]
+            num = heat(MIX, s, x + h, RULE)[0]
+            den = heat(MIX, s, x - h, RULE)[0]
             assert g == pytest.approx((num - den) / (2 * h), abs=1e-6)
 
-    def test_bandwidth_floor_raises(self):
-        with pytest.raises(BandwidthFloorError):
-            heat_grad_log_quadrature(MIX, 1e-5, np.array([0.0]), RULE)
+    def test_below_floor_returns_exact_limit(self):
+        x = np.linspace(-2.0, 2.0, 9)[:, None]
+        for s in (1e-5, 0.5 * S_MIN):
+            k, v = heat_log_grad(MIX, s, x, RULE)
+            assert np.array_equal(v, MIX.grad_log_f(x))
+            np.testing.assert_allclose(k, MIX.log_f(x), atol=1e-3)
+
+    def test_nonfinite_gradient_raises(self):
+        class NanGradient(TiltDensity):
+            def grad_log_f(self, x):
+                return np.full(np.shape(x), np.nan)
+
+        with pytest.raises(NonFiniteValueError):
+            heat_log_grad(NanGradient([1.0]), 1e-5, np.zeros((3, 1)), RULE)
 
     def test_closed_form_bypasses_floor(self):
-        g = heat_grad_log(SemigroupQuery(MIX, 1e-5, np.array([0.4]), method="closed_form"))
+        g = MIX.closed_heat_grad_log(1e-5, np.array([0.4]))
         expected = np.ravel(MIX.grad_log_f(np.array([0.4])))[0]
         assert np.ravel(g)[0] == pytest.approx(expected, abs=1e-4)
 

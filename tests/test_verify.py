@@ -26,7 +26,6 @@ from outail.verify import (
     entropy_identity_report,
     hessian_floor_report,
     martingale_gap_reports,
-    matched_tilt_tail,
     canonical_delta,
     sharpness_report,
 )
