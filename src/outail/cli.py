@@ -14,6 +14,7 @@ import configparser
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, OutailError, ResolutionError
+from .foellmer import MIN_STEPS
 from .measures import FAMILIES, DensityModel
 from .reports import CSV_COLUMNS, BoundReport, TailCurve
 from .semigroup import hypercontractivity_check
@@ -64,6 +66,27 @@ class ExperimentConfig:
     out_dir: str
     p: float = 2.0
 
+    def __post_init__(self):
+        """Every value check of a config, for parsed files and verify-all alike."""
+        if any(t < 0 for t in self.t_values):
+            raise ConfigError("t", "times must be >= 0")
+        if any(r <= 1.0 for r in self.r_values):
+            raise ConfigError("r", "all thresholds must exceed 1")
+        if len(set(self.r_values)) != len(self.r_values):
+            raise ConfigError("r", "thresholds must be distinct")
+        if self.delta_rule == "fixed" and not self.delta_value >= 0:
+            raise ConfigError("delta", "fixed delta must be >= 0")
+        if self.beta_override is not None and not self.beta_override >= 0:
+            raise ConfigError("beta", "beta override must be >= 0")
+        if self.paths < MIN_MC_PATHS:
+            raise ConfigError("paths", f"need >= {MIN_MC_PATHS} paths for MC checks")
+        if self.steps < MIN_STEPS:
+            raise ConfigError("steps", f"need >= {MIN_STEPS} time steps")
+        if self.seed < 0:
+            raise ConfigError("seed", "seed must be >= 0")
+        if not self.p > 1.0:
+            raise ConfigError("p", "hypercontractivity needs p > 1")
+
     def delta_for(self, r: float) -> float:
         return canonical_delta(r) if self.delta_rule == "paper_rule" else self.delta_value
 
@@ -93,6 +116,13 @@ def _parse_float(field_name: str, raw: str) -> float:
     if len(vals) != 1:
         raise ConfigError(field_name, f"expected one value, got {len(vals)}")
     return vals[0]
+
+
+def _parse_int(field_name: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ConfigError(field_name, f"cannot parse integer {raw!r}") from exc
 
 
 def _parse_param(field_name: str, raw: str, default):
@@ -147,14 +177,7 @@ def _build_experiment(parser: configparser.ConfigParser) -> ExperimentConfig:
     }
 
     t_values = _parse_floats("t", sec.get("t", "0.1, 0.5, 1.0"))
-    if any(t < 0 for t in t_values):
-        raise ConfigError("t", "times must be >= 0")
-    r_values = _parse_floats("r", sec.get("r", "e1, e2, e4"))
-    if any(r <= 1.0 for r in r_values):
-        raise ConfigError("r", "all thresholds must exceed 1")
-    r_values = tuple(sorted(r_values))
-    if len(set(r_values)) != len(r_values):
-        raise ConfigError("r", "thresholds must be distinct")
+    r_values = tuple(sorted(_parse_floats("r", sec.get("r", "e1, e2, e4"))))
 
     delta_raw = sec.get("delta", "paper_rule").strip()
     if delta_raw == "paper_rule":
@@ -165,19 +188,11 @@ def _build_experiment(parser: configparser.ConfigParser) -> ExperimentConfig:
             delta_value = float(delta_raw.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError("delta", f"cannot parse {delta_raw!r}") from exc
-        if delta_value < 0:
-            raise ConfigError("delta", "fixed delta must be >= 0")
     else:
         raise ConfigError("delta", "expected 'paper_rule' or 'fixed:<value>'")
 
     beta_raw = sec.get("beta", "auto").strip().lower()
     beta_override = None if beta_raw == "auto" else _parse_float("beta", beta_raw)
-
-    paths = sec.getint("paths", fallback=10**5)
-    if paths < MIN_MC_PATHS:
-        raise ConfigError("paths", f"need >= {MIN_MC_PATHS} paths for MC checks")
-    steps = sec.getint("steps", fallback=2048)
-    seed = sec.getint("seed", fallback=42)
 
     raw_checks = [c.strip().lower() for c in sec.get("checks", "all").split(",") if c.strip()]
     if not raw_checks:
@@ -192,23 +207,22 @@ def _build_experiment(parser: configparser.ConfigParser) -> ExperimentConfig:
         else:
             raise ConfigError("checks", f"unknown check {tok!r}")
 
-    dim = sec.getint("dim", fallback=0)
     out_dir = sec.get("out", "") or os.environ.get(OUT_ENV_VAR, "reports")
     cfg = ExperimentConfig(
         family=family,
         params=params,
-        dim=dim,
+        dim=_parse_int("dim", sec.get("dim", "0")),
         t_values=t_values,
         r_values=r_values,
         delta_rule=delta_rule,
         delta_value=delta_value,
         beta_override=beta_override,
-        paths=paths,
-        steps=steps,
-        seed=seed,
+        paths=_parse_int("paths", sec.get("paths", "100000")),
+        steps=_parse_int("steps", sec.get("steps", "2048")),
+        seed=_parse_int("seed", sec.get("seed", "42")),
         checks=tuple(checks),
         out_dir=out_dir,
-        p=sec.getfloat("p", fallback=2.0),
+        p=_parse_float("p", sec.get("p", "2.0")),
     )
     try:
         density = build_density(cfg)  # validates family parameters early
@@ -344,7 +358,8 @@ def write_reports(rows: list[BoundReport], out_dir, stem: str, seed: int) -> Run
     csv_path = out / f"{stem}.csv"
     csv_path.write_text(rows_to_csv_text(rows), encoding="utf-8")
     anchored_failures = [r.name for r in rows if r.anchored and not r.passed]
-    worst = min(rows, key=lambda r: r.margin + r.ci_half_width, default=None)
+    finite = [r for r in rows if math.isfinite(r.margin + r.ci_half_width)]
+    worst = min(finite, key=lambda r: r.margin + r.ci_half_width, default=None)
     summary = {
         "created": datetime.now(timezone.utc).isoformat(),
         "seed": seed,
@@ -359,12 +374,13 @@ def write_reports(rows: list[BoundReport], out_dir, stem: str, seed: int) -> Run
         ),
         "rows": [
             {"name": r.name, "family": r.family, "pass": r.passed,
-             "anchored": r.anchored, "margin": r.margin}
+             "anchored": r.anchored,
+             "margin": r.margin if math.isfinite(r.margin) else None}  # JSON has no NaN
             for r in rows
         ],
     }
     json_path = out / f"{stem}.json"
-    json_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    json_path.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     return RunResult(
         rows=rows, csv_path=csv_path, json_path=json_path,
         exit_code=0 if not anchored_failures else 1,
@@ -406,6 +422,13 @@ def verify_all(
     return write_reports(rows, out_dir or os.environ.get(OUT_ENV_VAR, "reports"), "verify_all", seed)
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="outail", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -413,14 +436,14 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run the checks described by a config file")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--chunk-size", type=int, default=None)
+    p_run.add_argument("--chunk-size", type=_positive_int, default=None)
 
     p_all = sub.add_parser("verify-all", help="run the default experiment matrix")
     p_all.add_argument("--seed", type=int, default=42)
     p_all.add_argument("--out", default=None)
     p_all.add_argument("--paths", type=int, default=10**5)
     p_all.add_argument("--steps", type=int, default=2048)
-    p_all.add_argument("--chunk-size", type=int, default=None)
+    p_all.add_argument("--chunk-size", type=_positive_int, default=None)
 
     p_tail = sub.add_parser("tail", help="one tail probability")
     p_tail.add_argument("--family", choices=tuple(FAMILIES), default="tilt")

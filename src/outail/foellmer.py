@@ -17,6 +17,14 @@ Discrete conventions (uniform grid, m steps):
 
 Per-path randomness comes from a counter-based stream keyed by (seed, path
 index), so batches are reproducible under any chunk layout.
+
+``PathConfig`` holds only what the simulation reads (dim, steps, seed and
+the drift evaluation).  Thresholds are an argument of ``simulate_batch``:
+each is one more stopping time on the same paths, stored threshold-major as
+(n_thresholds, N) arrays whose rows are the ``StoppedSlice`` views; delta
+and beta enter only ``perturbation_arrays``.  The step loop writes each
+chunk into views of the batch arrays, and one per-node observer records the
+drift at the checkpoints (batch) or every node (``simulate_path``).
 """
 
 from __future__ import annotations
@@ -43,9 +51,6 @@ class PathConfig:
 
     dim: int = 1
     steps: int = DEFAULT_STEPS
-    r: float = float(np.e)
-    delta: float = 0.0
-    beta: float = 0.0
     seed: int = 0
     drift_method: str = "closed_form"
     quad_nodes: int = DRIFT_QUAD_NODES
@@ -57,12 +62,6 @@ class PathConfig:
     def __post_init__(self):
         if self.steps < MIN_STEPS:
             raise ValueError(f"need at least {MIN_STEPS} time steps, got {self.steps}")
-        if self.r <= 1.0:
-            raise ValueError("threshold r must exceed 1")
-        if self.delta < 0.0:
-            raise ValueError("perturbation delta must be >= 0")
-        if self.beta < 0.0:
-            raise ValueError("convexity certificate beta must be >= 0")
         if self.drift_method not in ("closed_form", "quadrature"):
             raise ValueError(f"unknown drift method {self.drift_method!r}")
 
@@ -148,17 +147,10 @@ class Trajectory:
     k: np.ndarray          # (m+1,)
     stoch_int: np.ndarray  # (m+1,)
     energy: np.ndarray     # (m+1,)
-    density: DensityModel
-    config: PathConfig
-    path_index: int = 0
 
     @property
     def steps(self) -> int:
         return len(self.times) - 1
-
-    @property
-    def k0(self) -> float:
-        return float(self.k[0])
 
     def reconstruction_residual(self) -> np.ndarray:
         """K_i - K_0 - stoch_int_i - energy_i/2 along the grid."""
@@ -180,7 +172,12 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class StoppedSlice:
-    """Per-path integrals frozen at the passage time of one threshold."""
+    """Per-path integrals frozen at the passage time of one threshold.
+
+    ``simulate_batch`` stores the integrals of all its thresholds
+    threshold-major, as (n_thresholds, N) arrays; the fields of a slice are
+    views of one row of them.
+    """
 
     r: float
     t_index: np.ndarray   # (N,) int
@@ -197,19 +194,15 @@ class StoppedSlice:
 class BatchStats:
     """Endpoint and stopped-integral statistics for a batch of paths."""
 
-    family: str
-    dim: int
     n_paths: int
     steps: int
     seed: int
-    drift_method: str
     k0: float
     x1: np.ndarray          # (N, n)
     v1: np.ndarray          # (N, n)
     k_final: np.ndarray     # (N,) = log f(X_1), exact evaluation
     stoch_full: np.ndarray  # (N,)
     energy_full: np.ndarray  # (N,)
-    vds_full: np.ndarray    # (N, n)
     checkpoints: dict[float, np.ndarray] = field(default_factory=dict)
     checkpoint_indices: dict[float, int] = field(default_factory=dict)
     stopped: dict[float, StoppedSlice] = field(default_factory=dict)
@@ -228,185 +221,129 @@ def _chunk_size(n_paths: int, steps: int, dim: int) -> int:
     return int(min(n_paths, max(256, (1 << 25) // (steps * dim))))
 
 
+def _path_arrays(n_paths: int, dim: int, n_thresholds: int):
+    """Zeroed per-path outputs of the step loop: ``ends`` = (X, v, K, S, E)
+    in ``BatchStats`` field order, and ``frozen`` = (T, S_T, E_T, I_T, K_T),
+    threshold-major, in ``StoppedSlice`` field order."""
+    ends = (
+        np.zeros((n_paths, dim)),
+        np.zeros((n_paths, dim)),
+        np.zeros(n_paths),
+        np.zeros(n_paths),
+        np.zeros(n_paths),
+    )
+    frozen = (
+        np.zeros((n_thresholds, n_paths), np.int64),
+        np.zeros((n_thresholds, n_paths)),
+        np.zeros((n_thresholds, n_paths)),
+        np.zeros((n_thresholds, n_paths, dim)),
+        np.zeros((n_thresholds, n_paths)),
+    )
+    return ends, frozen
+
+
 def simulate_batch(
     density: DensityModel,
     cfg: PathConfig,
     n_paths: int,
-    r_values: Optional[Sequence[float]] = None,
+    r_values: Sequence[float] = (),
     checkpoint_times: Sequence[float] = (0.25, 0.5, 0.75),
     chunk_paths: Optional[int] = None,
 ) -> BatchStats:
     """Simulate ``n_paths`` trajectories and reduce them to BatchStats.
 
-    Stopped integrals are frozen for every threshold in ``r_values``
-    (default: just cfg.r), so one simulation serves all (r, delta) analyses.
-    Results are bit-identical for any ``chunk_paths``.
+    Stopped integrals are frozen for every threshold in ``r_values``, so
+    one simulation serves all (r, delta) analyses.  Results are
+    bit-identical for any ``chunk_paths``.
     """
-    if r_values is None:
-        r_values = (cfg.r,)
     r_values = tuple(float(r) for r in r_values)
     if any(r <= 1.0 for r in r_values):
         raise ValueError("all thresholds must exceed 1")
+    if chunk_paths is not None and chunk_paths < 1:
+        raise ValueError(f"chunk_paths must be at least 1, got {chunk_paths}")
     m, n = cfg.steps, cfg.dim
     drift = DriftField(density, cfg)
-    log_rs = [float(np.log(r)) for r in r_values]
+    log_rs = np.array([np.log(r) for r in r_values])
     cp_idx = {float(tc): int(round(tc * m)) for tc in checkpoint_times}
     if any(not 0 < i < m for i in cp_idx.values()):
         raise ValueError("checkpoint times must fall strictly inside (0, 1)")
 
-    x1 = np.empty((n_paths, n))
-    v1 = np.empty((n_paths, n))
-    k_final = np.empty(n_paths)
-    stoch_full = np.empty(n_paths)
-    energy_full = np.empty(n_paths)
-    vds_full = np.empty((n_paths, n))
+    ends, frozen = _path_arrays(n_paths, n, len(r_values))
     cps = {tc: np.empty((n_paths, n)) for tc in cp_idx}
-    st = {
-        r: dict(
-            t_index=np.empty(n_paths, np.int64),
-            stoch=np.empty(n_paths),
-            energy=np.empty(n_paths),
-            vds=np.empty((n_paths, n)),
-            k_at_stop=np.empty(n_paths),
-        )
-        for r in r_values
-    }
-
     chunk = chunk_paths or _chunk_size(n_paths, m, n)
     k0 = None
     for start in range(0, n_paths, chunk):
-        stop = min(start + chunk, n_paths)
-        out = _run_paths(density, cfg, drift, start, stop - start, log_rs, cp_idx)
-        sl = slice(start, stop)
-        x1[sl] = out["x1"]
-        v1[sl] = out["v1"]
-        k_final[sl] = out["k_final"]
-        stoch_full[sl] = out["stoch"]
-        energy_full[sl] = out["energy"]
-        vds_full[sl] = out["vds"]
-        for tc in cp_idx:
-            cps[tc][sl] = out["checkpoints"][tc]
-        for j, r in enumerate(r_values):
-            st[r]["t_index"][sl] = out["t_index"][:, j]
-            st[r]["stoch"][sl] = out["st_stoch"][:, j]
-            st[r]["energy"][sl] = out["st_energy"][:, j]
-            st[r]["vds"][sl] = out["st_vds"][:, j]
-            st[r]["k_at_stop"][sl] = out["st_k"][:, j]
-        k0 = out["k0"]
+        sl = slice(start, min(start + chunk, n_paths))
+        cp_views = {i: cps[tc][sl] for tc, i in cp_idx.items()}
 
-    stopped = {r: StoppedSlice(r=r, **st[r]) for r in r_values}
+        def record_checkpoints(i, x, v, k, stoch, energy):
+            if i in cp_views:
+                cp_views[i][...] = v
+
+        k0 = _run_paths(
+            density, cfg, drift, start, log_rs,
+            [a[sl] for a in ends], [a[:, sl] for a in frozen], record_checkpoints,
+        )
+
     return BatchStats(
-        family=density.name,
-        dim=n,
-        n_paths=n_paths,
-        steps=m,
-        seed=cfg.seed,
-        drift_method=cfg.drift_method,
-        k0=k0,
-        x1=x1,
-        v1=v1,
-        k_final=k_final,
-        stoch_full=stoch_full,
-        energy_full=energy_full,
-        vds_full=vds_full,
+        n_paths, m, cfg.seed, k0, *ends,
         checkpoints=cps,
         checkpoint_indices=cp_idx,
-        stopped=stopped,
+        stopped={r: StoppedSlice(r, *(a[j] for a in frozen)) for j, r in enumerate(r_values)},
     )
 
 
-def _run_paths(density, cfg, drift, first_path, n_paths, log_rs, cp_idx, record_full=False):
-    m, n = cfg.steps, cfg.dim
+def _freeze(frozen, mask, i, stoch, energy, vds, k) -> None:
+    """Copy node i's running integrals and K into the threshold-major
+    ``frozen`` arrays wherever ``mask`` (n_thresholds, c) is set."""
+    for dst, src in zip(frozen, (i, stoch, energy, vds, k)):
+        np.copyto(dst, src, where=mask[..., None] if dst.ndim == 3 else mask)
+
+
+def _run_paths(density, cfg, drift, first_path, log_rs, ends, frozen, observe) -> float:
+    """Run paths ``first_path``, ``first_path + 1``, ... (one per row of the
+    zeroed ``ends`` views) and return K_0.
+
+    The loop state lives in the views: ``ends`` = (X, v, K, S, E) ends at
+    (X_1, v_1, K_1, S_1, E_1), and the threshold-major ``frozen`` views get
+    the integrals stopped at each log r in ``log_rs``.
+    ``observe(i, x, v, k, stoch, energy)`` sees every node i = 0..m before
+    its step; at node m, (k, v) = (log f, grad log f)(X_1).
+    """
+    x, v_end, k_end, stoch, energy = ends
+    m = cfg.steps
     dt = 1.0 / m
     sqdt = np.sqrt(dt)
-    normals = path_normals(cfg.seed, first_path, n_paths, m, n)
-    c = n_paths
-    x = np.zeros((c, n))
-    stoch = np.zeros(c)
-    energy = np.zeros(c)
-    vds = np.zeros((c, n))
-    nr = len(log_rs)
-    active = np.ones((c, nr), dtype=bool)
-    t_index = np.full((c, nr), m, dtype=np.int64)
-    st_stoch = np.zeros((c, nr))
-    st_energy = np.zeros((c, nr))
-    st_vds = np.zeros((c, nr, n))
-    st_k = np.zeros((c, nr))
-    cp_store = {tc: None for tc in cp_idx}
-    idx_to_cp = {i: tc for tc, i in cp_idx.items()}
-    if record_full:
-        xs = np.zeros((m + 1, c, n))
-        vs = np.zeros((m + 1, c, n))
-        ks = np.zeros((m + 1, c))
-        stochs = np.zeros((m + 1, c))
-        energies = np.zeros((m + 1, c))
-        dbs = np.zeros((m, c, n))
+    normals = path_normals(cfg.seed, first_path, len(x), m, cfg.dim)
+    vds = np.zeros_like(x)
+    active = np.ones(frozen[0].shape, dtype=bool)
     k0 = None
 
     for i in range(m):
         s = 1.0 - i * dt
         k_i, v_i = drift.eval(s, x)
-        k_i = np.asarray(k_i)
         if i == 0:
             k0 = float(k_i[0])
-        for j in range(nr):
-            newly = active[:, j] & (k_i > log_rs[j])
-            if newly.any():
-                t_index[newly, j] = i
-                st_stoch[newly, j] = stoch[newly]
-                st_energy[newly, j] = energy[newly]
-                st_vds[newly, j, :] = vds[newly]
-                st_k[newly, j] = k_i[newly]
-                active[newly, j] = False
-        if i in idx_to_cp:
-            cp_store[idx_to_cp[i]] = v_i.copy()
+        newly = active & (k_i > log_rs[:, None])
+        if newly.any():
+            _freeze(frozen, newly, i, stoch, energy, vds, k_i)
+            active &= ~newly
+        observe(i, x, v_i, k_i, stoch, energy)
         db = sqdt * normals[:, i, :]
-        if record_full:
-            xs[i] = x
-            vs[i] = v_i
-            ks[i] = k_i
-            stochs[i] = stoch
-            energies[i] = energy
-            dbs[i] = db
-        stoch = stoch + (v_i * db).sum(-1)
-        energy = energy + (v_i * v_i).sum(-1) * dt
-        vds = vds + v_i * dt
-        x = x + db + v_i * dt
+        v_dt = v_i * dt
+        stoch += (v_i * db).sum(-1)
+        energy += (v_i * v_i).sum(-1) * dt
+        vds += v_dt
+        x += db
+        x += v_dt
         if not np.isfinite(x).all():
             raise NonFiniteValueError(f"path state non-finite at step {i}")
 
-    k_m = np.asarray(density.log_f(x))
-    v_m = np.asarray(density.grad_log_f(x))
-    for j in range(nr):
-        rows = active[:, j]
-        if rows.any():
-            st_stoch[rows, j] = stoch[rows]
-            st_energy[rows, j] = energy[rows]
-            st_vds[rows, j, :] = vds[rows]
-            st_k[rows, j] = k_m[rows]
-    out = dict(
-        k0=k0,
-        x1=x,
-        v1=v_m,
-        k_final=k_m,
-        stoch=stoch,
-        energy=energy,
-        vds=vds,
-        checkpoints=cp_store,
-        t_index=t_index,
-        st_stoch=st_stoch,
-        st_energy=st_energy,
-        st_vds=st_vds,
-        st_k=st_k,
-    )
-    if record_full:
-        xs[m] = x
-        vs[m] = v_m
-        ks[m] = k_m
-        stochs[m] = stoch
-        energies[m] = energy
-        out["series"] = (xs, dbs, vs, ks, stochs, energies)
-    return out
+    k_end[...] = density.log_f(x)
+    v_end[...] = density.grad_log_f(x)
+    _freeze(frozen, active, m, stoch, energy, vds, k_end)
+    observe(m, x, v_end, k_end, stoch, energy)
+    return k0
 
 
 def simulate_path(density: DensityModel, cfg: PathConfig, path_index: int = 0) -> Trajectory:
@@ -415,21 +352,24 @@ def simulate_path(density: DensityModel, cfg: PathConfig, path_index: int = 0) -
     Path ``path_index`` of a batch with the same config is bit-identical to
     this trajectory (shared random stream and arithmetic).
     """
-    drift = DriftField(density, cfg)
-    out = _run_paths(density, cfg, drift, path_index, 1, [np.log(cfg.r)], {}, record_full=True)
-    xs, dbs, vs, ks, stochs, energies = out["series"]
-    m = cfg.steps
+    m, n = cfg.steps, cfg.dim
+    nodes, _ = _path_arrays(m + 1, n, 0)  # x, v, k, stoch, energy at every node
+
+    def record_node(i, *state):
+        for rec, val in zip(nodes, state):
+            rec[i] = val[0]
+
+    ends, frozen = _path_arrays(1, n, 0)
+    _run_paths(density, cfg, DriftField(density, cfg), path_index, np.empty(0), ends, frozen, record_node)
+    xs, vs, ks, stochs, energies = nodes
     return Trajectory(
         times=np.arange(m + 1) / m,
-        x=xs[:, 0, :],
-        db=dbs[:, 0, :],
-        v=vs[:, 0, :],
-        k=ks[:, 0],
-        stoch_int=stochs[:, 0],
-        energy=energies[:, 0],
-        density=density,
-        config=cfg,
-        path_index=path_index,
+        x=xs,
+        db=np.sqrt(1.0 / m) * path_normals(cfg.seed, path_index, 1, m, n)[0],
+        v=vs,
+        k=ks,
+        stoch_int=stochs,
+        energy=energies,
     )
 
 
@@ -479,7 +419,6 @@ def perturbation_arrays(
         y=y,
         convexity_margin=convexity,
         product_excess=product_excess,
-        vdot=vdot,
     )
 
 
@@ -487,9 +426,6 @@ def pipeline_config(
     density: DensityModel,
     steps: int = DEFAULT_STEPS,
     seed: int = 0,
-    r: float = float(np.e),
-    delta: float = 0.0,
-    beta: Optional[float] = None,
     drift_grid_points: int = 2048,
 ) -> PathConfig:
     """PathConfig with sensible per-family defaults.
@@ -505,9 +441,6 @@ def pipeline_config(
     return PathConfig(
         dim=density.dim,
         steps=steps,
-        r=r,
-        delta=delta,
-        beta=density.beta if beta is None else beta,
         seed=seed,
         drift_method=method,
         drift_grid_points=grid,

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -12,10 +13,11 @@ from outail.cli import (
     rows_to_csv_text,
     run,
     verify_all,
+    write_reports,
 )
 from outail.errors import ConfigError
 from outail.measures import FAMILIES
-from outail.reports import CSV_COLUMNS
+from outail.reports import CSV_COLUMNS, BoundReport
 from outail.verify import default_families
 
 GOOD_CONFIG = """
@@ -96,7 +98,19 @@ class TestConfigParsing:
         ("means = -1, 1", "means = a, b", "means"),
         ("r = e1, e2", "r = e1, e1", "r"),
         ("weights = 0.5, 0.5", "weights = 0.3, 0.3", "family"),
-    ], ids=["beta", "means", "duplicate_r", "rejected_by_family"])
+        ("paths = 2000", "paths = lots", "paths"),
+        ("steps = 128", "steps = abc", "steps"),
+        ("seed = 7", "seed = x", "seed"),
+        ("seed = 7", "seed = 7\ndim = q", "dim"),
+        ("steps = 128", "steps = 50", "steps"),
+        ("seed = 7", "seed = -1", "seed"),
+        ("seed = 7", "seed = 7\np = 0.5", "p"),
+        ("seed = 7", "seed = 7\np = abc", "p"),
+        ("seed = 7", "seed = 7\nbeta = -1", "beta"),
+        ("delta = fixed:0.1", "delta = fixed:-0.1", "delta"),
+    ], ids=["beta", "means", "duplicate_r", "rejected_by_family", "paths_not_int",
+            "steps_not_int", "seed_not_int", "dim_not_int", "too_few_steps", "negative_seed",
+            "p_at_most_one", "p_not_float", "negative_beta", "negative_delta"])
     def test_bad_value_names_field(self, tmp_path, old, new, field):
         text = GOOD_CONFIG.format(out=tmp_path).replace(old, new)
         with pytest.raises(ConfigError) as exc:
@@ -175,6 +189,9 @@ out = {out}
         # no Monte Carlo hit at r = e: the ceiling has no resolved tail either
         assert [r.name for r in result.rows] == ["tail_markov!exact_required", "tail_curve_ceiling"]
         assert math.isnan(result.rows[1].estimate)
+        summary = json.loads(result.json_path.read_text(), parse_constant=_reject_constant)
+        assert summary["worst_margin"] is None
+        assert [row["margin"] for row in summary["rows"]] == [None, None]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = write_cfg(tmp_path, GOOD_CONFIG.format(out=tmp_path / "reports"))
@@ -206,13 +223,26 @@ class TestVerifyAll:
         assert r1.csv_path.read_bytes() != r2.csv_path.read_bytes()
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 class TestCsvFormatting:
     def test_missing_params_serialize_empty(self):
-        from outail.reports import BoundReport
-
         text = rows_to_csv_text([BoundReport(name="x", estimate=1.0, ci_half_width=0.0, bound=2.0)])
         line = text.splitlines()[1].split(",")
         assert line[3] == "" and line[4] == "" and line[5] == ""
+
+    def test_worst_margin_skips_nonfinite_rows(self, tmp_path):
+        rows = [
+            BoundReport(name="nan_row", estimate=math.nan, ci_half_width=math.nan, bound=math.nan),
+            BoundReport(name="tight", estimate=1.5, ci_half_width=0.0, bound=2.0),
+            BoundReport(name="loose", estimate=0.0, ci_half_width=0.0, bound=2.0),
+        ]
+        result = write_reports(rows, tmp_path, "summary", seed=0)
+        summary = json.loads(result.json_path.read_text(), parse_constant=_reject_constant)
+        assert summary["worst_margin"] == {"name": "tight", "family": "", "slack": 0.5}
+        assert summary["rows"][0]["margin"] is None
 
 
 class TestMainEntry:
@@ -231,3 +261,17 @@ class TestMainEntry:
         bad = write_cfg(tmp_path, "[experiment]\nfamily = unknown\n")
         assert main(["run", str(bad)]) == 2
         assert "family" in capsys.readouterr().err
+        for flag, value in (("--paths", "10"), ("--steps", "50"), ("--seed", "-1")):
+            assert main(["verify-all", flag, value, "--out", str(tmp_path)]) == 2
+            assert f"'{flag[2:]}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-all", "--chunk-size", "-5"],
+        ["verify-all", "--chunk-size", "0"],
+        ["run", "exp.cfg", "--chunk-size", "0"],
+    ], ids=["verify_all_negative", "verify_all_zero", "run_zero"])
+    def test_chunk_size_must_be_positive(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--chunk-size" in capsys.readouterr().err

@@ -28,11 +28,11 @@ def small_cfg(density, **kw):
     return pipeline_config(density, **kw)
 
 
-def small_batch(density, cfg, n_paths=16):
-    """A batch stopped at cfg.r and its perturbation arrays at cfg.delta and
-    cfg.beta; ``simulate_path`` reproduces any of its paths node by node."""
-    stats = simulate_batch(density, cfg, n_paths, r_values=(cfg.r,))
-    return stats, perturbation_arrays(stats, density, cfg.r, cfg.delta, cfg.beta)
+def small_batch(density, cfg, r, delta, beta, n_paths=16):
+    """A batch stopped at r and its perturbation arrays at delta and beta;
+    ``simulate_path`` reproduces any of its paths node by node."""
+    stats = simulate_batch(density, cfg, n_paths, r_values=(r,))
+    return stats, perturbation_arrays(stats, density, r, delta, beta)
 
 
 def first_passage(traj, r):
@@ -47,14 +47,9 @@ class TestPathConfigValidation:
             PathConfig(steps=50)
 
     def test_threshold_above_one(self):
+        # thresholds are an argument of simulate_batch, not of the config
         with pytest.raises(ValueError):
-            PathConfig(r=1.0)
-
-    def test_nonnegative_delta_and_beta(self):
-        with pytest.raises(ValueError):
-            PathConfig(delta=-0.1)
-        with pytest.raises(ValueError):
-            PathConfig(beta=-1.0)
+            simulate_batch(TILT, small_cfg(TILT), 16, r_values=(E, 1.0))
 
     def test_drift_method_names(self):
         with pytest.raises(ValueError):
@@ -94,7 +89,7 @@ class TestConstantDensityPaths:
         np.testing.assert_allclose(traj.v, 0.0, atol=0.0)
         np.testing.assert_allclose(traj.k, 0.0, atol=0.0)
         assert traj.x[-1, 0] == pytest.approx(float(traj.db.sum()), abs=1e-14)
-        _, arr = small_batch(flat, cfg)
+        _, arr = small_batch(flat, cfg, E, 0.0, 0.0)
         np.testing.assert_allclose(np.exp(arr["log_d"]), 1.0, atol=1e-14)
         assert np.all(arr["y"] == 0.0) and np.all(arr["z"] == 0.0)
 
@@ -136,21 +131,22 @@ class RaisedTilt(DensityModel):
 
 class TestStopping:
     def test_never_stopped_convention(self):
-        cfg = small_cfg(TILT, r=float(np.exp(50.0)))
-        stats, _ = small_batch(TILT, cfg)
-        assert np.all(stats.stopped[cfg.r].t_index == cfg.steps)
+        cfg = small_cfg(TILT)
+        r = float(np.exp(50.0))
+        stats, _ = small_batch(TILT, cfg, r, 0.0, 0.0)
+        assert np.all(stats.stopped[r].t_index == cfg.steps)
 
     def test_immediate_stop_when_k0_exceeds(self):
-        cfg = PathConfig(steps=128, r=E, drift_method="quadrature")
-        stats, _ = small_batch(RaisedTilt(), cfg)
+        cfg = PathConfig(steps=128, drift_method="quadrature")
+        stats, _ = small_batch(RaisedTilt(), cfg, E, 0.0, 0.0)
         sl = stats.stopped[E]
         assert stats.k0 > 1.0
         assert np.all(sl.t_index == 0)
         assert np.all(sl.stoch == 0.0) and np.all(sl.energy == 0.0)
 
     def test_first_passage_definition(self):
-        cfg = small_cfg(TILT, r=E)
-        stats, _ = small_batch(TILT, cfg)
+        cfg = small_cfg(TILT)
+        stats, _ = small_batch(TILT, cfg, E, 0.0, 0.0)
         t_index = stats.stopped[E].t_index
         for idx in range(len(t_index)):
             traj = simulate_path(TILT, cfg, path_index=idx)
@@ -162,25 +158,31 @@ class TestStopping:
     def test_tilt_first_passage_oracle(self):
         # for the tilt the value process is exactly the drifted Brownian
         # walk a*B_t + a^2 t / 2; rebuild it from the raw increments and
-        # confirm the passage index and the one-step overshoot cap
-        alpha, r = 3.0, E
+        # confirm, for every threshold of one batch, the passage index, the
+        # one-step overshoot cap and K_1 for the paths that never stop
+        alpha = 3.0
+        r_values = (float(np.exp(0.5)), E, float(np.exp(2.5)), float(np.exp(50.0)))
         tilt3 = TiltDensity([alpha])
-        cfg = small_cfg(tilt3, r=r, steps=512)
-        stats, _ = small_batch(tilt3, cfg, n_paths=40)
-        sl = stats.stopped[r]
-        stopped = 0
+        cfg = small_cfg(tilt3, steps=512)
+        stats = simulate_batch(tilt3, cfg, 40, r_values=r_values)
+        stopped = dict.fromkeys(r_values, 0)
         for idx in range(40):
             traj = simulate_path(tilt3, cfg, path_index=idx)
             b = np.concatenate([[0.0], np.cumsum(traj.db[:, 0])])
             walk = alpha * b + 0.5 * alpha**2 * traj.times
             np.testing.assert_allclose(traj.k, walk, atol=1e-10)
-            oracle = np.argmax(walk > np.log(r)) if (walk > np.log(r)).any() else cfg.steps
-            assert sl.t_index[idx] == oracle
-            if sl.t_index[idx] < cfg.steps:
-                stopped += 1
-                step_bound = np.abs(np.diff(walk)).max()
-                assert np.log(r) < sl.k_at_stop[idx] <= np.log(r) + step_bound
-        assert stopped > 20  # drift 4.5/unit time crosses log r = 1 often
+            step_bound = np.abs(np.diff(walk)).max()
+            for r in r_values:
+                sl = stats.stopped[r]
+                oracle = np.argmax(walk > np.log(r)) if (walk > np.log(r)).any() else cfg.steps
+                assert sl.t_index[idx] == oracle
+                if sl.t_index[idx] < cfg.steps:
+                    stopped[r] += 1
+                    assert np.log(r) < sl.k_at_stop[idx] <= np.log(r) + step_bound
+                else:
+                    assert sl.k_at_stop[idx] == traj.k[-1]
+        # drift 4.5/unit time crosses log r <= 2.5 often, log r = 50 never
+        assert all(stopped[r] > 20 for r in r_values[:3]) and stopped[r_values[3]] == 0
 
     def test_stopped_cap_with_overshoot(self, batches, families):
         # sum_{i<T} <v,dB> + energy/2 reconstructs K at the passage node,
@@ -196,8 +198,8 @@ class TestStopping:
 
 class TestPerturbation:
     def test_delta_zero_is_identity(self):
-        cfg = small_cfg(MIX, r=E, delta=0.0, beta=MIX.beta)
-        stats, arr = small_batch(MIX, cfg)
+        cfg = small_cfg(MIX)
+        stats, arr = small_batch(MIX, cfg, E, 0.0, MIX.beta)
         np.testing.assert_allclose(arr["x_delta"], stats.x1, atol=0.0)
         assert np.all(arr["y"] == 0.0) and np.all(arr["z"] == 0.0)
         traj = simulate_path(MIX, cfg, path_index=4)
@@ -205,8 +207,8 @@ class TestPerturbation:
         assert arr["log_d"][4] == pytest.approx(expected_log_d, abs=1e-12)
 
     def test_endpoint_shift_formula(self):
-        cfg = small_cfg(MIX, r=E, delta=0.2, beta=MIX.beta)
-        _, arr = small_batch(MIX, cfg)
+        cfg = small_cfg(MIX)
+        _, arr = small_batch(MIX, cfg, E, 0.2, MIX.beta)
         traj = simulate_path(MIX, cfg, path_index=9)
         t_idx = first_passage(traj, E)
         shift = 0.2 * traj.v[:t_idx].sum(axis=0) / cfg.steps
@@ -215,13 +217,13 @@ class TestPerturbation:
     def test_deviation_identity_exact(self):
         # Y = Z - delta * S_T + (delta^2 / 2) * E_T, an algebraic identity
         # of the discretized integrals, with S_T and E_T read off each path
-        cfg = small_cfg(MIX, r=E, delta=0.3, beta=MIX.beta)
-        _, arr = small_batch(MIX, cfg, n_paths=8)
+        cfg, delta = small_cfg(MIX), 0.3
+        _, arr = small_batch(MIX, cfg, E, delta, MIX.beta, n_paths=8)
         for idx in range(8):
             traj = simulate_path(MIX, cfg, path_index=idx)
             t_idx = first_passage(traj, E)
-            rhs = (arr["z"][idx] - cfg.delta * traj.stoch_int[t_idx]
-                   + 0.5 * cfg.delta**2 * traj.energy[t_idx])
+            rhs = (arr["z"][idx] - delta * traj.stoch_int[t_idx]
+                   + 0.5 * delta**2 * traj.energy[t_idx])
             assert arr["y"][idx] == pytest.approx(rhs, abs=1e-12)
 
     def test_deviation_identity_batch(self, batches, families):
@@ -233,7 +235,7 @@ class TestPerturbation:
 
     def test_reweighted_mass_is_one(self):
         # E[f(X^d) D^d] = 1 holds exactly under the discrete measure change
-        cfg = pipeline_config(TILT, steps=512, seed=3, r=E**2, delta=0.1)
+        cfg = pipeline_config(TILT, steps=512, seed=3)
         stats = simulate_batch(TILT, cfg, 30000, r_values=(E**2,))
         arr = perturbation_arrays(stats, TILT, E**2, 0.1, 0.0)
         vals = np.exp(arr["log_f_xd"] + arr["log_d"])
@@ -243,13 +245,11 @@ class TestPerturbation:
 
 class TestConvexityMargin:
     def test_tilt_margin_vanishes(self):
-        cfg = small_cfg(TILT, r=E, delta=0.25, beta=0.0)
-        _, arr = small_batch(TILT, cfg)
+        _, arr = small_batch(TILT, small_cfg(TILT), E, 0.25, 0.0)
         np.testing.assert_allclose(arr["convexity_margin"], 0.0, atol=1e-12)
 
     def test_delta_zero_margin_vanishes(self):
-        cfg = small_cfg(MIX, r=E, delta=0.0, beta=MIX.beta)
-        _, arr = small_batch(MIX, cfg)
+        _, arr = small_batch(MIX, small_cfg(MIX), E, 0.0, MIX.beta)
         np.testing.assert_allclose(arr["convexity_margin"], 0.0, atol=1e-13)
 
     def test_mixture_batch_margins_nonnegative(self, batches, families):
@@ -273,13 +273,24 @@ class TestDeterminism:
         assert float(traj.stoch_int[-1]) == stats.stoch_full[13]
 
     def test_chunk_layout_independence(self):
+        # sine paths cross log r < 0.66 and never E: both stop rules covered
         cfg = small_cfg(SINE)
-        a = simulate_batch(SINE, cfg, 3000, r_values=(E,), chunk_paths=271)
-        b = simulate_batch(SINE, cfg, 3000, r_values=(E,), chunk_paths=3000)
+        r_values = (1.05, 1.2, 1.5, E)
+        a = simulate_batch(SINE, cfg, 3000, r_values=r_values, chunk_paths=271)
+        b = simulate_batch(SINE, cfg, 3000, r_values=r_values, chunk_paths=3000)
         assert np.array_equal(a.x1, b.x1)
         assert np.array_equal(a.stoch_full, b.stoch_full)
-        assert np.array_equal(a.stopped[E].t_index, b.stopped[E].t_index)
-        assert np.array_equal(a.stopped[E].vds, b.stopped[E].vds)
+        for r in r_values:
+            sa, sb = a.stopped[r], b.stopped[r]
+            for name in ("t_index", "stoch", "energy", "vds", "k_at_stop"):
+                assert np.array_equal(getattr(sa, name), getattr(sb, name)), (r, name)
+        assert (a.stopped[1.05].t_index < cfg.steps).any()
+        assert (a.stopped[E].t_index == cfg.steps).all()
+
+    @pytest.mark.parametrize("chunk", [0, -5])
+    def test_chunk_paths_must_be_positive(self, chunk):
+        with pytest.raises(ValueError, match="chunk_paths"):
+            simulate_batch(TILT, small_cfg(TILT), 100, chunk_paths=chunk)
 
     def test_seed_changes_paths(self):
         a = simulate_batch(TILT, small_cfg(TILT, seed=1), 32)

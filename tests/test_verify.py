@@ -165,7 +165,7 @@ class TestEnergyBound:
         from outail import simulate_batch, pipeline_config
 
         flat = constant_density(1)
-        stats = simulate_batch(flat, pipeline_config(flat, steps=128, seed=2), 500)
+        stats = simulate_batch(flat, pipeline_config(flat, steps=128, seed=2), 500, r_values=(E,))
         rep = drift_energy_report(stats, flat, E)
         assert rep.estimate == 0.0 and rep.passed
 
