@@ -22,7 +22,6 @@ from .foellmer import (
     PathConfig,
     Trajectory,
     perturbation_arrays,
-    pipeline_config,
     simulate_batch,
     simulate_path,
 )

@@ -92,6 +92,7 @@ class ExperimentConfig:
 
 
 def _parse_floats(field_name: str, raw: str) -> tuple[float, ...]:
+    """A list of finite numbers; ``e<k>`` or ``e^<k>`` is e to the k."""
     vals = []
     for tok in raw.replace(";", ",").split(","):
         tok = tok.strip()
@@ -101,11 +102,14 @@ def _parse_floats(field_name: str, raw: str) -> tuple[float, ...]:
             if tok in ("e", "E"):
                 vals.append(float(np.e))
             elif tok[0] in "eE" and tok[1:].lstrip("^").strip():
-                vals.append(float(np.exp(float(tok[1:].lstrip("^")))))
+                with np.errstate(over="ignore"):  # an overflow is rejected below
+                    vals.append(float(np.exp(float(tok[1:].lstrip("^")))))
             else:
                 vals.append(float(tok))
         except ValueError as exc:
             raise ConfigError(field_name, f"cannot parse value {tok!r}") from exc
+        if not math.isfinite(vals[-1]):
+            raise ConfigError(field_name, f"value {tok!r} is not finite")
     if not vals:
         raise ConfigError(field_name, "list must be non-empty")
     return tuple(vals)
@@ -147,7 +151,7 @@ def parse_config(path) -> ExperimentConfig:
     Validation failures raise ConfigError naming the offending field and,
     when the key appears in the file, its line number.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -184,10 +188,7 @@ def _build_experiment(parser: configparser.ConfigParser) -> ExperimentConfig:
         delta_rule, delta_value = "paper_rule", float("nan")
     elif delta_raw.startswith("fixed:"):
         delta_rule = "fixed"
-        try:
-            delta_value = float(delta_raw.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError("delta", f"cannot parse {delta_raw!r}") from exc
+        delta_value = _parse_float("delta", delta_raw.split(":", 1)[1])
     else:
         raise ConfigError("delta", "expected 'paper_rule' or 'fixed:<value>'")
 
@@ -275,10 +276,7 @@ def collect_rows(cfg: ExperimentConfig, chunk_paths: int | None = None) -> list[
             for r in cfg.r_values:
                 d = cfg.delta_for(r)
                 d_eq = min(d, GIRSANOV_EQ_DELTA_MAX)
-                rows.extend(verify.girsanov_reports(
-                    stats, density, r, d_eq, beta=beta,
-                    include_product_floor=(cfg.family == "tilt"),
-                ))
+                rows.extend(verify.girsanov_reports(stats, density, r, d_eq, beta=beta))
                 rows.extend(verify.z_suite_reports(stats, density, r, d, beta=beta))
         elif tok == "tv":
             for r in cfg.r_values:
@@ -429,6 +427,31 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _time(raw: str) -> float:
+    value = float(raw)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {raw}")
+    return value
+
+
+def _threshold(raw: str) -> float:
+    value = float(raw)
+    if not (math.isfinite(value) and value > 1.0):
+        raise argparse.ArgumentTypeError(f"must be finite and exceed 1, got {raw}")
+    return value
+
+
+def _thresholds(raw: str) -> tuple[float, ...]:
+    """Thresholds in config syntax, each above 1."""
+    try:
+        r_grid = _parse_floats("r", raw)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(exc.message) from None
+    if not all(r > 1.0 for r in r_grid):
+        raise argparse.ArgumentTypeError(f"thresholds must exceed 1, got {raw}")
+    return r_grid
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="outail", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -447,15 +470,15 @@ def main(argv=None) -> int:
 
     p_tail = sub.add_parser("tail", help="one tail probability")
     p_tail.add_argument("--family", choices=tuple(FAMILIES), default="tilt")
-    p_tail.add_argument("--t", type=float, default=0.0)
-    p_tail.add_argument("--r", type=float, required=True)
+    p_tail.add_argument("--t", type=_time, default=0.0)
+    p_tail.add_argument("--r", type=_threshold, required=True)
     p_tail.add_argument("--method", default="auto",
                         choices=("auto", "exact", "quadrature", "monte_carlo"))
-    p_tail.add_argument("--paths", type=int, default=10**5)
+    p_tail.add_argument("--paths", type=_positive_int, default=10**5)
     p_tail.add_argument("--seed", type=int, default=42)
 
     p_sharp = sub.add_parser("sharpness", help="matched-tilt lower-bound constants")
-    p_sharp.add_argument("--r", default="e2, e4, e8, e16")
+    p_sharp.add_argument("--r", type=_thresholds, default="e2, e4, e8, e16")
 
     args = parser.parse_args(argv)
     try:
@@ -479,8 +502,7 @@ def main(argv=None) -> int:
             print(f"tail({args.family}, t={args.t:g}, r={args.r:g}) = {est:.6e} +- {ci:.2e}")
             return 0
         if args.command == "sharpness":
-            r_grid = _parse_floats("r", args.r)
-            for r, c in zip(r_grid, verify.sharpness_values(r_grid)):
+            for r, c in zip(args.r, verify.sharpness_values(args.r)):
                 print(f"r={r:.6g}  c_hat={c:.6f}")
             return 0
     except OutailError as exc:

@@ -18,13 +18,16 @@ Discrete conventions (uniform grid, m steps):
 Per-path randomness comes from a counter-based stream keyed by (seed, path
 index), so batches are reproducible under any chunk layout.
 
-``PathConfig`` holds only what the simulation reads (dim, steps, seed and
-the drift evaluation).  Thresholds are an argument of ``simulate_batch``:
-each is one more stopping time on the same paths, stored threshold-major as
-(n_thresholds, N) arrays whose rows are the ``StoppedSlice`` views; delta
-and beta enter only ``perturbation_arrays``.  The step loop writes each
-chunk into views of the batch arrays, and one per-node observer records the
-drift at the checkpoints (batch) or every node (``simulate_path``).
+``PathConfig`` holds the only settings a caller chooses: the number of
+steps and the seed.  The drift evaluation is read off the density: closed
+forms when the family has them, else the Gauss-Hermite heat kernel, and a
+spatial table for 1-D fields whose drift depends on the state.  Thresholds
+are an argument of ``simulate_batch``: each is one more stopping time on the
+same paths, stored threshold-major as (n_thresholds, N) arrays whose rows
+are the ``StoppedSlice`` views; delta and beta enter only
+``perturbation_arrays``.  The step loop writes each chunk into views of the
+batch arrays, and one per-node observer records the drift at the fixed
+checkpoints (batch) or every node (``simulate_path``).
 """
 
 from __future__ import annotations
@@ -34,67 +37,54 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ClosedFormUnavailableError, NonFiniteValueError
+from .errors import NonFiniteValueError
 from .measures import DensityModel, TiltDensity
 from .quadrature import QuadratureRule
 from .rng import path_normals
 from .semigroup import heat_log_grad
 
 DEFAULT_STEPS = 2048
-DRIFT_QUAD_NODES = 24
 MIN_STEPS = 100
+DRIFT_QUAD_NODES = 24
+# Spatial grid of the drift tables: the final node is always exact, and the
+# interpolation error stays well under the Monte Carlo noise floor.
+DRIFT_GRID_POINTS = 2048
+DRIFT_GRID_HALFWIDTH = 12.0
+CHECKPOINT_TIMES = (0.25, 0.5, 0.75)
 
 
 @dataclass(frozen=True)
 class PathConfig:
     """Simulation parameters for one family of paths."""
 
-    dim: int = 1
     steps: int = DEFAULT_STEPS
     seed: int = 0
-    drift_method: str = "closed_form"
-    quad_nodes: int = DRIFT_QUAD_NODES
-    # Spatial tabulation of the drift per time step (1-D only, 0 = off).
-    # Tables make dense batches cheap; the final node is always exact.
-    drift_grid_points: int = 0
-    grid_halfwidth: float = 12.0
 
     def __post_init__(self):
         if self.steps < MIN_STEPS:
             raise ValueError(f"need at least {MIN_STEPS} time steps, got {self.steps}")
-        if self.drift_method not in ("closed_form", "quadrature"):
-            raise ValueError(f"unknown drift method {self.drift_method!r}")
 
 
 class DriftField:
     """Evaluates (K, v)(s, x) = (log P_s f(x), grad log P_s f(x)).
 
     Closed forms are used when the family has them; otherwise the
-    Gauss-Hermite heat kernel ``semigroup.heat_log_grad``.  With
-    ``drift_grid_points`` > 0 (1-D), each bandwidth's field is tabulated on
-    a fixed spatial grid and evaluated by linear interpolation; the table
+    ``DRIFT_QUAD_NODES``-node Gauss-Hermite heat kernel
+    ``semigroup.heat_log_grad``.  A 1-D field whose drift depends on the
+    state (every family but the log-linear tilt) is tabulated per bandwidth
+    on a fixed spatial grid and evaluated by linear interpolation; the table
     depends only on s, so results are independent of batch layout.
     """
 
-    def __init__(self, density: DensityModel, cfg: PathConfig):
-        if cfg.dim != density.dim:
-            raise ValueError(f"config dim {cfg.dim} != density dim {density.dim}")
-        if cfg.drift_method == "closed_form" and not density.has_closed_heat:
-            raise ClosedFormUnavailableError(
-                f"{density.name} has no closed heat transform; use quadrature"
-            )
+    def __init__(self, density: DensityModel):
         self.density = density
-        self.method = cfg.drift_method
         self.rule = (
-            QuadratureRule.gauss_hermite(density.dim, cfg.quad_nodes)
-            if cfg.drift_method == "quadrature"
-            else None
+            None if density.has_closed_heat
+            else QuadratureRule.gauss_hermite(density.dim, DRIFT_QUAD_NODES)
         )
         self.grid = None
-        if cfg.drift_grid_points > 0 and density.dim == 1:
-            self.grid = np.linspace(
-                -cfg.grid_halfwidth, cfg.grid_halfwidth, cfg.drift_grid_points
-            )
+        if density.dim == 1 and not isinstance(density, TiltDensity):
+            self.grid = np.linspace(-DRIFT_GRID_HALFWIDTH, DRIFT_GRID_HALFWIDTH, DRIFT_GRID_POINTS)
             self._grid_lo = float(self.grid[0])
             self._grid_inv_h = (len(self.grid) - 1) / (self.grid[-1] - self.grid[0])
         self._tables: dict[float, tuple[np.ndarray, np.ndarray]] = {}
@@ -104,7 +94,7 @@ class DriftField:
         d = self.density
         if s <= 0.0:
             return d.log_f(x), d.grad_log_f(x)
-        if self.method == "closed_form":
+        if self.rule is None:
             return d.closed_heat_log(s, x), d.closed_heat_grad_log(s, x)
         return heat_log_grad(d, s, x, self.rule)
 
@@ -247,26 +237,24 @@ def simulate_batch(
     cfg: PathConfig,
     n_paths: int,
     r_values: Sequence[float] = (),
-    checkpoint_times: Sequence[float] = (0.25, 0.5, 0.75),
     chunk_paths: Optional[int] = None,
 ) -> BatchStats:
     """Simulate ``n_paths`` trajectories and reduce them to BatchStats.
 
     Stopped integrals are frozen for every threshold in ``r_values``, so
-    one simulation serves all (r, delta) analyses.  Results are
-    bit-identical for any ``chunk_paths``.
+    one simulation serves all (r, delta) analyses; the drift is kept at the
+    nodes nearest ``CHECKPOINT_TIMES``.  Results are bit-identical for any
+    ``chunk_paths``.
     """
     r_values = tuple(float(r) for r in r_values)
     if any(r <= 1.0 for r in r_values):
         raise ValueError("all thresholds must exceed 1")
     if chunk_paths is not None and chunk_paths < 1:
         raise ValueError(f"chunk_paths must be at least 1, got {chunk_paths}")
-    m, n = cfg.steps, cfg.dim
-    drift = DriftField(density, cfg)
+    m, n = cfg.steps, density.dim
+    drift = DriftField(density)
     log_rs = np.array([np.log(r) for r in r_values])
-    cp_idx = {float(tc): int(round(tc * m)) for tc in checkpoint_times}
-    if any(not 0 < i < m for i in cp_idx.values()):
-        raise ValueError("checkpoint times must fall strictly inside (0, 1)")
+    cp_idx = {tc: int(round(tc * m)) for tc in CHECKPOINT_TIMES}
 
     ends, frozen = _path_arrays(n_paths, n, len(r_values))
     cps = {tc: np.empty((n_paths, n)) for tc in cp_idx}
@@ -314,7 +302,7 @@ def _run_paths(density, cfg, drift, first_path, log_rs, ends, frozen, observe) -
     m = cfg.steps
     dt = 1.0 / m
     sqdt = np.sqrt(dt)
-    normals = path_normals(cfg.seed, first_path, len(x), m, cfg.dim)
+    normals = path_normals(cfg.seed, first_path, len(x), m, density.dim)
     vds = np.zeros_like(x)
     active = np.ones(frozen[0].shape, dtype=bool)
     k0 = None
@@ -352,7 +340,7 @@ def simulate_path(density: DensityModel, cfg: PathConfig, path_index: int = 0) -
     Path ``path_index`` of a batch with the same config is bit-identical to
     this trajectory (shared random stream and arithmetic).
     """
-    m, n = cfg.steps, cfg.dim
+    m, n = cfg.steps, density.dim
     nodes, _ = _path_arrays(m + 1, n, 0)  # x, v, k, stoch, energy at every node
 
     def record_node(i, *state):
@@ -360,7 +348,7 @@ def simulate_path(density: DensityModel, cfg: PathConfig, path_index: int = 0) -
             rec[i] = val[0]
 
     ends, frozen = _path_arrays(1, n, 0)
-    _run_paths(density, cfg, DriftField(density, cfg), path_index, np.empty(0), ends, frozen, record_node)
+    _run_paths(density, cfg, DriftField(density), path_index, np.empty(0), ends, frozen, record_node)
     xs, vs, ks, stochs, energies = nodes
     return Trajectory(
         times=np.arange(m + 1) / m,
@@ -421,27 +409,3 @@ def perturbation_arrays(
         product_excess=product_excess,
     )
 
-
-def pipeline_config(
-    density: DensityModel,
-    steps: int = DEFAULT_STEPS,
-    seed: int = 0,
-    drift_grid_points: int = 2048,
-) -> PathConfig:
-    """PathConfig with sensible per-family defaults.
-
-    Uses the closed drift when the family has one and enables spatial
-    tabulation for 1-D fields with state-dependent drift (every family but
-    the log-linear tilt).
-    """
-    method = "closed_form" if density.has_closed_heat else "quadrature"
-    grid = 0
-    if density.dim == 1 and not isinstance(density, TiltDensity):
-        grid = drift_grid_points
-    return PathConfig(
-        dim=density.dim,
-        steps=steps,
-        seed=seed,
-        drift_method=method,
-        drift_grid_points=grid,
-    )

@@ -29,7 +29,7 @@ from .errors import (
 from .numeric import FD_HESS_STEP, fd_hessian, log_gauss_tail
 from .quadrature import QuadratureRule
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
+SINE_NORM_NODES = 128
 
 
 def _as_points(x, dim: int) -> np.ndarray:
@@ -309,7 +309,7 @@ class SinePerturbationDensity(DensityModel):
 
     name = "sine"
 
-    def __init__(self, eps: float, wave, n_norm_nodes: int = 128):
+    def __init__(self, eps: float, wave):
         if eps < 0:
             raise ValueError("perturbation size eps must be >= 0")
         wave = np.atleast_1d(np.asarray(wave, dtype=float))
@@ -319,7 +319,7 @@ class SinePerturbationDensity(DensityModel):
         knorm = float(np.linalg.norm(wave))
         self.beta = self.eps * knorm**2
         # Z = E[exp(eps sin(|k| G))] with G standard 1-D Gaussian
-        rule = QuadratureRule.gauss_hermite(1, n_norm_nodes)
+        rule = QuadratureRule.gauss_hermite(1, SINE_NORM_NODES)
         z = rule.nodes[:, 0]
         self.log_z = float(logsumexp(rule.log_weights + self.eps * np.sin(knorm * z)))
 

@@ -83,24 +83,19 @@ def log_gauss_tail(z) -> np.ndarray:
     """log P(G > z) for a standard Gaussian, stable arbitrarily far right.
 
     Right tail via the scaled complementary error function:
-    P(G > z) = 0.5 * erfcx(z/sqrt(2)) * exp(-z^2/2).
+    P(G > z) = 0.5 * erfcx(z/sqrt(2)) * exp(-z^2/2).  NaN maps to NaN.
     """
     z = np.asarray(z, dtype=float)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
-    out = np.empty_like(z)
+    out = np.full_like(z, np.nan)
     right = z >= 0
     zr = z[right]
     out[right] = _LOG_HALF + np.log(erfcx(zr * _INV_SQRT2)) - 0.5 * zr * zr
-    left = ~right
+    left = z < 0
     if left.any():
         out[left] = np.log1p(-np.exp(log_gauss_tail(-z[left])))
     return float(out[0]) if scalar else out
-
-
-def gauss_tail(z) -> np.ndarray:
-    """P(G > z) for a standard Gaussian."""
-    return ndtr(-np.asarray(z, dtype=float))
 
 
 def gauss_interval_mass(a: float, b: float) -> float:

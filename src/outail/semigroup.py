@@ -33,6 +33,8 @@ from .stats import batch_means
 
 S_MIN = 1e-4
 DEFAULT_NODES = 64
+# Slack of the hypercontractivity comparison, relative to ||f||_p.
+HYPER_REL_TOL = 1e-8
 
 
 @lru_cache(maxsize=None)
@@ -99,13 +101,7 @@ def ou_apply_mc(
     return batch_means(vals)
 
 
-def ou_log_hessian_min_eig(
-    density: DensityModel,
-    t: float,
-    x,
-    rule: Optional[QuadratureRule] = None,
-    fd_step: float = 1e-4,
-) -> float:
+def ou_log_hessian_min_eig(density: DensityModel, t: float, x) -> float:
     """lambda_min(Hessian log Q_t f(x)) + 1/(2t).
 
     A non-negative value (within finite-difference tolerance) confirms the
@@ -113,10 +109,10 @@ def ou_log_hessian_min_eig(
     """
     if t <= 0:
         raise ValueError("Hessian floor check needs t > 0")
-    rule = rule or default_rule(density.dim)
+    rule = default_rule(density.dim)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     fn = lambda pts: ou_log(density, t, pts, rule)
-    hess = fd_hessian(fn, x, h=fd_step)
+    hess = fd_hessian(fn, x)
     if not np.isfinite(hess).all():
         raise NonFiniteValueError("finite-difference Hessian of log Q_t f non-finite")
     return float(np.linalg.eigvalsh(hess)[0] + 0.5 / t)
@@ -135,21 +131,15 @@ def log_lp_norm(log_f_fn, p: float, rule: QuadratureRule) -> float:
     return float(logsumexp(rule.log_weights + p * logs) / p)
 
 
-def hypercontractivity_check(
-    density: DensityModel,
-    p: float,
-    t: float,
-    rule: Optional[QuadratureRule] = None,
-    rel_tol: float = 1e-8,
-) -> BoundReport:
+def hypercontractivity_check(density: DensityModel, p: float, t: float) -> BoundReport:
     """Compare ||Q_t f||_q against ||f||_p at the critical exponent.
 
     Both norms are quadrature integrals in log scale; the report passes when
-    the smoothed norm does not exceed the raw norm beyond ``rel_tol``.
+    the smoothed norm does not exceed the raw norm beyond ``HYPER_REL_TOL``.
     """
     if density.dim > 2:
         raise ValueError("norm quadrature limited to dim <= 2")
-    rule = rule or default_rule(density.dim)
+    rule = default_rule(density.dim)
     q = nelson_exponent(p, t)
     lhs = np.exp(log_lp_norm(lambda z: ou_log(density, t, z, rule), q, rule))
     rhs = np.exp(log_lp_norm(density.log_f, p, rule))
@@ -162,7 +152,7 @@ def hypercontractivity_check(
         t=t,
         beta=density.beta,
         estimate=float(lhs),
-        ci_half_width=rel_tol * max(1.0, rhs),
+        ci_half_width=HYPER_REL_TOL * max(1.0, rhs),
         bound=float(rhs),
         n_samples=rule.n_nodes,
     )

@@ -13,16 +13,21 @@ from scipy.optimize import brentq
 from .numeric import gauss_interval_mass
 
 N_BATCHES = 32
+# Uniform grids on [-GRID_HALFWIDTH, GRID_HALFWIDTH] for 1-D level sets and CDFs.
+GRID_HALFWIDTH = 12.0
+LEVEL_SET_GRID = 8193
+LEVEL_SET_XTOL = 1e-12
+CDF_GRID = 2**16 + 1
 
 # Asymptotic 1% critical constants for KS statistics.
 KS_ONE_SAMPLE_CRIT = 1.63
 KS_TWO_SAMPLE_CRIT = 1.628
 
 
-def batch_means(values: np.ndarray, n_batches: int = N_BATCHES) -> tuple[float, float]:
+def batch_means(values: np.ndarray) -> tuple[float, float]:
     """Mean and batch-means standard error of a sample.
 
-    Splits the sample into ``n_batches`` contiguous batches (sizes differing
+    Splits the sample into ``N_BATCHES`` contiguous batches (sizes differing
     by at most one) and estimates the SE of the grand mean from the spread of
     batch means.  Returns (mean, se); se is 0 when the spread is degenerate.
     """
@@ -31,14 +36,14 @@ def batch_means(values: np.ndarray, n_batches: int = N_BATCHES) -> tuple[float, 
     if n == 0:
         raise ValueError("batch_means needs at least one sample")
     mean = float(values.mean())
-    if n < 2 * n_batches:
+    if n < 2 * N_BATCHES:
         se = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         return mean, se
-    batches = np.array_split(values, n_batches)
+    batches = np.array_split(values, N_BATCHES)
     bmeans = np.array([b.mean() for b in batches])
     sizes = np.array([b.size for b in batches], dtype=float)
     grand = float(bmeans @ sizes / n)
-    var_bm = float(((bmeans - grand) ** 2 * sizes).sum() / (n_batches - 1))
+    var_bm = float(((bmeans - grand) ** 2 * sizes).sum() / (N_BATCHES - 1))
     return mean, float(np.sqrt(var_bm / n))
 
 
@@ -69,8 +74,8 @@ class DenseCdf:
     interpolation.
     """
 
-    def __init__(self, log_density_fn, halfwidth: float = 12.0, n_grid: int = 2**16 + 1):
-        xs = np.linspace(-halfwidth, halfwidth, n_grid)
+    def __init__(self, log_density_fn):
+        xs = np.linspace(-GRID_HALFWIDTH, GRID_HALFWIDTH, CDF_GRID)
         logphi = -0.5 * xs * xs - 0.5 * np.log(2.0 * np.pi)
         dens = np.exp(np.asarray(log_density_fn(xs)) + logphi)
         h = xs[1] - xs[0]
@@ -83,13 +88,7 @@ class DenseCdf:
         return np.interp(np.asarray(x, dtype=float), self.xs, self.cdf_grid)
 
 
-def superlevel_gamma_mass(
-    log_value_fn,
-    log_level: float,
-    halfwidth: float = 12.0,
-    n_grid: int = 8193,
-    xtol: float = 1e-12,
-) -> float:
+def superlevel_gamma_mass(log_value_fn, log_level: float) -> float:
     """gamma_1-measure of the 1-D super-level set {x : g(x) > log_level}.
 
     Locates sign changes of g - log_level on a dense grid, refines each
@@ -97,7 +96,7 @@ def superlevel_gamma_mass(
     intervals.  The function is assumed continuous with finitely many
     crossings resolved by the grid.
     """
-    xs = np.linspace(-halfwidth, halfwidth, n_grid)
+    xs = np.linspace(-GRID_HALFWIDTH, GRID_HALFWIDTH, LEVEL_SET_GRID)
     diff = np.asarray(log_value_fn(xs)) - log_level
     above = diff > 0
     if not above.any():
@@ -107,15 +106,15 @@ def superlevel_gamma_mass(
     edges = []
     flips = np.nonzero(above[1:] != above[:-1])[0]
     for i in flips:
-        edges.append(brentq(f, xs[i], xs[i + 1], xtol=xtol))
+        edges.append(brentq(f, xs[i], xs[i + 1], xtol=LEVEL_SET_XTOL))
     # assemble intervals in increasing order
     bounds = [-np.inf] + edges + [np.inf]
     mass = 0.0
     state = bool(above[0])
     for a, b in zip(bounds[:-1], bounds[1:]):
         if state:
-            lo = a if np.isfinite(a) else -halfwidth * 10
-            hi = b if np.isfinite(b) else halfwidth * 10
+            lo = a if np.isfinite(a) else -GRID_HALFWIDTH * 10
+            hi = b if np.isfinite(b) else GRID_HALFWIDTH * 10
             mass += gauss_interval_mass(lo, hi)
         state = not state
     return float(mass)

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ResolutionError
-from .foellmer import BatchStats, pipeline_config, perturbation_arrays, simulate_batch
-from .measures import FAMILIES, DensityModel
+from .foellmer import BatchStats, PathConfig, perturbation_arrays, simulate_batch
+from .measures import FAMILIES, DensityModel, TiltDensity
 from .numeric import log_gauss_tail
 from .quadrature import QuadratureRule
 from .reports import BoundReport, TailCurve
@@ -42,6 +42,9 @@ DESK_RATIO_CEILING = 20.0
 SHARPNESS_FLOOR = 0.1
 CONVEXITY_TOL = 1e-6
 PRODUCT_TOL = 1e-6
+ENTROPY_QUAD_TOL = 1e-6
+HESSIAN_TOL = 1e-5
+HESSIAN_PROBES = np.linspace(-4.0, 4.0, 50)
 MC_MIN_HITS = 25
 MARTINGALE_ALLOWANCE = 5e-3
 
@@ -64,7 +67,7 @@ def simulate_family_batch(
     r_values=DEFAULT_R_GRID,
     chunk_paths=None,
 ) -> BatchStats:
-    cfg = pipeline_config(density, steps=steps, seed=seed)
+    cfg = PathConfig(steps, seed)
     return simulate_batch(density, cfg, n_paths, r_values=r_values, chunk_paths=chunk_paths)
 
 
@@ -163,15 +166,15 @@ def sharpness_values(r_grid=SHARPNESS_R_GRID) -> np.ndarray:
     return np.exp(log_gauss_tail(a) + logr + 0.5 * np.log(logr))
 
 
-def sharpness_report(r_grid=SHARPNESS_R_GRID, floor: float = SHARPNESS_FLOOR, seed: int = 0) -> BoundReport:
-    vals = sharpness_values(r_grid)
+def sharpness_report(seed: int = 0) -> BoundReport:
+    vals = sharpness_values(SHARPNESS_R_GRID)
     return BoundReport(
         name="sharpness_floor",
         family="tilt",
         dim=1,
         estimate=float(-vals.min()),
         ci_half_width=0.0,
-        bound=-floor,
+        bound=-SHARPNESS_FLOOR,
         beta=0.0,
         n_samples=len(vals),
         seed=seed,
@@ -182,16 +185,14 @@ def sharpness_report(r_grid=SHARPNESS_R_GRID, floor: float = SHARPNESS_FLOOR, se
 # -- relative entropy and drift energy ---------------------------------------
 
 
-def relative_entropy_quadrature(density: DensityModel, rule: QuadratureRule | None = None) -> float:
+def relative_entropy_quadrature(density: DensityModel) -> float:
     """H(f dgamma | gamma) = integral of f log f dgamma by quadrature."""
-    rule = rule or default_rule(density.dim)
+    rule = default_rule(density.dim)
     logs = np.asarray(density.log_f(rule.nodes))
     return float((rule.weights * np.exp(logs) * logs).sum())
 
 
-def entropy_identity_report(
-    stats: BatchStats, density: DensityModel, quad_tol: float = 1e-6
-) -> BoundReport:
+def entropy_identity_report(stats: BatchStats, density: DensityModel) -> BoundReport:
     """Half the expected drift energy against the quadrature entropy."""
     mc, se = batch_means(0.5 * stats.energy_full)
     h = relative_entropy_quadrature(density)
@@ -201,7 +202,7 @@ def entropy_identity_report(
         dim=density.dim,
         beta=density.beta,
         estimate=abs(mc - h),
-        ci_half_width=3.0 * se + quad_tol,
+        ci_half_width=3.0 * se + ENTROPY_QUAD_TOL,
         bound=0.0,
         n_samples=stats.n_paths,
         seed=stats.seed,
@@ -272,17 +273,14 @@ def girsanov_reports(
     r: float,
     delta: float,
     beta: float | None = None,
-    product_tol: float = PRODUCT_TOL,
-    convexity_tol: float = CONVEXITY_TOL,
-    include_product_floor: bool = True,
 ) -> list[BoundReport]:
     """Girsanov normalization, reweighted mass, and the pathwise floors.
 
     The product floor f(X^d) D^d >= e^Z (1 - tol) is exact only for the
-    constant-drift family, where the value process matches its Ito
-    reconstruction identically; state-dependent drifts carry the endpoint
-    reconstruction residual, and their pathwise content is the convexity
-    floor (pass include_product_floor=False for them).
+    constant-drift tilt, where the value process matches its Ito
+    reconstruction identically, so only the tilt reports it; state-dependent
+    drifts carry the endpoint reconstruction residual, and their pathwise
+    content is the convexity floor.
     """
     beta = density.beta if beta is None else beta
     arr = perturbation_arrays(stats, density, r, delta, beta)
@@ -299,13 +297,13 @@ def girsanov_reports(
         BoundReport(name="girsanov_product_gap", estimate=abs(fd_mean - 1.0),
                     ci_half_width=3.0 * fd_se, bound=0.0, **meta),
         BoundReport(name="convexity_floor", estimate=-min_convex,
-                    ci_half_width=0.0, bound=convexity_tol, **meta),
+                    ci_half_width=0.0, bound=CONVEXITY_TOL, **meta),
     ]
-    if include_product_floor:
+    if isinstance(density, TiltDensity):
         min_excess = float(arr["product_excess"].min())
         rows.append(
             BoundReport(name="pathwise_product_floor", estimate=-min_excess,
-                        ci_half_width=0.0, bound=-float(np.log1p(-product_tol)), **meta)
+                        ci_half_width=0.0, bound=-float(np.log1p(-PRODUCT_TOL)), **meta)
         )
     return rows
 
@@ -458,25 +456,14 @@ def composite_reports(stats: BatchStats, density: DensityModel, r: float) -> lis
 # -- smoothing floor ----------------------------------------------------------
 
 
-def hessian_floor_report(
-    density: DensityModel,
-    t: float,
-    points=None,
-    rule: QuadratureRule | None = None,
-    tol: float = 1e-5,
-) -> BoundReport:
-    """Worst log-Hessian margin of Q_t f over a probe set.
+def hessian_floor_report(density: DensityModel, t: float) -> BoundReport:
+    """Worst log-Hessian margin of Q_t f over ``HESSIAN_PROBES`` on the
+    diagonal.
 
-    The margin lambda_min + 1/(2t) must be >= -tol everywhere.
+    The margin lambda_min + 1/(2t) must be >= -HESSIAN_TOL everywhere.
     """
-    if points is None:
-        points = np.linspace(-4.0, 4.0, 50)
-    points = np.atleast_1d(np.asarray(points, dtype=float))
-    if points.ndim == 1:
-        points = points[:, None] if density.dim == 1 else np.tile(points[:, None], density.dim)
-    worst = min(
-        ou_log_hessian_min_eig(density, t, x, rule=rule) for x in points
-    )
+    points = np.tile(HESSIAN_PROBES[:, None], density.dim)
+    worst = min(ou_log_hessian_min_eig(density, t, x) for x in points)
     return BoundReport(
         name="log_hessian_floor",
         family=density.name,
@@ -485,7 +472,7 @@ def hessian_floor_report(
         beta=density.beta,
         estimate=-worst,
         ci_half_width=0.0,
-        bound=tol,
+        bound=HESSIAN_TOL,
         n_samples=len(points),
         seed=0,
     )

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from outail.cli import (
     CHECK_TOKENS,
@@ -108,9 +110,18 @@ class TestConfigParsing:
         ("seed = 7", "seed = 7\np = abc", "p"),
         ("seed = 7", "seed = 7\nbeta = -1", "beta"),
         ("delta = fixed:0.1", "delta = fixed:-0.1", "delta"),
+        ("r = e1, e2", "r = nan", "r"),
+        ("t = 0.5, 1.0", "t = nan", "t"),
+        ("seed = 7", "seed = 7\nbeta = inf", "beta"),
+        ("seed = 7", "seed = 7\np = inf", "p"),
+        ("r = e1, e2", "r = e1, e1000", "r"),
+        ("family = mixture", "family = sine\neps = nan", "eps"),
+        ("family = mixture", "family = sine\nwave = inf", "wave"),
+        ("delta = fixed:0.1", "delta = fixed:inf", "delta"),
     ], ids=["beta", "means", "duplicate_r", "rejected_by_family", "paths_not_int",
             "steps_not_int", "seed_not_int", "dim_not_int", "too_few_steps", "negative_seed",
-            "p_at_most_one", "p_not_float", "negative_beta", "negative_delta"])
+            "p_at_most_one", "p_not_float", "negative_beta", "negative_delta", "r_nan", "t_nan",
+            "beta_inf", "p_inf", "r_overflow", "eps_nan", "wave_inf", "delta_inf"])
     def test_bad_value_names_field(self, tmp_path, old, new, field):
         text = GOOD_CONFIG.format(out=tmp_path).replace(old, new)
         with pytest.raises(ConfigError) as exc:
@@ -129,6 +140,53 @@ class TestConfigParsing:
     def test_all_expands_in_order(self, tmp_path):
         text = GOOD_CONFIG.format(out=tmp_path).replace("checks = energy, z, prop2", "checks = all")
         assert parse_config(write_cfg(tmp_path, text)).checks == CHECK_TOKENS
+
+
+CONFIG_KEYS = (
+    "family", "t", "r", "delta", "beta", "paths", "steps", "seed", "checks", "dim", "p", "out",
+) + tuple(sorted({key for fam in FAMILIES.values() for key in fam.defaults}))
+NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.floats().map(lambda v: f"fixed:{v!r}"),
+    st.sampled_from(["e", "e2", "e^-3", "e1000", "1e309", "auto", "paper_rule", "all", "tail"]),
+)
+VALUE_TEXT = st.one_of(
+    NUMBER_TEXT,
+    st.lists(NUMBER_TEXT, min_size=1, max_size=3).map(", ".join),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), key=st.sampled_from(CONFIG_KEYS), value=VALUE_TEXT)
+@example(family="tilt", key="r", value="nan")
+@example(family="tilt", key="t", value="nan")
+@example(family="tilt", key="beta", value="inf")
+@example(family="sine", key="eps", value="nan")
+@example(family="tilt", key="delta", value="fixed:inf")
+@example(family="tilt", key="t", value="50%")
+def test_parse_config_rejects_or_returns_finite_in_range(tmp_path_factory, family, key, value):
+    """Any text under any key is a ConfigError or a config whose numbers are
+    finite and in range; no other exception escapes."""
+    fields = {"family": family, "paths": "2000", "steps": "128", key: value}
+    path = tmp_path_factory.getbasetemp() / "property.cfg"
+    path.write_text("[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()),
+                    encoding="utf-8")
+    try:
+        cfg = parse_config(path)
+    except ConfigError:
+        return
+    numbers = [*cfg.t_values, *cfg.r_values, cfg.p]
+    numbers += [x for v in cfg.params.values() for x in np.ravel(np.asarray(v, dtype=float))]
+    numbers += [] if cfg.beta_override is None else [cfg.beta_override]
+    numbers += [cfg.delta_value] if cfg.delta_rule == "fixed" else []
+    assert all(math.isfinite(x) for x in numbers)
+    assert min(cfg.t_values) >= 0 and min(cfg.r_values) > 1 and cfg.p > 1
+    assert len(set(cfg.r_values)) == len(cfg.r_values)
+    assert cfg.paths >= 1000 and cfg.steps >= 100 and cfg.seed >= 0
+    assert cfg.delta_rule == "paper_rule" or cfg.delta_value >= 0
+    assert cfg.beta_override is None or cfg.beta_override >= 0
 
 
 class TestRun:
@@ -264,6 +322,13 @@ class TestMainEntry:
         for flag, value in (("--paths", "10"), ("--steps", "50"), ("--seed", "-1")):
             assert main(["verify-all", flag, value, "--out", str(tmp_path)]) == 2
             assert f"'{flag[2:]}'" in capsys.readouterr().err
+        for argv in (["tail", "--r", "0.5"], ["tail", "--r", "nan"], ["tail", "--r", "5", "--t", "-1"],
+                     ["tail", "--r", "5", "--paths", "0"], ["sharpness", "--r", "0.5"],
+                     ["sharpness", "--r", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"argument {argv[-2]}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["verify-all", "--chunk-size", "-5"],

@@ -9,11 +9,9 @@ from outail import (
     TiltDensity,
     constant_density,
     perturbation_arrays,
-    pipeline_config,
     simulate_batch,
     simulate_path,
 )
-from outail.errors import ClosedFormUnavailableError
 from outail.foellmer import DriftField
 
 E = float(np.e)
@@ -22,10 +20,8 @@ MIX = MixtureDensity([0.5, 0.5], [-1.0, 1.0], 0.5)
 SINE = SinePerturbationDensity(0.3, [2.0])
 
 
-def small_cfg(density, **kw):
-    kw.setdefault("steps", 256)
-    kw.setdefault("seed", 1234)
-    return pipeline_config(density, **kw)
+def small_cfg(steps=256, seed=1234):
+    return PathConfig(steps, seed)
 
 
 def small_batch(density, cfg, r, delta, beta, n_paths=16):
@@ -49,42 +45,34 @@ class TestPathConfigValidation:
     def test_threshold_above_one(self):
         # thresholds are an argument of simulate_batch, not of the config
         with pytest.raises(ValueError):
-            simulate_batch(TILT, small_cfg(TILT), 16, r_values=(E, 1.0))
-
-    def test_drift_method_names(self):
-        with pytest.raises(ValueError):
-            PathConfig(drift_method="spectral")
-
-    def test_quadrature_required_without_closed_form(self):
-        with pytest.raises(ClosedFormUnavailableError):
-            DriftField(SINE, PathConfig(drift_method="closed_form"))
+            simulate_batch(TILT, small_cfg(), 16, r_values=(E, 1.0))
 
 
 class TestTiltPaths:
     def test_drift_is_constant_and_endpoint_shifts(self):
-        traj = simulate_path(TILT, small_cfg(TILT))
+        traj = simulate_path(TILT, small_cfg())
         np.testing.assert_allclose(traj.v, 2.0, atol=0.0)
         # X_1 = B_1 + alpha exactly under Euler with constant drift
         b1 = traj.db.sum(axis=0)
         assert traj.x[-1, 0] == pytest.approx(b1[0] + 2.0, abs=1e-12)
 
     def test_endpoint_mean(self):
-        stats = simulate_batch(TILT, small_cfg(TILT), 20000)
+        stats = simulate_batch(TILT, small_cfg(), 20000)
         assert abs(stats.x1.mean() - 2.0) <= 3.0 / np.sqrt(20000)
 
     def test_energy_is_deterministic(self):
-        stats = simulate_batch(TILT, small_cfg(TILT), 100)
+        stats = simulate_batch(TILT, small_cfg(), 100)
         np.testing.assert_allclose(stats.energy_full, 4.0, atol=1e-12)
 
     def test_reconstruction_is_exact(self):
-        traj = simulate_path(TILT, small_cfg(TILT))
+        traj = simulate_path(TILT, small_cfg())
         assert np.abs(traj.reconstruction_residual()).max() < 1e-9
 
 
 class TestConstantDensityPaths:
     def test_pure_brownian(self):
         flat = constant_density(1)
-        cfg = small_cfg(flat)
+        cfg = small_cfg()
         traj = simulate_path(flat, cfg)
         np.testing.assert_allclose(traj.v, 0.0, atol=0.0)
         np.testing.assert_allclose(traj.k, 0.0, atol=0.0)
@@ -99,11 +87,11 @@ class TestValueProcess:
         # P_1 f(0) integrates f against gamma, so K_0 vanishes for any
         # normalized family (up to quadrature/interpolation error)
         for density in (TILT, MIX, SINE):
-            stats = simulate_batch(density, small_cfg(density), 16)
+            stats = simulate_batch(density, small_cfg(), 16)
             assert abs(stats.k0) < 1e-4
 
     def test_final_node_is_exact_log_f(self):
-        stats = simulate_batch(MIX, small_cfg(MIX), 64)
+        stats = simulate_batch(MIX, small_cfg(), 64)
         np.testing.assert_allclose(
             stats.k_final, np.ravel(MIX.log_f(stats.x1)), atol=0.0
         )
@@ -112,7 +100,7 @@ class TestValueProcess:
     @pytest.mark.parametrize("density", [MIX, SINE], ids=["mixture", "sine"])
     def test_reconstruction_residual_scale(self, density):
         # Ito reconstruction of K drifts by O(sqrt(dt)) for curved drifts
-        cfg = pipeline_config(density, steps=2048, seed=5)
+        cfg = PathConfig(steps=2048, seed=5)
         traj = simulate_path(density, cfg)
         assert np.abs(traj.reconstruction_residual()).max() < 0.25
 
@@ -131,13 +119,13 @@ class RaisedTilt(DensityModel):
 
 class TestStopping:
     def test_never_stopped_convention(self):
-        cfg = small_cfg(TILT)
+        cfg = small_cfg()
         r = float(np.exp(50.0))
         stats, _ = small_batch(TILT, cfg, r, 0.0, 0.0)
         assert np.all(stats.stopped[r].t_index == cfg.steps)
 
     def test_immediate_stop_when_k0_exceeds(self):
-        cfg = PathConfig(steps=128, drift_method="quadrature")
+        cfg = PathConfig(steps=128)
         stats, _ = small_batch(RaisedTilt(), cfg, E, 0.0, 0.0)
         sl = stats.stopped[E]
         assert stats.k0 > 1.0
@@ -145,7 +133,7 @@ class TestStopping:
         assert np.all(sl.stoch == 0.0) and np.all(sl.energy == 0.0)
 
     def test_first_passage_definition(self):
-        cfg = small_cfg(TILT)
+        cfg = small_cfg()
         stats, _ = small_batch(TILT, cfg, E, 0.0, 0.0)
         t_index = stats.stopped[E].t_index
         for idx in range(len(t_index)):
@@ -163,7 +151,7 @@ class TestStopping:
         alpha = 3.0
         r_values = (float(np.exp(0.5)), E, float(np.exp(2.5)), float(np.exp(50.0)))
         tilt3 = TiltDensity([alpha])
-        cfg = small_cfg(tilt3, steps=512)
+        cfg = small_cfg(steps=512)
         stats = simulate_batch(tilt3, cfg, 40, r_values=r_values)
         stopped = dict.fromkeys(r_values, 0)
         for idx in range(40):
@@ -198,7 +186,7 @@ class TestStopping:
 
 class TestPerturbation:
     def test_delta_zero_is_identity(self):
-        cfg = small_cfg(MIX)
+        cfg = small_cfg()
         stats, arr = small_batch(MIX, cfg, E, 0.0, MIX.beta)
         np.testing.assert_allclose(arr["x_delta"], stats.x1, atol=0.0)
         assert np.all(arr["y"] == 0.0) and np.all(arr["z"] == 0.0)
@@ -207,7 +195,7 @@ class TestPerturbation:
         assert arr["log_d"][4] == pytest.approx(expected_log_d, abs=1e-12)
 
     def test_endpoint_shift_formula(self):
-        cfg = small_cfg(MIX)
+        cfg = small_cfg()
         _, arr = small_batch(MIX, cfg, E, 0.2, MIX.beta)
         traj = simulate_path(MIX, cfg, path_index=9)
         t_idx = first_passage(traj, E)
@@ -217,7 +205,7 @@ class TestPerturbation:
     def test_deviation_identity_exact(self):
         # Y = Z - delta * S_T + (delta^2 / 2) * E_T, an algebraic identity
         # of the discretized integrals, with S_T and E_T read off each path
-        cfg, delta = small_cfg(MIX), 0.3
+        cfg, delta = small_cfg(), 0.3
         _, arr = small_batch(MIX, cfg, E, delta, MIX.beta, n_paths=8)
         for idx in range(8):
             traj = simulate_path(MIX, cfg, path_index=idx)
@@ -235,7 +223,7 @@ class TestPerturbation:
 
     def test_reweighted_mass_is_one(self):
         # E[f(X^d) D^d] = 1 holds exactly under the discrete measure change
-        cfg = pipeline_config(TILT, steps=512, seed=3)
+        cfg = PathConfig(steps=512, seed=3)
         stats = simulate_batch(TILT, cfg, 30000, r_values=(E**2,))
         arr = perturbation_arrays(stats, TILT, E**2, 0.1, 0.0)
         vals = np.exp(arr["log_f_xd"] + arr["log_d"])
@@ -245,11 +233,11 @@ class TestPerturbation:
 
 class TestConvexityMargin:
     def test_tilt_margin_vanishes(self):
-        _, arr = small_batch(TILT, small_cfg(TILT), E, 0.25, 0.0)
+        _, arr = small_batch(TILT, small_cfg(), E, 0.25, 0.0)
         np.testing.assert_allclose(arr["convexity_margin"], 0.0, atol=1e-12)
 
     def test_delta_zero_margin_vanishes(self):
-        _, arr = small_batch(MIX, small_cfg(MIX), E, 0.0, MIX.beta)
+        _, arr = small_batch(MIX, small_cfg(), E, 0.0, MIX.beta)
         np.testing.assert_allclose(arr["convexity_margin"], 0.0, atol=1e-13)
 
     def test_mixture_batch_margins_nonnegative(self, batches, families):
@@ -265,7 +253,7 @@ class TestConvexityMargin:
 
 class TestDeterminism:
     def test_single_path_equals_batch_path(self):
-        cfg = small_cfg(MIX)
+        cfg = small_cfg()
         stats = simulate_batch(MIX, cfg, 16, r_values=(E,))
         traj = simulate_path(MIX, cfg, path_index=13)
         assert float(traj.x[-1, 0]) == stats.x1[13, 0]
@@ -274,7 +262,7 @@ class TestDeterminism:
 
     def test_chunk_layout_independence(self):
         # sine paths cross log r < 0.66 and never E: both stop rules covered
-        cfg = small_cfg(SINE)
+        cfg = small_cfg()
         r_values = (1.05, 1.2, 1.5, E)
         a = simulate_batch(SINE, cfg, 3000, r_values=r_values, chunk_paths=271)
         b = simulate_batch(SINE, cfg, 3000, r_values=r_values, chunk_paths=3000)
@@ -290,57 +278,61 @@ class TestDeterminism:
     @pytest.mark.parametrize("chunk", [0, -5])
     def test_chunk_paths_must_be_positive(self, chunk):
         with pytest.raises(ValueError, match="chunk_paths"):
-            simulate_batch(TILT, small_cfg(TILT), 100, chunk_paths=chunk)
+            simulate_batch(TILT, small_cfg(), 100, chunk_paths=chunk)
 
     def test_seed_changes_paths(self):
-        a = simulate_batch(TILT, small_cfg(TILT, seed=1), 32)
-        b = simulate_batch(TILT, small_cfg(TILT, seed=2), 32)
+        a = simulate_batch(TILT, small_cfg(seed=1), 32)
+        b = simulate_batch(TILT, small_cfg(seed=2), 32)
         assert not np.array_equal(a.x1, b.x1)
 
 
 class TestDriftTabulation:
     @pytest.mark.parametrize("density", [MIX, SINE], ids=["mixture", "sine"])
     def test_table_matches_direct_evaluation(self, density, rng):
-        tab_cfg = pipeline_config(density, steps=256)
-        direct_cfg = PathConfig(
-            dim=1, steps=256, drift_method=tab_cfg.drift_method, drift_grid_points=0
-        )
-        tab = DriftField(density, tab_cfg)
-        direct = DriftField(density, direct_cfg)
+        # eval interpolates the field's table, raw evaluates it directly
+        drift = DriftField(density)
+        assert drift.grid is not None
         x = rng.normal(size=(2000, 1)) * 2.5
         for s in (1.0, 0.5, 0.05, 1.0 / 256):
-            k_t, v_t = tab.eval(s, x)
-            k_d, v_d = direct.raw(s, x)
+            k_t, v_t = drift.eval(s, x)
+            k_d, v_d = drift.raw(s, x)
             assert np.abs(k_t - k_d).max() < 2e-4
             assert np.abs(v_t - v_d).max() < 5e-4
 
     def test_final_node_bypasses_table(self):
-        stats = simulate_batch(MIX, small_cfg(MIX), 32)
+        stats = simulate_batch(MIX, small_cfg(), 32)
         np.testing.assert_allclose(stats.k_final, np.ravel(MIX.log_f(stats.x1)), atol=0.0)
+
+
+class QuadratureMixture(MixtureDensity):
+    """A mixture whose drift is computed by the heat-kernel quadrature."""
+
+    has_closed_heat = False
 
 
 class TestTwoDimensional:
     def test_tilt_2d_endpoint_mean(self):
         tilt2 = TiltDensity([1.0, -0.5])
-        cfg = pipeline_config(tilt2, steps=128, seed=6)
+        cfg = PathConfig(steps=128, seed=6)
         stats = simulate_batch(tilt2, cfg, 4000)
         err = np.abs(stats.x1.mean(axis=0) - np.array([1.0, -0.5]))
         assert np.all(err <= 3.0 / np.sqrt(4000))
 
     def test_mixture_2d_quadrature_drift_runs(self):
-        mix2 = MixtureDensity([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], 0.5)
-        cfg = PathConfig(dim=2, steps=128, seed=8, drift_method="quadrature", quad_nodes=16)
-        stats = simulate_batch(mix2, cfg, 256)
+        means = [[-1.0, 0.0], [1.0, 0.0]]
+        cfg = PathConfig(steps=128, seed=8)
+        quad2 = QuadratureMixture([0.5, 0.5], means, 0.5)
+        assert DriftField(quad2).rule is not None
+        stats = simulate_batch(quad2, cfg, 256)
         assert np.isfinite(stats.x1).all()
         # closed drift agrees with the quadrature drift on the same seed
-        cfg_closed = PathConfig(dim=2, steps=128, seed=8, drift_method="closed_form")
-        stats_c = simulate_batch(mix2, cfg_closed, 256)
+        stats_c = simulate_batch(MixtureDensity([0.5, 0.5], means, 0.5), cfg, 256)
         assert np.abs(stats.x1 - stats_c.x1).max() < 1e-6
 
 
 class TestTrajectoryDump:
     def test_csv_schema(self, tmp_path):
-        traj = simulate_path(TILT, small_cfg(TILT))
+        traj = simulate_path(TILT, small_cfg())
         out = tmp_path / "path.csv"
         traj.to_csv(out)
         lines = out.read_text().splitlines()

@@ -162,10 +162,10 @@ class TestEnergyBound:
                 assert rep.passed, f"{name} r={r}: {rep.estimate} vs {rep.bound}"
 
     def test_constant_density_trivial(self):
-        from outail import simulate_batch, pipeline_config
+        from outail import PathConfig, simulate_batch
 
         flat = constant_density(1)
-        stats = simulate_batch(flat, pipeline_config(flat, steps=128, seed=2), 500, r_values=(E,))
+        stats = simulate_batch(flat, PathConfig(steps=128, seed=2), 500, r_values=(E,))
         rep = drift_energy_report(stats, flat, E)
         assert rep.estimate == 0.0 and rep.passed
 
@@ -245,10 +245,10 @@ class TestGirsanovSuite:
         assert by_name["convexity_floor"].passed
 
     def test_curved_families_floors(self, batches, families):
+        # state-dependent drifts report the convexity floor, not the product floor
         for name in ("mixture", "sine"):
-            reps = girsanov_reports(
-                batches[name], families[name], E, 0.1, include_product_floor=False
-            )
+            reps = girsanov_reports(batches[name], families[name], E, 0.1)
+            assert "pathwise_product_floor" not in {rep.name for rep in reps}
             for rep in reps:
                 assert rep.passed, f"{name} {rep.name}"
 
@@ -314,5 +314,5 @@ class TestComposite:
 class TestHessianFloorReport:
     def test_mixture_and_sine(self, families):
         for name in ("mixture", "sine"):
-            rep = hessian_floor_report(families[name], 0.5, points=np.linspace(-3, 3, 11))
-            assert rep.passed
+            rep = hessian_floor_report(families[name], 0.5)
+            assert rep.passed and rep.n_samples == 50
