@@ -47,6 +47,8 @@ MIN_MC_PATHS = 1000
 # variance; equality rows cap delta there.  Inequality rows are one-sided
 # (their Monte Carlo bias is conservative) and keep the configured rule.
 GIRSANOV_EQ_DELTA_MAX = 0.25
+# Philox keys are 128-bit.
+SEED_LIMIT = 2**128
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,8 @@ class ExperimentConfig:
             raise ConfigError("paths", f"need >= {MIN_MC_PATHS} paths for MC checks")
         if self.steps < MIN_STEPS:
             raise ConfigError("steps", f"need >= {MIN_STEPS} time steps")
-        if self.seed < 0:
-            raise ConfigError("seed", "seed must be >= 0")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError("seed", "seed must lie in [0, 2**128)")
         if not self.p > 1.0:
             raise ConfigError("p", "hypercontractivity needs p > 1")
 
@@ -398,10 +400,10 @@ def verify_all(
     steps: int = 2048,
     chunk_paths: int | None = None,
 ) -> RunResult:
-    """Default experiment matrix: every family, check, t, and r."""
-    rows: list[BoundReport] = []
-    for offset, name in enumerate(sorted(FAMILIES)):
-        cfg = ExperimentConfig(
+    """Default experiment matrix: every family, check, t, and r.  Every
+    config is checked before the first simulation starts."""
+    cfgs = [
+        ExperimentConfig(
             family=name,
             params=dict(FAMILIES[name].defaults),
             dim=0,
@@ -416,7 +418,9 @@ def verify_all(
             checks=CHECK_TOKENS,
             out_dir="",
         )
-        rows.extend(collect_rows(cfg, chunk_paths=chunk_paths))
+        for offset, name in enumerate(sorted(FAMILIES))
+    ]
+    rows = [row for cfg in cfgs for row in collect_rows(cfg, chunk_paths=chunk_paths)]
     return write_reports(rows, out_dir or os.environ.get(OUT_ENV_VAR, "reports"), "verify_all", seed)
 
 
@@ -424,6 +428,13 @@ def _positive_int(raw: str) -> int:
     value = int(raw)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _seed(raw: str) -> int:
+    value = int(raw)
+    if not 0 <= value < SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**128), got {value}")
     return value
 
 
@@ -475,7 +486,7 @@ def main(argv=None) -> int:
     p_tail.add_argument("--method", default="auto",
                         choices=("auto", "exact", "quadrature", "monte_carlo"))
     p_tail.add_argument("--paths", type=_positive_int, default=10**5)
-    p_tail.add_argument("--seed", type=int, default=42)
+    p_tail.add_argument("--seed", type=_seed, default=42)
 
     p_sharp = sub.add_parser("sharpness", help="matched-tilt lower-bound constants")
     p_sharp.add_argument("--r", type=_thresholds, default="e2, e4, e8, e16")

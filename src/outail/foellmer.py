@@ -73,7 +73,9 @@ class DriftField:
     ``semigroup.heat_log_grad``.  A 1-D field whose drift depends on the
     state (every family but the log-linear tilt) is tabulated per bandwidth
     on a fixed spatial grid and evaluated by linear interpolation; the table
-    depends only on s, so results are independent of batch layout.
+    depends only on s, so results are independent of batch layout.  The
+    grid part of a closed form (``closed_heat_at``) is computed once per
+    field.
     """
 
     def __init__(self, density: DensityModel):
@@ -87,21 +89,29 @@ class DriftField:
             self.grid = np.linspace(-DRIFT_GRID_HALFWIDTH, DRIFT_GRID_HALFWIDTH, DRIFT_GRID_POINTS)
             self._grid_lo = float(self.grid[0])
             self._grid_inv_h = (len(self.grid) - 1) / (self.grid[-1] - self.grid[0])
+            pts = self.grid[:, None]
+            self._on_grid = (
+                density.closed_heat_at(pts) if self.rule is None
+                else lambda s: heat_log_grad(density, s, pts, self.rule)
+            )
         self._tables: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
-    def raw(self, s: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(K, v) without tabulation; x has shape (..., dim)."""
+    def raw(self, s: float, x: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+        """(K, v) without tabulation at points x of shape (..., dim), or at
+        bandwidth s > 0 on the table grid when x is None."""
         d = self.density
+        if x is None:
+            return self._on_grid(s)
         if s <= 0.0:
             return d.log_f(x), d.grad_log_f(x)
         if self.rule is None:
-            return d.closed_heat_log(s, x), d.closed_heat_grad_log(s, x)
+            return d.closed_heat_log_grad(s, x)
         return heat_log_grad(d, s, x, self.rule)
 
     def _table(self, s: float) -> tuple[np.ndarray, np.ndarray]:
         tab = self._tables.get(s)
         if tab is None:
-            k, v = self.raw(s, self.grid[:, None])
+            k, v = self.raw(s)
             tab = (k, v[:, 0])
             self._tables[s] = tab
         return tab

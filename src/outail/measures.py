@@ -9,8 +9,8 @@ carries a weak-convexity certificate beta with
 Families are exponentials by construction, hence strictly positive
 everywhere.  Where Gaussian algebra permits, a family also provides closed
 forms for its heat and Ornstein-Uhlenbeck images and (for the log-linear
-tilt) its exact super-level tail; everything else falls back to quadrature
-in the semigroup module.
+tilt) its exact super-level tail; the sine family's heat image is a Bessel
+series.  Everything else falls back to quadrature in the semigroup module.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp, softmax
+from scipy.special import ive, logsumexp, softmax
 
 from .errors import (
     ClosedFormUnavailableError,
@@ -29,7 +29,10 @@ from .errors import (
 from .numeric import FD_HESS_STEP, fd_hessian, log_gauss_tail
 from .quadrature import QuadratureRule
 
-SINE_NORM_NODES = 128
+# Relative precision the Jacobi-Anger sums of the sine family must keep.
+SERIES_TOL = 1e-10
+MAX_SERIES_TERMS = 4096
+_EPS_MACH = float(np.finfo(float).eps)
 
 
 def _as_points(x, dim: int) -> np.ndarray:
@@ -79,13 +82,18 @@ class DensityModel:
         """The density of the OU image Q_t f, when expressible in-family."""
         raise ClosedFormUnavailableError(f"{self.name} has no closed OU image")
 
-    def closed_heat_log(self, s: float, x) -> np.ndarray:
-        """log P_s f(x) in closed form."""
+    def closed_heat_log_grad(self, s: float, x) -> tuple[np.ndarray, np.ndarray]:
+        """(log P_s f(x), grad log P_s f(x)) in closed form."""
         raise ClosedFormUnavailableError(f"{self.name} has no closed heat transform")
 
-    def closed_heat_grad_log(self, s: float, x) -> np.ndarray:
-        """grad log P_s f(x) in closed form."""
-        raise ClosedFormUnavailableError(f"{self.name} has no closed heat transform")
+    def closed_heat_at(self, x) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
+        """s -> ``closed_heat_log_grad(s, x)`` at fixed points x.
+
+        A family whose closed form separates into a part in x and a part in
+        s computes the x part once here, for tables over many bandwidths.
+        """
+        x = _as_points(x, self.dim)
+        return lambda s: self.closed_heat_log_grad(s, x)
 
     def closed_tail(self, r: float, t: float = 0.0) -> float:
         """gamma_n({Q_t f > r}) in closed form (t=0 gives the tail of f)."""
@@ -146,11 +154,8 @@ class TiltDensity(DensityModel):
     def closed_ou(self, t: float) -> "TiltDensity":
         return TiltDensity(self.u * np.exp(-t))
 
-    def closed_heat_log(self, s: float, x) -> np.ndarray:
-        return self.log_f(x) + 0.5 * s * self.alpha**2
-
-    def closed_heat_grad_log(self, s: float, x) -> np.ndarray:
-        return self.grad_log_f(x)
+    def closed_heat_log_grad(self, s: float, x) -> tuple[np.ndarray, np.ndarray]:
+        return self.log_f(x) + 0.5 * s * self.alpha**2, self.grad_log_f(x)
 
     def closed_tail(self, r: float, t: float = 0.0) -> float:
         if r <= 1.0:
@@ -281,30 +286,35 @@ class MixtureDensity(DensityModel):
         )
         return per_coord.sum(-1) + self.log_weights
 
-    def closed_heat_log(self, s: float, x) -> np.ndarray:
+    def closed_heat_log_grad(self, s: float, x) -> tuple[np.ndarray, np.ndarray]:
         x = _as_points(x, self.dim)
         if s <= 0.0:
-            return self.log_f(x)
-        return logsumexp(self._heat_component_logs(s, x), axis=-1)
-
-    def closed_heat_grad_log(self, s: float, x) -> np.ndarray:
-        x = _as_points(x, self.dim)
-        if s <= 0.0:
-            return self.grad_log_f(x)
+            return self.log_f(x), self.grad_log_f(x)
         logs = self._heat_component_logs(s, x)
         p = softmax(logs, axis=-1)
         a_over = 1.0 / self.spread + 1.0 / s - 1.0
         b = self.means / self.spread + x[..., None, :] / s
         comp_grad = (b / a_over - x[..., None, :]) / s  # (..., J, n)
-        return np.einsum("...j,...jn->...n", p, comp_grad)
+        return logsumexp(logs, axis=-1), np.einsum("...j,...jn->...n", p, comp_grad)
 
 
 class SinePerturbationDensity(DensityModel):
     """Bounded perturbation f(x) = exp(eps * sin(<k, x>)) / Z.
 
-    No closed transforms: this family exercises the generic quadrature code
-    paths.  The convexity certificate is exact: the Hessian of the exponent
-    is -eps*sin(<k,x>) k k^T, so beta = eps * |k|^2.
+    The convexity certificate is exact: the Hessian of the exponent is
+    -eps*sin(<k,x>) k k^T, so beta = eps * |k|^2.
+
+    With theta = <k, x>, the Jacobi-Anger expansion (Abramowitz & Stegun
+    9.6.34) writes e^{eps sin theta} as I_0(eps) + 2 sum_{j>=1} I_j(eps)
+    cos(j theta - j pi/2), and the heat semigroup P_s multiplies frequency j
+    by exp(-s j^2 |k|^2 / 2).  Z is that series at s = 1 and x = 0, where
+    only even j survive.  The drift series keeps j = 0..J, J the first
+    frequency with 2 I_J / I_0 below machine epsilon (J = 11 at eps = 0.3).
+    Its sums lose up to (J + 1) * eps_mach * e^{2 eps} relative precision to
+    cancellation (e^{eps sin theta} can be e^{-2 eps} times the largest
+    term), so the heat transform is closed, and the OU image follows by
+    Mehler's formula, only while that bound stays within ``SERIES_TOL``:
+    for eps up to about 4.9.  Larger eps takes the quadrature paths.
     """
 
     name = "sine"
@@ -316,12 +326,24 @@ class SinePerturbationDensity(DensityModel):
         self.eps = float(eps)
         self.wave = wave
         self.dim = wave.shape[0]
-        knorm = float(np.linalg.norm(wave))
-        self.beta = self.eps * knorm**2
-        # Z = E[exp(eps sin(|k| G))] with G standard 1-D Gaussian
-        rule = QuadratureRule.gauss_hermite(1, SINE_NORM_NODES)
-        z = rule.nodes[:, 0]
-        self.log_z = float(logsumexp(rule.log_weights + self.eps * np.sin(knorm * z)))
+        with np.errstate(over="ignore"):  # an infinite beta is rejected below
+            self._k2 = float(wave @ wave)
+            self.beta = self.eps * self._k2
+        if not np.isfinite(self.beta):
+            raise ValueError(f"beta = eps * |wave|^2 is not finite ({self.beta})")
+        # log Z = log I_0 + log1p(sum over even j >= 2 of w_j cos(j pi/2) e^{-j^2 |k|^2 / 2})
+        terms = _jacobi_anger_weights(self.eps, self._k2, 1.0)[::2]
+        terms[1::2] *= -1.0
+        # the terms alternate in sign: a slow wave with large eps cancels
+        if not len(terms) * _EPS_MACH * np.abs(terms).sum() <= SERIES_TOL * terms.sum():
+            raise ValueError(f"the series for Z loses more than {SERIES_TOL:g} to cancellation")
+        self._log_z_over_i0 = float(np.log1p(terms[1:].sum()))
+        self.log_z = self.eps + float(np.log(ive(0, self.eps))) + self._log_z_over_i0
+        self._weights = None  # the drift series, where its sums keep SERIES_TOL
+        if 2.0 * self.eps <= np.log(SERIES_TOL / _EPS_MACH):
+            weights = _jacobi_anger_weights(self.eps, self._k2, 0.0)
+            if len(weights) * _EPS_MACH * np.exp(2.0 * self.eps) <= SERIES_TOL:
+                self._weights = weights
 
     def log_f(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
@@ -330,6 +352,52 @@ class SinePerturbationDensity(DensityModel):
     def grad_log_f(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
         return self.eps * np.cos(x @ self.wave)[..., None] * self.wave
+
+    @property
+    def has_closed_heat(self) -> bool:
+        return self._weights is not None
+
+    def closed_heat_log_grad(self, s: float, x) -> tuple[np.ndarray, np.ndarray]:
+        return self.closed_heat_at(x)(s)
+
+    def closed_heat_at(self, x) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
+        """The cosines cos(j theta - j pi/2) and the derivatives
+        -j sin(j theta - j pi/2) at x, computed once; each bandwidth s is
+        then one weighted sum over j of each."""
+        if self._weights is None:
+            raise ClosedFormUnavailableError(
+                f"sine series too ill-conditioned at eps = {self.eps:g}")
+        x = _as_points(x, self.dim)
+        theta = x @ self.wave
+        j = np.arange(len(self._weights))
+        phase = np.multiply.outer(j, theta.ravel() - 0.5 * np.pi)  # (J + 1, points)
+        cos_j = np.cos(phase)
+        dcos_j = -j[:, None] * np.sin(phase)
+        decay = -0.5 * self._k2 * j * j
+
+        def at(s: float) -> tuple[np.ndarray, np.ndarray]:
+            c = self._weights * np.exp(s * decay)
+            a = c @ cos_j  # P_s e^{eps sin} / I_0, positive
+            k = np.log(a) - self._log_z_over_i0
+            v = np.multiply.outer(c @ dcos_j / a, self.wave)
+            return k.reshape(theta.shape), v.reshape(theta.shape + (self.dim,))
+
+        return at
+
+
+def _jacobi_anger_weights(eps: float, k2: float, s: float) -> np.ndarray:
+    """w_j = (2 - [j = 0]) I_j(eps) / I_0(eps) e^{-s j^2 k2 / 2} for j = 0..J,
+    J the first j >= 1 with w_j below machine epsilon (the weights decrease
+    in j).  Raises ValueError when no J below ``MAX_SERIES_TERMS`` qualifies
+    (or scipy's I_j(eps) is NaN, for eps beyond about 2e9)."""
+    j = np.arange(MAX_SERIES_TERMS)
+    w = 2.0 * ive(j, eps) / ive(0, eps) * np.exp(-0.5 * s * k2 * j * j)
+    w[0] = 1.0
+    small = np.flatnonzero(w[1:] < _EPS_MACH)
+    if small.size == 0:
+        raise ValueError(f"the Bessel weights at eps = {eps:g} do not fall below machine "
+                         f"epsilon within {MAX_SERIES_TERMS} terms")
+    return w[: small[0] + 2]
 
 
 def constant_density(dim: int = 1) -> TiltDensity:

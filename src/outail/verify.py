@@ -75,10 +75,16 @@ def simulate_family_batch(
 
 
 def _log_ou_fn(density: DensityModel, t: float, rule: QuadratureRule | None):
+    """x -> log Q_t f(x): in-family OU image, else Mehler's formula
+    Q_t f(x) = P_{1 - e^{-2t}} f(e^{-t} x) on a closed heat form, else
+    quadrature."""
     if t == 0.0:
         return density.log_f
     if density.has_closed_ou:
         return density.closed_ou(t).log_f
+    if density.has_closed_heat:
+        s, rho = -np.expm1(-2.0 * t), np.exp(-t)
+        return lambda xs: density.closed_heat_log_grad(s, rho * xs)[0]
     return lambda xs: ou_log(density, t, xs, rule)
 
 

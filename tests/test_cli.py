@@ -118,10 +118,14 @@ class TestConfigParsing:
         ("family = mixture", "family = sine\neps = nan", "eps"),
         ("family = mixture", "family = sine\nwave = inf", "wave"),
         ("delta = fixed:0.1", "delta = fixed:inf", "delta"),
+        ("seed = 7", f"seed = {2**128}", "seed"),
+        ("family = mixture", "family = sine\nwave = 1e308", "family"),
+        ("family = mixture", "family = sine\neps = 1e10", "family"),
     ], ids=["beta", "means", "duplicate_r", "rejected_by_family", "paths_not_int",
             "steps_not_int", "seed_not_int", "dim_not_int", "too_few_steps", "negative_seed",
             "p_at_most_one", "p_not_float", "negative_beta", "negative_delta", "r_nan", "t_nan",
-            "beta_inf", "p_inf", "r_overflow", "eps_nan", "wave_inf", "delta_inf"])
+            "beta_inf", "p_inf", "r_overflow", "eps_nan", "wave_inf", "delta_inf",
+            "seed_2_128", "sine_beta_inf", "sine_log_z_nan"])
     def test_bad_value_names_field(self, tmp_path, old, new, field):
         text = GOOD_CONFIG.format(out=tmp_path).replace(old, new)
         with pytest.raises(ConfigError) as exc:
@@ -184,7 +188,7 @@ def test_parse_config_rejects_or_returns_finite_in_range(tmp_path_factory, famil
     assert all(math.isfinite(x) for x in numbers)
     assert min(cfg.t_values) >= 0 and min(cfg.r_values) > 1 and cfg.p > 1
     assert len(set(cfg.r_values)) == len(cfg.r_values)
-    assert cfg.paths >= 1000 and cfg.steps >= 100 and cfg.seed >= 0
+    assert cfg.paths >= 1000 and cfg.steps >= 100 and 0 <= cfg.seed < 2**128
     assert cfg.delta_rule == "paper_rule" or cfg.delta_value >= 0
     assert cfg.beta_override is None or cfg.beta_override >= 0
 
@@ -319,12 +323,16 @@ class TestMainEntry:
         bad = write_cfg(tmp_path, "[experiment]\nfamily = unknown\n")
         assert main(["run", str(bad)]) == 2
         assert "family" in capsys.readouterr().err
-        for flag, value in (("--paths", "10"), ("--steps", "50"), ("--seed", "-1")):
+        # 2**128 - 1 reaches the limit at the second family, before any simulation
+        for flag, value in (("--paths", "10"), ("--steps", "50"), ("--seed", "-1"),
+                            ("--seed", str(2**128)), ("--seed", str(2**128 - 1))):
             assert main(["verify-all", flag, value, "--out", str(tmp_path)]) == 2
             assert f"'{flag[2:]}'" in capsys.readouterr().err
         for argv in (["tail", "--r", "0.5"], ["tail", "--r", "nan"], ["tail", "--r", "5", "--t", "-1"],
                      ["tail", "--r", "5", "--paths", "0"], ["sharpness", "--r", "0.5"],
-                     ["sharpness", "--r", "1"]):
+                     ["sharpness", "--r", "1"],
+                     ["tail", "--r", "5", "--method", "monte_carlo", "--seed", "-1"],
+                     ["tail", "--r", "5", "--method", "monte_carlo", "--seed", str(2**128)]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2

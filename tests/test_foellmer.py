@@ -286,8 +286,15 @@ class TestDeterminism:
         assert not np.array_equal(a.x1, b.x1)
 
 
+class QuadratureMixture(MixtureDensity):
+    """A mixture whose drift is computed by the heat-kernel quadrature."""
+
+    has_closed_heat = False
+
+
 class TestDriftTabulation:
-    @pytest.mark.parametrize("density", [MIX, SINE], ids=["mixture", "sine"])
+    @pytest.mark.parametrize("density", [MIX, SINE, QuadratureMixture([0.5, 0.5], [-1.0, 1.0], 0.5)],
+                             ids=["mixture", "sine", "quadrature"])
     def test_table_matches_direct_evaluation(self, density, rng):
         # eval interpolates the field's table, raw evaluates it directly
         drift = DriftField(density)
@@ -299,15 +306,14 @@ class TestDriftTabulation:
             assert np.abs(k_t - k_d).max() < 2e-4
             assert np.abs(v_t - v_d).max() < 5e-4
 
+    def test_sine_above_series_cutoff_uses_quadrature(self):
+        assert DriftField(SINE).rule is None
+        wide = SinePerturbationDensity(6.0, [2.0])
+        assert not wide.has_closed_heat and DriftField(wide).rule is not None
+
     def test_final_node_bypasses_table(self):
         stats = simulate_batch(MIX, small_cfg(), 32)
         np.testing.assert_allclose(stats.k_final, np.ravel(MIX.log_f(stats.x1)), atol=0.0)
-
-
-class QuadratureMixture(MixtureDensity):
-    """A mixture whose drift is computed by the heat-kernel quadrature."""
-
-    has_closed_heat = False
 
 
 class TestTwoDimensional:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,8 @@ from outail import (
     constant_density,
     validate_normalization,
 )
-from outail.errors import DimensionMismatchError, NonFiniteValueError
+from outail.errors import ClosedFormUnavailableError, DimensionMismatchError, NonFiniteValueError
+from outail.measures import SERIES_TOL
 from outail.numeric import FD_STEP, fd_gradient
 
 RULE64 = QuadratureRule.gauss_hermite(1, 64)
@@ -155,6 +157,33 @@ class TestSineFamily:
     def test_beta_is_exact(self):
         assert SinePerturbationDensity(0.5, [2.0]).beta == pytest.approx(2.0)
         assert SinePerturbationDensity(0.25, [1.0, 2.0]).beta == pytest.approx(1.25)
+
+    @pytest.mark.parametrize("eps, wave", [(0.3, [2.0]), (0.3, [1.0, 0.7]), (2.0, [0.5]), (8.0, [0.5])])
+    def test_series_log_z_matches_quadrature(self, eps, wave):
+        # Z = E[exp(eps sin(|k| G))] with G a standard 1-D Gaussian
+        sine = SinePerturbationDensity(eps, wave)
+        rule = QuadratureRule.gauss_hermite(1, 150)
+        quad = logsumexp(rule.log_weights + eps * np.sin(np.linalg.norm(wave) * rule.nodes[:, 0]))
+        assert sine.log_z == pytest.approx(quad, abs=1e-13)
+
+    def test_series_length_follows_eps(self):
+        # 2 I_11(0.3) / I_0(0.3) is the first weight below machine epsilon
+        assert len(SinePerturbationDensity(0.3, [2.0])._weights) == 12
+        assert len(SinePerturbationDensity(2.0, [2.0])._weights) > 12
+
+    def test_closed_heat_stops_at_the_cancellation_cutoff(self):
+        # (J + 1) eps_mach e^{2 eps} crosses SERIES_TOL between eps = 4.8 and 4.9
+        below, above = SinePerturbationDensity(4.8, [2.0]), SinePerturbationDensity(4.9, [2.0])
+        assert below.has_closed_heat and not above.has_closed_heat
+        assert len(below._weights) * np.finfo(float).eps * np.exp(9.6) <= SERIES_TOL
+        with pytest.raises(ClosedFormUnavailableError):
+            above.closed_heat_log_grad(0.5, np.zeros(1))
+
+    @pytest.mark.parametrize("eps, wave", [(0.3, [1e308]), (1e10, [2.0]), (20.0, [0.1])],
+                             ids=["beta_inf", "bessel_nan", "z_cancels"])
+    def test_unrepresentable_parameters_rejected(self, eps, wave):
+        with pytest.raises(ValueError):
+            SinePerturbationDensity(eps, wave)
 
     def test_eps_zero_is_constant(self):
         flat = SinePerturbationDensity(0.0, [2.0])

@@ -15,6 +15,8 @@ from outail import (
 )
 from outail.errors import ClosedFormUnavailableError, NonFiniteValueError
 from outail.semigroup import S_MIN, default_rule, heat_log_grad, log_lp_norm
+from outail.stats import superlevel_gamma_mass
+from outail.verify import tail_probability
 
 RULE = QuadratureRule.gauss_hermite(1, 64)
 MIX = MixtureDensity([0.5, 0.5], [-1.0, 1.0], 0.5)
@@ -81,7 +83,7 @@ class TestHeatApply:
         tilt = TiltDensity([alpha])
         expected = np.exp(alpha * x - alpha**2 / 2 + alpha**2 * s / 2)
         quad = np.exp(heat(tilt, s, x)[0])
-        closed = float(np.exp(tilt.closed_heat_log(s, np.array([x]))))
+        closed = float(np.exp(tilt.closed_heat_log_grad(s, np.array([x]))[0]))
         assert closed == pytest.approx(expected, rel=1e-14)
         assert quad == pytest.approx(expected, rel=1e-10)
 
@@ -123,9 +125,38 @@ class TestHeatGradLog:
             heat_log_grad(NanGradient([1.0]), 1e-5, np.zeros((3, 1)), RULE)
 
     def test_closed_form_bypasses_floor(self):
-        g = MIX.closed_heat_grad_log(1e-5, np.array([0.4]))
+        g = MIX.closed_heat_log_grad(1e-5, np.array([0.4]))[1]
         expected = np.ravel(MIX.grad_log_f(np.array([0.4])))[0]
         assert np.ravel(g)[0] == pytest.approx(expected, abs=1e-4)
+
+
+class TestSineHeatSeries:
+    """The Jacobi-Anger series against a 150-node Gauss-Hermite heat kernel."""
+
+    @pytest.mark.parametrize("wave", [[2.0], [1.0, 0.7]], ids=["1d", "2d"])
+    @pytest.mark.parametrize("s", [1.0, 0.5, 0.1, 1e-3])
+    def test_series_matches_high_node_quadrature(self, wave, s, rng):
+        sine = SinePerturbationDensity(0.3, wave)
+        assert sine.has_closed_heat
+        x = rng.normal(size=(30, len(wave))) * 2.0
+        k, v = sine.closed_heat_log_grad(s, x)
+        k_q, v_q = heat_log_grad(sine, s, x, QuadratureRule.gauss_hermite(len(wave), 150))
+        assert np.abs(k - k_q).max() < 1e-13
+        assert np.abs(v - v_q).max() < 1e-13
+
+    def test_zero_bandwidth_is_log_f(self, rng):
+        x = rng.normal(size=(7, 1)) * 3.0
+        k0, v0 = SINE.closed_heat_at(x)(0.0)
+        np.testing.assert_allclose(k0, SINE.log_f(x), atol=1e-15)
+        np.testing.assert_allclose(v0, SINE.grad_log_f(x), atol=1e-15)
+
+    def test_mehler_tail_matches_quadrature(self):
+        # the t and log r grid of the benchmark's analytic workload
+        for t in (0.02, 0.1, 0.3, 0.6, 1.0):
+            quad = lambda xs: ou_log(SINE, t, xs)
+            for log_r in (0.01, 0.03, 0.08, 0.2, 0.45, 1.0, 4.0, 16.0):
+                mehler, _ = tail_probability(SINE, t, np.exp(log_r), method="quadrature")
+                assert abs(mehler - superlevel_gamma_mass(quad, log_r)) < 1e-9
 
 
 class TestLogHessianFloor:
