@@ -27,11 +27,14 @@ same paths, stored threshold-major as (n_thresholds, N) arrays whose rows
 are the ``StoppedSlice`` views; delta and beta enter only
 ``perturbation_arrays``.  The step loop writes each chunk into views of the
 batch arrays, and one per-node observer records the drift at the fixed
-checkpoints (batch) or every node (``simulate_path``).
+checkpoints (batch) or every node (``simulate_path``).  A batch runs in
+chunks of at most ``NORMALS_BUDGET_WORDS`` normals; one worker thread draws
+the next chunk's normals while the current chunk steps.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -40,7 +43,7 @@ import numpy as np
 from .errors import NonFiniteValueError
 from .measures import DensityModel, TiltDensity
 from .quadrature import QuadratureRule
-from .rng import path_normals
+from .rng import path_normals, words_per_path
 from .semigroup import heat_log_grad
 
 DEFAULT_STEPS = 2048
@@ -51,6 +54,10 @@ DRIFT_QUAD_NODES = 24
 DRIFT_GRID_POINTS = 2048
 DRIFT_GRID_HALFWIDTH = 12.0
 CHECKPOINT_TIMES = (0.25, 0.5, 0.75)
+# Normals drawn per chunk of paths (float64 words, 128 MiB); with the next
+# chunk drawn while one steps, two such buffers are alive at once.
+NORMALS_BUDGET_WORDS = 1 << 24
+MIN_CHUNK_PATHS = 256
 
 
 @dataclass(frozen=True)
@@ -218,7 +225,12 @@ class BatchStats:
 
 
 def _chunk_size(n_paths: int, steps: int, dim: int) -> int:
-    return int(min(n_paths, max(256, (1 << 25) // (steps * dim))))
+    """Paths per chunk: the fewest equal chunks whose normals fit
+    ``NORMALS_BUDGET_WORDS``, but no more chunks than leave
+    ``MIN_CHUNK_PATHS`` paths each; a batch that fits is one chunk."""
+    per_budget = max(1, NORMALS_BUDGET_WORDS // words_per_path(steps * dim))
+    n_chunks = max(1, min(-(-n_paths // per_budget), n_paths // MIN_CHUNK_PATHS))
+    return -(-n_paths // n_chunks)
 
 
 def _path_arrays(n_paths: int, dim: int, n_thresholds: int):
@@ -254,11 +266,14 @@ def simulate_batch(
     Stopped integrals are frozen for every threshold in ``r_values``, so
     one simulation serves all (r, delta) analyses; the drift is kept at the
     nodes nearest ``CHECKPOINT_TIMES``.  Results are bit-identical for any
-    ``chunk_paths``.
+    ``chunk_paths``.  A worker thread draws the normals of the next chunk
+    while the current one steps; an error in either propagates.
     """
     r_values = tuple(float(r) for r in r_values)
     if any(r <= 1.0 for r in r_values):
         raise ValueError("all thresholds must exceed 1")
+    if n_paths < 1:
+        raise ValueError(f"need at least one path, got {n_paths}")
     if chunk_paths is not None and chunk_paths < 1:
         raise ValueError(f"chunk_paths must be at least 1, got {chunk_paths}")
     m, n = cfg.steps, density.dim
@@ -270,18 +285,27 @@ def simulate_batch(
     cps = {tc: np.empty((n_paths, n)) for tc in cp_idx}
     chunk = chunk_paths or _chunk_size(n_paths, m, n)
     k0 = None
-    for start in range(0, n_paths, chunk):
-        sl = slice(start, min(start + chunk, n_paths))
-        cp_views = {i: cps[tc][sl] for tc, i in cp_idx.items()}
+    with ThreadPoolExecutor(max_workers=1) as pool:
 
-        def record_checkpoints(i, x, v, k, stoch, energy):
-            if i in cp_views:
-                cp_views[i][...] = v
+        def draw(start):
+            return pool.submit(path_normals, cfg.seed, start, min(chunk, n_paths - start), m, n)
 
-        k0 = _run_paths(
-            density, cfg, drift, start, log_rs,
-            [a[sl] for a in ends], [a[:, sl] for a in frozen], record_checkpoints,
-        )
+        pending = draw(0)
+        for start in range(0, n_paths, chunk):
+            normals = pending.result()
+            if start + chunk < n_paths:
+                pending = draw(start + chunk)
+            sl = slice(start, start + len(normals))
+            cp_views = {i: cps[tc][sl] for tc, i in cp_idx.items()}
+
+            def record_checkpoints(i, x, v, k, stoch, energy):
+                if i in cp_views:
+                    cp_views[i][...] = v
+
+            k0 = _run_paths(
+                density, drift, normals, log_rs,
+                [a[sl] for a in ends], [a[:, sl] for a in frozen], record_checkpoints,
+            )
 
     return BatchStats(
         n_paths, m, cfg.seed, k0, *ends,
@@ -298,9 +322,9 @@ def _freeze(frozen, mask, i, stoch, energy, vds, k) -> None:
         np.copyto(dst, src, where=mask[..., None] if dst.ndim == 3 else mask)
 
 
-def _run_paths(density, cfg, drift, first_path, log_rs, ends, frozen, observe) -> float:
-    """Run paths ``first_path``, ``first_path + 1``, ... (one per row of the
-    zeroed ``ends`` views) and return K_0.
+def _run_paths(density, drift, normals, log_rs, ends, frozen, observe) -> float:
+    """Run one path per row of the zeroed ``ends`` views, driven by the
+    Brownian-increment ``normals`` (paths, m, dim), and return K_0.
 
     The loop state lives in the views: ``ends`` = (X, v, K, S, E) ends at
     (X_1, v_1, K_1, S_1, E_1), and the threshold-major ``frozen`` views get
@@ -309,10 +333,9 @@ def _run_paths(density, cfg, drift, first_path, log_rs, ends, frozen, observe) -
     its step; at node m, (k, v) = (log f, grad log f)(X_1).
     """
     x, v_end, k_end, stoch, energy = ends
-    m = cfg.steps
+    m = normals.shape[1]
     dt = 1.0 / m
     sqdt = np.sqrt(dt)
-    normals = path_normals(cfg.seed, first_path, len(x), m, density.dim)
     vds = np.zeros_like(x)
     active = np.ones(frozen[0].shape, dtype=bool)
     k0 = None
@@ -358,12 +381,13 @@ def simulate_path(density: DensityModel, cfg: PathConfig, path_index: int = 0) -
             rec[i] = val[0]
 
     ends, frozen = _path_arrays(1, n, 0)
-    _run_paths(density, cfg, DriftField(density), path_index, np.empty(0), ends, frozen, record_node)
+    normals = path_normals(cfg.seed, path_index, 1, m, n)
+    _run_paths(density, DriftField(density), normals, np.empty(0), ends, frozen, record_node)
     xs, vs, ks, stochs, energies = nodes
     return Trajectory(
         times=np.arange(m + 1) / m,
         x=xs,
-        db=np.sqrt(1.0 / m) * path_normals(cfg.seed, path_index, 1, m, n)[0],
+        db=np.sqrt(1.0 / m) * normals[0],
         v=vs,
         k=ks,
         stoch_int=stochs,

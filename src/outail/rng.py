@@ -6,7 +6,11 @@ draws.  Philox advances in 4-word blocks, hence the stride is rounded up to
 a multiple of 4.
 
 Normals come from the inverse Gaussian CDF of raw uniforms (one 64-bit word
-per variate), keeping consumption strictly positional.
+per variate), keeping consumption strictly positional.  The transform runs
+in place: a chunk of paths costs one float64 buffer, filled with uniforms
+and overwritten by their normals, and none of the steps (Philox, the floor
+at ``_U_MIN``, ``ndtri``) holds the GIL, so a chunk can be drawn on a second
+thread while another is used.
 """
 
 from __future__ import annotations
@@ -36,6 +40,12 @@ def uniform_block(seed: int, start_word: int, n_words: int) -> np.ndarray:
     return np.random.Generator(bg).random(n_words)
 
 
+def _to_normals(u: np.ndarray) -> np.ndarray:
+    """Overwrite uniforms u (any view) by their standard normals; returns u."""
+    np.maximum(u, _U_MIN, out=u)
+    return ndtri(u, out=u)
+
+
 def path_normals(seed: int, first_path: int, n_paths: int, n_steps: int, dim: int) -> np.ndarray:
     """Brownian-increment normals for paths [first_path, first_path+n_paths).
 
@@ -45,7 +55,7 @@ def path_normals(seed: int, first_path: int, n_paths: int, n_steps: int, dim: in
     stride = words_per_path(n_steps * dim)
     u = uniform_block(seed, first_path * stride, n_paths * stride)
     u = u.reshape(n_paths, stride)[:, : n_steps * dim]
-    return ndtri(np.maximum(u, _U_MIN)).reshape(n_paths, n_steps, dim)
+    return _to_normals(u).reshape(n_paths, n_steps, dim)
 
 
 def gaussian_sample(seed: int, n: int, dim: int, stream: int = 0) -> np.ndarray:
@@ -55,4 +65,4 @@ def gaussian_sample(seed: int, n: int, dim: int, stream: int = 0) -> np.ndarray:
     """
     bg = np.random.Philox(key=seed).jumped(stream + 1)
     u = np.random.Generator(bg).random(n * dim)
-    return ndtri(np.maximum(u, _U_MIN)).reshape(n, dim)
+    return _to_normals(u).reshape(n, dim)

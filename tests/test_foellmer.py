@@ -1,3 +1,6 @@
+import dataclasses
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,9 @@ from outail import (
     simulate_batch,
     simulate_path,
 )
-from outail.foellmer import DriftField
+from outail import foellmer
+from outail.foellmer import MIN_CHUNK_PATHS, NORMALS_BUDGET_WORDS, DriftField, _chunk_size
+from outail.rng import words_per_path
 
 E = float(np.e)
 TILT = TiltDensity([2.0])
@@ -46,6 +51,10 @@ class TestPathConfigValidation:
         # thresholds are an argument of simulate_batch, not of the config
         with pytest.raises(ValueError):
             simulate_batch(TILT, small_cfg(), 16, r_values=(E, 1.0))
+
+    def test_needs_a_path(self):
+        with pytest.raises(ValueError, match="at least one path"):
+            simulate_batch(TILT, small_cfg(), 0)
 
 
 class TestTiltPaths:
@@ -259,6 +268,8 @@ class TestDeterminism:
         assert float(traj.x[-1, 0]) == stats.x1[13, 0]
         assert float(traj.k[-1]) == stats.k_final[13]
         assert float(traj.stoch_int[-1]) == stats.stoch_full[13]
+        normals = foellmer.path_normals(cfg.seed, 0, 16, cfg.steps, 1)
+        assert np.array_equal(traj.db, np.sqrt(1.0 / cfg.steps) * normals[13])
 
     def test_chunk_layout_independence(self):
         # sine paths cross log r < 0.66 and never E: both stop rules covered
@@ -284,6 +295,110 @@ class TestDeterminism:
         a = simulate_batch(TILT, small_cfg(seed=1), 32)
         b = simulate_batch(TILT, small_cfg(seed=2), 32)
         assert not np.array_equal(a.x1, b.x1)
+
+
+def chunk_sizes(n_paths, chunk):
+    return [min(chunk, n_paths - start) for start in range(0, n_paths, chunk)]
+
+
+def assert_same_batch(a, b):
+    """Every array of two BatchStats, and of their stopped slices, agrees bit for bit."""
+    for f in dataclasses.fields(a):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "stopped":
+            assert va.keys() == vb.keys()
+            for r in va:
+                for g in dataclasses.fields(va[r]):
+                    assert np.array_equal(getattr(va[r], g.name), getattr(vb[r], g.name)), (r, g.name)
+        elif isinstance(va, dict):
+            assert va.keys() == vb.keys()
+            for key in va:
+                assert np.array_equal(va[key], vb[key]), (f.name, key)
+        else:
+            assert np.array_equal(va, vb), f.name
+
+
+class TestChunking:
+    @pytest.mark.parametrize("n_paths, steps, dim", [
+        (10**5, 2048, 1), (20000, 2048, 1), (8193, 2048, 1), (10**6, 2048, 1),
+        (200000, 129, 1), (30000, 1000, 3),
+    ])
+    def test_balanced_chunks_within_budget(self, n_paths, steps, dim):
+        stride = words_per_path(steps * dim)
+        sizes = chunk_sizes(n_paths, _chunk_size(n_paths, steps, dim))
+        assert len(sizes) > 1
+        assert sum(sizes) == n_paths
+        assert max(sizes) - min(sizes) < len(sizes)
+        assert min(sizes) >= MIN_CHUNK_PATHS
+        per_budget = NORMALS_BUDGET_WORDS // stride
+        assert max(sizes) <= per_budget
+        assert n_paths > (len(sizes) - 1) * per_budget  # the fewest such chunks
+
+    def test_path_floor_overrides_budget(self):
+        # 335 paths of 50000 steps fill the budget: three chunks would hold
+        # fewer than MIN_CHUNK_PATHS paths each, so two larger ones run
+        assert NORMALS_BUDGET_WORDS // words_per_path(50000) == 335
+        assert chunk_sizes(700, _chunk_size(700, 50000, 1)) == [350, 350]
+
+    @pytest.mark.parametrize("n_paths, steps, dim", [
+        (6000, 2048, 1), (8192, 2048, 1), (2000, 128, 2), (100, 50000, 1), (1, 100, 1),
+    ])
+    def test_batch_within_budget_is_one_chunk(self, n_paths, steps, dim):
+        assert _chunk_size(n_paths, steps, dim) == n_paths
+
+    def test_budget_chunks_match_one_chunk_2d(self, monkeypatch):
+        mix2 = MixtureDensity([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], 0.5)
+        cfg = PathConfig(steps=128, seed=3)
+        r_values = (1.05, 1.5, E)
+        whole = simulate_batch(mix2, cfg, 800, r_values=r_values)
+        drawn = []
+        draw = foellmer.path_normals
+
+        def spy(seed, first, n_paths, *rest):
+            drawn.append(n_paths)
+            return draw(seed, first, n_paths, *rest)
+
+        monkeypatch.setattr(foellmer, "path_normals", spy)
+        monkeypatch.setattr(foellmer, "NORMALS_BUDGET_WORDS", 300 * words_per_path(128 * 2))
+        split = simulate_batch(mix2, cfg, 800, r_values=r_values)
+        assert drawn == [267, 267, 266]
+        assert (whole.stopped[1.05].t_index < cfg.steps).any()
+        assert_same_batch(whole, split)
+
+
+class TestPrefetch:
+    def test_step_error_propagates_and_joins_worker(self, monkeypatch):
+        drawn = []
+        draw = foellmer.path_normals
+
+        def spy(seed, first, *rest):
+            drawn.append(first)
+            return draw(seed, first, *rest)
+
+        def fail(self, s, x):
+            raise RuntimeError("step failed")
+
+        monkeypatch.setattr(foellmer, "path_normals", spy)
+        monkeypatch.setattr(DriftField, "eval", fail)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="step failed"):
+            simulate_batch(TILT, small_cfg(), 900, chunk_paths=300)
+        assert threading.active_count() == before
+        assert drawn == [0, 300]  # chunk 2 was being drawn while chunk 1 failed
+
+    def test_draw_error_propagates_and_joins_worker(self, monkeypatch):
+        draw = foellmer.path_normals
+
+        def fail_later(seed, first, *rest):
+            if first:
+                raise RuntimeError("draw failed")
+            return draw(seed, first, *rest)
+
+        monkeypatch.setattr(foellmer, "path_normals", fail_later)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            simulate_batch(TILT, small_cfg(), 900, chunk_paths=300)
+        assert threading.active_count() == before
 
 
 class QuadratureMixture(MixtureDensity):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 from outail import MixtureDensity, TiltDensity, constant_density
 from outail.numeric import fd_hessian, gauss_interval_mass, log_gauss_tail
-from outail.rng import path_normals, uniform_block, words_per_path
+from outail.rng import _U_MIN, gaussian_sample, path_normals, uniform_block, words_per_path
 from outail.stats import (
     KS_ONE_SAMPLE_CRIT,
     DenseCdf,
@@ -145,6 +145,21 @@ class TestPathStreams:
             [path_normals(7, 0, 3, 128, 1), path_normals(7, 3, 7, 128, 1)]
         )
         np.testing.assert_array_equal(whole, parts)
+
+    @pytest.mark.parametrize("steps, dim", [(128, 1), (129, 1), (101, 2)])
+    def test_path_normals_match_out_of_place_formula(self, steps, dim):
+        # (129, 1) and (101, 2) have stride > steps * dim: a strided in-place view
+        stride = words_per_path(steps * dim)
+        u = uniform_block(5, 3 * stride, 4 * stride).reshape(4, stride)[:, : steps * dim]
+        expected = ndtri(np.maximum(u, _U_MIN)).reshape(4, steps, dim)
+        got = path_normals(5, 3, 4, steps, dim)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    def test_gaussian_sample_matches_out_of_place_formula(self):
+        u = np.random.Generator(np.random.Philox(key=9).jumped(3)).random(500 * 2)
+        expected = ndtri(np.maximum(u, _U_MIN)).reshape(500, 2)
+        assert np.array_equal(gaussian_sample(9, 500, 2, stream=2), expected)
 
     def test_normals_are_standard(self):
         z = path_normals(11, 0, 100, 512, 1).ravel()
