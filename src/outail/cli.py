@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import io
 import json
 import math
@@ -55,11 +56,9 @@ SEED_LIMIT = 2**128
 class ExperimentConfig:
     family: str
     params: dict
-    dim: int
     t_values: tuple[float, ...]
     r_values: tuple[float, ...]
-    delta_rule: str          # "paper_rule" or "fixed"
-    delta_value: float       # used when delta_rule == "fixed"
+    delta: float | None      # None: the paper rule ``canonical_delta(r)``
     beta_override: float | None
     paths: int
     steps: int
@@ -76,7 +75,7 @@ class ExperimentConfig:
             raise ConfigError("r", "all thresholds must exceed 1")
         if len(set(self.r_values)) != len(self.r_values):
             raise ConfigError("r", "thresholds must be distinct")
-        if self.delta_rule == "fixed" and not self.delta_value >= 0:
+        if self.delta is not None and not self.delta >= 0:
             raise ConfigError("delta", "fixed delta must be >= 0")
         if self.beta_override is not None and not self.beta_override >= 0:
             raise ConfigError("beta", "beta override must be >= 0")
@@ -90,7 +89,7 @@ class ExperimentConfig:
             raise ConfigError("p", "hypercontractivity needs p > 1")
 
     def delta_for(self, r: float) -> float:
-        return canonical_delta(r) if self.delta_rule == "paper_rule" else self.delta_value
+        return canonical_delta(r) if self.delta is None else self.delta
 
 
 def _parse_floats(field_name: str, raw: str) -> tuple[float, ...]:
@@ -187,10 +186,9 @@ def _build_experiment(parser: configparser.ConfigParser) -> ExperimentConfig:
 
     delta_raw = sec.get("delta", "paper_rule").strip()
     if delta_raw == "paper_rule":
-        delta_rule, delta_value = "paper_rule", float("nan")
+        delta = None
     elif delta_raw.startswith("fixed:"):
-        delta_rule = "fixed"
-        delta_value = _parse_float("delta", delta_raw.split(":", 1)[1])
+        delta = _parse_float("delta", delta_raw.split(":", 1)[1])
     else:
         raise ConfigError("delta", "expected 'paper_rule' or 'fixed:<value>'")
 
@@ -211,14 +209,13 @@ def _build_experiment(parser: configparser.ConfigParser) -> ExperimentConfig:
             raise ConfigError("checks", f"unknown check {tok!r}")
 
     out_dir = sec.get("out", "") or os.environ.get(OUT_ENV_VAR, "reports")
+    dim = _parse_int("dim", sec.get("dim", "0"))
     cfg = ExperimentConfig(
         family=family,
         params=params,
-        dim=_parse_int("dim", sec.get("dim", "0")),
         t_values=t_values,
         r_values=r_values,
-        delta_rule=delta_rule,
-        delta_value=delta_value,
+        delta=delta,
         beta_override=beta_override,
         paths=_parse_int("paths", sec.get("paths", "100000")),
         steps=_parse_int("steps", sec.get("steps", "2048")),
@@ -231,8 +228,8 @@ def _build_experiment(parser: configparser.ConfigParser) -> ExperimentConfig:
         density = build_density(cfg)  # validates family parameters early
     except ValueError as exc:
         raise ConfigError("family", f"{family} parameters rejected: {exc}") from exc
-    if cfg.dim and density.dim != cfg.dim:
-        raise ConfigError("dim", f"family parameters imply dim {density.dim}, config says {cfg.dim}")
+    if dim and density.dim != dim:
+        raise ConfigError("dim", f"family parameters imply dim {density.dim}, config says {dim}")
     return cfg
 
 
@@ -261,6 +258,8 @@ def collect_rows(cfg: ExperimentConfig, chunk_paths: int | None = None) -> list[
             density, n_paths=cfg.paths, steps=cfg.steps, seed=cfg.seed,
             r_values=cfg.r_values, chunk_paths=chunk_paths,
         )
+    # one perturbation record per distinct (r, delta), read by all its rows
+    pert = functools.cache(lambda r, d: verify.perturbation_arrays(stats, density, r, d, beta))
     rows: list[BoundReport] = []
     for tok in cfg.checks:
         if tok == "tail":
@@ -277,15 +276,15 @@ def collect_rows(cfg: ExperimentConfig, chunk_paths: int | None = None) -> list[
         elif tok == "z":
             for r in cfg.r_values:
                 d = cfg.delta_for(r)
-                d_eq = min(d, GIRSANOV_EQ_DELTA_MAX)
-                rows.extend(verify.girsanov_reports(stats, density, r, d_eq, beta=beta))
-                rows.extend(verify.z_suite_reports(stats, density, r, d, beta=beta))
+                rows.extend(verify.girsanov_reports(
+                    stats, density, pert(r, min(d, GIRSANOV_EQ_DELTA_MAX))))
+                rows.extend(verify.z_suite_reports(stats, density, pert(r, d)))
         elif tok == "tv":
             for r in cfg.r_values:
-                rows.extend(verify.tv_reports(stats, density, r, cfg.delta_for(r), beta=beta))
+                rows.extend(verify.tv_reports(stats, density, pert(r, cfg.delta_for(r))))
         elif tok == "prop2":
             for r in cfg.r_values:
-                rows.append(verify.shell_shift_report(stats, density, r, cfg.delta_for(r), beta=beta))
+                rows.append(verify.shell_shift_report(stats, density, pert(r, cfg.delta_for(r))))
         elif tok == "composite":
             for r in cfg.r_values:
                 rows.extend(verify.composite_reports(stats, density, r))
@@ -406,11 +405,9 @@ def verify_all(
         ExperimentConfig(
             family=name,
             params=dict(FAMILIES[name].defaults),
-            dim=0,
             t_values=DEFAULT_T_GRID,
             r_values=DEFAULT_R_GRID,
-            delta_rule="paper_rule",
-            delta_value=float("nan"),
+            delta=None,
             beta_override=None,
             paths=paths,
             steps=steps,

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -398,9 +398,25 @@ def simulate_path(density: DensityModel, cfg: PathConfig, path_index: int = 0) -
 # -- batch-level perturbation arrays ---------------------------------------
 
 
+class Perturbation(NamedTuple):
+    """The perturbation of a batch at one (r, delta, beta), with the arrays
+    computed from exactly these three numbers; see ``perturbation_arrays``."""
+
+    r: float
+    delta: float
+    beta: float
+    x_delta: np.ndarray           # (N, n)
+    log_f_xd: np.ndarray          # (N,)
+    log_d: np.ndarray             # (N,)
+    z: np.ndarray                 # (N,)
+    y: np.ndarray                 # (N,)
+    convexity_margin: np.ndarray  # (N,)
+    product_excess: np.ndarray    # (N,) log(f(X^d) D^d) - Z
+
+
 def perturbation_arrays(
     stats: BatchStats, density: DensityModel, r: float, delta: float, beta: float
-) -> dict[str, np.ndarray]:
+) -> Perturbation:
     """Endpoint perturbation, Girsanov weight and deviation variables of
     every path in a batch.
 
@@ -416,9 +432,6 @@ def perturbation_arrays(
     Y = Z - delta S_T + (delta^2/2) E_T holds exactly in the discretization.
     The convexity margin log f(X_1^d) - [log f(X_1) + delta <v_1, I_T> -
     beta/2 delta^2 E_T] is >= 0 whenever beta certifies the log-density.
-
-    Keys: x_delta (N, n), log_f_xd (N,), log_d (N,), z (N,), y (N,),
-    convexity_margin (N,), product_excess (N,) = log(f(X^d) D^d) - Z.
     """
     sl = stats.slice_for(r)
     vdot = (stats.v1 * sl.vds).sum(-1)
@@ -432,14 +445,7 @@ def perturbation_arrays(
     z = -delta * sl.stoch + delta * (vdot - sl.energy) - 0.5 * (beta + 1.0) * delta**2 * sl.energy
     y = -2.0 * delta * sl.stoch + delta * (vdot - sl.energy) - 0.5 * beta * delta**2 * sl.energy
     convexity = log_f_xd - (stats.k_final + delta * vdot - 0.5 * beta * delta**2 * sl.energy)
-    product_excess = log_f_xd + log_d - z
-    return dict(
-        x_delta=x_delta,
-        log_f_xd=log_f_xd,
-        log_d=log_d,
-        z=z,
-        y=y,
-        convexity_margin=convexity,
-        product_excess=product_excess,
+    return Perturbation(
+        r=r, delta=delta, beta=beta, x_delta=x_delta, log_f_xd=log_f_xd, log_d=log_d,
+        z=z, y=y, convexity_margin=convexity, product_excess=log_f_xd + log_d - z,
     )
-

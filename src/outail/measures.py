@@ -265,14 +265,11 @@ class MixtureDensity(DensityModel):
         return True
 
     def closed_ou(self, t: float) -> "MixtureDensity":
-        # Q_t maps N(a, s) relative densities to N(a e^-t, 1 + e^-2t (s-1)).
+        # Q_t maps N(a, s) relative densities to N(a e^-t, s_t), s_t = 1 +
+        # e^-2t (s-1); the Hessian floor (1 - 1/s_t) id certifies beta exactly.
         rho = np.exp(-t)
-        return MixtureDensity(
-            self.weights,
-            self.means * rho,
-            1.0 + rho**2 * (self.spread - 1.0),
-            beta=None,
-        )
+        s_t = 1.0 + rho**2 * (self.spread - 1.0)
+        return MixtureDensity(self.weights, self.means * rho, s_t, beta=1.0 / s_t - 1.0)
 
     def _heat_component_logs(self, s: float, x: np.ndarray) -> np.ndarray:
         sp = self.spread

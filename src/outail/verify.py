@@ -20,7 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ResolutionError
-from .foellmer import BatchStats, PathConfig, perturbation_arrays, simulate_batch
+# perturbation_arrays is not called here: cli.collect_rows calls it through
+# this module and passes each record to the builders below
+from .foellmer import BatchStats, PathConfig, Perturbation, perturbation_arrays, simulate_batch
 from .measures import FAMILIES, DensityModel, TiltDensity
 from .numeric import log_gauss_tail
 from .quadrature import QuadratureRule
@@ -198,38 +200,34 @@ def relative_entropy_quadrature(density: DensityModel) -> float:
     return float((rule.weights * np.exp(logs) * logs).sum())
 
 
+def _batch_meta(stats: BatchStats, density: DensityModel, pert: Perturbation | None = None,
+                **extra) -> dict:
+    """Identity fields of a row computed on a path batch.  A perturbation row
+    takes r, delta and beta from its record; every other row reports the
+    density's own beta."""
+    meta = dict(family=density.name, dim=density.dim, n_samples=stats.n_paths,
+                seed=stats.seed, beta=density.beta, **extra)
+    if pert is not None:
+        meta.update(r=pert.r, delta=pert.delta, beta=pert.beta)
+    return meta
+
+
 def entropy_identity_report(stats: BatchStats, density: DensityModel) -> BoundReport:
     """Half the expected drift energy against the quadrature entropy."""
     mc, se = batch_means(0.5 * stats.energy_full)
     h = relative_entropy_quadrature(density)
     return BoundReport(
-        name="entropy_identity_gap",
-        family=density.name,
-        dim=density.dim,
-        beta=density.beta,
-        estimate=abs(mc - h),
-        ci_half_width=3.0 * se + ENTROPY_QUAD_TOL,
-        bound=0.0,
-        n_samples=stats.n_paths,
-        seed=stats.seed,
+        name="entropy_identity_gap", estimate=abs(mc - h),
+        ci_half_width=3.0 * se + ENTROPY_QUAD_TOL, bound=0.0, **_batch_meta(stats, density),
     )
 
 
 def drift_energy_report(stats: BatchStats, density: DensityModel, r: float) -> BoundReport:
     """Expected stopped drift energy against its entropy budget 2 log r."""
-    sl = stats.slice_for(r)
-    est, se = batch_means(sl.energy)
+    est, se = batch_means(stats.slice_for(r).energy)
     return BoundReport(
-        name="drift_energy",
-        family=density.name,
-        dim=density.dim,
-        r=r,
-        beta=density.beta,
-        estimate=est,
-        ci_half_width=3.0 * se,
-        bound=2.0 * np.log(r),
-        n_samples=stats.n_paths,
-        seed=stats.seed,
+        name="drift_energy", estimate=est, ci_half_width=3.0 * se,
+        bound=2.0 * np.log(r), **_batch_meta(stats, density, r=r),
     )
 
 
@@ -273,13 +271,7 @@ def deviation_budget_report(z: np.ndarray, r: float, delta: float, beta: float, 
     )
 
 
-def girsanov_reports(
-    stats: BatchStats,
-    density: DensityModel,
-    r: float,
-    delta: float,
-    beta: float | None = None,
-) -> list[BoundReport]:
+def girsanov_reports(stats: BatchStats, density: DensityModel, pert: Perturbation) -> list[BoundReport]:
     """Girsanov normalization, reweighted mass, and the pathwise floors.
 
     The product floor f(X^d) D^d >= e^Z (1 - tol) is exact only for the
@@ -288,52 +280,33 @@ def girsanov_reports(
     drifts carry the endpoint reconstruction residual, and their pathwise
     content is the convexity floor.
     """
-    beta = density.beta if beta is None else beta
-    arr = perturbation_arrays(stats, density, r, delta, beta)
-    meta = dict(
-        family=density.name, dim=density.dim, r=r, delta=delta, beta=beta,
-        n_samples=stats.n_paths, seed=stats.seed,
-    )
-    d_mean, d_se = batch_means(np.exp(arr["log_d"]))
-    fd_mean, fd_se = batch_means(np.exp(arr["log_f_xd"] + arr["log_d"]))
-    min_convex = float(arr["convexity_margin"].min())
+    meta = _batch_meta(stats, density, pert)
+    d_mean, d_se = batch_means(np.exp(pert.log_d))
+    fd_mean, fd_se = batch_means(np.exp(pert.log_f_xd + pert.log_d))
     rows = [
         BoundReport(name="girsanov_mean_gap", estimate=abs(d_mean - 1.0),
                     ci_half_width=3.0 * d_se, bound=0.0, **meta),
         BoundReport(name="girsanov_product_gap", estimate=abs(fd_mean - 1.0),
                     ci_half_width=3.0 * fd_se, bound=0.0, **meta),
-        BoundReport(name="convexity_floor", estimate=-min_convex,
+        BoundReport(name="convexity_floor", estimate=-float(pert.convexity_margin.min()),
                     ci_half_width=0.0, bound=CONVEXITY_TOL, **meta),
     ]
     if isinstance(density, TiltDensity):
-        min_excess = float(arr["product_excess"].min())
         rows.append(
-            BoundReport(name="pathwise_product_floor", estimate=-min_excess,
+            BoundReport(name="pathwise_product_floor", estimate=-float(pert.product_excess.min()),
                         ci_half_width=0.0, bound=-float(np.log1p(-PRODUCT_TOL)), **meta)
         )
     return rows
 
 
-def z_suite_reports(
-    stats: BatchStats, density: DensityModel, r: float, delta: float, beta: float | None = None
-) -> list[BoundReport]:
-    beta = density.beta if beta is None else beta
-    arr = perturbation_arrays(stats, density, r, delta, beta)
-    meta = dict(
-        family=density.name, dim=density.dim, r=r, delta=delta, beta=beta,
-        n_samples=stats.n_paths, seed=stats.seed,
-    )
-    out = [
-        exp_moment_report(arr["z"], **meta),
-        deviation_margin_report(arr["z"], **meta),
-        deviation_budget_report(
-            arr["z"], r=r, delta=delta, beta=beta,
-            family=density.name, dim=density.dim,
-            n_samples=stats.n_paths, seed=stats.seed,
-        ),
+def z_suite_reports(stats: BatchStats, density: DensityModel, pert: Perturbation) -> list[BoundReport]:
+    meta = _batch_meta(stats, density, pert)
+    return [
+        exp_moment_report(pert.z, **meta),
+        deviation_margin_report(pert.z, **meta),
+        deviation_budget_report(pert.z, **meta),
+        *martingale_gap_reports(stats, density, pert.r),
     ]
-    out += martingale_gap_reports(stats, density, r)
-    return out
 
 
 def martingale_gap_reports(stats: BatchStats, density: DensityModel, r: float) -> list[BoundReport]:
@@ -347,32 +320,18 @@ def martingale_gap_reports(stats: BatchStats, density: DensityModel, r: float) -
     for tc, v_s in sorted(stats.checkpoints.items()):
         idx = stats.checkpoint_indices[tc]
         ind = (idx < sl.t_index).astype(float)
-        stat = ((stats.v1 - v_s) * v_s).sum(-1) * ind
-        est, se = batch_means(stat)
-        out.append(
-            BoundReport(
-                name=f"drift_martingale_gap@{tc:g}",
-                family=density.name,
-                dim=density.dim,
-                t=tc,
-                r=r,
-                beta=density.beta,
-                estimate=abs(est),
-                ci_half_width=3.0 * se,
-                bound=MARTINGALE_ALLOWANCE,
-                n_samples=stats.n_paths,
-                seed=stats.seed,
-            )
-        )
+        est, se = batch_means(((stats.v1 - v_s) * v_s).sum(-1) * ind)
+        out.append(BoundReport(
+            name=f"drift_martingale_gap@{tc:g}", estimate=abs(est), ci_half_width=3.0 * se,
+            bound=MARTINGALE_ALLOWANCE, **_batch_meta(stats, density, t=tc, r=r),
+        ))
     return out
 
 
 # -- total variation and shell shift ------------------------------------------
 
 
-def tv_reports(
-    stats: BatchStats, density: DensityModel, r: float, delta: float, beta: float | None = None
-) -> list[BoundReport]:
+def tv_reports(stats: BatchStats, density: DensityModel, pert: Perturbation) -> list[BoundReport]:
     """Empirical lower bound on d_TV(mu, mu^delta) against its entropy budget.
 
     The sup-over-thresholds gap between the laws of f(X_1) and f(X_1^d)
@@ -380,15 +339,10 @@ def tv_reports(
     a genuinely large distance can fail it.  The half-width is the paired
     two-sample KS 1% envelope.
     """
-    beta = density.beta if beta is None else beta
-    arr = perturbation_arrays(stats, density, r, delta, beta)
-    d_hat = ks_two_sample(stats.k_final, arr["log_f_xd"])
+    meta = _batch_meta(stats, density, pert)
+    d_hat = ks_two_sample(stats.k_final, pert.log_f_xd)
     envelope = KS_TWO_SAMPLE_CRIT * np.sqrt(2.0 / stats.n_paths)
-    meta = dict(
-        family=density.name, dim=density.dim, r=r, delta=delta, beta=beta,
-        n_samples=stats.n_paths, seed=stats.seed,
-    )
-    budget = delta * np.sqrt((beta + 1.0) * np.log(r))
+    budget = pert.delta * np.sqrt((pert.beta + 1.0) * np.log(pert.r))
     return [
         BoundReport(name="tv_lower_bound", estimate=d_hat,
                     ci_half_width=envelope, bound=budget, **meta),
@@ -397,33 +351,20 @@ def tv_reports(
     ]
 
 
-def shell_shift_report(
-    stats: BatchStats, density: DensityModel, r: float, delta: float, beta: float | None = None
-) -> BoundReport:
+def shell_shift_report(stats: BatchStats, density: DensityModel, pert: Perturbation) -> BoundReport:
     """Perturbed-endpoint shell inequality.
 
     P(f(X^d) <= r^{1+2d} e^-4) <= P(f(X) <= r) + (beta + 4) d^2 log r,
     tested on paired paths so the Monte Carlo error applies to the
     difference of indicators.
     """
-    beta = density.beta if beta is None else beta
-    arr = perturbation_arrays(stats, density, r, delta, beta)
-    logr = np.log(r)
-    lhs = (arr["log_f_xd"] <= (1.0 + 2.0 * delta) * logr - 4.0).astype(float)
+    logr, delta = np.log(pert.r), pert.delta
+    lhs = (pert.log_f_xd <= (1.0 + 2.0 * delta) * logr - 4.0).astype(float)
     rhs = (stats.k_final <= logr).astype(float)
     est, se = batch_means(lhs - rhs)
     return BoundReport(
-        name="shell_shift",
-        family=density.name,
-        dim=density.dim,
-        r=r,
-        delta=delta,
-        beta=beta,
-        estimate=est,
-        ci_half_width=3.0 * se,
-        bound=(beta + 4.0) * delta**2 * logr,
-        n_samples=stats.n_paths,
-        seed=stats.seed,
+        name="shell_shift", estimate=est, ci_half_width=3.0 * se,
+        bound=(pert.beta + 4.0) * delta**2 * logr, **_batch_meta(stats, density, pert),
     )
 
 
@@ -435,16 +376,12 @@ def composite_reports(stats: BatchStats, density: DensityModel, r: float) -> lis
     * tail_reduction: the direct tail gamma({f > r}) against the per-shell
       Markov sum E[ (e^k r)^-1 1{f(X_1) in shell_k} ], which dominates it.
     """
-    beta = density.beta
     logr = np.log(r)
-    meta = dict(
-        family=density.name, dim=density.dim, r=r, beta=beta,
-        n_samples=stats.n_paths, seed=stats.seed,
-    )
+    meta = _batch_meta(stats, density, r=r)
     gap = stats.k_final - logr
     shell = ((gap > 0.0) & (gap <= 1.0)).astype(float)
     p_shell, p_se = batch_means(shell)
-    scale = np.sqrt(logr) / max(beta, 1.0)
+    scale = np.sqrt(logr) / max(density.beta, 1.0)
     shell_row = BoundReport(
         name="shell_ratio", estimate=p_shell * scale, ci_half_width=3.0 * p_se * scale,
         bound=DESK_RATIO_CEILING, anchored=False, **meta,

@@ -42,6 +42,12 @@ E = float(np.e)
 GOLDEN_CSV = Path(__file__).parent / "data" / "verify_all_seed42_2000x128.csv"
 
 
+def on_record(builder, stats, density, r, delta):
+    """``builder``'s rows on the perturbation record at (r, delta) and the
+    density's own beta."""
+    return builder(stats, density, perturbation_arrays(stats, density, r, delta, density.beta))
+
+
 def criterion(n, description, ok):
     print(f"\n[{'PASS' if ok else 'FAIL'}] criterion {n:>2}: {description}")
     assert ok, f"criterion {n}: {description}"
@@ -116,10 +122,10 @@ def test_05_drift_energy_budget(batches, families):
 
 def test_06_girsanov_suite(batches, families):
     """E[D] = 1, E[f(X^d) D] = 1 (3 SE), pathwise product floor on 10^5 paths."""
-    reps = girsanov_reports(batches["tilt"], families["tilt"], E**2, 0.1)
+    reps = on_record(girsanov_reports, batches["tilt"], families["tilt"], E**2, 0.1)
     by = {r.name: r for r in reps}
     arr = perturbation_arrays(batches["tilt"], families["tilt"], E**2, 0.1, 0.0)
-    floor_fraction = float((arr["product_excess"] >= np.log1p(-1e-6)).mean())
+    floor_fraction = float((arr.product_excess >= np.log1p(-1e-6)).mean())
     ok = (
         by["girsanov_mean_gap"].passed
         and by["girsanov_product_gap"].passed
@@ -130,14 +136,14 @@ def test_06_girsanov_suite(batches, families):
     for name in ("mixture", "sine"):
         stats = batches[name]
         arr = perturbation_arrays(stats, families[name], E**2, 0.1, families[name].beta)
-        excess = arr["product_excess"] - stats.fvt_residual() - stats.k0
+        excess = arr.product_excess - stats.fvt_residual() - stats.k0
         ok = ok and bool((excess >= np.log1p(-1e-6)).all())
     criterion(6, f"Girsanov suite (pathwise floor on {floor_fraction:.2%} of paths)", ok)
 
 
 def test_07_deviation_variable_suite(batches, families, rng):
     """E[e^Z] <= 1; P(Z <= -2) <= min(-E[Z], budget); synthetic battery."""
-    reps = z_suite_reports(batches["tilt"], families["tilt"], E**2, 0.1)
+    reps = on_record(z_suite_reports, batches["tilt"], families["tilt"], E**2, 0.1)
     ok = all(r.passed for r in reps if not r.name.startswith("drift_martingale"))
 
     # closed-form battery for the deviation lemma
@@ -158,10 +164,10 @@ def test_08_tv_budget(batches, families):
     ok = True
     for name, stats in batches.items():
         for r in DEFAULT_R_GRID:
-            rep = tv_reports(stats, families[name], r, canonical_delta(r))[0]
+            rep = on_record(tv_reports, stats, families[name], r, canonical_delta(r))[0]
             ok = ok and rep.passed
     # non-vacuous fixed-delta cell
-    rep = tv_reports(batches["tilt"], families["tilt"], E**4, 0.05)[0]
+    rep = on_record(tv_reports, batches["tilt"], families["tilt"], E**4, 0.05)[0]
     ok = ok and rep.passed and rep.bound < 1.0
     criterion(8, "total-variation budget across matrix + fixed-delta cell", ok)
 
@@ -172,7 +178,7 @@ def test_09_shell_shift(batches, families):
     ok = True
     for name, stats in batches.items():
         for r in DEFAULT_R_GRID:
-            rep = shell_shift_report(stats, families[name], r, canonical_delta(r))
+            rep = on_record(shell_shift_report, stats, families[name], r, canonical_delta(r))
             worst = min(worst, rep.margin + rep.ci_half_width)
             ok = ok and rep.passed
     criterion(9, f"shell-shift inequality, worst slack {worst:.4f}", ok)
@@ -211,10 +217,11 @@ def test_12_negative_control(batches, families):
     stats = batches["mixture"]
     failing = []
     arr = perturbation_arrays(stats, mix, E, 0.3, bad_beta)
-    if float(arr["convexity_margin"].min()) < -1e-6:
+    if float(arr.convexity_margin.min()) < -1e-6:
         failing.append("convexity_floor")
     for r in DEFAULT_R_GRID:
-        rep = shell_shift_report(stats, mix, r, canonical_delta(r), beta=bad_beta)
+        pert = perturbation_arrays(stats, mix, r, canonical_delta(r), bad_beta)
+        rep = shell_shift_report(stats, mix, pert)
         if not rep.passed:
             failing.append(f"shell_shift r={r:g}")
     criterion(12, f"negative control trips {failing or 'nothing'}", len(failing) > 0)

@@ -1,15 +1,18 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from outail import verify
 from outail.cli import (
     CHECK_TOKENS,
     build_density,
+    collect_rows,
     main,
     parse_config,
     rows_to_csv_text,
@@ -20,7 +23,9 @@ from outail.cli import (
 from outail.errors import ConfigError
 from outail.measures import FAMILIES
 from outail.reports import CSV_COLUMNS, BoundReport
-from outail.verify import default_families
+from outail.verify import canonical_delta, default_families
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOOD_CONFIG = """
 [experiment]
@@ -50,9 +55,15 @@ class TestConfigParsing:
         cfg = parse_config(write_cfg(tmp_path, GOOD_CONFIG.format(out=tmp_path)))
         assert cfg.family == "mixture"
         assert cfg.r_values == (float(np.e), float(np.exp(2.0)))
-        assert cfg.delta_rule == "fixed" and cfg.delta_value == 0.1
+        assert cfg.delta == 0.1 and cfg.delta_for(np.e) == 0.1
         assert cfg.checks == ("energy", "z", "prop2")
         assert build_density(cfg).dim == 1
+
+    def test_paper_rule_is_no_fixed_delta(self, tmp_path):
+        text = GOOD_CONFIG.format(out=tmp_path).replace("delta = fixed:0.1", "delta = paper_rule")
+        cfg = parse_config(write_cfg(tmp_path, text))
+        assert cfg.delta is None
+        assert cfg.delta_for(np.e**2) == canonical_delta(np.e**2)
 
     def test_e_tokens(self, tmp_path):
         text = GOOD_CONFIG.format(out=tmp_path).replace("r = e1, e2", "r = e, e^2, 10.5")
@@ -104,6 +115,7 @@ class TestConfigParsing:
         ("steps = 128", "steps = abc", "steps"),
         ("seed = 7", "seed = x", "seed"),
         ("seed = 7", "seed = 7\ndim = q", "dim"),
+        ("seed = 7", "seed = 7\ndim = 2", "dim"),
         ("steps = 128", "steps = 50", "steps"),
         ("seed = 7", "seed = -1", "seed"),
         ("seed = 7", "seed = 7\np = 0.5", "p"),
@@ -122,7 +134,8 @@ class TestConfigParsing:
         ("family = mixture", "family = sine\nwave = 1e308", "family"),
         ("family = mixture", "family = sine\neps = 1e10", "family"),
     ], ids=["beta", "means", "duplicate_r", "rejected_by_family", "paths_not_int",
-            "steps_not_int", "seed_not_int", "dim_not_int", "too_few_steps", "negative_seed",
+            "steps_not_int", "seed_not_int", "dim_not_int", "dim_mismatch", "too_few_steps",
+            "negative_seed",
             "p_at_most_one", "p_not_float", "negative_beta", "negative_delta", "r_nan", "t_nan",
             "beta_inf", "p_inf", "r_overflow", "eps_nan", "wave_inf", "delta_inf",
             "seed_2_128", "sine_beta_inf", "sine_log_z_nan"])
@@ -184,12 +197,12 @@ def test_parse_config_rejects_or_returns_finite_in_range(tmp_path_factory, famil
     numbers = [*cfg.t_values, *cfg.r_values, cfg.p]
     numbers += [x for v in cfg.params.values() for x in np.ravel(np.asarray(v, dtype=float))]
     numbers += [] if cfg.beta_override is None else [cfg.beta_override]
-    numbers += [cfg.delta_value] if cfg.delta_rule == "fixed" else []
+    numbers += [] if cfg.delta is None else [cfg.delta]
     assert all(math.isfinite(x) for x in numbers)
     assert min(cfg.t_values) >= 0 and min(cfg.r_values) > 1 and cfg.p > 1
     assert len(set(cfg.r_values)) == len(cfg.r_values)
     assert cfg.paths >= 1000 and cfg.steps >= 100 and 0 <= cfg.seed < 2**128
-    assert cfg.delta_rule == "paper_rule" or cfg.delta_value >= 0
+    assert cfg.delta is None or cfg.delta >= 0
     assert cfg.beta_override is None or cfg.beta_override >= 0
 
 
@@ -199,7 +212,8 @@ class TestRun:
         result = run(cfg_path)
         assert result.exit_code == 0
         assert result.csv_path.exists() and result.json_path.exists()
-        rows = list(csv.reader(result.csv_path.open()))
+        with result.csv_path.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == list(CSV_COLUMNS)
         assert len(rows) > 5
 
@@ -270,6 +284,54 @@ out = {out}
         assert result.exit_code == 1
         failing = [r for r in result.rows if not r.passed]
         assert any(r.name == "convexity_floor" for r in failing)
+
+    @pytest.mark.parametrize("delta, calls", [("paper_rule", 6), ("fixed:0.1", 3)])
+    def test_one_perturbation_record_per_r_and_delta(self, tmp_path, monkeypatch, delta, calls):
+        # paper rule: every delta exceeds the equality cap, so each r needs
+        # the capped and the configured record; fixed 0.1 shares one
+        text = f"""
+[experiment]
+family = tilt
+r = e1, e2, e4
+delta = {delta}
+paths = 1000
+steps = 128
+checks = z, tv, prop2
+"""
+        keys = []
+        record = verify.perturbation_arrays
+
+        def counting(stats, density, r, delta, beta):
+            keys.append((r, delta, beta))
+            return record(stats, density, r, delta, beta)
+
+        monkeypatch.setattr(verify, "perturbation_arrays", counting)
+        rows = collect_rows(parse_config(write_cfg(tmp_path, text)))
+        assert len(keys) == len(set(keys)) == calls
+        assert {(row.r, row.delta) for row in rows if not math.isnan(row.delta)} == {
+            (r, delta) for r, delta, _ in keys
+        }
+
+    def test_shipped_negative_control(self, tmp_path, capsys):
+        """The shipped config exits 1 on its convexity floor; perturbation
+        rows carry the declared beta 0.11, martingale rows the density's."""
+        path = CONFIGS / "negative-control.ini"
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+        capsys.readouterr()
+        summary = json.loads((tmp_path / "report.json").read_text())
+        assert "convexity_floor" in summary["anchored_failures"]
+        with (tmp_path / "report.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        perturbed = ("girsanov_", "convexity_floor", "exp_moment", "deviation_", "shell_shift")
+        density_beta = build_density(parse_config(path)).beta
+        assert density_beta > 1.0
+        for row in rows:
+            if row["name"].startswith(perturbed):
+                assert float(row["beta"]) == 0.11, row["name"]
+            elif row["name"].startswith("drift_martingale_gap@"):
+                assert float(row["beta"]) == density_beta, row["name"]
+        names = {row["name"] for row in rows}
+        assert {"convexity_floor", "shell_shift", "drift_martingale_gap@0.5"} <= names
 
 
 class TestVerifyAll:

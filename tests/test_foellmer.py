@@ -87,8 +87,8 @@ class TestConstantDensityPaths:
         np.testing.assert_allclose(traj.k, 0.0, atol=0.0)
         assert traj.x[-1, 0] == pytest.approx(float(traj.db.sum()), abs=1e-14)
         _, arr = small_batch(flat, cfg, E, 0.0, 0.0)
-        np.testing.assert_allclose(np.exp(arr["log_d"]), 1.0, atol=1e-14)
-        assert np.all(arr["y"] == 0.0) and np.all(arr["z"] == 0.0)
+        np.testing.assert_allclose(np.exp(arr.log_d), 1.0, atol=1e-14)
+        assert np.all(arr.y == 0.0) and np.all(arr.z == 0.0)
 
 
 class TestValueProcess:
@@ -197,11 +197,11 @@ class TestPerturbation:
     def test_delta_zero_is_identity(self):
         cfg = small_cfg()
         stats, arr = small_batch(MIX, cfg, E, 0.0, MIX.beta)
-        np.testing.assert_allclose(arr["x_delta"], stats.x1, atol=0.0)
-        assert np.all(arr["y"] == 0.0) and np.all(arr["z"] == 0.0)
+        np.testing.assert_allclose(arr.x_delta, stats.x1, atol=0.0)
+        assert np.all(arr.y == 0.0) and np.all(arr.z == 0.0)
         traj = simulate_path(MIX, cfg, path_index=4)
         expected_log_d = -traj.stoch_int[-1] - 0.5 * traj.energy[-1]
-        assert arr["log_d"][4] == pytest.approx(expected_log_d, abs=1e-12)
+        assert arr.log_d[4] == pytest.approx(expected_log_d, abs=1e-12)
 
     def test_endpoint_shift_formula(self):
         cfg = small_cfg()
@@ -209,7 +209,7 @@ class TestPerturbation:
         traj = simulate_path(MIX, cfg, path_index=9)
         t_idx = first_passage(traj, E)
         shift = 0.2 * traj.v[:t_idx].sum(axis=0) / cfg.steps
-        np.testing.assert_allclose(arr["x_delta"][9], traj.x[-1] + shift, atol=1e-14)
+        np.testing.assert_allclose(arr.x_delta[9], traj.x[-1] + shift, atol=1e-14)
 
     def test_deviation_identity_exact(self):
         # Y = Z - delta * S_T + (delta^2 / 2) * E_T, an algebraic identity
@@ -219,23 +219,23 @@ class TestPerturbation:
         for idx in range(8):
             traj = simulate_path(MIX, cfg, path_index=idx)
             t_idx = first_passage(traj, E)
-            rhs = (arr["z"][idx] - delta * traj.stoch_int[t_idx]
+            rhs = (arr.z[idx] - delta * traj.stoch_int[t_idx]
                    + 0.5 * delta**2 * traj.energy[t_idx])
-            assert arr["y"][idx] == pytest.approx(rhs, abs=1e-12)
+            assert arr.y[idx] == pytest.approx(rhs, abs=1e-12)
 
     def test_deviation_identity_batch(self, batches, families):
         for name, stats in batches.items():
             arr = perturbation_arrays(stats, families[name], E**2, 0.1, families[name].beta)
             sl = stats.slice_for(E**2)
-            rhs = arr["z"] - 0.1 * sl.stoch + 0.5 * 0.01 * sl.energy
-            np.testing.assert_allclose(arr["y"], rhs, atol=1e-12)
+            rhs = arr.z - 0.1 * sl.stoch + 0.5 * 0.01 * sl.energy
+            np.testing.assert_allclose(arr.y, rhs, atol=1e-12)
 
     def test_reweighted_mass_is_one(self):
         # E[f(X^d) D^d] = 1 holds exactly under the discrete measure change
         cfg = PathConfig(steps=512, seed=3)
         stats = simulate_batch(TILT, cfg, 30000, r_values=(E**2,))
         arr = perturbation_arrays(stats, TILT, E**2, 0.1, 0.0)
-        vals = np.exp(arr["log_f_xd"] + arr["log_d"])
+        vals = np.exp(arr.log_f_xd + arr.log_d)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - 1.0) <= 3.0 * se
 
@@ -243,21 +243,21 @@ class TestPerturbation:
 class TestConvexityMargin:
     def test_tilt_margin_vanishes(self):
         _, arr = small_batch(TILT, small_cfg(), E, 0.25, 0.0)
-        np.testing.assert_allclose(arr["convexity_margin"], 0.0, atol=1e-12)
+        np.testing.assert_allclose(arr.convexity_margin, 0.0, atol=1e-12)
 
     def test_delta_zero_margin_vanishes(self):
         _, arr = small_batch(MIX, small_cfg(), E, 0.0, MIX.beta)
-        np.testing.assert_allclose(arr["convexity_margin"], 0.0, atol=1e-13)
+        np.testing.assert_allclose(arr.convexity_margin, 0.0, atol=1e-13)
 
     def test_mixture_batch_margins_nonnegative(self, batches, families):
         mix = families["mixture"]
         arr = perturbation_arrays(batches["mixture"], mix, E, 0.1, mix.beta)
-        assert float(arr["convexity_margin"].min()) >= -1e-6
+        assert float(arr.convexity_margin.min()) >= -1e-6
 
     def test_understated_beta_breaks_margin(self, batches, families):
         mix = families["mixture"]
         arr = perturbation_arrays(batches["mixture"], mix, E, 0.3, mix.beta / 10.0)
-        assert float(arr["convexity_margin"].min()) < -1e-6
+        assert float(arr.convexity_margin.min()) < -1e-6
 
 
 class TestDeterminism:

@@ -71,6 +71,22 @@ class TestBetaProbe:
         margin = beta_probe(dishonest, probe_grid())
         assert margin == pytest.approx(-1.0, abs=1e-5)
 
+    def test_mixture_ou_image_has_exact_certificate(self, monkeypatch):
+        # the image's beta is 1/s_t - 1, so no tail at t > 0 probes a Hessian
+        from outail.verify import HESSIAN_PROBES, tail_probability
+
+        mix = MixtureDensity([0.5, 0.5], [-1.0, 1.0], 0.5)
+        probes = []
+        monkeypatch.setattr(MixtureDensity, "_probe_beta", lambda self: probes.append(self) or 0.0)
+        for t in (0.02, 0.1, 0.5, 1.0, 3.0):
+            for r in (1.1, 1.5, np.e):
+                tail_probability(mix, t, r)
+            image = mix.closed_ou(t)
+            s_t = 1.0 + np.exp(-2.0 * t) * (mix.spread - 1.0)
+            assert image.beta == pytest.approx(1.0 / s_t - 1.0, rel=1e-15)
+            assert beta_probe(image, HESSIAN_PROBES) >= -1e-6
+        assert probes == []
+
     def test_nonfinite_probe_rejected(self):
         with pytest.raises(NonFiniteValueError):
             beta_probe(TiltDensity([1.0]), [np.inf])

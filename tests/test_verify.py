@@ -9,6 +9,7 @@ from outail import (
     deviation_margin_report,
     exp_moment_report,
     girsanov_reports,
+    perturbation_arrays,
     relative_entropy_quadrature,
     sharpness_values,
     shell_shift_report,
@@ -31,6 +32,12 @@ from outail.verify import (
 )
 
 E = float(np.e)
+
+
+def on_record(builder, stats, density, r, delta):
+    """``builder``'s rows on the perturbation record at (r, delta) and the
+    density's own beta."""
+    return builder(stats, density, perturbation_arrays(stats, density, r, delta, density.beta))
 
 
 class TestBoundReport:
@@ -219,14 +226,14 @@ class TestSyntheticDeviationBattery:
 
 class TestZSuiteOnPaths:
     def test_tilt_cell(self, batches, families):
-        reps = z_suite_reports(batches["tilt"], families["tilt"], E**2, 0.1)
+        reps = on_record(z_suite_reports, batches["tilt"], families["tilt"], E**2, 0.1)
         for rep in reps:
             assert rep.passed, rep.name
 
     def test_matrix(self, batches, families):
         for name, stats in batches.items():
             for r in DEFAULT_R_GRID:
-                for rep in z_suite_reports(stats, families[name], r, canonical_delta(r)):
+                for rep in on_record(z_suite_reports, stats, families[name], r, canonical_delta(r)):
                     assert rep.passed, f"{name} r={r} {rep.name}"
 
     def test_martingale_gaps(self, batches, families):
@@ -237,7 +244,7 @@ class TestZSuiteOnPaths:
 
 class TestGirsanovSuite:
     def test_tilt_reference_cell(self, batches, families):
-        reps = girsanov_reports(batches["tilt"], families["tilt"], E**2, 0.1)
+        reps = on_record(girsanov_reports, batches["tilt"], families["tilt"], E**2, 0.1)
         by_name = {r.name: r for r in reps}
         assert by_name["girsanov_mean_gap"].passed
         assert by_name["girsanov_product_gap"].passed
@@ -247,32 +254,47 @@ class TestGirsanovSuite:
     def test_curved_families_floors(self, batches, families):
         # state-dependent drifts report the convexity floor, not the product floor
         for name in ("mixture", "sine"):
-            reps = girsanov_reports(batches[name], families[name], E, 0.1)
+            reps = on_record(girsanov_reports, batches[name], families[name], E, 0.1)
             assert "pathwise_product_floor" not in {rep.name for rep in reps}
             for rep in reps:
                 assert rep.passed, f"{name} {rep.name}"
 
 
+class TestPerturbationRecord:
+    def test_rows_carry_the_record_identity(self, batches, families):
+        stats, mix = batches["mixture"], families["mixture"]
+        pert = perturbation_arrays(stats, mix, E**2, 0.2, 0.5)
+        rows = [*girsanov_reports(stats, mix, pert), *z_suite_reports(stats, mix, pert),
+                *tv_reports(stats, mix, pert), shell_shift_report(stats, mix, pert)]
+        for row in rows:
+            assert (row.family, row.dim, row.n_samples, row.seed) == (
+                "mixture", 1, stats.n_paths, stats.seed)
+            if row.name.startswith("drift_martingale_gap@"):
+                assert row.r == E**2 and row.beta == mix.beta and np.isnan(row.delta)
+            else:
+                assert (row.r, row.delta, row.beta) == (E**2, 0.2, 0.5), row.name
+
+
 class TestTvAndShellShift:
     def test_delta_zero_gap_within_envelope(self, batches, families):
-        rep = tv_reports(batches["mixture"], families["mixture"], E, 0.0)[0]
+        rep = on_record(tv_reports, batches["mixture"], families["mixture"], E, 0.0)[0]
         assert rep.estimate <= rep.ci_half_width
         assert rep.passed
 
     def test_tilt_small_delta_cell(self, batches, families):
         # bound 0.05 * sqrt(log r) = 0.1 at r = e^4
-        reps = tv_reports(batches["tilt"], families["tilt"], E**4, 0.05)
+        reps = on_record(tv_reports, batches["tilt"], families["tilt"], E**4, 0.05)
         assert reps[0].bound == pytest.approx(0.1, rel=1e-12)
         assert reps[0].passed
 
     def test_matrix_with_paper_rule(self, batches, families):
         for name, stats in batches.items():
             for r in DEFAULT_R_GRID:
-                for rep in tv_reports(stats, families[name], r, canonical_delta(r)):
+                for rep in on_record(tv_reports, stats, families[name], r, canonical_delta(r)):
                     assert rep.passed, f"{name} r={r} {rep.name}"
 
     def test_shell_shift_delta_zero_monotone(self, batches, families):
-        rep = shell_shift_report(batches["mixture"], families["mixture"], E, 0.0)
+        rep = on_record(shell_shift_report, batches["mixture"], families["mixture"], E, 0.0)
         # nested events: the difference of indicators has mean <= 0
         assert rep.estimate <= 0.0 + 1e-12
         assert rep.passed
@@ -280,7 +302,7 @@ class TestTvAndShellShift:
     def test_shell_shift_matrix(self, batches, families):
         for name, stats in batches.items():
             for r in DEFAULT_R_GRID:
-                rep = shell_shift_report(stats, families[name], r, canonical_delta(r))
+                rep = on_record(shell_shift_report, stats, families[name], r, canonical_delta(r))
                 assert rep.passed, f"{name} r={r}"
 
 
