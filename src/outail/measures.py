@@ -171,9 +171,11 @@ class MixtureDensity(DensityModel):
     relative to gamma_n.
 
     Each component is itself normalized against gamma_n, so the mixture is
-    too.  With spread in (0, 1) the log-density defect is at most
-    1/spread - 1; the certified beta is measured on a probe grid and
-    inflated by 10%, which caps the (unattained) asymptotic defect.
+    too.  The Hessian of log f is (1 - 1/s) id + Cov_p(a) / s^2, with p the
+    posterior component weights and s the spread; the covariance is positive
+    semi-definite, so beta = 1/s - 1 is a valid certificate, and it is
+    approached far from the means.  A spread so small that this beta is not
+    finite is rejected.
 
     Heat and OU images stay inside the Gaussian-mixture class, giving
     closed drift and semigroup evaluations.
@@ -181,7 +183,7 @@ class MixtureDensity(DensityModel):
 
     name = "mixture"
 
-    def __init__(self, weights, means, spread: float, beta: float | None = None):
+    def __init__(self, weights, means, spread: float):
         weights = np.asarray(weights, dtype=float)
         means = np.asarray(means, dtype=float)
         if means.ndim == 1:
@@ -199,7 +201,9 @@ class MixtureDensity(DensityModel):
         self.spread = float(spread)
         self.dim = means.shape[1]
         self.log_weights = np.log(self.weights)
-        self.beta = self._probe_beta() if beta is None else float(beta)
+        self.beta = 1.0 / self.spread - 1.0
+        if not np.isfinite(self.beta):
+            raise ValueError(f"beta = 1/spread - 1 is not finite ({self.beta})")
 
     # log f_j(x) = -(n/2) log s - |x - a_j|^2 / (2s) + |x|^2 / 2
     def _component_logs(self, x: np.ndarray) -> np.ndarray:
@@ -228,34 +232,6 @@ class MixtureDensity(DensityModel):
         abar = p @ self.means  # (..., n)
         return x - (x - abar) / self.spread
 
-    def hessian_log_f(self, x) -> np.ndarray:
-        """Analytic Hessian: (1 - 1/s) id + Cov_p(a) / s^2."""
-        x = _as_points(x, self.dim)
-        p = self.posterior(x)
-        abar = p @ self.means
-        centered = self.means - abar[..., None, :]
-        cov = np.einsum("...j,...jk,...jl->...kl", p, centered, centered)
-        eye = np.eye(self.dim)
-        return (1.0 - 1.0 / self.spread) * eye + cov / self.spread**2
-
-    def _probe_beta(self) -> float:
-        lim = float(np.abs(self.means).max()) + 4.0
-        axis = np.arange(-lim, lim + 1e-9, 0.25)
-        if self.dim == 1:
-            grid = axis[:, None]
-        else:
-            # axis lines plus the diagonal keep the probe affordable in n>1
-            pts = []
-            for c in range(self.dim):
-                g = np.zeros((axis.size, self.dim))
-                g[:, c] = axis
-                pts.append(g)
-            pts.append(np.repeat(axis[:, None], self.dim, axis=1))
-            grid = np.concatenate(pts)
-        eigs = np.linalg.eigvalsh(self.hessian_log_f(grid))
-        defect = max(0.0, float(-eigs.min()))
-        return 1.1 * defect
-
     @property
     def has_closed_heat(self) -> bool:
         return True
@@ -266,10 +242,10 @@ class MixtureDensity(DensityModel):
 
     def closed_ou(self, t: float) -> "MixtureDensity":
         # Q_t maps N(a, s) relative densities to N(a e^-t, s_t), s_t = 1 +
-        # e^-2t (s-1); the Hessian floor (1 - 1/s_t) id certifies beta exactly.
+        # e^-2t (s-1)
         rho = np.exp(-t)
         s_t = 1.0 + rho**2 * (self.spread - 1.0)
-        return MixtureDensity(self.weights, self.means * rho, s_t, beta=1.0 / s_t - 1.0)
+        return MixtureDensity(self.weights, self.means * rho, s_t)
 
     def _heat_component_logs(self, s: float, x: np.ndarray) -> np.ndarray:
         sp = self.spread

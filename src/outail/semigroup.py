@@ -1,10 +1,11 @@
 """Ornstein-Uhlenbeck and heat semigroup evaluation.
 
 Values are carried in log scale internally and exponentiated only at API
-boundaries (thresholds r up to e^16 overflow otherwise).  Quadrature is
-tensorized Gauss-Hermite; closed forms are used when the density family
-provides them; Monte Carlo carries an explicit seed and reduces
-deterministically.
+boundaries (thresholds r up to e^16 overflow otherwise).  ``ou_log_fn`` is
+the one place that decides how log Q_t f is evaluated: the in-family OU
+image when the family has one, else Mehler's formula on a closed heat form,
+else ``ou_log``, tensorized Gauss-Hermite quadrature.  Monte Carlo carries an
+explicit seed and reduces deterministically.
 
 The heat-kernel gradient is computed by differentiating the kernel inside
 the quadrature sum (score trick), never by outer finite differences:
@@ -60,6 +61,22 @@ def ou_log(density: DensityModel, t: float, x, rule: Optional[QuadratureRule] = 
     return out
 
 
+def ou_log_fn(density: DensityModel, t: float, rule: Optional[QuadratureRule] = None):
+    """x -> log Q_t f(x): log f at t = 0, else the in-family OU image, else
+    Mehler's formula Q_t f(x) = P_{1 - e^{-2t}} f(e^{-t} x) on a closed heat
+    form, else ``ou_log`` quadrature with ``rule``."""
+    if t < 0:
+        raise ValueError("OU time must be >= 0")
+    if t == 0.0:
+        return density.log_f
+    if density.has_closed_ou:
+        return density.closed_ou(t).log_f
+    if density.has_closed_heat:
+        s, rho = -np.expm1(-2.0 * t), np.exp(-t)
+        return lambda xs: density.closed_heat_log_grad(s, rho * xs)[0]
+    return lambda xs: ou_log(density, t, xs, rule)
+
+
 def heat_log_grad(
     density: DensityModel, s: float, x, rule: QuadratureRule
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -109,10 +126,8 @@ def ou_log_hessian_min_eig(density: DensityModel, t: float, x) -> float:
     """
     if t <= 0:
         raise ValueError("Hessian floor check needs t > 0")
-    rule = default_rule(density.dim)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    fn = lambda pts: ou_log(density, t, pts, rule)
-    hess = fd_hessian(fn, x)
+    hess = fd_hessian(ou_log_fn(density, t), x)
     if not np.isfinite(hess).all():
         raise NonFiniteValueError("finite-difference Hessian of log Q_t f non-finite")
     return float(np.linalg.eigvalsh(hess)[0] + 0.5 / t)
@@ -134,14 +149,15 @@ def log_lp_norm(log_f_fn, p: float, rule: QuadratureRule) -> float:
 def hypercontractivity_check(density: DensityModel, p: float, t: float) -> BoundReport:
     """Compare ||Q_t f||_q against ||f||_p at the critical exponent.
 
-    Both norms are quadrature integrals in log scale; the report passes when
-    the smoothed norm does not exceed the raw norm beyond ``HYPER_REL_TOL``.
+    Both norms are quadrature integrals in log scale, with log Q_t f from
+    ``ou_log_fn``; the report passes when the smoothed norm does not exceed
+    the raw norm beyond ``HYPER_REL_TOL``.
     """
     if density.dim > 2:
         raise ValueError("norm quadrature limited to dim <= 2")
     rule = default_rule(density.dim)
     q = nelson_exponent(p, t)
-    lhs = np.exp(log_lp_norm(lambda z: ou_log(density, t, z, rule), q, rule))
+    lhs = np.exp(log_lp_norm(ou_log_fn(density, t, rule), q, rule))
     rhs = np.exp(log_lp_norm(density.log_f, p, rule))
     if not (np.isfinite(lhs) and np.isfinite(rhs)):
         raise NonFiniteValueError("norm integral non-finite")

@@ -28,7 +28,7 @@ from .numeric import log_gauss_tail
 from .quadrature import QuadratureRule
 from .reports import BoundReport, TailCurve
 from .rng import gaussian_sample
-from .semigroup import default_rule, ou_log, ou_log_hessian_min_eig
+from .semigroup import default_rule, ou_log_fn, ou_log_hessian_min_eig
 from .stats import (
     KS_TWO_SAMPLE_CRIT,
     batch_means,
@@ -76,20 +76,6 @@ def simulate_family_batch(
 # -- tails ------------------------------------------------------------------
 
 
-def _log_ou_fn(density: DensityModel, t: float, rule: QuadratureRule | None):
-    """x -> log Q_t f(x): in-family OU image, else Mehler's formula
-    Q_t f(x) = P_{1 - e^{-2t}} f(e^{-t} x) on a closed heat form, else
-    quadrature."""
-    if t == 0.0:
-        return density.log_f
-    if density.has_closed_ou:
-        return density.closed_ou(t).log_f
-    if density.has_closed_heat:
-        s, rho = -np.expm1(-2.0 * t), np.exp(-t)
-        return lambda xs: density.closed_heat_log_grad(s, rho * xs)[0]
-    return lambda xs: ou_log(density, t, xs, rule)
-
-
 def tail_probability(
     density: DensityModel,
     t: float,
@@ -120,10 +106,10 @@ def tail_probability(
     if method == "quadrature":
         if density.dim != 1:
             raise ValueError("quadrature tails are 1-D only")
-        fn = _log_ou_fn(density, t, rule)
+        fn = ou_log_fn(density, t, rule)
         return superlevel_gamma_mass(fn, np.log(r)), 0.0
     if method == "monte_carlo":
-        fn = _log_ou_fn(density, t, rule)
+        fn = ou_log_fn(density, t, rule)
         x = gaussian_sample(seed, n_samples, density.dim, stream=7)
         hits = np.asarray(fn(x)) > np.log(r)
         if hits.sum() < MC_MIN_HITS:

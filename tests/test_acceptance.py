@@ -5,6 +5,8 @@ asserts the criterion at its stated tolerance.  The heavy path batches come
 from the session fixtures (10^5 paths, 2048 steps per family).
 """
 
+import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,18 @@ E = float(np.e)
 # seed-42 verify-all CSV at 2000 paths x 128 steps; a change to these bytes
 # is a re-baseline and must be stated with its reason
 GOLDEN_CSV = Path(__file__).parent / "data" / "verify_all_seed42_2000x128.csv"
+
+
+def csv_mismatch(got: bytes, want: bytes, shown: int = 5) -> str:
+    """The first rows where CSV ``got`` differs from ``want``, each named by
+    (name, family, t, r) with the columns that changed."""
+    got_rows, want_rows = (list(csv.DictReader(io.StringIO(b.decode()))) for b in (got, want))
+    pairs = [(g, w) for g, w in zip(got_rows, want_rows) if g != w]
+    lines = [f"{len(pairs)} rows differ, {len(got_rows)} rows against {len(want_rows)}"]
+    for g, w in pairs[:shown]:
+        key = tuple(w[k] for k in ("name", "family", "t", "r"))
+        lines.append(f"  {key}: {', '.join(c for c in w if g.get(c) != w[c])}")
+    return "\n".join(lines)
 
 
 def on_record(builder, stats, density, r, delta):
@@ -229,13 +243,19 @@ def test_12_negative_control(batches, families):
 
 def test_13_determinism(tmp_path):
     """verify-all reproduces byte-identical CSV across runs and chunkings,
-    and matches the committed seed-42 CSV."""
+    and matches the committed seed-42 CSV.
+
+    A change that moves these bytes on purpose re-pins the golden file with
+    the ``verify_all.csv`` written by
+    ``outail verify-all --seed 42 --paths 2000 --steps 128``.
+    """
     r1 = verify_all(seed=42, out_dir=tmp_path / "a", paths=2000, steps=128)
     r2 = verify_all(seed=42, out_dir=tmp_path / "b", paths=2000, steps=128)
     r3 = verify_all(seed=42, out_dir=tmp_path / "c", paths=2000, steps=128, chunk_paths=307)
-    ok = (
-        r1.csv_path.read_bytes() == r2.csv_path.read_bytes() == r3.csv_path.read_bytes()
-        == GOLDEN_CSV.read_bytes()
-        and r1.exit_code == 0
-    )
-    criterion(13, "byte-identical verify-all CSV across runs, chunkings and the golden file", ok)
+    got = r1.csv_path.read_bytes()
+    others = {"second run": r2.csv_path.read_bytes(), "chunk_paths=307": r3.csv_path.read_bytes(),
+              "golden file": GOLDEN_CSV.read_bytes()}
+    diffs = [f"\nagainst the {label}: {csv_mismatch(got, want)}"
+             for label, want in others.items() if got != want]
+    criterion(13, "byte-identical verify-all CSV across runs, chunkings and the golden file"
+              + "".join(diffs), not diffs and r1.exit_code == 0)

@@ -133,12 +133,13 @@ class TestConfigParsing:
         ("seed = 7", f"seed = {2**128}", "seed"),
         ("family = mixture", "family = sine\nwave = 1e308", "family"),
         ("family = mixture", "family = sine\neps = 1e10", "family"),
+        ("spread = 0.5", "spread = 5e-324", "family"),
     ], ids=["beta", "means", "duplicate_r", "rejected_by_family", "paths_not_int",
             "steps_not_int", "seed_not_int", "dim_not_int", "dim_mismatch", "too_few_steps",
             "negative_seed",
             "p_at_most_one", "p_not_float", "negative_beta", "negative_delta", "r_nan", "t_nan",
             "beta_inf", "p_inf", "r_overflow", "eps_nan", "wave_inf", "delta_inf",
-            "seed_2_128", "sine_beta_inf", "sine_log_z_nan"])
+            "seed_2_128", "sine_beta_inf", "sine_log_z_nan", "mixture_beta_inf"])
     def test_bad_value_names_field(self, tmp_path, old, new, field):
         text = GOOD_CONFIG.format(out=tmp_path).replace(old, new)
         with pytest.raises(ConfigError) as exc:
@@ -324,7 +325,7 @@ checks = z, tv, prop2
             rows = list(csv.DictReader(fh))
         perturbed = ("girsanov_", "convexity_floor", "exp_moment", "deviation_", "shell_shift")
         density_beta = build_density(parse_config(path)).beta
-        assert density_beta > 1.0
+        assert density_beta == 1.0
         for row in rows:
             if row["name"].startswith(perturbed):
                 assert float(row["beta"]) == 0.11, row["name"]

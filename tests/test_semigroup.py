@@ -13,10 +13,12 @@ from outail import (
     ou_log,
     ou_log_hessian_min_eig,
 )
+from outail import semigroup
 from outail.errors import ClosedFormUnavailableError, NonFiniteValueError
+from outail.numeric import fd_hessian
 from outail.semigroup import S_MIN, default_rule, heat_log_grad, log_lp_norm
 from outail.stats import superlevel_gamma_mass
-from outail.verify import tail_probability
+from outail.verify import HESSIAN_PROBES, HESSIAN_TOL, hessian_floor_report, tail_probability
 
 RULE = QuadratureRule.gauss_hermite(1, 64)
 MIX = MixtureDensity([0.5, 0.5], [-1.0, 1.0], 0.5)
@@ -222,6 +224,27 @@ class TestHypercontractivity:
         for p in (1.5, 2.0, 4.0):
             got = log_lp_norm(tilt.log_f, p, RULE)
             assert got == pytest.approx(1.2**2 * (p - 1) / 2, rel=1e-9)
+
+
+class TestClosedFormChecks:
+    @pytest.mark.parametrize("density", [TiltDensity([2.0]), MIX, SINE],
+                             ids=["tilt", "mixture", "sine"])
+    @pytest.mark.parametrize("t", [0.1, 1.0])
+    def test_checks_skip_quadrature_and_agree_with_it(self, density, t, monkeypatch):
+        # reference: both checks on log Q_t f from ou_log quadrature
+        quad = lambda xs: ou_log(density, t, xs)
+        worst = min(float(np.linalg.eigvalsh(fd_hessian(quad, x))[0]) + 0.5 / t
+                    for x in np.tile(HESSIAN_PROBES[:, None], density.dim))
+        norm = np.exp(log_lp_norm(quad, nelson_exponent(2.0, t), default_rule(density.dim)))
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("ou_log called for a family with closed forms")
+
+        monkeypatch.setattr(semigroup, "ou_log", no_quadrature)
+        floor = hessian_floor_report(density, t)
+        hyper = hypercontractivity_check(density, 2.0, t)
+        assert floor.margin == pytest.approx(HESSIAN_TOL + worst, abs=1e-6)
+        assert hyper.estimate == pytest.approx(norm, rel=1e-9)
 
 
 class TestSemigroupAlgebra:
