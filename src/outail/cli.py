@@ -18,14 +18,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, OutailError, ResolutionError
-from .foellmer import MIN_STEPS
+from .foellmer import DEFAULT_STEPS, MIN_STEPS
 from .measures import FAMILIES, DensityModel
 from .reports import CSV_COLUMNS, BoundReport, TailCurve
 from .semigroup import hypercontractivity_check
@@ -42,6 +42,8 @@ CHECK_TOKENS = (
     "prop2", "composite", "hessian", "hyper",
 )
 OUT_ENV_VAR = "OUTAIL_OUT"
+DEFAULT_PATHS = 10**5
+DEFAULT_SEED = 42
 MIN_MC_PATHS = 1000
 # The e^Z and Girsanov identities hold for every delta, but the naive mean
 # of an exponential martingale is only estimable while log D has moderate
@@ -52,29 +54,37 @@ GIRSANOV_EQ_DELTA_MAX = 0.25
 SEED_LIMIT = 2**128
 
 
+def _check_thresholds(r_values) -> None:
+    """The range rule of every threshold list, config and ``sharpness --r``."""
+    if any(r <= 1.0 for r in r_values):
+        raise ConfigError("r", "all thresholds must exceed 1")
+    if len(set(r_values)) != len(r_values):
+        raise ConfigError("r", "thresholds must be distinct")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The one experiment schema: the field defaults are the defaults of
+    config files, ``verify-all`` and ``tail``, and ``__post_init__`` holds
+    every range check."""
+
     family: str
     params: dict
-    t_values: tuple[float, ...]
-    r_values: tuple[float, ...]
-    delta: float | None      # None: the paper rule ``canonical_delta(r)``
-    beta_override: float | None
-    paths: int
-    steps: int
-    seed: int
-    checks: tuple[str, ...]
-    out_dir: str
+    t_values: tuple[float, ...] = DEFAULT_T_GRID
+    r_values: tuple[float, ...] = DEFAULT_R_GRID
+    delta: float | None = None          # None: the paper rule ``canonical_delta(r)``
+    beta_override: float | None = None  # None: the density's own beta
+    paths: int = DEFAULT_PATHS
+    steps: int = DEFAULT_STEPS
+    seed: int = DEFAULT_SEED
+    checks: tuple[str, ...] = CHECK_TOKENS
+    out_dir: str = ""                   # "": $OUTAIL_OUT, else reports
     p: float = 2.0
 
     def __post_init__(self):
-        """Every value check of a config, for parsed files and verify-all alike."""
         if any(t < 0 for t in self.t_values):
             raise ConfigError("t", "times must be >= 0")
-        if any(r <= 1.0 for r in self.r_values):
-            raise ConfigError("r", "all thresholds must exceed 1")
-        if len(set(self.r_values)) != len(self.r_values):
-            raise ConfigError("r", "thresholds must be distinct")
+        _check_thresholds(self.r_values)
         if self.delta is not None and not self.delta >= 0:
             raise ConfigError("delta", "fixed delta must be >= 0")
         if self.beta_override is not None and not self.beta_override >= 0:
@@ -85,6 +95,11 @@ class ExperimentConfig:
             raise ConfigError("steps", f"need >= {MIN_STEPS} time steps")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ConfigError("seed", "seed must lie in [0, 2**128)")
+        if not self.checks:
+            raise ConfigError("checks", "list must be non-empty")
+        for tok in self.checks:
+            if tok not in CHECK_TOKENS:
+                raise ConfigError("checks", f"unknown check {tok!r}")
         if not self.p > 1.0:
             raise ConfigError("p", "hypercontractivity needs p > 1")
 
@@ -146,13 +161,47 @@ def _parse_param(field_name: str, raw: str, default):
     return tuple(rows)
 
 
+def _parse_delta(field_name: str, raw: str) -> float | None:
+    if raw == "paper_rule":
+        return None
+    if not raw.startswith("fixed:"):
+        raise ConfigError(field_name, "expected 'paper_rule' or 'fixed:<value>'")
+    return _parse_float(field_name, raw[len("fixed:"):])
+
+
+def _parse_checks(field_name: str, raw: str) -> tuple[str, ...]:
+    """Check tokens in order, repeats dropped; ``all`` is every token."""
+    tokens = [tok.strip().lower() for tok in raw.split(",") if tok.strip()]
+    return tuple(dict.fromkeys(
+        check for tok in tokens for check in (CHECK_TOKENS if tok == "all" else (tok,))
+    ))
+
+
+# Config key -> (ExperimentConfig field, parser(key, raw text)).  ``family``
+# and the parameters of the chosen family are the only other keys.
+CONFIG_KEYS = {
+    "t": ("t_values", _parse_floats),
+    "r": ("r_values", lambda key, raw: tuple(sorted(_parse_floats(key, raw)))),
+    "delta": ("delta", _parse_delta),
+    "beta": ("beta_override",
+             lambda key, raw: None if raw.lower() == "auto" else _parse_float(key, raw)),
+    "paths": ("paths", _parse_int),
+    "steps": ("steps", _parse_int),
+    "seed": ("seed", _parse_int),
+    "checks": ("checks", _parse_checks),
+    "out": ("out_dir", lambda key, raw: raw),
+    "p": ("p", _parse_float),
+}
+
+
 def parse_config(path) -> ExperimentConfig:
     """Parse the flat key = value config (one [experiment] section).
 
     Validation failures raise ConfigError naming the offending field and,
     when the key appears in the file, its line number.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # ';' separates points, so only '#' starts an inline comment
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -176,60 +225,24 @@ def _build_experiment(parser: configparser.ConfigParser) -> ExperimentConfig:
     family = sec.get("family", "").strip().lower()
     if family not in FAMILIES:
         raise ConfigError("family", f"unknown family {family!r}")
+    defaults = FAMILIES[family].defaults
     params = {
         key: default if key not in sec else _parse_param(key, sec[key], default)
-        for key, default in FAMILIES[family].defaults.items()
+        for key, default in defaults.items()
     }
-
-    t_values = _parse_floats("t", sec.get("t", "0.1, 0.5, 1.0"))
-    r_values = tuple(sorted(_parse_floats("r", sec.get("r", "e1, e2, e4"))))
-
-    delta_raw = sec.get("delta", "paper_rule").strip()
-    if delta_raw == "paper_rule":
-        delta = None
-    elif delta_raw.startswith("fixed:"):
-        delta = _parse_float("delta", delta_raw.split(":", 1)[1])
-    else:
-        raise ConfigError("delta", "expected 'paper_rule' or 'fixed:<value>'")
-
-    beta_raw = sec.get("beta", "auto").strip().lower()
-    beta_override = None if beta_raw == "auto" else _parse_float("beta", beta_raw)
-
-    raw_checks = [c.strip().lower() for c in sec.get("checks", "all").split(",") if c.strip()]
-    if not raw_checks:
-        raise ConfigError("checks", "list must be non-empty")
-    checks: list[str] = []
-    for tok in raw_checks:
-        if tok == "all":
-            checks.extend(c for c in CHECK_TOKENS if c not in checks)
-        elif tok in CHECK_TOKENS:
-            if tok not in checks:
-                checks.append(tok)
-        else:
-            raise ConfigError("checks", f"unknown check {tok!r}")
-
-    out_dir = sec.get("out", "") or os.environ.get(OUT_ENV_VAR, "reports")
-    dim = _parse_int("dim", sec.get("dim", "0"))
-    cfg = ExperimentConfig(
-        family=family,
-        params=params,
-        t_values=t_values,
-        r_values=r_values,
-        delta=delta,
-        beta_override=beta_override,
-        paths=_parse_int("paths", sec.get("paths", "100000")),
-        steps=_parse_int("steps", sec.get("steps", "2048")),
-        seed=_parse_int("seed", sec.get("seed", "42")),
-        checks=tuple(checks),
-        out_dir=out_dir,
-        p=_parse_float("p", sec.get("p", "2.0")),
-    )
+    fields = {
+        name: parse(key, sec[key])
+        for key, (name, parse) in CONFIG_KEYS.items() if key in sec
+    }
+    cfg = ExperimentConfig(family, params, **fields)
     try:
-        density = build_density(cfg)  # validates family parameters early
+        build_density(cfg)  # validates family parameters early
     except ValueError as exc:
         raise ConfigError("family", f"{family} parameters rejected: {exc}") from exc
-    if dim and density.dim != dim:
-        raise ConfigError("dim", f"family parameters imply dim {density.dim}, config says {dim}")
+    unknown = [key for key in sec if key != "family" and key not in CONFIG_KEYS
+               and key not in defaults]
+    if unknown:
+        raise ConfigError(unknown[0], f"unknown key(s) {', '.join(unknown)}")
     return cfg
 
 
@@ -323,7 +336,8 @@ def _ceiling_row(
     density: DensityModel, t: float, tails: list[BoundReport], cfg: ExperimentConfig
 ) -> BoundReport:
     """Largest OU-tail constant over the resolved ``tail_markov`` rows at t;
-    NaN when no threshold resolves."""
+    NaN when no threshold resolves.  Its half-width is the largest tail
+    half-width in the same units, each scaled by its row's factor."""
     resolved = [row for row in tails if row.name == "tail_markov"]
     est = ci = float("nan")
     if resolved:
@@ -333,7 +347,7 @@ def _ceiling_row(
             ci=np.array([row.ci_half_width for row in resolved]),
             method="auto", beta=density.beta,
         )
-        est, ci = curve.c_hat, float(curve.ci.max(initial=0.0))
+        est, ci = curve.c_hat, replace(curve, tail=curve.ci).c_hat
     return BoundReport(
         name="tail_curve_ceiling", family=density.name, dim=density.dim,
         t=t, beta=density.beta, estimate=est, ci_half_width=ci,
@@ -352,7 +366,9 @@ def rows_to_csv_text(rows: list[BoundReport]) -> str:
 
 
 def write_reports(rows: list[BoundReport], out_dir, stem: str, seed: int) -> RunResult:
-    out = Path(out_dir)
+    """Write ``<stem>.csv`` and ``<stem>.json``; an empty ``out_dir`` is
+    ``$OUTAIL_OUT``, else ``reports``."""
+    out = Path(out_dir or os.environ.get(OUT_ENV_VAR, "reports"))
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{stem}.csv"
     csv_path.write_text(rows_to_csv_text(rows), encoding="utf-8")
@@ -393,32 +409,20 @@ def run(config_path, out_dir=None, chunk_paths: int | None = None) -> RunResult:
 
 
 def verify_all(
-    seed: int = 42,
+    seed: int = DEFAULT_SEED,
     out_dir=None,
-    paths: int = 10**5,
-    steps: int = 2048,
+    paths: int = DEFAULT_PATHS,
+    steps: int = DEFAULT_STEPS,
     chunk_paths: int | None = None,
 ) -> RunResult:
     """Default experiment matrix: every family, check, t, and r.  Every
     config is checked before the first simulation starts."""
     cfgs = [
-        ExperimentConfig(
-            family=name,
-            params=dict(FAMILIES[name].defaults),
-            t_values=DEFAULT_T_GRID,
-            r_values=DEFAULT_R_GRID,
-            delta=None,
-            beta_override=None,
-            paths=paths,
-            steps=steps,
-            seed=seed + offset,
-            checks=CHECK_TOKENS,
-            out_dir="",
-        )
+        ExperimentConfig(name, FAMILIES[name].defaults, paths=paths, steps=steps, seed=seed + offset)
         for offset, name in enumerate(sorted(FAMILIES))
     ]
     rows = [row for cfg in cfgs for row in collect_rows(cfg, chunk_paths=chunk_paths)]
-    return write_reports(rows, out_dir or os.environ.get(OUT_ENV_VAR, "reports"), "verify_all", seed)
+    return write_reports(rows, out_dir, "verify_all", seed)
 
 
 def _positive_int(raw: str) -> int:
@@ -426,38 +430,6 @@ def _positive_int(raw: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-def _seed(raw: str) -> int:
-    value = int(raw)
-    if not 0 <= value < SEED_LIMIT:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 2**128), got {value}")
-    return value
-
-
-def _time(raw: str) -> float:
-    value = float(raw)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {raw}")
-    return value
-
-
-def _threshold(raw: str) -> float:
-    value = float(raw)
-    if not (math.isfinite(value) and value > 1.0):
-        raise argparse.ArgumentTypeError(f"must be finite and exceed 1, got {raw}")
-    return value
-
-
-def _thresholds(raw: str) -> tuple[float, ...]:
-    """Thresholds in config syntax, each above 1."""
-    try:
-        r_grid = _parse_floats("r", raw)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(exc.message) from None
-    if not all(r > 1.0 for r in r_grid):
-        raise argparse.ArgumentTypeError(f"thresholds must exceed 1, got {raw}")
-    return r_grid
 
 
 def main(argv=None) -> int:
@@ -470,23 +442,21 @@ def main(argv=None) -> int:
     p_run.add_argument("--chunk-size", type=_positive_int, default=None)
 
     p_all = sub.add_parser("verify-all", help="run the default experiment matrix")
-    p_all.add_argument("--seed", type=int, default=42)
+    p_all.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_all.add_argument("--out", default=None)
-    p_all.add_argument("--paths", type=int, default=10**5)
-    p_all.add_argument("--steps", type=int, default=2048)
+    p_all.add_argument("--paths", type=int, default=DEFAULT_PATHS)
+    p_all.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     p_all.add_argument("--chunk-size", type=_positive_int, default=None)
 
-    p_tail = sub.add_parser("tail", help="one tail probability")
+    # tail and sharpness read their values as config text, so one parser
+    # and one set of range checks cover every entry point
+    p_tail = sub.add_parser("tail", help="one tail probability of a default family member")
     p_tail.add_argument("--family", choices=tuple(FAMILIES), default="tilt")
-    p_tail.add_argument("--t", type=_time, default=0.0)
-    p_tail.add_argument("--r", type=_threshold, required=True)
-    p_tail.add_argument("--method", default="auto",
-                        choices=("auto", "exact", "quadrature", "monte_carlo"))
-    p_tail.add_argument("--paths", type=_positive_int, default=10**5)
-    p_tail.add_argument("--seed", type=_seed, default=42)
+    p_tail.add_argument("--t", default="0")
+    p_tail.add_argument("--r", required=True)
 
     p_sharp = sub.add_parser("sharpness", help="matched-tilt lower-bound constants")
-    p_sharp.add_argument("--r", type=_thresholds, default="e2, e4, e8, e16")
+    p_sharp.add_argument("--r", default=verify.SHARPNESS_R_GRID)
 
     args = parser.parse_args(argv)
     try:
@@ -502,15 +472,18 @@ def main(argv=None) -> int:
             _emit_summary(result)
             return result.exit_code
         if args.command == "tail":
-            density = verify.default_families()[args.family]
-            est, ci = verify.tail_probability(
-                density, args.t, args.r, method=args.method,
-                n_samples=args.paths, seed=args.seed,
+            cfg = ExperimentConfig(
+                args.family, FAMILIES[args.family].defaults,
+                t_values=(_parse_float("t", args.t),), r_values=(_parse_float("r", args.r),),
             )
-            print(f"tail({args.family}, t={args.t:g}, r={args.r:g}) = {est:.6e} +- {ci:.2e}")
+            (t,), (r,) = cfg.t_values, cfg.r_values
+            est, ci = verify.tail_probability(build_density(cfg), t, r)
+            print(f"tail({args.family}, t={t:g}, r={r:g}) = {est:.6e} +- {ci:.2e}")
             return 0
         if args.command == "sharpness":
-            for r, c in zip(args.r, verify.sharpness_values(args.r)):
+            r_grid = _parse_floats("r", args.r) if isinstance(args.r, str) else args.r
+            _check_thresholds(r_grid)
+            for r, c in zip(r_grid, verify.sharpness_values(r_grid)):
                 print(f"r={r:.6g}  c_hat={c:.6f}")
             return 0
     except OutailError as exc:

@@ -8,9 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from outail import verify
+from outail import cli, verify
 from outail.cli import (
     CHECK_TOKENS,
+    CONFIG_KEYS,
+    DEFAULT_PATHS,
+    DEFAULT_SEED,
+    ExperimentConfig,
     build_density,
     collect_rows,
     main,
@@ -21,6 +25,7 @@ from outail.cli import (
     write_reports,
 )
 from outail.errors import ConfigError
+from outail.foellmer import DEFAULT_STEPS
 from outail.measures import FAMILIES
 from outail.reports import CSV_COLUMNS, BoundReport
 from outail.verify import canonical_delta, default_families
@@ -155,14 +160,46 @@ class TestConfigParsing:
         assert np.array_equal(density.log_f(xs), default.log_f(xs))
         assert np.array_equal(density.grad_log_f(xs), default.grad_log_f(xs))
 
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_family_only_config_is_the_schema_default(self, tmp_path, monkeypatch, name):
+        """A config that names only its family is the dataclass default, and
+        that is the config verify-all runs for the family."""
+        cfg = parse_config(write_cfg(tmp_path, f"[experiment]\nfamily = {name}\n"))
+        assert cfg == ExperimentConfig(name, FAMILIES[name].defaults)
+        ran = {}
+
+        def record(c, chunk_paths):
+            ran[c.family] = c
+            return []
+
+        monkeypatch.setattr(cli, "collect_rows", record)
+        verify_all(seed=DEFAULT_SEED - sorted(FAMILIES).index(name), out_dir=tmp_path,
+                   paths=DEFAULT_PATHS, steps=DEFAULT_STEPS)
+        assert ran[name] == cfg
+
+    def test_unknown_keys_are_named(self, tmp_path):
+        text = GOOD_CONFIG.format(out=tmp_path).replace("steps = 128", "step = 128").replace(
+            "checks = energy, z, prop2", "check = tail")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(write_cfg(tmp_path, text))
+        assert exc.value.field == "step" and "check" in exc.value.message
+        with pytest.raises(ConfigError) as exc:
+            parse_config(write_cfg(tmp_path, "[experiment]\nfamily = tilt\neps = 0.3\n"))
+        assert exc.value.field == "eps"
+
+    @pytest.mark.parametrize("means", ["-1, 0; 1, 0", "-1, 0 ; 1, 0"])
+    def test_semicolon_separates_points(self, tmp_path, means):
+        cfg = parse_config(write_cfg(tmp_path, f"[experiment]\nfamily = mixture\nmeans = {means}\n"))
+        assert cfg.params["means"] == ((-1.0, 0.0), (1.0, 0.0))
+
     def test_all_expands_in_order(self, tmp_path):
         text = GOOD_CONFIG.format(out=tmp_path).replace("checks = energy, z, prop2", "checks = all")
         assert parse_config(write_cfg(tmp_path, text)).checks == CHECK_TOKENS
 
 
-CONFIG_KEYS = (
-    "family", "t", "r", "delta", "beta", "paths", "steps", "seed", "checks", "dim", "p", "out",
-) + tuple(sorted({key for fam in FAMILIES.values() for key in fam.defaults}))
+# every key the parser knows, every family parameter, and misspellings
+FUZZ_KEYS = ("family", *CONFIG_KEYS, *sorted({key for fam in FAMILIES.values() for key in fam.defaults}),
+             "step", "seeds", "check", "dim")
 NUMBER_TEXT = st.one_of(
     st.floats().map(repr),
     st.integers().map(str),
@@ -177,7 +214,7 @@ VALUE_TEXT = st.one_of(
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(family=st.sampled_from(sorted(FAMILIES)), key=st.sampled_from(CONFIG_KEYS), value=VALUE_TEXT)
+@given(family=st.sampled_from(sorted(FAMILIES)), key=st.sampled_from(FUZZ_KEYS), value=VALUE_TEXT)
 @example(family="tilt", key="r", value="nan")
 @example(family="tilt", key="t", value="nan")
 @example(family="tilt", key="beta", value="inf")
@@ -269,6 +306,27 @@ out = {out}
         summary = json.loads(result.json_path.read_text(), parse_constant=_reject_constant)
         assert summary["worst_margin"] is None
         assert [row["margin"] for row in summary["rows"]] == [None, None]
+
+    def test_ceiling_half_width_in_ratio_units(self, tmp_path):
+        """The ceiling's half-width is the largest tail half-width times its
+        row's factor r sqrt(log r) min(1, t), the factor of its estimate."""
+        text = """
+[experiment]
+family = mixture
+means = -1, 0; 1, 0
+checks = tail
+t = 0.5
+r = 1.2, 1.5, 2
+paths = 20000
+"""
+        rows = collect_rows(parse_config(write_cfg(tmp_path, text)))
+        tails = [row for row in rows if row.name == "tail_markov"]
+        ceiling = rows[-1]
+        assert ceiling.name == "tail_curve_ceiling" and min(row.ci_half_width for row in tails) > 0
+        factors = [row.r * math.sqrt(math.log(row.r)) * 0.5 for row in tails]
+        assert ceiling.estimate == pytest.approx(max(row.estimate * f for row, f in zip(tails, factors)))
+        assert ceiling.ci_half_width == pytest.approx(
+            max(row.ci_half_width * f for row, f in zip(tails, factors)))
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = write_cfg(tmp_path, GOOD_CONFIG.format(out=tmp_path / "reports"))
@@ -375,6 +433,8 @@ class TestMainEntry:
         code = main(["tail", "--r", "7.389", "--t", "0.0"])
         assert code == 0
         assert "tail(tilt" in capsys.readouterr().out
+        assert main(["tail", "--family", "sine", "--r", "e2"]) == 0
+        assert "tail(sine, t=0, r=7.38906)" in capsys.readouterr().out
 
     def test_sharpness_subcommand(self, capsys):
         code = main(["sharpness", "--r", "e2, e8"])
@@ -391,15 +451,13 @@ class TestMainEntry:
                             ("--seed", str(2**128)), ("--seed", str(2**128 - 1))):
             assert main(["verify-all", flag, value, "--out", str(tmp_path)]) == 2
             assert f"'{flag[2:]}'" in capsys.readouterr().err
+        # tail and sharpness report a bad value in the same format
         for argv in (["tail", "--r", "0.5"], ["tail", "--r", "nan"], ["tail", "--r", "5", "--t", "-1"],
-                     ["tail", "--r", "5", "--paths", "0"], ["sharpness", "--r", "0.5"],
-                     ["sharpness", "--r", "1"],
-                     ["tail", "--r", "5", "--method", "monte_carlo", "--seed", "-1"],
-                     ["tail", "--r", "5", "--method", "monte_carlo", "--seed", str(2**128)]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            assert f"argument {argv[-2]}:" in capsys.readouterr().err
+                     ["tail", "--r", "e2, e4"], ["tail", "--r", "5", "--t", "abc"],
+                     ["sharpness", "--r", "0.5"], ["sharpness", "--r", "1"],
+                     ["sharpness", "--r", "e2, e2"], ["sharpness", "--r", ""]):
+            assert main(argv) == 2
+            assert f"error: config field '{argv[-2][2:]}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["verify-all", "--chunk-size", "-5"],
