@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -212,7 +213,8 @@ def parse_config(path) -> ExperimentConfig:
         return _build_experiment(parser)
     except ConfigError as exc:
         for lineno, line in enumerate(text.splitlines(), start=1):
-            if line.split("=", 1)[0].strip() == exc.field:
+            # configparser splits at the first '=' or ':' and lower-cases keys
+            if re.split("[=:]", line, maxsplit=1)[0].strip().lower() == exc.field:
                 raise ConfigError(exc.field, f"line {lineno}: {exc.message}") from None
         raise
 

@@ -27,9 +27,14 @@ same paths, stored threshold-major as (n_thresholds, N) arrays whose rows
 are the ``StoppedSlice`` views; delta and beta enter only
 ``perturbation_arrays``.  The step loop writes each chunk into views of the
 batch arrays, and one per-node observer records the drift at the fixed
-checkpoints (batch) or every node (``simulate_path``).  A batch runs in
-chunks of at most ``NORMALS_BUDGET_WORDS`` normals; one worker thread draws
-the next chunk's normals while the current chunk steps.
+checkpoints (batch) or every node (``simulate_path``).
+
+A batch runs in chunks of at most ``NORMALS_BUDGET_WORDS`` normals, held
+step-major as Brownian increments, so the loop reads one contiguous row per
+step.  Two worker threads draw each chunk as two path halves.  The first
+chunk is drawn while the calling thread builds every drift table of the
+run; after that, the next chunk is drawn while the current one steps, so
+at most two chunks are held at once.
 """
 
 from __future__ import annotations
@@ -123,6 +128,13 @@ class DriftField:
             self._tables[s] = tab
         return tab
 
+    def tabulate(self, steps: int) -> None:
+        """Build the table of every bandwidth a ``steps``-step path looks up
+        (nothing without a grid)."""
+        if self.grid is not None:
+            for s in _bandwidths(steps):
+                self._table(s)
+
     def eval(self, s: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(K, v) at bandwidth s for points x of shape (..., dim)."""
         if self.grid is None or s <= 0.0:
@@ -130,13 +142,23 @@ class DriftField:
         k_tab, v_tab = self._table(s)
         # uniform grid: fused linear interpolation, one index computation
         # for both tables; points beyond the grid clamp to the edge value
-        pos = (x[..., 0] - self._grid_lo) * self._grid_inv_h
-        pos = np.clip(pos, 0.0, len(self.grid) - 1.000001)
+        pos = x[..., 0] - self._grid_lo
+        pos *= self._grid_inv_h
+        np.clip(pos, 0.0, len(self.grid) - 1.000001, out=pos)
         idx = pos.astype(np.int64)
         frac = pos - idx
-        k = k_tab[idx] * (1.0 - frac) + k_tab[idx + 1] * frac
-        v = (v_tab[idx] * (1.0 - frac) + v_tab[idx + 1] * frac)[..., None]
+        idx1 = idx + 1
+        rest = 1.0 - frac
+        k = k_tab[idx] * rest + k_tab[idx1] * frac
+        v = (v_tab[idx] * rest + v_tab[idx1] * frac)[..., None]
         return k, v
+
+
+def _bandwidths(steps: int) -> list[float]:
+    """Bandwidth s = 1 - t_i of the drift at each step i < ``steps``: the
+    keys under which ``DriftField`` stores its tables."""
+    dt = 1.0 / steps
+    return [1.0 - i * dt for i in range(steps)]
 
 
 @dataclass(frozen=True)
@@ -266,8 +288,11 @@ def simulate_batch(
     Stopped integrals are frozen for every threshold in ``r_values``, so
     one simulation serves all (r, delta) analyses; the drift is kept at the
     nodes nearest ``CHECKPOINT_TIMES``.  Results are bit-identical for any
-    ``chunk_paths``.  A worker thread draws the normals of the next chunk
-    while the current one steps; an error in either propagates.
+    ``chunk_paths``.  Two worker threads draw each chunk as two path
+    halves: the first chunk while this thread builds the drift tables, each
+    later one while the chunk before it steps, so at most two chunks are
+    held at once.  An error in any of them propagates once the workers are
+    joined.
     """
     r_values = tuple(float(r) for r in r_values)
     if any(r <= 1.0 for r in r_values):
@@ -285,17 +310,27 @@ def simulate_batch(
     cps = {tc: np.empty((n_paths, n)) for tc in cp_idx}
     chunk = chunk_paths or _chunk_size(n_paths, m, n)
     k0 = None
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    with ThreadPoolExecutor(max_workers=2) as pool:
 
         def draw(start):
-            return pool.submit(path_normals, cfg.seed, start, min(chunk, n_paths - start), m, n)
+            """Step-major increments of the chunk at ``start``, its two path
+            halves filled by the two workers."""
+            c = min(chunk, n_paths - start)
+            incs = np.empty((m, c, n))
+            by_path = incs.transpose(1, 0, 2)
+            return incs, [
+                pool.submit(_draw_increments, cfg.seed, start + lo, by_path[lo:hi])
+                for lo, hi in ((0, c // 2), (c // 2, c)) if hi > lo
+            ]
 
         pending = draw(0)
+        drift.tabulate(m)
         for start in range(0, n_paths, chunk):
-            normals = pending.result()
-            if start + chunk < n_paths:
-                pending = draw(start + chunk)
-            sl = slice(start, start + len(normals))
+            incs, filling = pending
+            for f in filling:
+                f.result()
+            pending = draw(start + chunk) if start + chunk < n_paths else None
+            sl = slice(start, start + incs.shape[1])
             cp_views = {i: cps[tc][sl] for tc, i in cp_idx.items()}
 
             def record_checkpoints(i, x, v, k, stoch, energy):
@@ -303,7 +338,7 @@ def simulate_batch(
                     cp_views[i][...] = v
 
             k0 = _run_paths(
-                density, drift, normals, log_rs,
+                density, drift, incs, log_rs,
                 [a[sl] for a in ends], [a[:, sl] for a in frozen], record_checkpoints,
             )
 
@@ -315,6 +350,14 @@ def simulate_batch(
     )
 
 
+def _draw_increments(seed: int, first_path: int, out: np.ndarray) -> None:
+    """Fill ``out`` (paths, m, dim) with the Brownian increments
+    sqrt(1/m) * normals of paths first_path, first_path + 1, ..."""
+    n_paths, m, dim = out.shape
+    path_normals(seed, first_path, n_paths, m, dim, out=out)
+    out *= np.sqrt(1.0 / m)
+
+
 def _freeze(frozen, mask, i, stoch, energy, vds, k) -> None:
     """Copy node i's running integrals and K into the threshold-major
     ``frozen`` arrays wherever ``mask`` (n_thresholds, c) is set."""
@@ -322,9 +365,16 @@ def _freeze(frozen, mask, i, stoch, energy, vds, k) -> None:
         np.copyto(dst, src, where=mask[..., None] if dst.ndim == 3 else mask)
 
 
-def _run_paths(density, drift, normals, log_rs, ends, frozen, observe) -> float:
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise <a, b> of (c, dim) arrays; for dim 1 the product itself,
+    which equals the sum over its one term."""
+    p = a * b
+    return p[:, 0] if p.shape[1] == 1 else p.sum(-1)
+
+
+def _run_paths(density, drift, increments, log_rs, ends, frozen, observe) -> float:
     """Run one path per row of the zeroed ``ends`` views, driven by the
-    Brownian-increment ``normals`` (paths, m, dim), and return K_0.
+    step-major Brownian ``increments`` (m, paths, dim), and return K_0.
 
     The loop state lives in the views: ``ends`` = (X, v, K, S, E) ends at
     (X_1, v_1, K_1, S_1, E_1), and the threshold-major ``frozen`` views get
@@ -333,15 +383,13 @@ def _run_paths(density, drift, normals, log_rs, ends, frozen, observe) -> float:
     its step; at node m, (k, v) = (log f, grad log f)(X_1).
     """
     x, v_end, k_end, stoch, energy = ends
-    m = normals.shape[1]
+    m = len(increments)
     dt = 1.0 / m
-    sqdt = np.sqrt(dt)
     vds = np.zeros_like(x)
     active = np.ones(frozen[0].shape, dtype=bool)
     k0 = None
 
-    for i in range(m):
-        s = 1.0 - i * dt
+    for i, s in enumerate(_bandwidths(m)):
         k_i, v_i = drift.eval(s, x)
         if i == 0:
             k0 = float(k_i[0])
@@ -350,10 +398,10 @@ def _run_paths(density, drift, normals, log_rs, ends, frozen, observe) -> float:
             _freeze(frozen, newly, i, stoch, energy, vds, k_i)
             active &= ~newly
         observe(i, x, v_i, k_i, stoch, energy)
-        db = sqdt * normals[:, i, :]
+        db = increments[i]
         v_dt = v_i * dt
-        stoch += (v_i * db).sum(-1)
-        energy += (v_i * v_i).sum(-1) * dt
+        stoch += _dot(v_i, db)
+        energy += _dot(v_i, v_i) * dt
         vds += v_dt
         x += db
         x += v_dt
@@ -381,13 +429,14 @@ def simulate_path(density: DensityModel, cfg: PathConfig, path_index: int = 0) -
             rec[i] = val[0]
 
     ends, frozen = _path_arrays(1, n, 0)
-    normals = path_normals(cfg.seed, path_index, 1, m, n)
-    _run_paths(density, DriftField(density), normals, np.empty(0), ends, frozen, record_node)
+    db = np.empty((m, n))
+    _draw_increments(cfg.seed, path_index, db[None])
+    _run_paths(density, DriftField(density), db[:, None], np.empty(0), ends, frozen, record_node)
     xs, vs, ks, stochs, energies = nodes
     return Trajectory(
         times=np.arange(m + 1) / m,
         x=xs,
-        db=np.sqrt(1.0 / m) * normals[0],
+        db=db,
         v=vs,
         k=ks,
         stoch_int=stochs,

@@ -7,10 +7,12 @@ a multiple of 4.
 
 Normals come from the inverse Gaussian CDF of raw uniforms (one 64-bit word
 per variate), keeping consumption strictly positional.  The transform runs
-in place: a chunk of paths costs one float64 buffer, filled with uniforms
-and overwritten by their normals, and none of the steps (Philox, the floor
-at ``_U_MIN``, ``ndtri``) holds the GIL, so a chunk can be drawn on a second
-thread while another is used.
+in place: a block of paths costs one float64 buffer, filled with uniforms
+and overwritten by their normals.  ``path_normals(..., out=)`` writes them
+in 1 MiB blocks into a caller's buffer of any layout, so disjoint path
+ranges of one buffer can be drawn on several threads at once.  None of the
+steps (Philox, the floor at ``_U_MIN``, ``ndtri``, the block copy) holds the
+GIL, so the draws run beside the thread that uses the paths.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from scipy.special import ndtri
 
 _BLOCK = 4
 _U_MIN = 2.0 ** -55  # Generator.random() can return exactly 0.0
+_OUT_BLOCK_WORDS = 1 << 17  # 1 MiB of uniforms per block of an ``out=`` draw
 
 
 def words_per_path(n_words: int) -> int:
@@ -46,13 +49,27 @@ def _to_normals(u: np.ndarray) -> np.ndarray:
     return ndtri(u, out=u)
 
 
-def path_normals(seed: int, first_path: int, n_paths: int, n_steps: int, dim: int) -> np.ndarray:
+def path_normals(
+    seed: int, first_path: int, n_paths: int, n_steps: int, dim: int,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Brownian-increment normals for paths [first_path, first_path+n_paths).
 
     Returns shape (n_paths, n_steps, dim).  Independent of how the caller
-    chunks the path range.
+    chunks the path range.  With ``out``, an array of that shape and any
+    strides (say, a path-major view of a step-major buffer), the normals are
+    drawn in blocks of about ``_OUT_BLOCK_WORDS`` words and written into it;
+    ``out`` is returned.
     """
     stride = words_per_path(n_steps * dim)
+    if out is not None:
+        if out.shape != (n_paths, n_steps, dim):
+            raise ValueError(f"out has shape {out.shape}, need {(n_paths, n_steps, dim)}")
+        block = max(1, _OUT_BLOCK_WORDS // stride)
+        for lo in range(0, n_paths, block):
+            hi = min(lo + block, n_paths)
+            out[lo:hi] = path_normals(seed, first_path + lo, hi - lo, n_steps, dim)
+        return out
     u = uniform_block(seed, first_path * stride, n_paths * stride)
     u = u.reshape(n_paths, stride)[:, : n_steps * dim]
     return _to_normals(u).reshape(n_paths, n_steps, dim)

@@ -105,6 +105,17 @@ class TestConfigParsing:
             parse_config(write_cfg(tmp_path, text))
         assert exc.value.field == "paths"
 
+    @pytest.mark.parametrize("line", ["paths = 10", "paths: 10", "Paths = 10", "PATHS:10"])
+    def test_error_names_the_line(self, tmp_path, line):
+        """Every key form configparser reads, ':' and mixed case included,
+        gets the line number of the key in the message."""
+        text = GOOD_CONFIG.format(out=tmp_path).replace("paths = 2000", line)
+        lineno = text.splitlines().index(line) + 1
+        with pytest.raises(ConfigError) as exc:
+            parse_config(write_cfg(tmp_path, text))
+        assert exc.value.field == "paths"
+        assert exc.value.message.startswith(f"line {lineno}: need >= ")
+
     def test_unknown_check(self, tmp_path):
         text = GOOD_CONFIG.format(out=tmp_path).replace("checks = energy, z, prop2", "checks = spectral")
         with pytest.raises(ConfigError) as exc:

@@ -16,6 +16,7 @@ from outail import (
     simulate_path,
 )
 from outail import foellmer
+from outail import rng as rng_module
 from outail.foellmer import MIN_CHUNK_PATHS, NORMALS_BUDGET_WORDS, DriftField, _chunk_size
 from outail.rng import words_per_path
 
@@ -286,6 +287,18 @@ class TestDeterminism:
         assert (a.stopped[1.05].t_index < cfg.steps).any()
         assert (a.stopped[E].t_index == cfg.steps).all()
 
+    @pytest.mark.parametrize("n_steps, dim", [(101, 1), (128, 2), (100, 3)])
+    def test_normals_into_a_step_major_buffer(self, monkeypatch, n_steps, dim):
+        # blocks of 3 paths, with stream strides that are and are not n_steps * dim
+        monkeypatch.setattr(rng_module, "_OUT_BLOCK_WORDS", 3 * words_per_path(n_steps * dim))
+        direct = foellmer.path_normals(7, 5, 10, n_steps, dim)
+        buf = np.empty((n_steps, 10, dim))
+        by_path = buf.transpose(1, 0, 2)
+        assert foellmer.path_normals(7, 5, 10, n_steps, dim, out=by_path) is by_path
+        assert np.array_equal(by_path, direct)
+        with pytest.raises(ValueError, match="out has shape"):
+            foellmer.path_normals(7, 5, 9, n_steps, dim, out=by_path)
+
     @pytest.mark.parametrize("chunk", [0, -5])
     def test_chunk_paths_must_be_positive(self, chunk):
         with pytest.raises(ValueError, match="chunk_paths"):
@@ -354,16 +367,35 @@ class TestChunking:
         drawn = []
         draw = foellmer.path_normals
 
-        def spy(seed, first, n_paths, *rest):
+        def spy(seed, first, n_paths, *rest, **kw):
             drawn.append(n_paths)
-            return draw(seed, first, n_paths, *rest)
+            return draw(seed, first, n_paths, *rest, **kw)
 
         monkeypatch.setattr(foellmer, "path_normals", spy)
         monkeypatch.setattr(foellmer, "NORMALS_BUDGET_WORDS", 300 * words_per_path(128 * 2))
         split = simulate_batch(mix2, cfg, 800, r_values=r_values)
-        assert drawn == [267, 267, 266]
+        # each chunk is drawn as two halves, in either order
+        assert [sorted(drawn[j:j + 2]) for j in (0, 2, 4)] == [[133, 134], [133, 134], [133, 133]]
         assert (whole.stopped[1.05].t_index < cfg.steps).any()
         assert_same_batch(whole, split)
+
+    @pytest.mark.parametrize("density, n_paths, chunk", [
+        (MIX, 1, None), (SINE, 2, 1), (MIX, 777, 259), (MIX, 777, 101),
+        (MixtureDensity([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], 0.5), 777, 333),
+    ], ids=["one_path", "one_path_chunks", "odd_chunks", "uneven_chunks", "mixture_2d"])
+    def test_split_draws_match_one_chunk(self, density, n_paths, chunk):
+        """Odd chunk sizes, one-path halves and the empty half of a one-path
+        chunk all reproduce the batch drawn as one chunk."""
+        cfg = PathConfig(steps=128, seed=11)
+        r_values = (1.05, 1.5)
+        whole = simulate_batch(density, cfg, n_paths, r_values=r_values, chunk_paths=n_paths)
+        split = simulate_batch(density, cfg, n_paths, r_values=r_values, chunk_paths=chunk)
+        assert_same_batch(whole, split)
+        normals = foellmer.path_normals(cfg.seed, 0, n_paths, cfg.steps, density.dim)
+        paths = [simulate_path(density, cfg, j) for j in (0, n_paths - 1)]
+        for j, traj in zip((0, n_paths - 1), paths):
+            assert np.array_equal(traj.db, np.sqrt(1.0 / cfg.steps) * normals[j])
+            assert np.array_equal(traj.x[-1], whole.x1[j])
 
 
 class TestPrefetch:
@@ -371,9 +403,9 @@ class TestPrefetch:
         drawn = []
         draw = foellmer.path_normals
 
-        def spy(seed, first, *rest):
+        def spy(seed, first, *rest, **kw):
             drawn.append(first)
-            return draw(seed, first, *rest)
+            return draw(seed, first, *rest, **kw)
 
         def fail(self, s, x):
             raise RuntimeError("step failed")
@@ -384,21 +416,60 @@ class TestPrefetch:
         with pytest.raises(RuntimeError, match="step failed"):
             simulate_batch(TILT, small_cfg(), 900, chunk_paths=300)
         assert threading.active_count() == before
-        assert drawn == [0, 300]  # chunk 2 was being drawn while chunk 1 failed
+        # the halves of chunk 1, then those of chunk 2, drawn while chunk 1 failed
+        assert [sorted(drawn[:2]), sorted(drawn[2:])] == [[0, 150], [300, 450]]
 
     def test_draw_error_propagates_and_joins_worker(self, monkeypatch):
         draw = foellmer.path_normals
+        failing = None
 
-        def fail_later(seed, first, *rest):
-            if first:
+        def fail_at(seed, first, *rest, **kw):
+            if first == failing:
                 raise RuntimeError("draw failed")
-            return draw(seed, first, *rest)
+            return draw(seed, first, *rest, **kw)
 
-        monkeypatch.setattr(foellmer, "path_normals", fail_later)
+        monkeypatch.setattr(foellmer, "path_normals", fail_at)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="draw failed"):
-            simulate_batch(TILT, small_cfg(), 900, chunk_paths=300)
+        # either half of the first chunk (drawn beside the tables), or of a later one
+        for failing in (0, 150, 450):
+            with pytest.raises(RuntimeError, match="draw failed"):
+                simulate_batch(MIX, small_cfg(), 900, chunk_paths=300)
+            assert threading.active_count() == before
+
+    def test_table_error_propagates_and_joins_worker(self, monkeypatch):
+        raw = DriftField.raw
+        built = []
+
+        def fail_late(self, s, x=None):
+            if x is None:
+                built.append(s)
+                if len(built) == 100:
+                    raise RuntimeError("table failed")
+            return raw(self, s, x)
+
+        monkeypatch.setattr(DriftField, "raw", fail_late)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="table failed"):
+            simulate_batch(MIX, small_cfg(), 900, chunk_paths=300)
         assert threading.active_count() == before
+
+    def test_tables_are_built_once_per_step(self, monkeypatch):
+        raw = DriftField.raw
+        built = []
+
+        def count(self, s, x=None):
+            if x is None:
+                built.append((id(self), s))
+            return raw(self, s, x)
+
+        monkeypatch.setattr(DriftField, "raw", count)
+        for density in (MIX, SINE):
+            built.clear()
+            simulate_batch(density, PathConfig(steps=1000, seed=5), 600, chunk_paths=250)
+            assert len(built) == len(set(built)) == 1000
+        built.clear()
+        simulate_batch(TILT, PathConfig(steps=1000, seed=5), 600, chunk_paths=250)
+        assert built == []
 
 
 class QuadratureMixture(MixtureDensity):
