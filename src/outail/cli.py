@@ -27,9 +27,10 @@ import numpy as np
 
 from .errors import ConfigError, OutailError, ResolutionError
 from .foellmer import DEFAULT_STEPS, MIN_STEPS
-from .measures import FAMILIES, DensityModel
+from .measures import FAMILIES, DensityModel, MixtureDensity, validate_normalization
+from .quadrature import MAX_QUADRATURE_DIM
 from .reports import CSV_COLUMNS, BoundReport, TailCurve
-from .semigroup import hypercontractivity_check
+from .semigroup import DEFAULT_NODES, default_rule, hypercontractivity_check
 from . import verify
 from .verify import (
     DEFAULT_R_GRID,
@@ -53,6 +54,11 @@ MIN_MC_PATHS = 1000
 GIRSANOV_EQ_DELTA_MAX = 0.25
 # Philox keys are 128-bit.
 SEED_LIMIT = 2**128
+# Largest |integral of f d(gamma) - 1| a configured mixture may show on the
+# rule the quadrature checks integrate with.  A narrow spread puts the mass
+# of each component between the nodes, so the checks would integrate a
+# density they cannot see.
+NORMALIZATION_TOL = 1e-6
 
 
 def _check_thresholds(r_values) -> None:
@@ -238,9 +244,15 @@ def _build_experiment(parser: configparser.ConfigParser) -> ExperimentConfig:
     }
     cfg = ExperimentConfig(family, params, **fields)
     try:
-        build_density(cfg)  # validates family parameters early
+        density = build_density(cfg)  # validates family parameters early
     except ValueError as exc:
         raise ConfigError("family", f"{family} parameters rejected: {exc}") from exc
+    if isinstance(density, MixtureDensity) and density.dim <= MAX_QUADRATURE_DIM:
+        residual = validate_normalization(density, default_rule(density.dim))
+        if not residual <= NORMALIZATION_TOL:
+            raise ConfigError("family", f"mixture has normalization residual {residual:.3g} on the "
+                              f"{DEFAULT_NODES}-node rule (limit {NORMALIZATION_TOL:g}): "
+                              f"spread {density.spread:g} is too narrow")
     unknown = [key for key in sec if key != "family" and key not in CONFIG_KEYS
                and key not in defaults]
     if unknown:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import ive, logsumexp, softmax
+from scipy.special import ive, logsumexp
 
 from .errors import (
     ClosedFormUnavailableError,
@@ -205,30 +205,64 @@ class MixtureDensity(DensityModel):
         if not np.isfinite(self.beta):
             raise ValueError(f"beta = 1/spread - 1 is not finite ({self.beta})")
 
+    def _by_component(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Means (J, 1, ..., n) and log weights (J, 1, ...) that broadcast
+        against points x of shape (..., n) into components-major arrays."""
+        lead = (1,) * (x.ndim - 1)
+        return (self.means.reshape((-1,) + lead + (self.dim,)),
+                self.log_weights.reshape((-1,) + lead))
+
+    @staticmethod
+    def _log_sum_exp(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(log sum_j e^{l_j}, posterior p_j = e^{l_j} / sum_i e^{l_i}) of
+        finite component logs laid out components-major, (J, ...).
+
+        The max-shifted log-sum-exp and softmax (Blanchard, Higham & Higham,
+        IMA J. Numer. Anal. 41, 2021) with scipy's arithmetic: the m tied
+        maxima are left out of the sum s, the result is
+        log1p(s/m) + log(m) + max, and every sum runs over j in index order.
+        That is numpy's order for a last-axis sum of fewer than 8 terms, so
+        with J < 8 both results equal scipy's ``logsumexp`` and ``softmax``
+        bit for bit; from 8 components on, numpy sums pairwise and the last
+        bit may differ.  The posterior comes back components-last, (..., J)
+        and C-contiguous, the layout the gradient contractions read.
+        """
+        top = logs[0]
+        for row in logs[1:]:
+            top = np.maximum(top, row)
+        shifted = np.exp(logs - top)
+        is_top = logs == top
+        rest = np.where(is_top, 0.0, shifted)
+        s, total = rest[0], shifted[0]
+        for j in range(1, len(logs)):
+            s = s + rest[j]
+            total = total + shifted[j]
+        m = is_top.sum(0)
+        post = np.empty(top.shape + (len(logs),))
+        np.divide(shifted, total, out=np.moveaxis(post, -1, 0))
+        return np.log1p(s / m) + np.log(m) + top, post
+
+    # log w_j + log f_j(x), shape (J, ...), with
     # log f_j(x) = -(n/2) log s - |x - a_j|^2 / (2s) + |x|^2 / 2
     def _component_logs(self, x: np.ndarray) -> np.ndarray:
         s = self.spread
-        diff = x[..., None, :] - self.means  # (..., J, n)
+        means, log_weights = self._by_component(x)
+        diff = x - means  # (J, ..., n)
         sq = (diff * diff).sum(-1)
         return (
             -0.5 * self.dim * np.log(s)
             - 0.5 * sq / s
-            + 0.5 * (x * x).sum(-1)[..., None]
-            + self.log_weights
+            + 0.5 * (x * x).sum(-1)
+            + log_weights
         )
 
     def log_f(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
-        return logsumexp(self._component_logs(x), axis=-1)
-
-    def posterior(self, x) -> np.ndarray:
-        """Posterior component weights p_j(x), shape (..., J)."""
-        x = _as_points(x, self.dim)
-        return softmax(self._component_logs(x), axis=-1)
+        return self._log_sum_exp(self._component_logs(x))[0]
 
     def grad_log_f(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
-        p = self.posterior(x)
+        p = self._log_sum_exp(self._component_logs(x))[1]
         abar = p @ self.means  # (..., n)
         return x - (x - abar) / self.spread
 
@@ -247,28 +281,38 @@ class MixtureDensity(DensityModel):
         s_t = 1.0 + rho**2 * (self.spread - 1.0)
         return MixtureDensity(self.weights, self.means * rho, s_t)
 
-    def _heat_component_logs(self, s: float, x: np.ndarray) -> np.ndarray:
+    def _heat_component_logs(self, s: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log w_j + log P_s f_j(x), shape (J, ...), and b_j = a_j / spread
+        + x / s, shape (J, ..., n), which the gradient of component j reuses."""
         sp = self.spread
+        means, log_weights = self._by_component(x)
         a_over = 1.0 / sp + 1.0 / s - 1.0
-        b = self.means / sp + x[..., None, :] / s  # (..., J, n)
+        b = means / sp + x / s
         per_coord = (
             -0.5 * np.log(sp * s * a_over)
             + 0.5 * (b * b) / a_over
-            - 0.5 * (self.means * self.means) / sp
-            - 0.5 * (x * x)[..., None, :] / s
+            - 0.5 * (means * means) / sp
+            - 0.5 * (x * x) / s
         )
-        return per_coord.sum(-1) + self.log_weights
+        return per_coord.sum(-1) + log_weights, b
 
     def closed_heat_log_grad(self, s: float, x) -> tuple[np.ndarray, np.ndarray]:
         x = _as_points(x, self.dim)
         if s <= 0.0:
             return self.log_f(x), self.grad_log_f(x)
-        logs = self._heat_component_logs(s, x)
-        p = softmax(logs, axis=-1)
+        # The outputs come first: drift tables keep them for the whole run,
+        # and allocated after the temporaries below they would pin one
+        # freed temporary each in the heap (32 MiB over 2048 tables).
+        k, v = np.empty(x.shape[:-1]), np.empty(x.shape)
+        logs, b = self._heat_component_logs(s, x)
+        lse, p = self._log_sum_exp(logs)
+        k[...] = lse
         a_over = 1.0 / self.spread + 1.0 / s - 1.0
-        b = self.means / self.spread + x[..., None, :] / s
-        comp_grad = (b / a_over - x[..., None, :]) / s  # (..., J, n)
-        return logsumexp(logs, axis=-1), np.einsum("...j,...jn->...n", p, comp_grad)
+        # einsum on components-last operands, as the posterior comes: with
+        # n = 1 and J >= 3 its summation order depends on the layout
+        comp_grad = np.ascontiguousarray(np.moveaxis((b / a_over - x) / s, 0, -2))
+        np.einsum("...j,...jn->...n", p, comp_grad, out=v)
+        return k, v
 
 
 class SinePerturbationDensity(DensityModel):

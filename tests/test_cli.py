@@ -150,12 +150,16 @@ class TestConfigParsing:
         ("family = mixture", "family = sine\nwave = 1e308", "family"),
         ("family = mixture", "family = sine\neps = 1e10", "family"),
         ("spread = 0.5", "spread = 5e-324", "family"),
+        ("spread = 0.5", "spread = 1e-5", "family"),
+        ("spread = 0.5", "spread = 0.01", "family"),
+        ("means = -1, 1\nspread = 0.5", "means = -1, 0; 1, 0\nspread = 1e-3", "family"),
     ], ids=["beta", "means", "duplicate_r", "rejected_by_family", "paths_not_int",
             "steps_not_int", "seed_not_int", "dim_not_int", "dim_mismatch", "too_few_steps",
             "negative_seed",
             "p_at_most_one", "p_not_float", "negative_beta", "negative_delta", "r_nan", "t_nan",
             "beta_inf", "p_inf", "r_overflow", "eps_nan", "wave_inf", "delta_inf",
-            "seed_2_128", "sine_beta_inf", "sine_log_z_nan", "mixture_beta_inf"])
+            "seed_2_128", "sine_beta_inf", "sine_log_z_nan", "mixture_beta_inf",
+            "mixture_not_normalized", "mixture_residual_0.53", "mixture_2d_not_normalized"])
     def test_bad_value_names_field(self, tmp_path, old, new, field):
         text = GOOD_CONFIG.format(out=tmp_path).replace(old, new)
         with pytest.raises(ConfigError) as exc:
@@ -197,6 +201,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as exc:
             parse_config(write_cfg(tmp_path, "[experiment]\nfamily = tilt\neps = 0.3\n"))
         assert exc.value.field == "eps"
+
+    @pytest.mark.parametrize("means, spread", [("-1, 1", 0.5), ("-8, 8", 0.5), ("-8, 8", 0.2)])
+    def test_normalized_mixtures_parse(self, tmp_path, means, spread):
+        """Residuals 0, 1e-15 and 6e-9 on the 64-node rule are within the tolerance."""
+        text = f"[experiment]\nfamily = mixture\nmeans = {means}\nspread = {spread}\n"
+        assert parse_config(write_cfg(tmp_path, text)).params["spread"] == spread
 
     @pytest.mark.parametrize("means", ["-1, 0; 1, 0", "-1, 0 ; 1, 0"])
     def test_semicolon_separates_points(self, tmp_path, means):
@@ -457,6 +467,9 @@ class TestMainEntry:
         bad = write_cfg(tmp_path, "[experiment]\nfamily = unknown\n")
         assert main(["run", str(bad)]) == 2
         assert "family" in capsys.readouterr().err
+        narrow = write_cfg(tmp_path, "[experiment]\nfamily = mixture\nspread = 1e-5\n", name="narrow.cfg")
+        assert main(["run", str(narrow)]) == 2
+        assert "error: config field 'family'" in capsys.readouterr().err
         # 2**128 - 1 reaches the limit at the second family, before any simulation
         for flag, value in (("--paths", "10"), ("--steps", "50"), ("--seed", "-1"),
                             ("--seed", str(2**128)), ("--seed", str(2**128 - 1))):

@@ -382,7 +382,8 @@ class TestChunking:
     @pytest.mark.parametrize("density, n_paths, chunk", [
         (MIX, 1, None), (SINE, 2, 1), (MIX, 777, 259), (MIX, 777, 101),
         (MixtureDensity([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], 0.5), 777, 333),
-    ], ids=["one_path", "one_path_chunks", "odd_chunks", "uneven_chunks", "mixture_2d"])
+        (MixtureDensity([0.2, 0.5, 0.3], [-2.0, 0.5, 1.5], 0.4), 777, 259),
+    ], ids=["one_path", "one_path_chunks", "odd_chunks", "uneven_chunks", "mixture_2d", "mixture_3"])
     def test_split_draws_match_one_chunk(self, density, n_paths, chunk):
         """Odd chunk sizes, one-path halves and the empty half of a one-path
         chunk all reproduce the batch drawn as one chunk."""

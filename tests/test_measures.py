@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from scipy.special import logsumexp
-from hypothesis import given, settings
+from scipy.special import logsumexp, softmax
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from outail import (
     MixtureDensity,
@@ -14,6 +15,7 @@ from outail import (
     validate_normalization,
 )
 from outail.errors import ClosedFormUnavailableError, DimensionMismatchError, NonFiniteValueError
+from outail.foellmer import DriftField
 from outail.measures import SERIES_TOL
 from outail.numeric import FD_STEP, fd_gradient
 
@@ -162,6 +164,89 @@ class TestMixtureValidation:
     def test_strict_positivity(self, rng):
         mix = MixtureDensity([0.2, 0.8], [-2.0, 1.0], 0.3)
         assert np.isfinite(mix.log_f(rng.normal(size=(200, 1)) * 3)).all()
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _scipy_heat_log_grad(mix, s, x):
+    """(log P_s f, grad log P_s f) of a mixture from components-last arrays
+    (..., J) and (..., J, n), reduced by scipy and contracted by einsum."""
+    sp = mix.spread
+    a_over = 1.0 / sp + 1.0 / s - 1.0
+    b = mix.means / sp + x[..., None, :] / s
+    per_coord = (
+        -0.5 * np.log(sp * s * a_over)
+        + 0.5 * (b * b) / a_over
+        - 0.5 * (mix.means * mix.means) / sp
+        - 0.5 * (x * x)[..., None, :] / s
+    )
+    logs = per_coord.sum(-1) + mix.log_weights
+    comp_grad = (b / a_over - x[..., None, :]) / s
+    return logsumexp(logs, axis=-1), np.einsum("...j,...jn->...n", softmax(logs, axis=-1), comp_grad)
+
+
+def _scipy_log_grad(mix, x):
+    """(log f, grad log f) of a mixture from components-last logs, by scipy."""
+    diff = x[..., None, :] - mix.means
+    logs = (-0.5 * mix.dim * np.log(mix.spread) - 0.5 * (diff * diff).sum(-1) / mix.spread
+            + 0.5 * (x * x).sum(-1)[..., None] + mix.log_weights)
+    abar = softmax(logs, axis=-1) @ mix.means
+    return logsumexp(logs, axis=-1), x - (x - abar) / mix.spread
+
+
+# close logs, whose sums round differently in another order, exact ties,
+# and gaps above 700 (shifted terms near e^-745 go subnormal or vanish)
+LOG_VALUES = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([-800.0, -745.5, -700.25, -1.0, -0.0, 0.0, 0.5, 3.0, 710.0]),
+    st.floats(-1e4, 1e4),
+)
+
+
+class TestMixtureLogSumExp:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(logs=st.integers(1, 7).flatmap(lambda j: hnp.arrays(
+        float, st.tuples(st.just(j), st.integers(1, 6), st.integers(1, 3)), elements=LOG_VALUES)))
+    @example(logs=np.zeros((3, 1, 1)))
+    @example(logs=np.array([5.0, -800.0]).reshape(2, 1, 1))
+    @example(logs=np.array([-800.0, 5.0, 5.0]).reshape(3, 1, 1))
+    def test_matches_scipy_bit_for_bit(self, logs):
+        lse, post = MixtureDensity._log_sum_exp(logs)
+        last = np.ascontiguousarray(np.moveaxis(logs, 0, -1))  # scipy's components-last input
+        assert _same_bits(lse, logsumexp(last, axis=-1))
+        assert _same_bits(post, softmax(last, axis=-1))
+        assert post.flags.c_contiguous
+
+    @pytest.mark.parametrize("mix", [
+        MixtureDensity([1.0], [0.5], 0.6),
+        MixtureDensity([0.5, 0.5], [-1.0, 1.0], 0.5),
+        MixtureDensity([0.2, 0.5, 0.3], [-2.0, 0.5, 1.5], 0.4),
+    ], ids=["J1", "J2", "J3"])
+    def test_drift_tables_match_scipy(self, mix):
+        field = DriftField(mix)
+        field.tabulate(128)
+        assert len(field._tables) == 128
+        for s, (k, v) in field._tables.items():
+            k_ref, v_ref = _scipy_heat_log_grad(mix, s, field.grid[:, None])
+            assert np.array_equal(k, k_ref) and np.array_equal(v, v_ref[:, 0])
+
+    @pytest.mark.parametrize("mix", [
+        MixtureDensity([1.0], [[0.5, -0.5]], 0.6),
+        MixtureDensity([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.5]], 0.5),
+        MixtureDensity([0.2, 0.5, 0.3], [[-2.0, 0.0], [0.5, 1.0], [1.5, -1.0]], 0.4),
+        MixtureDensity([0.2, 0.5, 0.3], [-2.0, 0.5, 1.5], 0.4),
+    ], ids=["J1_2d", "J2_2d", "J3_2d", "J3_1d"])
+    def test_closed_forms_match_scipy(self, mix, rng):
+        x = rng.normal(size=(3, 40, mix.dim)) * 3.0
+        for s in (1.0, 0.3, 1e-3):
+            k, v = mix.closed_heat_log_grad(s, x)
+            k_ref, v_ref = _scipy_heat_log_grad(mix, s, x)
+            assert np.array_equal(k, k_ref) and np.array_equal(v, v_ref)
+        log_ref, grad_ref = _scipy_log_grad(mix, x)
+        assert np.array_equal(mix.log_f(x), log_ref) and np.array_equal(mix.grad_log_f(x), grad_ref)
 
 
 class TestSineFamily:
