@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import functools
 import io
@@ -26,18 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, OutailError, ResolutionError
-from .foellmer import DEFAULT_STEPS, MIN_STEPS
+from .foellmer import DEFAULT_STEPS, MIN_STEPS, BatchStats, PathConfig, simulate_batches
 from .measures import FAMILIES, DensityModel, MixtureDensity, validate_normalization
 from .quadrature import MAX_QUADRATURE_DIM
 from .reports import CSV_COLUMNS, BoundReport, TailCurve
 from .semigroup import DEFAULT_NODES, default_rule, hypercontractivity_check
 from . import verify
-from .verify import (
-    DEFAULT_R_GRID,
-    DEFAULT_T_GRID,
-    canonical_delta,
-    simulate_family_batch,
-)
+from .verify import DEFAULT_R_GRID, DEFAULT_T_GRID, canonical_delta
 
 CHECK_TOKENS = (
     "tail", "sharpness", "entropy", "energy", "z", "tv",
@@ -59,6 +55,12 @@ SEED_LIMIT = 2**128
 # of each component between the nodes, so the checks would integrate a
 # density they cannot see.
 NORMALIZATION_TOL = 1e-6
+
+
+_NEEDS_PATHS = {"entropy", "energy", "z", "tv", "prop2", "composite"}
+# Checks that integrate on ``default_rule(dim)``, which exists only up to
+# ``MAX_QUADRATURE_DIM``; ``hyper`` skips dim > 2 on its own.
+_NEEDS_QUADRATURE = {"entropy"}
 
 
 def _check_thresholds(r_values) -> None:
@@ -247,6 +249,11 @@ def _build_experiment(parser: configparser.ConfigParser) -> ExperimentConfig:
         density = build_density(cfg)  # validates family parameters early
     except ValueError as exc:
         raise ConfigError("family", f"{family} parameters rejected: {exc}") from exc
+    too_wide = [tok for tok in cfg.checks if tok in _NEEDS_QUADRATURE]
+    if density.dim > MAX_QUADRATURE_DIM and too_wide:
+        raise ConfigError("checks", f"{too_wide[0]!r} integrates on the tensorized quadrature "
+                          f"rule, which supports dim <= {MAX_QUADRATURE_DIM}; {family} has "
+                          f"dim {density.dim}")
     if isinstance(density, MixtureDensity) and density.dim <= MAX_QUADRATURE_DIM:
         residual = validate_normalization(density, default_rule(density.dim))
         if not residual <= NORMALIZATION_TOL:
@@ -272,19 +279,29 @@ class RunResult:
     exit_code: int = 0
 
 
-_NEEDS_PATHS = {"entropy", "energy", "z", "tv", "prop2", "composite"}
+def _needs_paths(cfg: ExperimentConfig) -> bool:
+    return any(tok in _NEEDS_PATHS for tok in cfg.checks)
 
 
-def collect_rows(cfg: ExperimentConfig, chunk_paths: int | None = None) -> list[BoundReport]:
-    """Run the selected checks for one family config, in config order."""
+def _batch_job(cfg: ExperimentConfig, chunk_paths: int | None) -> tuple:
+    """The ``simulate_batch`` arguments of a config's path batch."""
+    return build_density(cfg), PathConfig(cfg.steps, cfg.seed), cfg.paths, cfg.r_values, chunk_paths
+
+
+def _family_batch(cfg: ExperimentConfig, chunk_paths: int | None = None) -> BatchStats | None:
+    """The config's path batch on its own, or None when no check reads paths."""
+    return verify.simulate_batch(*_batch_job(cfg, chunk_paths)) if _needs_paths(cfg) else None
+
+
+def collect_rows(cfg: ExperimentConfig, stats: BatchStats | None = None) -> list[BoundReport]:
+    """Run the selected checks for one family config, in config order.
+
+    ``stats`` is the config's path batch; when a check reads paths and none
+    is given, the batch is simulated here."""
     density = build_density(cfg)
     beta = density.beta if cfg.beta_override is None else cfg.beta_override
-    stats = None
-    if any(tok in _NEEDS_PATHS for tok in cfg.checks):
-        stats = simulate_family_batch(
-            density, n_paths=cfg.paths, steps=cfg.steps, seed=cfg.seed,
-            r_values=cfg.r_values, chunk_paths=chunk_paths,
-        )
+    if stats is None:
+        stats = _family_batch(cfg)
     # one perturbation record per distinct (r, delta), read by all its rows
     pert = functools.cache(lambda r, d: verify.perturbation_arrays(stats, density, r, d, beta))
     rows: list[BoundReport] = []
@@ -379,9 +396,27 @@ def rows_to_csv_text(rows: list[BoundReport]) -> str:
     return buf.getvalue()
 
 
-def write_reports(rows: list[BoundReport], out_dir, stem: str, seed: int) -> RunResult:
+def passage_diagnostics(stats: BatchStats) -> list[dict]:
+    """Per threshold of a batch: the fraction of paths that never passed
+    log r (``t_index == steps``) and the median and largest overshoot of K
+    over log r at the stop; JSON null for a non-finite value."""
+    def num(v) -> float | None:
+        return float(v) if math.isfinite(v) else None
+
+    out = []
+    for r, sl in stats.stopped.items():
+        over = sl.overshoot()
+        out.append({"r": r, "never_stopped": num(np.mean(sl.t_index == stats.steps)),
+                    "overshoot_median": num(np.median(over)), "overshoot_max": num(over.max())})
+    return out
+
+
+def write_reports(
+    rows: list[BoundReport], out_dir, stem: str, seed: int, diagnostics: dict | None = None,
+) -> RunResult:
     """Write ``<stem>.csv`` and ``<stem>.json``; an empty ``out_dir`` is
-    ``$OUTAIL_OUT``, else ``reports``."""
+    ``$OUTAIL_OUT``, else ``reports``.  ``diagnostics`` maps each simulated
+    family to its ``passage_diagnostics``."""
     out = Path(out_dir or os.environ.get(OUT_ENV_VAR, "reports"))
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{stem}.csv"
@@ -407,6 +442,7 @@ def write_reports(rows: list[BoundReport], out_dir, stem: str, seed: int) -> Run
              "margin": r.margin if math.isfinite(r.margin) else None}  # JSON has no NaN
             for r in rows
         ],
+        "diagnostics": diagnostics or {},
     }
     json_path = out / f"{stem}.json"
     json_path.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n", encoding="utf-8")
@@ -418,8 +454,10 @@ def write_reports(rows: list[BoundReport], out_dir, stem: str, seed: int) -> Run
 
 def run(config_path, out_dir=None, chunk_paths: int | None = None) -> RunResult:
     cfg = parse_config(config_path)
-    rows = collect_rows(cfg, chunk_paths=chunk_paths)
-    return write_reports(rows, out_dir or cfg.out_dir, "report", cfg.seed)
+    stats = _family_batch(cfg, chunk_paths)
+    rows = collect_rows(cfg, stats)
+    diagnostics = {} if stats is None else {cfg.family: passage_diagnostics(stats)}
+    return write_reports(rows, out_dir or cfg.out_dir, "report", cfg.seed, diagnostics)
 
 
 def verify_all(
@@ -430,13 +468,23 @@ def verify_all(
     chunk_paths: int | None = None,
 ) -> RunResult:
     """Default experiment matrix: every family, check, t, and r.  Every
-    config is checked before the first simulation starts."""
+    config is checked before the first simulation starts, and all batches
+    run through one ``simulate_batches`` pipeline, so the next family's
+    first chunk is drawn while this family's checks run."""
     cfgs = [
         ExperimentConfig(name, FAMILIES[name].defaults, paths=paths, steps=steps, seed=seed + offset)
         for offset, name in enumerate(sorted(FAMILIES))
     ]
-    rows = [row for cfg in cfgs for row in collect_rows(cfg, chunk_paths=chunk_paths)]
-    return write_reports(rows, out_dir, "verify_all", seed)
+    rows, diagnostics = [], {}
+    jobs = [_batch_job(cfg, chunk_paths) for cfg in cfgs if _needs_paths(cfg)]
+    with contextlib.closing(simulate_batches(jobs)) as batches:
+        for cfg in cfgs:
+            stats = next(batches) if _needs_paths(cfg) else None
+            rows.extend(collect_rows(cfg, stats))
+            if stats is not None:
+                diagnostics[cfg.family] = passage_diagnostics(stats)
+            del stats  # not held while the next batch simulates
+    return write_reports(rows, out_dir, "verify_all", seed, diagnostics)
 
 
 def _positive_int(raw: str) -> int:

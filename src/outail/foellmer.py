@@ -29,19 +29,28 @@ are the ``StoppedSlice`` views; delta and beta enter only
 batch arrays, and one per-node observer records the drift at the fixed
 checkpoints (batch) or every node (``simulate_path``).
 
-A batch runs in chunks of at most ``NORMALS_BUDGET_WORDS`` normals, held
-step-major as Brownian increments, so the loop reads one contiguous row per
-step.  Two worker threads draw each chunk as two path halves.  The first
-chunk is drawn while the calling thread builds every drift table of the
-run; after that, the next chunk is drawn while the current one steps, so
-at most two chunks are held at once.
+First passages cost per crossing, not per (threshold, path) pair: each
+path keeps how many of the sorted thresholds it has passed and the next
+log r, so a step makes one comparison per path, and only the paths that
+crossed are frozen, by index, for every threshold they jumped.
+
+A run is one draw pipeline: ``simulate_batches`` takes every batch of the
+run (``verify-all`` has one per family) and yields their ``BatchStats`` in
+order; ``simulate_batch`` is its one-batch case.  A batch runs in chunks of
+at most ``NORMALS_BUDGET_WORDS`` normals, held step-major as Brownian
+increments, so the loop reads one contiguous row per step.  The chunks of
+all batches form one queue for two worker threads, which draw each chunk as
+two path halves: a batch's first chunk while the calling thread builds the
+batch's drift tables, every other chunk while the one before it steps.  So
+batch k+1's first chunk is drawn while batch k steps its last chunk and the
+caller checks it, and at most two chunks are held at once.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -276,6 +285,65 @@ def _path_arrays(n_paths: int, dim: int, n_thresholds: int):
     return ends, frozen
 
 
+class _Batch:
+    """One batch of a run: the checked arguments of ``simulate_batch`` and
+    its chunk layout.  ``begin`` allocates the outputs and builds the drift
+    tables, ``step`` runs one chunk of paths, and ``finish`` hands the
+    outputs over as ``BatchStats`` and drops the tables."""
+
+    def __init__(
+        self,
+        density: DensityModel,
+        cfg: PathConfig,
+        n_paths: int,
+        r_values: Sequence[float] = (),
+        chunk_paths: Optional[int] = None,
+    ):
+        self.r_values = tuple(float(r) for r in r_values)
+        if any(r <= 1.0 for r in self.r_values):
+            raise ValueError("all thresholds must exceed 1")
+        if n_paths < 1:
+            raise ValueError(f"need at least one path, got {n_paths}")
+        if chunk_paths is not None and chunk_paths < 1:
+            raise ValueError(f"chunk_paths must be at least 1, got {chunk_paths}")
+        self.density, self.cfg, self.n_paths = density, cfg, n_paths
+        self.chunk = chunk_paths or _chunk_size(n_paths, cfg.steps, density.dim)
+        self.log_rs = np.array([np.log(r) for r in self.r_values])
+        self.cp_idx = {tc: int(round(tc * cfg.steps)) for tc in CHECKPOINT_TIMES}
+
+    def begin(self) -> None:
+        n_paths, n = self.n_paths, self.density.dim
+        self.ends, self.frozen = _path_arrays(n_paths, n, len(self.r_values))
+        self.cps = {tc: np.empty((n_paths, n)) for tc in self.cp_idx}
+        self.drift = DriftField(self.density)
+        self.drift.tabulate(self.cfg.steps)
+
+    def step(self, start: int, incs: np.ndarray) -> None:
+        """Run the paths from ``start`` on, driven by the chunk ``incs``."""
+        sl = slice(start, start + incs.shape[1])
+        cp_views = {i: self.cps[tc][sl] for tc, i in self.cp_idx.items()}
+
+        def record_checkpoints(i, x, v, k, stoch, energy):
+            if i in cp_views:
+                cp_views[i][...] = v
+
+        self.k0 = _run_paths(
+            self.density, self.drift, incs, self.log_rs,
+            [a[sl] for a in self.ends], [a[:, sl] for a in self.frozen], record_checkpoints,
+        )
+
+    def finish(self) -> BatchStats:
+        stats = BatchStats(
+            self.n_paths, self.cfg.steps, self.cfg.seed, self.k0, *self.ends,
+            checkpoints=self.cps,
+            checkpoint_indices=self.cp_idx,
+            stopped={r: StoppedSlice(r, *(a[j] for a in self.frozen))
+                     for j, r in enumerate(self.r_values)},
+        )
+        del self.drift, self.ends, self.frozen, self.cps
+        return stats
+
+
 def simulate_batch(
     density: DensityModel,
     cfg: PathConfig,
@@ -283,71 +351,62 @@ def simulate_batch(
     r_values: Sequence[float] = (),
     chunk_paths: Optional[int] = None,
 ) -> BatchStats:
-    """Simulate ``n_paths`` trajectories and reduce them to BatchStats.
+    """Simulate ``n_paths`` trajectories and reduce them to BatchStats: the
+    one-batch run of ``simulate_batches``.
 
     Stopped integrals are frozen for every threshold in ``r_values``, so
     one simulation serves all (r, delta) analyses; the drift is kept at the
     nodes nearest ``CHECKPOINT_TIMES``.  Results are bit-identical for any
-    ``chunk_paths``.  Two worker threads draw each chunk as two path
-    halves: the first chunk while this thread builds the drift tables, each
-    later one while the chunk before it steps, so at most two chunks are
-    held at once.  An error in any of them propagates once the workers are
-    joined.
+    ``chunk_paths``.
     """
-    r_values = tuple(float(r) for r in r_values)
-    if any(r <= 1.0 for r in r_values):
-        raise ValueError("all thresholds must exceed 1")
-    if n_paths < 1:
-        raise ValueError(f"need at least one path, got {n_paths}")
-    if chunk_paths is not None and chunk_paths < 1:
-        raise ValueError(f"chunk_paths must be at least 1, got {chunk_paths}")
-    m, n = cfg.steps, density.dim
-    drift = DriftField(density)
-    log_rs = np.array([np.log(r) for r in r_values])
-    cp_idx = {tc: int(round(tc * m)) for tc in CHECKPOINT_TIMES}
+    (stats,) = simulate_batches([(density, cfg, n_paths, r_values, chunk_paths)])
+    return stats
 
-    ends, frozen = _path_arrays(n_paths, n, len(r_values))
-    cps = {tc: np.empty((n_paths, n)) for tc in cp_idx}
-    chunk = chunk_paths or _chunk_size(n_paths, m, n)
-    k0 = None
+
+def simulate_batches(jobs: Iterable[tuple]) -> Iterator[BatchStats]:
+    """Yield the BatchStats of each job, in order; a job is the argument
+    tuple (density, cfg, n_paths[, r_values[, chunk_paths]]) of
+    ``simulate_batch``.
+
+    Every job is checked before the first draw.  The chunks of all jobs form
+    one queue for two worker threads, which draw each chunk as two path
+    halves: the first chunk while this thread builds the first batch's drift
+    tables, and each later one while the chunk before it steps.  The first
+    chunk of batch k+1 is thus drawn while batch k steps its last chunk and
+    while the caller works on the yielded batch k; at most two chunks are
+    held at once.  An error in a draw propagates once the workers are
+    joined.  The workers are joined when the generator ends or is closed, so
+    a caller that may stop early closes it (``contextlib.closing``).
+    """
+    batches = [_Batch(*job) for job in jobs]
+    chunks = [(b, start) for b in batches for start in range(0, b.n_paths, b.chunk)]
     with ThreadPoolExecutor(max_workers=2) as pool:
 
-        def draw(start):
-            """Step-major increments of the chunk at ``start``, its two path
-            halves filled by the two workers."""
-            c = min(chunk, n_paths - start)
+        def draw(j):
+            """Step-major increments of chunk j, its two path halves filled
+            by the two workers."""
+            b, start = chunks[j]
+            m, n = b.cfg.steps, b.density.dim
+            c = min(b.chunk, b.n_paths - start)
             incs = np.empty((m, c, n))
             by_path = incs.transpose(1, 0, 2)
             return incs, [
-                pool.submit(_draw_increments, cfg.seed, start + lo, by_path[lo:hi])
+                pool.submit(_draw_increments, b.cfg.seed, start + lo, by_path[lo:hi])
                 for lo, hi in ((0, c // 2), (c // 2, c)) if hi > lo
             ]
 
-        pending = draw(0)
-        drift.tabulate(m)
-        for start in range(0, n_paths, chunk):
+        pending = draw(0) if chunks else None
+        for j, (b, start) in enumerate(chunks):
+            if start == 0:
+                b.begin()
             incs, filling = pending
             for f in filling:
                 f.result()
-            pending = draw(start + chunk) if start + chunk < n_paths else None
-            sl = slice(start, start + incs.shape[1])
-            cp_views = {i: cps[tc][sl] for tc, i in cp_idx.items()}
-
-            def record_checkpoints(i, x, v, k, stoch, energy):
-                if i in cp_views:
-                    cp_views[i][...] = v
-
-            k0 = _run_paths(
-                density, drift, incs, log_rs,
-                [a[sl] for a in ends], [a[:, sl] for a in frozen], record_checkpoints,
-            )
-
-    return BatchStats(
-        n_paths, m, cfg.seed, k0, *ends,
-        checkpoints=cps,
-        checkpoint_indices=cp_idx,
-        stopped={r: StoppedSlice(r, *(a[j] for a in frozen)) for j, r in enumerate(r_values)},
-    )
+            pending = draw(j + 1) if j + 1 < len(chunks) else None
+            b.step(start, incs)
+            del incs, filling  # no chunk but the next is held while the caller works
+            if start + b.chunk >= b.n_paths:
+                yield b.finish()
 
 
 def _draw_increments(seed: int, first_path: int, out: np.ndarray) -> None:
@@ -358,11 +417,53 @@ def _draw_increments(seed: int, first_path: int, out: np.ndarray) -> None:
     out *= np.sqrt(1.0 / m)
 
 
-def _freeze(frozen, mask, i, stoch, energy, vds, k) -> None:
-    """Copy node i's running integrals and K into the threshold-major
-    ``frozen`` arrays wherever ``mask`` (n_thresholds, c) is set."""
-    for dst, src in zip(frozen, (i, stoch, energy, vds, k)):
-        np.copyto(dst, src, where=mask[..., None] if dst.ndim == 3 else mask)
+class _Passages:
+    """First passages of K over the thresholds ``log_rs`` (any order,
+    repeats allowed) on ``n_paths`` paths.
+
+    Each path keeps how many of the sorted thresholds it has passed and the
+    next log r, so a step costs one comparison per path; only the paths that
+    crossed are frozen, by index, for every threshold they jumped.  A NaN K
+    crosses nothing.
+    """
+
+    def __init__(self, log_rs: np.ndarray, n_paths: int):
+        self.order = np.argsort(log_rs, kind="stable")
+        self.sorted = log_rs[self.order]
+        self._next = np.append(self.sorted, np.inf)  # next log r after j passed
+        self.passed = np.zeros(n_paths, np.int64)
+        self.next_log_r = np.full(n_paths, self._next[0])
+        self._hit = np.empty(n_paths, dtype=bool)
+
+    def check(self, frozen, i, stoch, energy, vds, k) -> None:
+        """Freeze node i's running integrals and K for every (threshold,
+        path) pair whose log r K exceeds for the first time."""
+        if not np.greater(k, self.next_log_r, out=self._hit).any():
+            return
+        paths = np.flatnonzero(self._hit)
+        before = self.passed[paths]
+        after = np.searchsorted(self.sorted, k[paths])  # thresholds strictly below K
+        self.passed[paths] = after
+        self.next_log_r[paths] = self._next[after]
+        jumped = after - before
+        sorted_j = before
+        if jumped.max() > 1:
+            # one pair per threshold from ``before`` to ``after - 1`` of each path
+            start = np.repeat(before - (np.cumsum(jumped) - jumped), jumped)
+            paths = np.repeat(paths, jumped)
+            sorted_j = start + np.arange(len(paths))
+        rows = self.order[sorted_j]
+        for dst, src in zip(frozen[1:], (stoch, energy, vds, k)):
+            dst[rows, paths] = src[paths]
+        frozen[0][rows, paths] = i
+
+    def finish(self, frozen, m, stoch, energy, vds, k) -> None:
+        """Freeze every pair not yet stopped at the final node m."""
+        rank = np.empty_like(self.order)
+        rank[self.order] = np.arange(len(rank))
+        mask = rank[:, None] >= self.passed
+        for dst, src in zip(frozen, (m, stoch, energy, vds, k)):
+            np.copyto(dst, src, where=mask[..., None] if dst.ndim == 3 else mask)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -386,17 +487,14 @@ def _run_paths(density, drift, increments, log_rs, ends, frozen, observe) -> flo
     m = len(increments)
     dt = 1.0 / m
     vds = np.zeros_like(x)
-    active = np.ones(frozen[0].shape, dtype=bool)
+    passages = _Passages(log_rs, len(x))
     k0 = None
 
     for i, s in enumerate(_bandwidths(m)):
         k_i, v_i = drift.eval(s, x)
         if i == 0:
             k0 = float(k_i[0])
-        newly = active & (k_i > log_rs[:, None])
-        if newly.any():
-            _freeze(frozen, newly, i, stoch, energy, vds, k_i)
-            active &= ~newly
+        passages.check(frozen, i, stoch, energy, vds, k_i)
         observe(i, x, v_i, k_i, stoch, energy)
         db = increments[i]
         v_dt = v_i * dt
@@ -410,7 +508,7 @@ def _run_paths(density, drift, increments, log_rs, ends, frozen, observe) -> flo
 
     k_end[...] = density.log_f(x)
     v_end[...] = density.grad_log_f(x)
-    _freeze(frozen, active, m, stoch, energy, vds, k_end)
+    passages.finish(frozen, m, stoch, energy, vds, k_end)
     observe(m, x, v_end, k_end, stoch, energy)
     return k0
 

@@ -133,6 +133,10 @@ class TiltDensity(DensityModel):
 
     def log_f(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
+        if self.dim == 1:
+            # x @ u without BLAS: the product added to 0 - |u|^2/2, which is
+            # bit for bit the matmul's sum from +0 minus |u|^2/2, even at -0
+            return x[..., 0] * self.u[0] + (0.0 - 0.5 * self.alpha**2)
         return x @ self.u - 0.5 * self.alpha**2
 
     def grad_log_f(self, x) -> np.ndarray:

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ResolutionError
-# perturbation_arrays is not called here: cli.collect_rows calls it through
-# this module and passes each record to the builders below
+# simulate_batch and perturbation_arrays are not called here: cli calls them
+# through this module and passes each batch and record to the builders below
 from .foellmer import BatchStats, PathConfig, Perturbation, perturbation_arrays, simulate_batch
 from .measures import FAMILIES, DensityModel, TiltDensity
 from .numeric import log_gauss_tail

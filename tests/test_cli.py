@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from outail import cli, verify
+from outail import cli, foellmer, verify
 from outail.cli import (
     CHECK_TOKENS,
     CONFIG_KEYS,
@@ -25,11 +25,12 @@ from outail.cli import (
     write_reports,
 )
 from outail.errors import ConfigError
-from outail.foellmer import DEFAULT_STEPS
-from outail.measures import FAMILIES
+from outail.foellmer import DEFAULT_STEPS, PathConfig
+from outail.measures import FAMILIES, TiltDensity
 from outail.reports import CSV_COLUMNS, BoundReport
 from outail.verify import canonical_delta, default_families
 
+E = math.e
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOOD_CONFIG = """
@@ -153,13 +154,17 @@ class TestConfigParsing:
         ("spread = 0.5", "spread = 1e-5", "family"),
         ("spread = 0.5", "spread = 0.01", "family"),
         ("means = -1, 1\nspread = 0.5", "means = -1, 0; 1, 0\nspread = 1e-3", "family"),
+        # the entropy check integrates on a rule that stops at dim 3
+        (GOOD_CONFIG[GOOD_CONFIG.index("means"):GOOD_CONFIG.index("\nout")],
+         "means = -1, 0, 0, 0; 1, 0, 0, 0\nchecks = energy, entropy", "checks"),
     ], ids=["beta", "means", "duplicate_r", "rejected_by_family", "paths_not_int",
             "steps_not_int", "seed_not_int", "dim_not_int", "dim_mismatch", "too_few_steps",
             "negative_seed",
             "p_at_most_one", "p_not_float", "negative_beta", "negative_delta", "r_nan", "t_nan",
             "beta_inf", "p_inf", "r_overflow", "eps_nan", "wave_inf", "delta_inf",
             "seed_2_128", "sine_beta_inf", "sine_log_z_nan", "mixture_beta_inf",
-            "mixture_not_normalized", "mixture_residual_0.53", "mixture_2d_not_normalized"])
+            "mixture_not_normalized", "mixture_residual_0.53", "mixture_2d_not_normalized",
+            "entropy_above_quadrature_dim"])
     def test_bad_value_names_field(self, tmp_path, old, new, field):
         text = GOOD_CONFIG.format(out=tmp_path).replace(old, new)
         with pytest.raises(ConfigError) as exc:
@@ -181,16 +186,26 @@ class TestConfigParsing:
         that is the config verify-all runs for the family."""
         cfg = parse_config(write_cfg(tmp_path, f"[experiment]\nfamily = {name}\n"))
         assert cfg == ExperimentConfig(name, FAMILIES[name].defaults)
-        ran = {}
+        ran, jobs = {}, []
 
-        def record(c, chunk_paths):
+        def record(c, stats):
             ran[c.family] = c
             return []
 
+        def no_paths(batch_jobs):
+            # the checks are recorded, not run, so no batch is simulated
+            for job in batch_jobs:
+                jobs.append(job)
+                yield None
+
         monkeypatch.setattr(cli, "collect_rows", record)
+        monkeypatch.setattr(cli, "simulate_batches", no_paths)
         verify_all(seed=DEFAULT_SEED - sorted(FAMILIES).index(name), out_dir=tmp_path,
                    paths=DEFAULT_PATHS, steps=DEFAULT_STEPS)
         assert ran[name] == cfg
+        density, path_cfg, n_paths, r_values, _ = jobs[sorted(FAMILIES).index(name)]
+        assert (density.name, path_cfg, n_paths, r_values) == (
+            name, PathConfig(cfg.steps, cfg.seed), cfg.paths, cfg.r_values)
 
     def test_unknown_keys_are_named(self, tmp_path):
         text = GOOD_CONFIG.format(out=tmp_path).replace("steps = 128", "step = 128").replace(
@@ -414,12 +429,60 @@ checks = z, tv, prop2
         assert {"convexity_floor", "shell_shift", "drift_martingale_gap@0.5"} <= names
 
 
+    def test_json_carries_passage_diagnostics(self, tmp_path):
+        """Per threshold, the never-stopped fraction and the median and largest
+        overshoot of the batch the checks read; the CSV is that of the rows."""
+        cfg_path = write_cfg(tmp_path, f"""
+[experiment]
+family = tilt
+r = e0.5, e2
+paths = 1000
+steps = 128
+checks = energy, tv
+out = {tmp_path}
+""")
+        result = run(cfg_path)
+        summary = json.loads(result.json_path.read_text(), parse_constant=_reject_constant)
+        cfg = parse_config(cfg_path)
+        stats = cli._family_batch(cfg)
+        diag = summary["diagnostics"]["tilt"]
+        assert list(summary["diagnostics"]) == ["tilt"]
+        assert [row["r"] for row in diag] == list(cfg.r_values)
+        for row in diag:
+            sl = stats.slice_for(row["r"])
+            assert row["never_stopped"] == np.mean(sl.t_index == cfg.steps)
+            assert row["overshoot_median"] == np.median(sl.overshoot())
+            assert row["overshoot_max"] == sl.overshoot().max()
+        # a higher threshold stops no more paths
+        assert 0.0 < diag[0]["never_stopped"] < 1.0
+        assert diag[0]["never_stopped"] <= diag[1]["never_stopped"]
+        assert result.csv_path.read_text() == rows_to_csv_text(collect_rows(cfg, stats))
+
+    def test_passage_diagnostics_null_when_not_finite(self):
+        stats = verify.simulate_batch(TiltDensity([2.0]), PathConfig(128, 3), 50, r_values=(E,))
+        stats.stopped[E].k_at_stop[3] = math.nan
+        (row,) = cli.passage_diagnostics(stats)
+        assert row["overshoot_median"] is None and row["overshoot_max"] is None
+        assert json.loads(json.dumps(row, allow_nan=False)) == row
+
+    def test_analytic_run_has_no_diagnostics(self, tmp_path):
+        text = GOOD_CONFIG.format(out=tmp_path).replace("checks = energy, z, prop2", "checks = tail")
+        result = run(write_cfg(tmp_path, text))
+        assert json.loads(result.json_path.read_text())["diagnostics"] == {}
+
+
 class TestVerifyAll:
     def test_exit_zero_and_determinism(self, tmp_path):
         r1 = verify_all(seed=42, out_dir=tmp_path / "w1", paths=2000, steps=128)
         r2 = verify_all(seed=42, out_dir=tmp_path / "w2", paths=2000, steps=128, chunk_paths=613)
         assert r1.exit_code == 0 and r2.exit_code == 0
         assert r1.csv_path.read_bytes() == r2.csv_path.read_bytes()
+        for result in (r1, r2):
+            summary = json.loads(result.json_path.read_text(), parse_constant=_reject_constant)
+            assert list(summary["diagnostics"]) == sorted(FAMILIES)
+            for diag in summary["diagnostics"].values():
+                assert [row["r"] for row in diag] == list(verify.DEFAULT_R_GRID)
+                assert all(0.0 <= row["never_stopped"] <= 1.0 for row in diag)
 
     def test_seed_changes_estimates(self, tmp_path):
         r1 = verify_all(seed=1, out_dir=tmp_path / "s1", paths=2000, steps=128)
@@ -463,13 +526,22 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "0.2377" in out and "0.2670" in out
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
+    def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch):
         bad = write_cfg(tmp_path, "[experiment]\nfamily = unknown\n")
         assert main(["run", str(bad)]) == 2
         assert "family" in capsys.readouterr().err
         narrow = write_cfg(tmp_path, "[experiment]\nfamily = mixture\nspread = 1e-5\n", name="narrow.cfg")
         assert main(["run", str(narrow)]) == 2
         assert "error: config field 'family'" in capsys.readouterr().err
+        # a 4-D mixture under the default checks (entropy among them) fails
+        # at parse time, before any path is drawn
+        drawn = []
+        monkeypatch.setattr(foellmer, "path_normals", lambda *a, **kw: drawn.append(a))
+        wide = write_cfg(tmp_path, "[experiment]\nfamily = mixture\nmeans = 1,0,0,0; -1,0,0,0\n"
+                         "paths = 1000\nsteps = 100\n", name="wide.cfg")
+        assert main(["run", str(wide), "--out", str(tmp_path)]) == 2
+        assert "error: config field 'checks': 'entropy'" in capsys.readouterr().err
+        assert drawn == []
         # 2**128 - 1 reaches the limit at the second family, before any simulation
         for flag, value in (("--paths", "10"), ("--steps", "50"), ("--seed", "-1"),
                             ("--seed", str(2**128)), ("--seed", str(2**128 - 1))):

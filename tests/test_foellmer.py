@@ -1,8 +1,15 @@
+import contextlib
 import dataclasses
+import gc
 import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from outail import (
     DensityModel,
@@ -17,7 +24,15 @@ from outail import (
 )
 from outail import foellmer
 from outail import rng as rng_module
-from outail.foellmer import MIN_CHUNK_PATHS, NORMALS_BUDGET_WORDS, DriftField, _chunk_size
+from outail.foellmer import (
+    MIN_CHUNK_PATHS,
+    NORMALS_BUDGET_WORDS,
+    DriftField,
+    _chunk_size,
+    _path_arrays,
+    _Passages,
+    simulate_batches,
+)
 from outail.rng import words_per_path
 
 E = float(np.e)
@@ -192,6 +207,77 @@ class TestStopping:
                 cap = np.log(r) + sl.overshoot() + resid_tol - stats.k0
                 stopped = sl.t_index < stats.steps
                 assert np.all(recon[stopped] <= cap[stopped])
+
+
+def scan_passages(log_rs, k):
+    """Brute-force (T, S_T, E_T, I_T, K_T) of every (threshold, path) pair
+    for K values ``k`` (m + 1 nodes, paths), with the running integrals of
+    ``node_integrals``."""
+    n_nodes, n_paths = k.shape
+    m = n_nodes - 1
+    _, expect = _path_arrays(n_paths, 2, len(log_rs))
+    for j, lr in enumerate(log_rs):
+        for p in range(n_paths):
+            t = next((i for i in range(m) if k[i, p] > lr), m)
+            stoch, energy, vds = node_integrals(t, n_paths)
+            expect[0][j, p] = t
+            expect[1][j, p], expect[2][j, p] = stoch[p], energy[p]
+            expect[3][j, p] = vds[p]
+            expect[4][j, p] = k[t, p]
+    return expect
+
+
+def node_integrals(i, n_paths):
+    """Running integrals (S, E, I) at node i, distinct per node and path."""
+    stoch = i * 10.0 + np.arange(n_paths)
+    return stoch, -stoch, np.stack([stoch, 0.5 * stoch], axis=1)
+
+
+LOG_R_LEVELS = (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
+K_LEVELS = (np.nan, -np.inf, -2.0, -1.0, 0.0, 0.5, 0.75, 1.0, 2.0, 3.5, np.inf)
+
+
+class TestPassageBookkeeping:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log_rs=st.lists(st.sampled_from(LOG_R_LEVELS), max_size=6),
+        k=hnp.arrays(np.float64, st.tuples(st.integers(1, 7), st.integers(1, 5)),
+                     elements=st.sampled_from(K_LEVELS)),
+    )
+    # K equal to log r stops nothing; 3.5 jumps every level at once; NaN
+    # stops nothing; unsorted and repeated levels
+    @example(log_rs=[1.0, 0.0, 1.0, 3.0], k=np.array([[1.0, 0.0, np.nan], [3.5, 1.0, np.nan],
+                                                     [0.5, 1.0, 0.5]]))
+    @example(log_rs=[2.0, -1.0, 0.5], k=np.array([[-2.0], [0.75], [0.0], [3.5]]))
+    def test_matches_brute_force_scan(self, log_rs, k):
+        log_rs = np.array(log_rs, dtype=float)
+        n_nodes, n_paths = k.shape
+        m = n_nodes - 1
+        _, frozen = _path_arrays(n_paths, 2, len(log_rs))
+        passages = _Passages(log_rs, n_paths)
+        for i in range(m):
+            passages.check(frozen, i, *node_integrals(i, n_paths), k[i])
+        passages.finish(frozen, m, *node_integrals(m, n_paths), k[m])
+        for got, want in zip(frozen, scan_passages(log_rs, k)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("density", [
+        TILT, MixtureDensity([0.5, 0.5], [[-1.0, 0.5], [1.0, -0.5]], 0.5),
+    ], ids=["tilt_1d", "mixture_2d"])
+    def test_many_thresholds_equal_one_at_a_time(self, density):
+        """16 thresholds, unsorted, on one batch give bit for bit the slices
+        of 16 one-threshold batches."""
+        cfg = small_cfg(steps=128, seed=11)
+        log_rs = np.random.default_rng(3).permutation(np.linspace(0.02, 2.5, 16))
+        r_values = tuple(float(r) for r in np.exp(log_rs))
+        many = simulate_batch(density, cfg, 300, r_values=r_values)
+        crossed = 0
+        for r in r_values:
+            one = simulate_batch(density, cfg, 300, r_values=(r,)).stopped[r]
+            for name in ("t_index", "stoch", "energy", "vds", "k_at_stop"):
+                assert np.array_equal(getattr(many.stopped[r], name), getattr(one, name)), name
+            crossed += bool((one.t_index < cfg.steps).any())
+        assert crossed >= 8
 
 
 class TestPerturbation:
@@ -471,6 +557,127 @@ class TestPrefetch:
         built.clear()
         simulate_batch(TILT, PathConfig(steps=1000, seed=5), 600, chunk_paths=250)
         assert built == []
+
+
+MIX2 = MixtureDensity([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], 0.5)
+# batches of different dims, chunk sizes and thresholds, with distinct seeds
+PIPELINE_JOBS = (
+    (TILT, small_cfg(128, seed=3), 700, (E, E**2), 300),
+    (MIX2, small_cfg(100, seed=4), 500, (E,), None),
+    (SINE, small_cfg(128, seed=5), 400, (), 128),
+)
+
+
+def assert_stats_equal(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "checkpoints":
+            assert x.keys() == y.keys()
+            assert all(np.array_equal(x[t], y[t]) for t in x)
+        elif f.name == "stopped":
+            assert x.keys() == y.keys()
+            for r in x:
+                for g in dataclasses.fields(x[r]):
+                    assert np.array_equal(getattr(x[r], g.name), getattr(y[r], g.name)), g.name
+        else:
+            assert np.array_equal(x, y), f.name
+
+
+class TestPipeline:
+    def test_run_equals_separate_batches(self):
+        before = threading.active_count()
+        with contextlib.closing(simulate_batches(PIPELINE_JOBS)) as batches:
+            run = list(batches)
+        assert threading.active_count() == before
+        assert len(run) == len(PIPELINE_JOBS)
+        for job, stats in zip(PIPELINE_JOBS, run):
+            assert_stats_equal(stats, simulate_batch(*job))
+
+    def test_jobs_are_checked_before_any_draw(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(foellmer, "path_normals", lambda *a, **kw: drawn.append(a))
+        with pytest.raises(ValueError, match="thresholds must exceed 1"):
+            list(simulate_batches(PIPELINE_JOBS + ((TILT, small_cfg(), 10, (0.5,)),)))
+        assert drawn == []
+
+    def test_check_error_joins_the_prefetching_workers(self, monkeypatch):
+        """An error in the caller's work on batch 0, while batch 1's first
+        chunk is being drawn, leaves no worker behind."""
+        draw = foellmer.path_normals
+        prefetching = threading.Event()
+
+        def slow_next_batch(seed, first, *rest, **kw):
+            if seed == PIPELINE_JOBS[1][1].seed and first == 0:
+                prefetching.set()
+                time.sleep(0.2)
+            return draw(seed, first, *rest, **kw)
+
+        monkeypatch.setattr(foellmer, "path_normals", slow_next_batch)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="check failed"):
+            with contextlib.closing(simulate_batches(PIPELINE_JOBS)) as batches:
+                for _ in batches:
+                    assert prefetching.wait(5.0)
+                    raise RuntimeError("check failed")
+        assert threading.active_count() == before
+
+    def test_prefetched_draw_error_propagates_and_joins(self, monkeypatch):
+        draw = foellmer.path_normals
+
+        def fail_next_batch(seed, first, *rest, **kw):
+            if seed == PIPELINE_JOBS[1][1].seed:
+                raise RuntimeError("draw failed")
+            return draw(seed, first, *rest, **kw)
+
+        monkeypatch.setattr(foellmer, "path_normals", fail_next_batch)
+        before = threading.active_count()
+        done = []
+        with pytest.raises(RuntimeError, match="draw failed"):
+            with contextlib.closing(simulate_batches(PIPELINE_JOBS)) as batches:
+                for stats in batches:
+                    done.append(stats)
+        assert len(done) == 1
+        assert threading.active_count() == before
+
+    def test_at_most_two_chunk_buffers(self, monkeypatch):
+        """Counted at every draw and while the caller holds each batch."""
+        draw = foellmer.path_normals
+        buffers = []  # a weak reference per chunk buffer, both halves share one
+        lock = threading.Lock()
+
+        def live():
+            gc.collect()
+            return sum(ref() is not None for ref in buffers)
+
+        def track(seed, first, *rest, out=None):
+            with lock:
+                if not any(ref() is out.base for ref in buffers):
+                    buffers.append(weakref.ref(out.base))
+                at_draw.append(live())
+            return draw(seed, first, *rest, out=out)
+
+        at_draw, at_yield = [], []
+        monkeypatch.setattr(foellmer, "path_normals", track)
+        with contextlib.closing(simulate_batches(PIPELINE_JOBS)) as batches:
+            for _ in batches:
+                with lock:
+                    at_yield.append(live())
+        assert len(buffers) == 3 + 1 + 4  # chunks of the three batches
+        assert max(at_draw) == 2 and at_yield == [1, 1, 0]
+
+    def test_drift_tables_go_with_their_batch(self, monkeypatch):
+        fields = []
+        init = DriftField.__init__
+
+        def track(self, density):
+            init(self, density)
+            fields.append(weakref.ref(self))
+
+        monkeypatch.setattr(DriftField, "__init__", track)
+        with contextlib.closing(simulate_batches(PIPELINE_JOBS)) as batches:
+            for k, _ in enumerate(batches, start=1):
+                gc.collect()
+                assert len(fields) == k and all(ref() is None for ref in fields)
 
 
 class QuadratureMixture(MixtureDensity):

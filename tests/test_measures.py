@@ -124,6 +124,27 @@ class TestTiltClosedForms:
         expected = alpha * x - alpha**2 / 2.0
         assert float(tilt.log_f(np.array([x]))) == pytest.approx(expected, rel=1e-12)
 
+    @given(
+        u=st.floats(allow_nan=True, allow_infinity=True),
+        x=hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(1)),
+                     elements=st.floats(allow_nan=True, allow_infinity=True)),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(u=0.0, x=np.array([[-0.0], [0.0], [np.inf], [-np.inf], [np.nan]]))
+    @example(u=-2.0, x=np.array([[-0.0], [0.0], [np.inf], [-np.inf], [np.nan]]))
+    @example(u=-0.0, x=np.array([[-1.0], [1.0], [-0.0]]))
+    @example(u=1e-200, x=np.array([[-0.0], [-1e-200]]))
+    def test_1d_log_density_is_the_matmul_bit_for_bit(self, u, x):
+        """The dim-1 product path equals ``x @ u - |u|^2 / 2``, the form
+        every dimension above 1 keeps, in every bit: signed zeros,
+        infinities and NaN included."""
+        tilt = TiltDensity([u])
+        with np.errstate(all="ignore"):
+            want = x @ tilt.u - 0.5 * tilt.alpha**2
+            got = tilt.log_f(x)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_zero_tilt_is_constant_one(self):
         d = constant_density(1)
         xs = np.linspace(-5, 5, 11)
