@@ -194,19 +194,6 @@ class Trajectory:
         """K_i - K_0 - stoch_int_i - energy_i/2 along the grid."""
         return self.k - self.k[0] - self.stoch_int - 0.5 * self.energy
 
-    def to_csv(self, path) -> None:
-        """Dump the path as CSV with columns i, t, x*, v*, k."""
-        n = self.x.shape[1]
-        header = ["i", "t"] + [f"x{c}" for c in range(n)] + [f"v{c}" for c in range(n)] + ["k"]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for i in range(len(self.times)):
-                row = [str(i), repr(float(self.times[i]))]
-                row += [repr(float(val)) for val in self.x[i]]
-                row += [repr(float(val)) for val in self.v[i]]
-                row.append(repr(float(self.k[i])))
-                fh.write(",".join(row) + "\n")
-
 
 @dataclass(frozen=True)
 class StoppedSlice:

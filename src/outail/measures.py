@@ -421,11 +421,6 @@ def _jacobi_anger_weights(eps: float, k2: float, s: float) -> np.ndarray:
     return w[: small[0] + 2]
 
 
-def constant_density(dim: int = 1) -> TiltDensity:
-    """The density f = 1 (zero tilt)."""
-    return TiltDensity(np.zeros(dim))
-
-
 class Family(NamedTuple):
     """A density family: its constructor and the keyword parameters of its
     default member.  Vector parameters are tuples; ``means`` is a tuple of

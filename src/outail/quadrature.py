@@ -68,10 +68,3 @@ class QuadratureRule:
     @property
     def n_nodes(self) -> int:
         return len(self.weights)
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum of per-node values (plain linear functional)."""
-        values = np.asarray(values, dtype=float)
-        if values.shape[-1] != self.n_nodes:
-            raise DimensionMismatchError("values last axis must match node count")
-        return values @ self.weights

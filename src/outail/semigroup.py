@@ -29,13 +29,15 @@ from .measures import DensityModel, _as_points
 from .numeric import fd_hessian
 from .quadrature import QuadratureRule
 from .reports import BoundReport
-from .rng import gaussian_sample
-from .stats import batch_means
 
 S_MIN = 1e-4
 DEFAULT_NODES = 64
 # Slack of the hypercontractivity comparison, relative to ||f||_p.
 HYPER_REL_TOL = 1e-8
+# Largest dimension of the hypercontractivity check: ||Q_t f||_q evaluates
+# log Q_t f at all 64**dim nodes of the rule, each by ``ou_log`` quadrature
+# for a family without closed forms.
+HYPER_MAX_DIM = 2
 
 
 @lru_cache(maxsize=None)
@@ -102,22 +104,6 @@ def heat_log_grad(
     return k, v
 
 
-def ou_apply_mc(
-    density: DensityModel, t: float, x, n_samples: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo Q_t f(x) with batch-means standard error.
-
-    Samples the Gaussian average directly; reduction order is fixed by the
-    sample array, so estimates do not depend on worker layout.
-    """
-    x = _as_points(x, density.dim).reshape(density.dim)
-    y = gaussian_sample(seed, n_samples, density.dim)
-    rho = np.exp(-t)
-    tau = np.sqrt(-np.expm1(-2.0 * t))
-    vals = np.exp(density.log_f(rho * x + tau * y))
-    return batch_means(vals)
-
-
 def ou_log_hessian_min_eig(density: DensityModel, t: float, x) -> float:
     """lambda_min(Hessian log Q_t f(x)) + 1/(2t).
 
@@ -153,8 +139,8 @@ def hypercontractivity_check(density: DensityModel, p: float, t: float) -> Bound
     ``ou_log_fn``; the report passes when the smoothed norm does not exceed
     the raw norm beyond ``HYPER_REL_TOL``.
     """
-    if density.dim > 2:
-        raise ValueError("norm quadrature limited to dim <= 2")
+    if density.dim > HYPER_MAX_DIM:
+        raise ValueError(f"norm quadrature limited to dim <= {HYPER_MAX_DIM}")
     rule = default_rule(density.dim)
     q = nelson_exponent(p, t)
     lhs = np.exp(log_lp_norm(ou_log_fn(density, t, rule), q, rule))

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ResolutionError
 # simulate_batch and perturbation_arrays are not called here: cli calls them
 # through this module and passes each batch and record to the builders below
-from .foellmer import BatchStats, PathConfig, Perturbation, perturbation_arrays, simulate_batch
+from .foellmer import BatchStats, Perturbation, perturbation_arrays, simulate_batch
 from .measures import FAMILIES, DensityModel, TiltDensity
 from .numeric import log_gauss_tail
 from .quadrature import QuadratureRule
@@ -59,18 +59,6 @@ def canonical_delta(r: float) -> float:
 def default_families() -> dict[str, DensityModel]:
     """The default member of every registered family: one per convexity regime."""
     return {name: fam.build(**fam.defaults) for name, fam in FAMILIES.items()}
-
-
-def simulate_family_batch(
-    density: DensityModel,
-    n_paths: int = 10**5,
-    steps: int = 2048,
-    seed: int = 42,
-    r_values=DEFAULT_R_GRID,
-    chunk_paths=None,
-) -> BatchStats:
-    cfg = PathConfig(steps, seed)
-    return simulate_batch(density, cfg, n_paths, r_values=r_values, chunk_paths=chunk_paths)
 
 
 # -- tails ------------------------------------------------------------------
@@ -361,6 +349,8 @@ def composite_reports(stats: BatchStats, density: DensityModel, r: float) -> lis
       against the desk-scale ceiling.
     * tail_reduction: the direct tail gamma({f > r}) against the per-shell
       Markov sum E[ (e^k r)^-1 1{f(X_1) in shell_k} ], which dominates it.
+      When Monte Carlo cannot resolve the direct tail, an unanchored
+      ``tail_reduction!exact_required`` row with NaN values stands in.
     """
     logr = np.log(r)
     meta = _batch_meta(stats, density, r=r)
@@ -374,7 +364,12 @@ def composite_reports(stats: BatchStats, density: DensityModel, r: float) -> lis
     )
     weights = np.where(gap > 0.0, np.exp(-np.floor(np.maximum(gap, 0.0)) - logr), 0.0)
     w_mean, w_se = batch_means(weights)
-    direct, _ = tail_probability(density, 0.0, r, method="auto", seed=stats.seed)
+    try:
+        direct, _ = tail_probability(density, 0.0, r, method="auto", seed=stats.seed)
+    except ResolutionError:
+        nan = float("nan")
+        return [shell_row, BoundReport(name="tail_reduction!exact_required", estimate=nan,
+                                       ci_half_width=nan, bound=nan, anchored=False, **meta)]
     reduction_row = BoundReport(
         name="tail_reduction", estimate=direct, ci_half_width=3.0 * w_se,
         bound=w_mean, **meta,

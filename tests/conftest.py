@@ -8,7 +8,8 @@ entropy, Girsanov, and acceptance tests.
 import numpy as np
 import pytest
 
-from outail.verify import DEFAULT_R_GRID, default_families, simulate_family_batch
+from outail.foellmer import PathConfig, simulate_batches
+from outail.verify import DEFAULT_R_GRID, default_families
 
 N_PATHS = 10**5
 STEPS = 2048
@@ -23,16 +24,10 @@ def families():
 @pytest.fixture(scope="session")
 def batches(families):
     """One 10^5-path batch per family, reused across every test that can."""
-    out = {}
-    for offset, name in enumerate(sorted(families)):
-        out[name] = simulate_family_batch(
-            families[name],
-            n_paths=N_PATHS,
-            steps=STEPS,
-            seed=SEED + offset,
-            r_values=DEFAULT_R_GRID,
-        )
-    return out
+    names = sorted(families)
+    jobs = [(families[name], PathConfig(STEPS, SEED + offset), N_PATHS, DEFAULT_R_GRID)
+            for offset, name in enumerate(names)]
+    return dict(zip(names, simulate_batches(jobs)))
 
 
 @pytest.fixture(scope="session")

@@ -13,29 +13,25 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from outail import (
-    MixtureDensity,
-    TiltDensity,
-    girsanov_reports,
-    ou_log,
-    perturbation_arrays,
-    sharpness_values,
-    tail_curve,
-    z_suite_reports,
-)
 from outail.cli import verify_all
-from outail.semigroup import ou_log_hessian_min_eig
+from outail.foellmer import perturbation_arrays
+from outail.measures import MixtureDensity, TiltDensity
+from outail.semigroup import ou_log, ou_log_hessian_min_eig
 from outail.stats import KS_ONE_SAMPLE_CRIT, DenseCdf, ks_one_sample
 from outail.verify import (
     DEFAULT_R_GRID,
     composite_reports,
     drift_energy_report,
     entropy_identity_report,
+    girsanov_reports,
     hessian_floor_report,
     canonical_delta,
     relative_entropy_quadrature,
+    sharpness_values,
     shell_shift_report,
+    tail_curve,
     tv_reports,
+    z_suite_reports,
 )
 
 E = float(np.e)

@@ -470,6 +470,24 @@ out = {tmp_path}
         result = run(write_cfg(tmp_path, text))
         assert json.loads(result.json_path.read_text())["diagnostics"] == {}
 
+    @pytest.mark.parametrize("family", ["family = mixture\nmeans = 1,0,0,0; -1,0,0,0",
+                                        "family = sine\nwave = 2,0,0,0"], ids=["mixture", "sine"])
+    def test_4d_composite_unresolved_tail_is_a_row(self, tmp_path, capsys, family):
+        """A direct tail below Monte Carlo resolution gives an unanchored NaN
+        ``tail_reduction!exact_required`` row, not an exit-2 error."""
+        cfg = write_cfg(tmp_path, f"[experiment]\n{family}\nchecks = composite\n"
+                                  "paths = 1000\nsteps = 100\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) in (0, 1)
+        with (tmp_path / "report.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["name"] for row in rows].count("shell_ratio") == 3
+        unresolved = [row for row in rows if row["name"] == "tail_reduction!exact_required"]
+        assert unresolved
+        assert all(row["estimate"] == row["ci"] == row["bound"] == "" for row in unresolved)
+        summary = json.loads((tmp_path / "report.json").read_text())
+        assert not any(row["anchored"] for row in summary["rows"]
+                       if row["name"] == "tail_reduction!exact_required")
+
 
 class TestVerifyAll:
     def test_exit_zero_and_determinism(self, tmp_path):

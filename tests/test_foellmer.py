@@ -11,28 +11,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from outail import (
-    DensityModel,
-    MixtureDensity,
-    PathConfig,
-    SinePerturbationDensity,
-    TiltDensity,
-    constant_density,
-    perturbation_arrays,
-    simulate_batch,
-    simulate_path,
-)
 from outail import foellmer
 from outail import rng as rng_module
 from outail.foellmer import (
     MIN_CHUNK_PATHS,
     NORMALS_BUDGET_WORDS,
     DriftField,
+    PathConfig,
     _chunk_size,
     _path_arrays,
     _Passages,
+    perturbation_arrays,
+    simulate_batch,
     simulate_batches,
+    simulate_path,
 )
+from outail.measures import DensityModel, MixtureDensity, SinePerturbationDensity, TiltDensity
 from outail.rng import words_per_path
 
 E = float(np.e)
@@ -96,7 +90,7 @@ class TestTiltPaths:
 
 class TestConstantDensityPaths:
     def test_pure_brownian(self):
-        flat = constant_density(1)
+        flat = TiltDensity(np.zeros(1))
         cfg = small_cfg()
         traj = simulate_path(flat, cfg)
         np.testing.assert_allclose(traj.v, 0.0, atol=0.0)
@@ -728,15 +722,3 @@ class TestTwoDimensional:
         # closed drift agrees with the quadrature drift on the same seed
         stats_c = simulate_batch(MixtureDensity([0.5, 0.5], means, 0.5), cfg, 256)
         assert np.abs(stats.x1 - stats_c.x1).max() < 1e-6
-
-
-class TestTrajectoryDump:
-    def test_csv_schema(self, tmp_path):
-        traj = simulate_path(TILT, small_cfg())
-        out = tmp_path / "path.csv"
-        traj.to_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "i,t,x0,v0,k"
-        assert len(lines) == traj.steps + 2
-        first = lines[1].split(",")
-        assert first[0] == "0" and float(first[1]) == 0.0

@@ -5,19 +5,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from outail import (
+from outail.errors import ClosedFormUnavailableError, DimensionMismatchError, NonFiniteValueError
+from outail.foellmer import DriftField
+from outail.measures import (
+    SERIES_TOL,
     MixtureDensity,
-    QuadratureRule,
     SinePerturbationDensity,
     TiltDensity,
     beta_probe,
-    constant_density,
     validate_normalization,
 )
-from outail.errors import ClosedFormUnavailableError, DimensionMismatchError, NonFiniteValueError
-from outail.foellmer import DriftField
-from outail.measures import SERIES_TOL
 from outail.numeric import FD_STEP, fd_gradient
+from outail.quadrature import QuadratureRule
 
 RULE64 = QuadratureRule.gauss_hermite(1, 64)
 
@@ -32,7 +31,7 @@ class TestNormalization:
 
     def test_constant_density_weight_sum(self):
         # f = 1: residual reduces to the weight-sum error
-        assert validate_normalization(constant_density(1), RULE64) < 1e-14
+        assert validate_normalization(TiltDensity(np.zeros(1)), RULE64) < 1e-14
 
     def test_mixture(self):
         # every component is a Gaussian relative density of mass exactly 1
@@ -146,7 +145,7 @@ class TestTiltClosedForms:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_zero_tilt_is_constant_one(self):
-        d = constant_density(1)
+        d = TiltDensity(np.zeros(1))
         xs = np.linspace(-5, 5, 11)
         np.testing.assert_allclose(d.log_f(xs), 0.0, atol=0.0)
         assert d.closed_tail(2.0) == 0.0

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import factorial2
 
-from outail import QuadratureRule
 from outail.errors import DimensionMismatchError
+from outail.quadrature import QuadratureRule
 
 
 def gaussian_moment(k):
@@ -45,9 +45,3 @@ class TestGaussHermite:
             QuadratureRule.gauss_hermite(4, 8)
         with pytest.raises(DimensionMismatchError):
             QuadratureRule.gauss_hermite(0, 8)
-
-    def test_integrate_shape_check(self):
-        rule = QuadratureRule.gauss_hermite(1, 8)
-        with pytest.raises(DimensionMismatchError):
-            rule.integrate(np.ones(7))
-        assert rule.integrate(np.ones(8)) == pytest.approx(1.0, abs=1e-14)

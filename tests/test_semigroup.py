@@ -1,23 +1,23 @@
 import numpy as np
 import pytest
 
-from outail import (
-    MixtureDensity,
-    QuadratureRule,
-    SinePerturbationDensity,
-    TiltDensity,
-    constant_density,
+from outail import semigroup
+from outail.errors import ClosedFormUnavailableError, NonFiniteValueError
+from outail.measures import MixtureDensity, SinePerturbationDensity, TiltDensity
+from outail.numeric import fd_hessian
+from outail.quadrature import QuadratureRule
+from outail.rng import gaussian_sample
+from outail.semigroup import (
+    S_MIN,
+    default_rule,
+    heat_log_grad,
     hypercontractivity_check,
+    log_lp_norm,
     nelson_exponent,
-    ou_apply_mc,
     ou_log,
     ou_log_hessian_min_eig,
 )
-from outail import semigroup
-from outail.errors import ClosedFormUnavailableError, NonFiniteValueError
-from outail.numeric import fd_hessian
-from outail.semigroup import S_MIN, default_rule, heat_log_grad, log_lp_norm
-from outail.stats import superlevel_gamma_mass
+from outail.stats import batch_means, superlevel_gamma_mass
 from outail.verify import HESSIAN_PROBES, HESSIAN_TOL, hessian_floor_report, tail_probability
 
 RULE = QuadratureRule.gauss_hermite(1, 64)
@@ -30,6 +30,15 @@ def ou_value(density, t, x):
     return float(np.exp(ou_log(density, t, np.array([x]))))
 
 
+def ou_apply_mc(density, t, x, n_samples, seed):
+    """Monte Carlo Q_t f(x) with its batch-means standard error: the
+    Gaussian average sampled directly, the reference for ``ou_log``."""
+    y = gaussian_sample(seed, n_samples, density.dim)
+    rho = np.exp(-t)
+    tau = np.sqrt(-np.expm1(-2.0 * t))
+    return batch_means(np.exp(density.log_f(rho * x + tau * y)))
+
+
 def heat(density, s, x, rule=None):
     """(log P_s f(x), grad log P_s f(x)) at one 1-D point by the heat kernel."""
     k, v = heat_log_grad(density, s, np.array([x]), rule or default_rule(density.dim))
@@ -40,7 +49,7 @@ class TestOuApply:
     def test_constant_is_fixed_point(self):
         for t in (0.05, 0.5, 2.0):
             for x in (-1.0, 0.0, 2.5):
-                assert ou_value(constant_density(1), t, x) == pytest.approx(1.0, abs=1e-13)
+                assert ou_value(TiltDensity(np.zeros(1)), t, x) == pytest.approx(1.0, abs=1e-13)
 
     def test_tilt_half_life_value(self):
         # alpha e^-t = 1/2 at alpha = 1, t = log 2; value at 0 is e^{-1/8}
@@ -90,7 +99,7 @@ class TestHeatApply:
         assert quad == pytest.approx(expected, rel=1e-10)
 
     def test_mass_conserved_for_constant(self):
-        assert np.exp(heat(constant_density(1), 1.0, 3.0)[0]) == pytest.approx(1.0, abs=1e-13)
+        assert np.exp(heat(TiltDensity(np.zeros(1)), 1.0, 3.0)[0]) == pytest.approx(1.0, abs=1e-13)
 
 
 class TestHeatGradLog:
@@ -101,7 +110,7 @@ class TestHeatGradLog:
                 assert heat(tilt, s, x)[1] == pytest.approx(1.7, rel=1e-9)
 
     def test_constant_density_zero_gradient(self):
-        assert abs(heat(constant_density(1), 0.5, 1.0)[1]) < 1e-12
+        assert abs(heat(TiltDensity(np.zeros(1)), 0.5, 1.0)[1]) < 1e-12
 
     def test_matches_finite_differences_of_heat_log(self):
         s, h = 0.5, 1e-5
@@ -164,7 +173,7 @@ class TestSineHeatSeries:
 class TestLogHessianFloor:
     def test_constant_density_margin_is_floor(self):
         for t in (0.1, 0.5, 1.0):
-            m = ou_log_hessian_min_eig(constant_density(1), t, np.array([0.7]))
+            m = ou_log_hessian_min_eig(TiltDensity(np.zeros(1)), t, np.array([0.7]))
             assert m == pytest.approx(0.5 / t, abs=1e-6 / t)
 
     def test_tilt_margin_is_floor(self):
@@ -199,7 +208,7 @@ class TestNelsonExponent:
 
 class TestHypercontractivity:
     def test_constant_density_both_norms_one(self):
-        rep = hypercontractivity_check(constant_density(1), 2.0, 0.5)
+        rep = hypercontractivity_check(TiltDensity(np.zeros(1)), 2.0, 0.5)
         assert rep.estimate == pytest.approx(1.0, abs=1e-12)
         assert rep.bound == pytest.approx(1.0, abs=1e-12)
         assert rep.passed

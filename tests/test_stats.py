@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
-from outail import MixtureDensity, TiltDensity, constant_density
+from outail.measures import MixtureDensity, TiltDensity
 from outail.numeric import fd_hessian, gauss_interval_mass, log_gauss_tail
 from outail.rng import _U_MIN, gaussian_sample, path_normals, uniform_block, words_per_path
 from outail.stats import (
@@ -63,7 +63,7 @@ class TestKolmogorovSmirnov:
 
 class TestDenseCdf:
     def test_constant_density_recovers_gaussian_cdf(self):
-        cdf = DenseCdf(constant_density(1).log_f)
+        cdf = DenseCdf(TiltDensity(np.zeros(1)).log_f)
         xs = np.linspace(-5, 5, 101)
         np.testing.assert_allclose(cdf(xs), ndtr(xs), atol=1e-8)
 
@@ -93,7 +93,7 @@ class TestSuperlevelMass:
         assert mass == pytest.approx(mc, abs=4 * np.sqrt(mc / 400000))
 
     def test_empty_set(self):
-        assert superlevel_gamma_mass(constant_density(1).log_f, np.log(2.0)) == 0.0
+        assert superlevel_gamma_mass(TiltDensity(np.zeros(1)).log_f, np.log(2.0)) == 0.0
 
 
 class TestGaussianTails:

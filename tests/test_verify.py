@@ -2,33 +2,29 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from outail import (
-    MixtureDensity,
-    TiltDensity,
-    constant_density,
+from outail.errors import ResolutionError
+from outail.foellmer import PathConfig, perturbation_arrays, simulate_batch
+from outail.measures import MixtureDensity, TiltDensity
+from outail.reports import BoundReport
+from outail.verify import (
+    DEFAULT_R_GRID,
+    composite_reports,
     deviation_margin_report,
+    drift_energy_report,
+    entropy_identity_report,
     exp_moment_report,
     girsanov_reports,
-    perturbation_arrays,
+    hessian_floor_report,
+    martingale_gap_reports,
+    canonical_delta,
     relative_entropy_quadrature,
+    sharpness_report,
     sharpness_values,
     shell_shift_report,
     tail_curve,
     tail_probability,
     tv_reports,
     z_suite_reports,
-)
-from outail.errors import ResolutionError
-from outail.reports import BoundReport
-from outail.verify import (
-    DEFAULT_R_GRID,
-    composite_reports,
-    drift_energy_report,
-    entropy_identity_report,
-    hessian_floor_report,
-    martingale_gap_reports,
-    canonical_delta,
-    sharpness_report,
 )
 
 E = float(np.e)
@@ -59,7 +55,7 @@ class TestBoundReport:
 
 class TestTailProbability:
     def test_constant_density_has_no_tail(self):
-        est, ci = tail_probability(constant_density(1), 0.5, 2.0, "exact")
+        est, ci = tail_probability(TiltDensity(np.zeros(1)), 0.5, 2.0, "exact")
         assert est == 0.0 and ci == 0.0
 
     def test_matched_tilt_at_e8(self):
@@ -108,7 +104,7 @@ class TestTailCurve:
             assert curve.markov_ok
 
     def test_constant_density_all_zero(self):
-        curve = tail_curve(constant_density(1), 0.5, DEFAULT_R_GRID, "exact")
+        curve = tail_curve(TiltDensity(np.zeros(1)), 0.5, DEFAULT_R_GRID, "exact")
         assert np.all(curve.tail == 0.0)
         assert np.all(curve.normalized_ratio == 0.0)
 
@@ -149,7 +145,7 @@ class TestEntropy:
         assert relative_entropy_quadrature(TiltDensity([1.0])) == pytest.approx(0.5, abs=1e-10)
 
     def test_constant_density_zero(self):
-        assert relative_entropy_quadrature(constant_density(1)) == pytest.approx(0.0, abs=1e-12)
+        assert relative_entropy_quadrature(TiltDensity(np.zeros(1))) == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_reports_pass(self, batches, families):
         for name, stats in batches.items():
@@ -169,9 +165,7 @@ class TestEnergyBound:
                 assert rep.passed, f"{name} r={r}: {rep.estimate} vs {rep.bound}"
 
     def test_constant_density_trivial(self):
-        from outail import PathConfig, simulate_batch
-
-        flat = constant_density(1)
+        flat = TiltDensity(np.zeros(1))
         stats = simulate_batch(flat, PathConfig(steps=128, seed=2), 500, r_values=(E,))
         rep = drift_energy_report(stats, flat, E)
         assert rep.estimate == 0.0 and rep.passed
