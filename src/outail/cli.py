@@ -297,12 +297,10 @@ def _family_batch(cfg: ExperimentConfig, chunk_paths: int | None = None) -> Batc
 def collect_rows(cfg: ExperimentConfig, stats: BatchStats | None = None) -> list[BoundReport]:
     """Run the selected checks for one family config, in config order.
 
-    ``stats`` is the config's path batch; when a check reads paths and none
-    is given, the batch is simulated here."""
+    ``stats`` is the config's path batch, which the drivers simulate; None
+    when no check reads paths."""
     density = build_density(cfg)
     beta = density.beta if cfg.beta_override is None else cfg.beta_override
-    if stats is None:
-        stats = _family_batch(cfg)
     # one perturbation record per distinct (r, delta), read by all its rows
     pert = functools.cache(lambda r, d: verify.perturbation_arrays(stats, density, r, d, beta))
     rows: list[BoundReport] = []
@@ -557,7 +555,8 @@ def main(argv=None) -> int:
 
 def _emit_summary(result: RunResult) -> None:
     for row in result.rows:
-        status = "PASS" if row.passed else "FAIL"
+        # only an anchored failure fails the run; an unanchored miss is a note
+        status = "PASS" if row.passed else "FAIL" if row.anchored else "NOTE"
         tags = [row.family]
         if not np.isnan(row.t):
             tags.append(f"t={row.t:g}")

@@ -19,15 +19,15 @@ Per-path randomness comes from a counter-based stream keyed by (seed, path
 index), so batches are reproducible under any chunk layout.
 
 ``PathConfig`` holds the only settings a caller chooses: the number of
-steps and the seed.  The drift evaluation is read off the density: closed
-forms when the family has them, else the Gauss-Hermite heat kernel, and a
-spatial table for 1-D fields whose drift depends on the state.  Thresholds
-are an argument of ``simulate_batch``: each is one more stopping time on the
-same paths, stored threshold-major as (n_thresholds, N) arrays whose rows
-are the ``StoppedSlice`` views; delta and beta enter only
-``perturbation_arrays``.  The step loop writes each chunk into views of the
-batch arrays, and one per-node observer records the drift at the fixed
-checkpoints (batch) or every node (``simulate_path``).
+steps and the seed.  The drift is read off the density by ``heat_at``: closed
+forms when the family has them, else the Gauss-Hermite heat kernel, and one
+spatial table per step for 1-D fields whose drift depends on the state.
+Thresholds are an argument of ``simulate_batch``: each distinct one is one
+more stopping time on the same paths, stored threshold-major in increasing
+order as (n_thresholds, N) arrays whose rows are the ``StoppedSlice`` views;
+delta and beta enter only ``perturbation_arrays``.  The step loop writes
+each chunk into views of the batch arrays, and one per-node observer records
+the drift at the fixed checkpoints (batch) or every node (``simulate_path``).
 
 First passages cost per crossing, not per (threshold, path) pair: each
 path keeps how many of the sorted thresholds it has passed and the next
@@ -58,7 +58,7 @@ from .errors import NonFiniteValueError
 from .measures import DensityModel, TiltDensity
 from .quadrature import QuadratureRule
 from .rng import path_normals, words_per_path
-from .semigroup import heat_log_grad
+from .semigroup import heat_at
 
 DEFAULT_STEPS = 2048
 MIN_STEPS = 100
@@ -87,68 +87,47 @@ class PathConfig:
 
 
 class DriftField:
-    """Evaluates (K, v)(s, x) = (log P_s f(x), grad log P_s f(x)).
+    """Evaluates (K, v)(s, x) = (log P_s f(x), grad log P_s f(x)) for the
+    drift of a ``steps``-step path, whose step i has bandwidth s = 1 - i/steps.
 
-    Closed forms are used when the family has them; otherwise the
-    ``DRIFT_QUAD_NODES``-node Gauss-Hermite heat kernel
-    ``semigroup.heat_log_grad``.  A 1-D field whose drift depends on the
-    state (every family but the log-linear tilt) is tabulated per bandwidth
-    on a fixed spatial grid and evaluated by linear interpolation; the table
-    depends only on s, so results are independent of batch layout.  The
-    grid part of a closed form (``closed_heat_at``) is computed once per
-    field.
+    Every evaluation comes from ``semigroup.heat_at``: closed forms when the
+    family has them, otherwise the ``DRIFT_QUAD_NODES``-node Gauss-Hermite
+    heat kernel.  A 1-D field whose drift depends on the state (every family
+    but the log-linear tilt) is tabulated on a fixed spatial grid, one table
+    per step in ``tables``, and evaluated by linear interpolation; the tables
+    depend only on the steps, so results are independent of batch layout.
     """
 
-    def __init__(self, density: DensityModel):
+    def __init__(self, density: DensityModel, steps: int):
         self.density = density
+        self.dt = 1.0 / steps
         self.rule = (
             None if density.has_closed_heat
             else QuadratureRule.gauss_hermite(density.dim, DRIFT_QUAD_NODES)
         )
         self.grid = None
+        self.tables: list[tuple[np.ndarray, np.ndarray]] = []
         if density.dim == 1 and not isinstance(density, TiltDensity):
             self.grid = np.linspace(-DRIFT_GRID_HALFWIDTH, DRIFT_GRID_HALFWIDTH, DRIFT_GRID_POINTS)
             self._grid_lo = float(self.grid[0])
             self._grid_inv_h = (len(self.grid) - 1) / (self.grid[-1] - self.grid[0])
-            pts = self.grid[:, None]
-            self._on_grid = (
-                density.closed_heat_at(pts) if self.rule is None
-                else lambda s: heat_log_grad(density, s, pts, self.rule)
-            )
-        self._tables: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+            self._on_grid = heat_at(density, self.grid[:, None], self.rule)
+            for i in range(steps):
+                k, v = self.raw(1.0 - i * self.dt)
+                self.tables.append((k, v[:, 0]))
 
     def raw(self, s: float, x: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-        """(K, v) without tabulation at points x of shape (..., dim), or at
-        bandwidth s > 0 on the table grid when x is None."""
-        d = self.density
+        """(K, v) without tabulation at points x of shape (..., dim), or on
+        the table grid when x is None."""
         if x is None:
             return self._on_grid(s)
-        if s <= 0.0:
-            return d.log_f(x), d.grad_log_f(x)
-        if self.rule is None:
-            return d.closed_heat_log_grad(s, x)
-        return heat_log_grad(d, s, x, self.rule)
+        return heat_at(self.density, x, self.rule)(s)
 
-    def _table(self, s: float) -> tuple[np.ndarray, np.ndarray]:
-        tab = self._tables.get(s)
-        if tab is None:
-            k, v = self.raw(s)
-            tab = (k, v[:, 0])
-            self._tables[s] = tab
-        return tab
-
-    def tabulate(self, steps: int) -> None:
-        """Build the table of every bandwidth a ``steps``-step path looks up
-        (nothing without a grid)."""
-        if self.grid is not None:
-            for s in _bandwidths(steps):
-                self._table(s)
-
-    def eval(self, s: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(K, v) at bandwidth s for points x of shape (..., dim)."""
-        if self.grid is None or s <= 0.0:
-            return self.raw(s, x)
-        k_tab, v_tab = self._table(s)
+    def eval(self, i: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(K, v) at step i for points x of shape (..., dim)."""
+        if self.grid is None:
+            return self.raw(1.0 - i * self.dt, x)
+        k_tab, v_tab = self.tables[i]
         # uniform grid: fused linear interpolation, one index computation
         # for both tables; points beyond the grid clamp to the edge value
         pos = x[..., 0] - self._grid_lo
@@ -161,13 +140,6 @@ class DriftField:
         k = k_tab[idx] * rest + k_tab[idx1] * frac
         v = (v_tab[idx] * rest + v_tab[idx1] * frac)[..., None]
         return k, v
-
-
-def _bandwidths(steps: int) -> list[float]:
-    """Bandwidth s = 1 - t_i of the drift at each step i < ``steps``: the
-    keys under which ``DriftField`` stores its tables."""
-    dt = 1.0 / steps
-    return [1.0 - i * dt for i in range(steps)]
 
 
 @dataclass(frozen=True)
@@ -286,7 +258,7 @@ class _Batch:
         r_values: Sequence[float] = (),
         chunk_paths: Optional[int] = None,
     ):
-        self.r_values = tuple(float(r) for r in r_values)
+        self.r_values = tuple(sorted({float(r) for r in r_values}))
         if any(r <= 1.0 for r in self.r_values):
             raise ValueError("all thresholds must exceed 1")
         if n_paths < 1:
@@ -302,8 +274,7 @@ class _Batch:
         n_paths, n = self.n_paths, self.density.dim
         self.ends, self.frozen = _path_arrays(n_paths, n, len(self.r_values))
         self.cps = {tc: np.empty((n_paths, n)) for tc in self.cp_idx}
-        self.drift = DriftField(self.density)
-        self.drift.tabulate(self.cfg.steps)
+        self.drift = DriftField(self.density, self.cfg.steps)
 
     def step(self, start: int, incs: np.ndarray) -> None:
         """Run the paths from ``start`` on, driven by the chunk ``incs``."""
@@ -341,8 +312,9 @@ def simulate_batch(
     """Simulate ``n_paths`` trajectories and reduce them to BatchStats: the
     one-batch run of ``simulate_batches``.
 
-    Stopped integrals are frozen for every threshold in ``r_values``, so
-    one simulation serves all (r, delta) analyses; the drift is kept at the
+    Stopped integrals are frozen for every threshold in ``r_values`` (any
+    order; a repeat is one threshold), so one simulation serves all
+    (r, delta) analyses; the drift is kept at the
     nodes nearest ``CHECKPOINT_TIMES``.  Results are bit-identical for any
     ``chunk_paths``.
     """
@@ -405,19 +377,18 @@ def _draw_increments(seed: int, first_path: int, out: np.ndarray) -> None:
 
 
 class _Passages:
-    """First passages of K over the thresholds ``log_rs`` (any order,
-    repeats allowed) on ``n_paths`` paths.
+    """First passages of K over the sorted, distinct thresholds ``log_rs``
+    on ``n_paths`` paths.
 
-    Each path keeps how many of the sorted thresholds it has passed and the
-    next log r, so a step costs one comparison per path; only the paths that
+    Each path keeps how many of the thresholds it has passed and the next
+    log r, so a step costs one comparison per path; only the paths that
     crossed are frozen, by index, for every threshold they jumped.  A NaN K
     crosses nothing.
     """
 
     def __init__(self, log_rs: np.ndarray, n_paths: int):
-        self.order = np.argsort(log_rs, kind="stable")
-        self.sorted = log_rs[self.order]
-        self._next = np.append(self.sorted, np.inf)  # next log r after j passed
+        self.log_rs = log_rs
+        self._next = np.append(log_rs, np.inf)  # next log r after j passed
         self.passed = np.zeros(n_paths, np.int64)
         self.next_log_r = np.full(n_paths, self._next[0])
         self._hit = np.empty(n_paths, dtype=bool)
@@ -429,26 +400,23 @@ class _Passages:
             return
         paths = np.flatnonzero(self._hit)
         before = self.passed[paths]
-        after = np.searchsorted(self.sorted, k[paths])  # thresholds strictly below K
+        after = np.searchsorted(self.log_rs, k[paths])  # thresholds strictly below K
         self.passed[paths] = after
         self.next_log_r[paths] = self._next[after]
         jumped = after - before
-        sorted_j = before
+        rows = before
         if jumped.max() > 1:
             # one pair per threshold from ``before`` to ``after - 1`` of each path
             start = np.repeat(before - (np.cumsum(jumped) - jumped), jumped)
             paths = np.repeat(paths, jumped)
-            sorted_j = start + np.arange(len(paths))
-        rows = self.order[sorted_j]
+            rows = start + np.arange(len(paths))
         for dst, src in zip(frozen[1:], (stoch, energy, vds, k)):
             dst[rows, paths] = src[paths]
         frozen[0][rows, paths] = i
 
     def finish(self, frozen, m, stoch, energy, vds, k) -> None:
         """Freeze every pair not yet stopped at the final node m."""
-        rank = np.empty_like(self.order)
-        rank[self.order] = np.arange(len(rank))
-        mask = rank[:, None] >= self.passed
+        mask = np.arange(len(self.log_rs))[:, None] >= self.passed
         for dst, src in zip(frozen, (m, stoch, energy, vds, k)):
             np.copyto(dst, src, where=mask[..., None] if dst.ndim == 3 else mask)
 
@@ -477,8 +445,8 @@ def _run_paths(density, drift, increments, log_rs, ends, frozen, observe) -> flo
     passages = _Passages(log_rs, len(x))
     k0 = None
 
-    for i, s in enumerate(_bandwidths(m)):
-        k_i, v_i = drift.eval(s, x)
+    for i in range(m):
+        k_i, v_i = drift.eval(i, x)
         if i == 0:
             k0 = float(k_i[0])
         passages.check(frozen, i, stoch, energy, vds, k_i)
@@ -516,7 +484,7 @@ def simulate_path(density: DensityModel, cfg: PathConfig, path_index: int = 0) -
     ends, frozen = _path_arrays(1, n, 0)
     db = np.empty((m, n))
     _draw_increments(cfg.seed, path_index, db[None])
-    _run_paths(density, DriftField(density), db[:, None], np.empty(0), ends, frozen, record_node)
+    _run_paths(density, DriftField(density, m), db[:, None], np.empty(0), ends, frozen, record_node)
     xs, vs, ks, stochs, energies = nodes
     return Trajectory(
         times=np.arange(m + 1) / m,

@@ -82,18 +82,11 @@ class DensityModel:
         """The density of the OU image Q_t f, when expressible in-family."""
         raise ClosedFormUnavailableError(f"{self.name} has no closed OU image")
 
-    def closed_heat_log_grad(self, s: float, x) -> tuple[np.ndarray, np.ndarray]:
-        """(log P_s f(x), grad log P_s f(x)) in closed form."""
-        raise ClosedFormUnavailableError(f"{self.name} has no closed heat transform")
-
     def closed_heat_at(self, x) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
-        """s -> ``closed_heat_log_grad(s, x)`` at fixed points x.
-
-        A family whose closed form separates into a part in x and a part in
-        s computes the x part once here, for tables over many bandwidths.
-        """
-        x = _as_points(x, self.dim)
-        return lambda s: self.closed_heat_log_grad(s, x)
+        """s -> (log P_s f(x), grad log P_s f(x)) in closed form for s > 0 at
+        fixed points x; a part of the form that depends on x alone is
+        computed once here, for tables over many bandwidths."""
+        raise ClosedFormUnavailableError(f"{self.name} has no closed heat transform")
 
     def closed_tail(self, r: float, t: float = 0.0) -> float:
         """gamma_n({Q_t f > r}) in closed form (t=0 gives the tail of f)."""
@@ -158,8 +151,8 @@ class TiltDensity(DensityModel):
     def closed_ou(self, t: float) -> "TiltDensity":
         return TiltDensity(self.u * np.exp(-t))
 
-    def closed_heat_log_grad(self, s: float, x) -> tuple[np.ndarray, np.ndarray]:
-        return self.log_f(x) + 0.5 * s * self.alpha**2, self.grad_log_f(x)
+    def closed_heat_at(self, x) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
+        return lambda s: (self.log_f(x) + 0.5 * s * self.alpha**2, self.grad_log_f(x))
 
     def closed_tail(self, r: float, t: float = 0.0) -> float:
         if r <= 1.0:
@@ -300,23 +293,25 @@ class MixtureDensity(DensityModel):
         )
         return per_coord.sum(-1) + log_weights, b
 
-    def closed_heat_log_grad(self, s: float, x) -> tuple[np.ndarray, np.ndarray]:
+    def closed_heat_at(self, x) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
         x = _as_points(x, self.dim)
-        if s <= 0.0:
-            return self.log_f(x), self.grad_log_f(x)
-        # The outputs come first: drift tables keep them for the whole run,
-        # and allocated after the temporaries below they would pin one
-        # freed temporary each in the heap (32 MiB over 2048 tables).
-        k, v = np.empty(x.shape[:-1]), np.empty(x.shape)
-        logs, b = self._heat_component_logs(s, x)
-        lse, p = self._log_sum_exp(logs)
-        k[...] = lse
-        a_over = 1.0 / self.spread + 1.0 / s - 1.0
-        # einsum on components-last operands, as the posterior comes: with
-        # n = 1 and J >= 3 its summation order depends on the layout
-        comp_grad = np.ascontiguousarray(np.moveaxis((b / a_over - x) / s, 0, -2))
-        np.einsum("...j,...jn->...n", p, comp_grad, out=v)
-        return k, v
+
+        def at(s: float) -> tuple[np.ndarray, np.ndarray]:
+            # The outputs come first: drift tables keep them for the whole
+            # run, and allocated after the temporaries below they would pin
+            # one freed temporary each in the heap (32 MiB over 2048 tables).
+            k, v = np.empty(x.shape[:-1]), np.empty(x.shape)
+            logs, b = self._heat_component_logs(s, x)
+            lse, p = self._log_sum_exp(logs)
+            k[...] = lse
+            a_over = 1.0 / self.spread + 1.0 / s - 1.0
+            # einsum on components-last operands, as the posterior comes:
+            # with n = 1 and J >= 3 its summation order depends on the layout
+            comp_grad = np.ascontiguousarray(np.moveaxis((b / a_over - x) / s, 0, -2))
+            np.einsum("...j,...jn->...n", p, comp_grad, out=v)
+            return k, v
+
+        return at
 
 
 class SinePerturbationDensity(DensityModel):
@@ -377,9 +372,6 @@ class SinePerturbationDensity(DensityModel):
     @property
     def has_closed_heat(self) -> bool:
         return self._weights is not None
-
-    def closed_heat_log_grad(self, s: float, x) -> tuple[np.ndarray, np.ndarray]:
-        return self.closed_heat_at(x)(s)
 
     def closed_heat_at(self, x) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
         """The cosines cos(j theta - j pi/2) and the derivatives

@@ -1,11 +1,14 @@
 """Ornstein-Uhlenbeck and heat semigroup evaluation.
 
 Values are carried in log scale internally and exponentiated only at API
-boundaries (thresholds r up to e^16 overflow otherwise).  ``ou_log_fn`` is
-the one place that decides how log Q_t f is evaluated: the in-family OU
-image when the family has one, else Mehler's formula on a closed heat form,
-else ``ou_log``, tensorized Gauss-Hermite quadrature.  Monte Carlo carries an
-explicit seed and reduces deterministically.
+boundaries (thresholds r up to e^16 overflow otherwise).  ``heat_at`` is the
+one place that decides how (log P_s f, grad log P_s f) is evaluated: exactly
+at s = 0, else in closed form when the family has one, else by
+``heat_log_grad``, the one Gauss-Hermite heat kernel.  log Q_t f follows by
+Mehler's formula: ``ou_log_fn`` uses the in-family OU image when there is
+one, else Mehler over ``heat_at``; ``ou_log``, Mehler over the kernel alone,
+is the quadrature reference.  Monte Carlo carries an explicit seed and
+reduces deterministically.
 
 The heat-kernel gradient is computed by differentiating the kernel inside
 the quadrature sum (score trick), never by outer finite differences:
@@ -18,7 +21,7 @@ kernel returns the exact s -> 0 limit grad log f instead.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -35,8 +38,8 @@ DEFAULT_NODES = 64
 # Slack of the hypercontractivity comparison, relative to ||f||_p.
 HYPER_REL_TOL = 1e-8
 # Largest dimension of the hypercontractivity check: ||Q_t f||_q evaluates
-# log Q_t f at all 64**dim nodes of the rule, each by ``ou_log`` quadrature
-# for a family without closed forms.
+# log Q_t f at all 64**dim nodes of the rule, each by heat-kernel
+# quadrature for a family without closed forms.
 HYPER_MAX_DIM = 2
 
 
@@ -47,36 +50,42 @@ def default_rule(dim: int) -> QuadratureRule:
     return QuadratureRule.gauss_hermite(dim, DEFAULT_NODES)
 
 
+def heat_at(density: DensityModel, x, rule: Optional[QuadratureRule] = None):
+    """s -> (log P_s f(x), grad log P_s f(x)) at the fixed points x: the exact
+    (log f, grad log f)(x) at s <= 0, else the family's ``closed_heat_at(x)``
+    when it has a closed heat transform, else ``heat_log_grad`` on ``rule``
+    (``default_rule`` when None, built only in that case)."""
+    if density.has_closed_heat:
+        heat = density.closed_heat_at(x)
+    else:
+        heat = partial(heat_log_grad, density, x=x, rule=rule or default_rule(density.dim))
+    return lambda s: (density.log_f(x), density.grad_log_f(x)) if s <= 0.0 else heat(s)
+
+
 def ou_log(density: DensityModel, t: float, x, rule: Optional[QuadratureRule] = None) -> np.ndarray:
-    """log Q_t f(x) by Gauss-Hermite quadrature, vectorized over points."""
+    """log Q_t f(x) by Mehler's formula over the Gauss-Hermite heat kernel
+    ``heat_log_grad``, vectorized over points; log f(x) at t = 0."""
     if t < 0:
         raise ValueError("OU time must be >= 0")
-    rule = rule or default_rule(density.dim)
     x = _as_points(x, density.dim)
-    rho = np.exp(-t)
-    tau = np.sqrt(-np.expm1(-2.0 * t))
-    pts = rho * x[..., None, :] + tau * rule.nodes
-    logs = density.log_f(pts)
-    out = logsumexp(rule.log_weights + logs, axis=-1)
-    if not np.isfinite(out).all():
-        raise NonFiniteValueError("log Q_t f evaluated non-finite")
-    return out
+    if t == 0.0:
+        return density.log_f(x)
+    rule = rule or default_rule(density.dim)
+    return heat_log_grad(density, -np.expm1(-2.0 * t), np.exp(-t) * x, rule)[0]
 
 
 def ou_log_fn(density: DensityModel, t: float, rule: Optional[QuadratureRule] = None):
     """x -> log Q_t f(x): log f at t = 0, else the in-family OU image, else
-    Mehler's formula Q_t f(x) = P_{1 - e^{-2t}} f(e^{-t} x) on a closed heat
-    form, else ``ou_log`` quadrature with ``rule``."""
+    Mehler's formula Q_t f(x) = P_{1 - e^{-2t}} f(e^{-t} x) over ``heat_at``
+    with ``rule``."""
     if t < 0:
         raise ValueError("OU time must be >= 0")
     if t == 0.0:
         return density.log_f
     if density.has_closed_ou:
         return density.closed_ou(t).log_f
-    if density.has_closed_heat:
-        s, rho = -np.expm1(-2.0 * t), np.exp(-t)
-        return lambda xs: density.closed_heat_log_grad(s, rho * xs)[0]
-    return lambda xs: ou_log(density, t, xs, rule)
+    s, rho = -np.expm1(-2.0 * t), np.exp(-t)
+    return lambda xs: heat_at(density, rho * xs, rule)(s)[0]
 
 
 def heat_log_grad(

@@ -15,6 +15,7 @@ from outail import foellmer
 from outail import rng as rng_module
 from outail.foellmer import (
     MIN_CHUNK_PATHS,
+    MIN_STEPS,
     NORMALS_BUDGET_WORDS,
     DriftField,
     PathConfig,
@@ -234,15 +235,15 @@ K_LEVELS = (np.nan, -np.inf, -2.0, -1.0, 0.0, 0.5, 0.75, 1.0, 2.0, 3.5, np.inf)
 class TestPassageBookkeeping:
     @settings(max_examples=300, deadline=None)
     @given(
-        log_rs=st.lists(st.sampled_from(LOG_R_LEVELS), max_size=6),
+        log_rs=st.lists(st.sampled_from(LOG_R_LEVELS), max_size=6, unique=True).map(sorted),
         k=hnp.arrays(np.float64, st.tuples(st.integers(1, 7), st.integers(1, 5)),
                      elements=st.sampled_from(K_LEVELS)),
     )
     # K equal to log r stops nothing; 3.5 jumps every level at once; NaN
-    # stops nothing; unsorted and repeated levels
-    @example(log_rs=[1.0, 0.0, 1.0, 3.0], k=np.array([[1.0, 0.0, np.nan], [3.5, 1.0, np.nan],
-                                                     [0.5, 1.0, 0.5]]))
-    @example(log_rs=[2.0, -1.0, 0.5], k=np.array([[-2.0], [0.75], [0.0], [3.5]]))
+    # stops nothing
+    @example(log_rs=[0.0, 1.0, 3.0], k=np.array([[1.0, 0.0, np.nan], [3.5, 1.0, np.nan],
+                                                [0.5, 1.0, 0.5]]))
+    @example(log_rs=[-1.0, 0.5, 2.0], k=np.array([[-2.0], [0.75], [0.0], [3.5]]))
     def test_matches_brute_force_scan(self, log_rs, k):
         log_rs = np.array(log_rs, dtype=float)
         n_nodes, n_paths = k.shape
@@ -272,6 +273,17 @@ class TestPassageBookkeeping:
                 assert np.array_equal(getattr(many.stopped[r], name), getattr(one, name)), name
             crossed += bool((one.t_index < cfg.steps).any())
         assert crossed >= 8
+
+    def test_unsorted_repeated_thresholds_equal_sorted(self):
+        cfg = small_cfg(steps=128, seed=11)
+        r_values = (E**2, E**0.5, E, E**0.5, E**1.5)
+        given_order = simulate_batch(MIX, cfg, 300, r_values=r_values)
+        ordered = simulate_batch(MIX, cfg, 300, r_values=sorted(set(r_values)))
+        assert list(given_order.stopped) == list(ordered.stopped) == sorted(set(r_values))
+        for r in r_values:
+            for name in ("t_index", "stoch", "energy", "vds", "k_at_stop"):
+                got, want = getattr(given_order.stopped[r], name), getattr(ordered.stopped[r], name)
+                assert np.array_equal(got, want), name
 
 
 class TestPerturbation:
@@ -488,7 +500,7 @@ class TestPrefetch:
             drawn.append(first)
             return draw(seed, first, *rest, **kw)
 
-        def fail(self, s, x):
+        def fail(self, i, x):
             raise RuntimeError("step failed")
 
         monkeypatch.setattr(foellmer, "path_normals", spy)
@@ -663,8 +675,8 @@ class TestPipeline:
         fields = []
         init = DriftField.__init__
 
-        def track(self, density):
-            init(self, density)
+        def track(self, *args):
+            init(self, *args)
             fields.append(weakref.ref(self))
 
         monkeypatch.setattr(DriftField, "__init__", track)
@@ -684,20 +696,22 @@ class TestDriftTabulation:
     @pytest.mark.parametrize("density", [MIX, SINE, QuadratureMixture([0.5, 0.5], [-1.0, 1.0], 0.5)],
                              ids=["mixture", "sine", "quadrature"])
     def test_table_matches_direct_evaluation(self, density, rng):
-        # eval interpolates the field's table, raw evaluates it directly
-        drift = DriftField(density)
-        assert drift.grid is not None
+        # eval interpolates table i of the field, raw evaluates its bandwidth
+        # s = 1 - i/m directly: s = 1, 0.5, about 0.05 and 1/256
+        m = 256
+        drift = DriftField(density, m)
+        assert drift.grid is not None and len(drift.tables) == m
         x = rng.normal(size=(2000, 1)) * 2.5
-        for s in (1.0, 0.5, 0.05, 1.0 / 256):
-            k_t, v_t = drift.eval(s, x)
-            k_d, v_d = drift.raw(s, x)
+        for i in (0, m // 2, 243, m - 1):
+            k_t, v_t = drift.eval(i, x)
+            k_d, v_d = drift.raw(1.0 - i / m, x)
             assert np.abs(k_t - k_d).max() < 2e-4
             assert np.abs(v_t - v_d).max() < 5e-4
 
     def test_sine_above_series_cutoff_uses_quadrature(self):
-        assert DriftField(SINE).rule is None
+        assert DriftField(SINE, MIN_STEPS).rule is None
         wide = SinePerturbationDensity(6.0, [2.0])
-        assert not wide.has_closed_heat and DriftField(wide).rule is not None
+        assert not wide.has_closed_heat and DriftField(wide, MIN_STEPS).rule is not None
 
     def test_final_node_bypasses_table(self):
         stats = simulate_batch(MIX, small_cfg(), 32)
@@ -716,7 +730,7 @@ class TestTwoDimensional:
         means = [[-1.0, 0.0], [1.0, 0.0]]
         cfg = PathConfig(steps=128, seed=8)
         quad2 = QuadratureMixture([0.5, 0.5], means, 0.5)
-        assert DriftField(quad2).rule is not None
+        assert DriftField(quad2, cfg.steps).rule is not None
         stats = simulate_batch(quad2, cfg, 256)
         assert np.isfinite(stats.x1).all()
         # closed drift agrees with the quadrature drift on the same seed

@@ -10,6 +10,7 @@ from outail.rng import gaussian_sample
 from outail.semigroup import (
     S_MIN,
     default_rule,
+    heat_at,
     heat_log_grad,
     hypercontractivity_check,
     log_lp_norm,
@@ -75,6 +76,11 @@ class TestOuApply:
         with pytest.raises(ClosedFormUnavailableError):
             SINE.closed_ou(0.5)
 
+    @pytest.mark.parametrize("density", [TiltDensity([2.0]), MIX, SINE], ids=["tilt", "mixture", "sine"])
+    def test_time_zero_is_log_f(self, density, rng):
+        x = rng.normal(size=(9, 1)) * 2.0
+        assert np.array_equal(ou_log(density, 0.0, x), density.log_f(x))
+
     def test_mc_deterministic(self):
         x = np.array([0.1])
         a = ou_apply_mc(MIX, 0.3, x, 10**4, seed=9)
@@ -94,12 +100,26 @@ class TestHeatApply:
         tilt = TiltDensity([alpha])
         expected = np.exp(alpha * x - alpha**2 / 2 + alpha**2 * s / 2)
         quad = np.exp(heat(tilt, s, x)[0])
-        closed = float(np.exp(tilt.closed_heat_log_grad(s, np.array([x]))[0]))
+        closed = float(np.exp(tilt.closed_heat_at(np.array([x]))(s)[0]))
         assert closed == pytest.approx(expected, rel=1e-14)
         assert quad == pytest.approx(expected, rel=1e-10)
 
     def test_mass_conserved_for_constant(self):
         assert np.exp(heat(TiltDensity(np.zeros(1)), 1.0, 3.0)[0]) == pytest.approx(1.0, abs=1e-13)
+
+    def test_heat_at_4d_mixture_is_closed_and_builds_no_rule(self, monkeypatch, rng):
+        def no_rule(dim):
+            raise AssertionError("heat_at built a quadrature rule for a closed family")
+
+        monkeypatch.setattr(semigroup, "default_rule", no_rule)
+        mix4 = MixtureDensity([0.5, 0.5], [[1.0, 0, 0, 0], [-1.0, 0.5, 0, 0]], 0.5)
+        x = rng.normal(size=(20, 4))
+        heat_x, closed_x = heat_at(mix4, x), mix4.closed_heat_at(x)
+        for s in (1.0, 0.3, 1e-5):
+            for got, want in zip(heat_x(s), closed_x(s)):
+                assert np.array_equal(got, want)
+        k0, v0 = heat_x(0.0)
+        assert np.array_equal(k0, mix4.log_f(x)) and np.array_equal(v0, mix4.grad_log_f(x))
 
 
 class TestHeatGradLog:
@@ -136,7 +156,7 @@ class TestHeatGradLog:
             heat_log_grad(NanGradient([1.0]), 1e-5, np.zeros((3, 1)), RULE)
 
     def test_closed_form_bypasses_floor(self):
-        g = MIX.closed_heat_log_grad(1e-5, np.array([0.4]))[1]
+        g = MIX.closed_heat_at(np.array([0.4]))(1e-5)[1]
         expected = np.ravel(MIX.grad_log_f(np.array([0.4])))[0]
         assert np.ravel(g)[0] == pytest.approx(expected, abs=1e-4)
 
@@ -150,7 +170,7 @@ class TestSineHeatSeries:
         sine = SinePerturbationDensity(0.3, wave)
         assert sine.has_closed_heat
         x = rng.normal(size=(30, len(wave))) * 2.0
-        k, v = sine.closed_heat_log_grad(s, x)
+        k, v = sine.closed_heat_at(x)(s)
         k_q, v_q = heat_log_grad(sine, s, x, QuadratureRule.gauss_hermite(len(wave), 150))
         assert np.abs(k - k_q).max() < 1e-13
         assert np.abs(v - v_q).max() < 1e-13
