@@ -2,13 +2,13 @@
 
 Values are carried in log scale internally and exponentiated only at API
 boundaries (thresholds r up to e^16 overflow otherwise).  ``heat_at`` is the
-one place that decides how (log P_s f, grad log P_s f) is evaluated: exactly
-at s = 0, else in closed form when the family has one, else by
-``heat_log_grad``, the one Gauss-Hermite heat kernel.  log Q_t f follows by
-Mehler's formula: ``ou_log_fn`` uses the in-family OU image when there is
-one, else Mehler over ``heat_at``; ``ou_log``, Mehler over the kernel alone,
-is the quadrature reference.  Monte Carlo carries an explicit seed and
-reduces deterministically.
+one place that decides how (log P_s f, grad log P_s f) is evaluated: in
+closed form when the family has one, else by ``heat_log_grad``, the one
+Gauss-Hermite heat kernel, which skips the gradient when only log P_s f is
+wanted.  log Q_t f follows by Mehler's formula: ``ou_log_fn`` uses the
+in-family OU image when there is one, else Mehler over ``heat_at``;
+``ou_log``, Mehler over the kernel alone, is the quadrature reference.
+Monte Carlo carries an explicit seed and reduces deterministically.
 
 The heat-kernel gradient is computed by differentiating the kernel inside
 the quadrature sum (score trick), never by outer finite differences:
@@ -50,16 +50,14 @@ def default_rule(dim: int) -> QuadratureRule:
     return QuadratureRule.gauss_hermite(dim, DEFAULT_NODES)
 
 
-def heat_at(density: DensityModel, x, rule: Optional[QuadratureRule] = None):
-    """s -> (log P_s f(x), grad log P_s f(x)) at the fixed points x: the exact
-    (log f, grad log f)(x) at s <= 0, else the family's ``closed_heat_at(x)``
-    when it has a closed heat transform, else ``heat_log_grad`` on ``rule``
-    (``default_rule`` when None, built only in that case)."""
+def heat_at(density: DensityModel, x, rule: Optional[QuadratureRule] = None, grad: bool = True):
+    """s -> (log P_s f(x), grad log P_s f(x)) at the fixed points x: the
+    family's ``closed_heat_at(x)`` when it has a closed heat transform, else
+    ``heat_log_grad`` on ``rule`` (``default_rule`` when None, built only in
+    that case), whose gradient is None when not ``grad``."""
     if density.has_closed_heat:
-        heat = density.closed_heat_at(x)
-    else:
-        heat = partial(heat_log_grad, density, x=x, rule=rule or default_rule(density.dim))
-    return lambda s: (density.log_f(x), density.grad_log_f(x)) if s <= 0.0 else heat(s)
+        return density.closed_heat_at(x)
+    return partial(heat_log_grad, density, x=x, rule=rule or default_rule(density.dim), grad=grad)
 
 
 def ou_log(density: DensityModel, t: float, x, rule: Optional[QuadratureRule] = None) -> np.ndarray:
@@ -71,7 +69,7 @@ def ou_log(density: DensityModel, t: float, x, rule: Optional[QuadratureRule] = 
     if t == 0.0:
         return density.log_f(x)
     rule = rule or default_rule(density.dim)
-    return heat_log_grad(density, -np.expm1(-2.0 * t), np.exp(-t) * x, rule)[0]
+    return heat_log_grad(density, -np.expm1(-2.0 * t), np.exp(-t) * x, rule, grad=False)[0]
 
 
 def ou_log_fn(density: DensityModel, t: float, rule: Optional[QuadratureRule] = None):
@@ -85,14 +83,15 @@ def ou_log_fn(density: DensityModel, t: float, rule: Optional[QuadratureRule] = 
     if density.has_closed_ou:
         return density.closed_ou(t).log_f
     s, rho = -np.expm1(-2.0 * t), np.exp(-t)
-    return lambda xs: heat_at(density, rho * xs, rule)(s)[0]
+    return lambda xs: heat_at(density, rho * xs, rule, grad=False)(s)[0]
 
 
 def heat_log_grad(
-    density: DensityModel, s: float, x, rule: QuadratureRule
-) -> tuple[np.ndarray, np.ndarray]:
+    density: DensityModel, s: float, x, rule: QuadratureRule, grad: bool = True
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """(log P_s f(x), grad log P_s f(x)) by quadrature with kernel covariance
-    s * id; the gradient is grad log f(x) itself below ``S_MIN``."""
+    s * id; the gradient is grad log f(x) itself below ``S_MIN``, and is
+    skipped (None) when not ``grad``."""
     if not 0.0 < s <= 1.0:
         raise ValueError("heat bandwidth must lie in (0, 1]")
     x = _as_points(x, density.dim)
@@ -100,7 +99,9 @@ def heat_log_grad(
     pts = x[..., None, :] + sqrt_s * rule.nodes
     logs = rule.log_weights + density.log_f(pts)
     k = logsumexp(logs, axis=-1)
-    if s >= S_MIN:
+    if not grad:
+        v = None
+    elif s >= S_MIN:
         peak = logs.max(axis=-1, keepdims=True)
         w = np.exp(logs - peak)
         den = w.sum(-1)
@@ -108,7 +109,7 @@ def heat_log_grad(
         v = num / (sqrt_s * den[..., None])
     else:
         v = density.grad_log_f(x)
-    if not (np.isfinite(k).all() and np.isfinite(v).all()):
+    if not (np.isfinite(k).all() and (v is None or np.isfinite(v).all())):
         raise NonFiniteValueError(f"log P_s f or its gradient non-finite at s={s:g}")
     return k, v
 

@@ -118,8 +118,6 @@ class TestHeatApply:
         for s in (1.0, 0.3, 1e-5):
             for got, want in zip(heat_x(s), closed_x(s)):
                 assert np.array_equal(got, want)
-        k0, v0 = heat_x(0.0)
-        assert np.array_equal(k0, mix4.log_f(x)) and np.array_equal(v0, mix4.grad_log_f(x))
 
 
 class TestHeatGradLog:
@@ -154,6 +152,20 @@ class TestHeatGradLog:
 
         with pytest.raises(NonFiniteValueError):
             heat_log_grad(NanGradient([1.0]), 1e-5, np.zeros((3, 1)), RULE)
+
+    def test_log_only_skips_the_gradient(self, monkeypatch):
+        wide = SinePerturbationDensity(6.0, [2.0])  # above the series cutoff
+        assert not wide.has_closed_heat
+        x = np.linspace(-3.0, 3.0, 13)[:, None]
+        for s in (1.0, 0.3, 1e-5):
+            k_only, none = heat_log_grad(wide, s, x, RULE, grad=False)
+            assert none is None and np.array_equal(k_only, heat_log_grad(wide, s, x, RULE)[0])
+        # the OU image of a family without closed forms asks for log P_s f alone
+        kernel, seen = semigroup.heat_log_grad, []
+        spy = lambda *args, **kwargs: seen.append(kwargs["grad"]) or kernel(*args, **kwargs)
+        monkeypatch.setattr(semigroup, "heat_log_grad", spy)
+        assert np.array_equal(semigroup.ou_log_fn(wide, 0.5, RULE)(x), ou_log(wide, 0.5, x, RULE))
+        assert seen == [False, False]
 
     def test_closed_form_bypasses_floor(self):
         g = MIX.closed_heat_at(np.array([0.4]))(1e-5)[1]
@@ -267,9 +279,10 @@ class TestClosedFormChecks:
         norm = np.exp(log_lp_norm(quad, nelson_exponent(2.0, t), default_rule(density.dim)))
 
         def no_quadrature(*args, **kwargs):
-            raise AssertionError("ou_log called for a family with closed forms")
+            raise AssertionError("quadrature called for a family with closed forms")
 
         monkeypatch.setattr(semigroup, "ou_log", no_quadrature)
+        monkeypatch.setattr(semigroup, "heat_log_grad", no_quadrature)
         floor = hessian_floor_report(density, t)
         hyper = hypercontractivity_check(density, 2.0, t)
         assert floor.margin == pytest.approx(HESSIAN_TOL + worst, abs=1e-6)
