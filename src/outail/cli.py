@@ -20,7 +20,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,7 +30,7 @@ from .errors import ConfigError, OutailError, ResolutionError
 from .foellmer import DEFAULT_STEPS, MIN_STEPS, BatchStats, PathConfig, simulate_batches
 from .measures import FAMILIES, DensityModel, MixtureDensity, validate_normalization
 from .quadrature import MAX_QUADRATURE_DIM
-from .reports import CSV_COLUMNS, BoundReport, TailCurve
+from .reports import CSV_COLUMNS, BoundReport
 from .semigroup import DEFAULT_NODES, HYPER_MAX_DIM, default_rule, hypercontractivity_check
 from . import verify
 from .verify import DEFAULT_R_GRID, DEFAULT_T_GRID, canonical_delta
@@ -365,19 +365,17 @@ def _tail_row(density: DensityModel, t: float, r: float, cfg: ExperimentConfig) 
 def _ceiling_row(
     density: DensityModel, t: float, tails: list[BoundReport], cfg: ExperimentConfig
 ) -> BoundReport:
-    """Largest OU-tail constant over the resolved ``tail_markov`` rows at t;
-    NaN when no threshold resolves.  Its half-width is the largest tail
-    half-width in the same units, each scaled by its row's factor."""
+    """Largest OU-tail constant ``tail * r * sqrt(log r) * min(1, t)`` over
+    the resolved ``tail_markov`` rows at t; NaN when no threshold resolves.
+    Its half-width is the largest tail half-width in the same units, each
+    scaled by its row's factor."""
     resolved = [row for row in tails if row.name == "tail_markov"]
     est = ci = float("nan")
     if resolved:
-        curve = TailCurve(
-            family=density.name, t=t, r_grid=np.array([row.r for row in resolved]),
-            tail=np.array([row.estimate for row in resolved]),
-            ci=np.array([row.ci_half_width for row in resolved]),
-            method="auto", beta=density.beta,
-        )
-        est, ci = curve.c_hat, replace(curve, tail=curve.ci).c_hat
+        r = np.array([row.r for row in resolved])
+        scaled = lambda values: float((np.array(values) * r * np.sqrt(np.log(r)) * min(1.0, t)).max())
+        est = scaled([row.estimate for row in resolved])
+        ci = scaled([row.ci_half_width for row in resolved])
     return BoundReport(
         name="tail_curve_ceiling", family=density.name, dim=density.dim,
         t=t, beta=density.beta, estimate=est, ci_half_width=ci,

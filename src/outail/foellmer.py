@@ -511,7 +511,6 @@ class Perturbation(NamedTuple):
     log_f_xd: np.ndarray          # (N,)
     log_d: np.ndarray             # (N,)
     z: np.ndarray                 # (N,)
-    y: np.ndarray                 # (N,)
     convexity_margin: np.ndarray  # (N,)
     product_excess: np.ndarray    # (N,) log(f(X^d) D^d) - Z
 
@@ -519,7 +518,7 @@ class Perturbation(NamedTuple):
 def perturbation_arrays(
     stats: BatchStats, density: DensityModel, r: float, delta: float, beta: float
 ) -> Perturbation:
-    """Endpoint perturbation, Girsanov weight and deviation variables of
+    """Endpoint perturbation, Girsanov weight and deviation variable of
     every path in a batch.
 
     With T the passage index for r:
@@ -527,13 +526,11 @@ def perturbation_arrays(
       X_1^d  = X_1 + delta * sum_{i<T} v_i dt
       D_1^d  = exp(-S_1 - delta S_T - E_1/2 - (delta + delta^2/2) E_T)
       Z      = -delta S_T + delta(<v_1, I_T> - E_T) - (beta+1)/2 delta^2 E_T
-      Y      = -2 delta S_T + delta(<v_1, I_T> - E_T) - beta/2 delta^2 E_T
 
     where S, E, I are the stochastic integral, drift energy, and drift
-    integral, subscripted by their upper limit.  The algebraic identity
-    Y = Z - delta S_T + (delta^2/2) E_T holds exactly in the discretization.
-    The convexity margin log f(X_1^d) - [log f(X_1) + delta <v_1, I_T> -
-    beta/2 delta^2 E_T] is >= 0 whenever beta certifies the log-density.
+    integral, subscripted by their upper limit.  The convexity margin
+    log f(X_1^d) - [log f(X_1) + delta <v_1, I_T> - beta/2 delta^2 E_T] is
+    >= 0 whenever beta certifies the log-density.
     """
     sl = stats.slice_for(r)
     vdot = (stats.v1 * sl.vds).sum(-1)
@@ -545,9 +542,8 @@ def perturbation_arrays(
         - (delta + 0.5 * delta**2) * sl.energy
     )
     z = -delta * sl.stoch + delta * (vdot - sl.energy) - 0.5 * (beta + 1.0) * delta**2 * sl.energy
-    y = -2.0 * delta * sl.stoch + delta * (vdot - sl.energy) - 0.5 * beta * delta**2 * sl.energy
     convexity = log_f_xd - (stats.k_final + delta * vdot - 0.5 * beta * delta**2 * sl.energy)
     return Perturbation(
         r=r, delta=delta, beta=beta, x_delta=x_delta, log_f_xd=log_f_xd, log_d=log_d,
-        z=z, y=y, convexity_margin=convexity, product_excess=log_f_xd + log_d - z,
+        z=z, convexity_margin=convexity, product_excess=log_f_xd + log_d - z,
     )

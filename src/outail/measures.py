@@ -88,8 +88,8 @@ class DensityModel:
         computed once here, for tables over many bandwidths."""
         raise ClosedFormUnavailableError(f"{self.name} has no closed heat transform")
 
-    def closed_tail(self, r: float, t: float = 0.0) -> float:
-        """gamma_n({Q_t f > r}) in closed form (t=0 gives the tail of f)."""
+    def closed_tail(self, r: float) -> float:
+        """gamma_n({f > r}) in closed form."""
         raise ClosedFormUnavailableError(f"{self.name} has no exact tail")
 
 
@@ -154,10 +154,10 @@ class TiltDensity(DensityModel):
     def closed_heat_at(self, x) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
         return lambda s: (self.log_f(x) + 0.5 * s * self.alpha**2, self.grad_log_f(x))
 
-    def closed_tail(self, r: float, t: float = 0.0) -> float:
+    def closed_tail(self, r: float) -> float:
         if r <= 1.0:
             raise ValueError("tail threshold must satisfy r > 1")
-        a = self.alpha * np.exp(-t)
+        a = self.alpha
         if a == 0.0:
             return 0.0
         return float(np.exp(log_gauss_tail(np.log(r) / a + 0.5 * a)))
@@ -330,7 +330,11 @@ class SinePerturbationDensity(DensityModel):
     cancellation (e^{eps sin theta} can be e^{-2 eps} times the largest
     term), so the heat transform is closed, and the OU image follows by
     Mehler's formula, only while that bound stays within ``SERIES_TOL``:
-    for eps up to about 4.9.  Larger eps takes the quadrature paths.
+    for eps up to about 4.9.  Larger eps takes the quadrature paths, and the
+    24-node drift kernel is then visibly wrong: against the series at 50
+    digits (``mpmath``), log P_1 f is off by up to 0.30 over a period at
+    eps = 6, wave 2, and by up to 0.011 at eps = 8, wave 1.  A rule that
+    stays accurate at every eps is ROADMAP item 5.
     """
 
     name = "sine"

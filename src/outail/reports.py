@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 CSV_COLUMNS = (
     "name", "family", "dim", "t", "r", "delta", "beta",
     "estimate", "ci", "bound", "margin", "pass", "n_samples", "seed",
@@ -66,46 +64,3 @@ class BoundReport:
             fmt(self.estimate), fmt(self.ci_half_width), fmt(self.bound),
             fmt(self.margin), str(self.passed), str(self.n_samples), str(self.seed),
         ]
-
-
-@dataclass(frozen=True)
-class TailCurve:
-    """Super-level tail of Q_t f along an increasing threshold grid."""
-
-    family: str
-    t: float
-    r_grid: np.ndarray
-    tail: np.ndarray
-    ci: np.ndarray
-    method: str
-    beta: float
-
-    def __post_init__(self):
-        r = np.asarray(self.r_grid, dtype=float)
-        if r.ndim != 1 or np.any(np.diff(r) <= 0) or np.any(r <= 1.0):
-            raise ValueError("r_grid must be increasing with every r > 1")
-
-    @property
-    def normalized_ratio(self) -> np.ndarray:
-        """tail * r * sqrt(log r) / max(beta, 1) per threshold."""
-        r = np.asarray(self.r_grid, dtype=float)
-        return self.tail * r * np.sqrt(np.log(r)) / max(self.beta, 1.0)
-
-    @property
-    def ou_ratio(self) -> np.ndarray:
-        """tail * r * sqrt(log r) * min(1, t): empirical OU-tail constant."""
-        r = np.asarray(self.r_grid, dtype=float)
-        return self.tail * r * np.sqrt(np.log(r)) * min(1.0, self.t)
-
-    @property
-    def c_hat(self) -> float:
-        return float(self.ou_ratio.max())
-
-    @property
-    def markov_ok(self) -> bool:
-        return bool(np.all(self.tail <= 1.0 / np.asarray(self.r_grid) + self.ci + 1e-12))
-
-    @property
-    def nonincreasing_trend(self) -> bool:
-        """Flag (not an assertion): tail is non-increasing along the grid."""
-        return bool(np.all(np.diff(self.tail) <= self.ci[:-1] + self.ci[1:] + 1e-12))

@@ -5,9 +5,10 @@ boundaries (thresholds r up to e^16 overflow otherwise).  ``heat_at`` is the
 one place that decides how (log P_s f, grad log P_s f) is evaluated: in
 closed form when the family has one, else by ``heat_log_grad``, the one
 Gauss-Hermite heat kernel, which skips the gradient when only log P_s f is
-wanted.  log Q_t f follows by Mehler's formula: ``ou_log_fn`` uses the
-in-family OU image when there is one, else Mehler over ``heat_at``;
-``ou_log``, Mehler over the kernel alone, is the quadrature reference.
+wanted.  ``ou_image`` is the one place that decides how Q_t f is
+represented: as a density, the family's in-family OU image when it has
+one, else Mehler's formula over ``heat_at``; ``ou_log``, Mehler over the
+kernel alone, is the quadrature reference.
 Monte Carlo carries an explicit seed and reduces deterministically.
 
 The heat-kernel gradient is computed by differentiating the kernel inside
@@ -72,18 +73,35 @@ def ou_log(density: DensityModel, t: float, x, rule: Optional[QuadratureRule] = 
     return heat_log_grad(density, -np.expm1(-2.0 * t), np.exp(-t) * x, rule, grad=False)[0]
 
 
-def ou_log_fn(density: DensityModel, t: float, rule: Optional[QuadratureRule] = None):
-    """x -> log Q_t f(x): log f at t = 0, else the in-family OU image, else
-    Mehler's formula Q_t f(x) = P_{1 - e^{-2t}} f(e^{-t} x) over ``heat_at``
-    with ``rule``."""
+def ou_image(density: DensityModel, t: float, rule: Optional[QuadratureRule] = None) -> DensityModel:
+    """Q_t f as a density relative to gamma_n: f itself at t = 0, else the
+    family's in-family image ``closed_ou(t)``, else ``_MehlerImage`` over
+    ``heat_at`` with ``rule``."""
     if t < 0:
         raise ValueError("OU time must be >= 0")
     if t == 0.0:
-        return density.log_f
+        return density
     if density.has_closed_ou:
-        return density.closed_ou(t).log_f
-    s, rho = -np.expm1(-2.0 * t), np.exp(-t)
-    return lambda xs: heat_at(density, rho * xs, rule, grad=False)(s)[0]
+        return density.closed_ou(t)
+    return _MehlerImage(density, t, rule)
+
+
+class _MehlerImage(DensityModel):
+    """Q_t f(x) = P_{1 - e^{-2t}} f(e^{-t} x) by Mehler's formula, log only.
+
+    If Hess log f >= -beta, then Hess log Q_t f >= -beta_t with
+    beta_t = e^{-2t} beta / (1 + (1 - e^{-2t}) beta), by the Cramer-Rao bound
+    on the heat posterior; a Gaussian mixture's image attains it.
+    """
+
+    def __init__(self, density: DensityModel, t: float, rule: Optional[QuadratureRule]):
+        self._density, self._rule = density, rule
+        self._s, self._rho = -np.expm1(-2.0 * t), np.exp(-t)
+        self.dim, self.name = density.dim, density.name
+        self.beta = np.exp(-2.0 * t) * density.beta / (1.0 + self._s * density.beta)
+
+    def log_f(self, x) -> np.ndarray:
+        return heat_at(self._density, self._rho * x, self._rule, grad=False)(self._s)[0]
 
 
 def heat_log_grad(
@@ -123,7 +141,7 @@ def ou_log_hessian_min_eig(density: DensityModel, t: float, x) -> float:
     if t <= 0:
         raise ValueError("Hessian floor check needs t > 0")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    hess = fd_hessian(ou_log_fn(density, t), x)
+    hess = fd_hessian(ou_image(density, t).log_f, x)
     if not np.isfinite(hess).all():
         raise NonFiniteValueError("finite-difference Hessian of log Q_t f non-finite")
     return float(np.linalg.eigvalsh(hess)[0] + 0.5 / t)
@@ -146,14 +164,14 @@ def hypercontractivity_check(density: DensityModel, p: float, t: float) -> Bound
     """Compare ||Q_t f||_q against ||f||_p at the critical exponent.
 
     Both norms are quadrature integrals in log scale, with log Q_t f from
-    ``ou_log_fn``; the report passes when the smoothed norm does not exceed
+    ``ou_image``; the report passes when the smoothed norm does not exceed
     the raw norm beyond ``HYPER_REL_TOL``.
     """
     if density.dim > HYPER_MAX_DIM:
         raise ValueError(f"norm quadrature limited to dim <= {HYPER_MAX_DIM}")
     rule = default_rule(density.dim)
     q = nelson_exponent(p, t)
-    lhs = np.exp(log_lp_norm(ou_log_fn(density, t, rule), q, rule))
+    lhs = np.exp(log_lp_norm(ou_image(density, t, rule).log_f, q, rule))
     rhs = np.exp(log_lp_norm(density.log_f, p, rule))
     if not (np.isfinite(lhs) and np.isfinite(rhs)):
         raise NonFiniteValueError("norm integral non-finite")

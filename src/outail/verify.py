@@ -11,8 +11,43 @@ Conventions
   log space, which stays finite past r = e^16.
 * Floor-type checks ("statistic >= floor") store negated values so that the
   uniform pass rule margin + ci >= 0 applies; their names end in ``_floor``.
-* Desk-scale constants (ratio ceiling 20, sharpness floor 0.1) are artifact
-  conventions, flagged ``anchored=False`` in the reports.
+
+Rows
+----
+Each row name up to a ``!`` or ``@`` suffix, anchored (A: a miss fails the
+run) or not (-), the statement it checks and, after ``--``, its source.  EL
+is Eldan & Lee (Duke Math. J. 2018), whose tail bound the rows take apart.
+L = log r, v is the drift, T the passage of K = log P_{1-t} f(X_t) over L,
+and d, X^d, D^d, Z, S_T, E_T, I_T are delta and the quantities of
+``foellmer.perturbation_arrays``.  A ``!exact_required`` row is an
+unanchored NaN stand-in for a tail that Monte Carlo cannot resolve.
+
+tail_markov             A  gamma(Q_t f > r) <= 1/r -- Markov: Q_t f integrates to 1
+tail_curve_ceiling      -  max_r gamma(Q_t f > r) r sqrt(L) min(1, t) <= 20 -- desk stand-in for C_t
+sharpness_floor         -  tilt |u| = sqrt(2L): gamma(f > r) r sqrt(L) >= 0.1 -- sqrt(L) is sharp (EL)
+entropy_identity_gap    A  E int_0^1 |v|^2 / 2 = H(f dgamma | gamma) -- Foellmer (Lehec, AIHP 2013)
+drift_energy            A  E E_T <= 2L -- K = S + E/2 with K_0 = 0 and K_T <= L, stopped at T (EL)
+girsanov_mean_gap       A  E D^d = 1 -- Girsanov
+girsanov_product_gap    A  E f(X^d) D^d = 1 -- Girsanov: X^d is standard Gaussian under D^d dP
+convexity_floor         A  log f(X^d) >= log f(X_1) + d <v_1, I_T> - beta d^2 E_T / 2 on each path
+                           -- Taylor under Hess log f >= -beta
+pathwise_product_floor  A  f(X^d) D^d >= e^Z (1 - 1e-6) on each path, tilt only -- convexity_floor
+                           and K_1 = S_1 + E_1 / 2, exact for the discrete K of a constant drift
+exp_moment              A  E e^Z <= 1 -- pathwise_product_floor and girsanov_product_gap (EL)
+deviation_bound         A  P(Z <= -2) <= -E Z -- E e^Z <= 1 and e^z - 1 - z >= 1{z <= -2}
+deviation_budget        A  P(Z <= -2) <= d^2 (beta + 1) L -- deviation_bound, drift_energy and
+                           -E Z = (beta + 1) d^2 E E_T / 2 (EL)
+drift_martingale_gap    A  E <v_1 - v_s, v_s> 1{s <= T} = 0 up to an allowance -- v is a martingale
+tv_lower_bound          A  KS gap of f(X_1) and f(X^d) <= d sqrt((beta + 1) L) -- EL's TV step
+tv_pinsker              -  the same gap <= d sqrt((beta + 1) L / 2) -- no stated source
+shell_shift             A  P(f(X^d) <= r^{1+2d} e^{-4}) <= P(f(X_1) <= r) + (beta + 4) d^2 L
+                           -- EL's shell-shift proposition (the ``prop2`` token)
+shell_ratio             -  P(r < f(X_1) <= e r) sqrt(L) / max(beta, 1) <= 20 -- desk stand-in
+tail_reduction          A  gamma(f > r) <= E sum_k 1{f(X_1) in (e^k r, e^{k+1} r]} / (e^k r)
+                           -- Markov per shell: gamma(f > r) = E[1/f(X_1); f(X_1) > r]
+log_hessian_floor       A  lambda_min(Hess log Q_t f) >= -1/(2t) -- smoothing, any f: the beta
+                           -> inf limit of ``ou_image``'s beta_t is 1/(e^{2t} - 1) <= 1/(2t)
+hypercontractivity      A  ||Q_t f||_q <= ||f||_p, q = 1 + e^{2t} (p - 1) -- Nelson (1973)
 """
 
 from __future__ import annotations
@@ -26,9 +61,9 @@ from .foellmer import BatchStats, Perturbation, perturbation_arrays, simulate_ba
 from .measures import FAMILIES, DensityModel, TiltDensity
 from .numeric import log_gauss_tail
 from .quadrature import QuadratureRule
-from .reports import BoundReport, TailCurve
+from .reports import BoundReport
 from .rng import gaussian_sample
-from .semigroup import default_rule, ou_log_fn, ou_log_hessian_min_eig
+from .semigroup import default_rule, ou_image, ou_log_hessian_min_eig
 from .stats import (
     KS_TWO_SAMPLE_CRIT,
     batch_means,
@@ -73,33 +108,33 @@ def tail_probability(
     n_samples: int = 10**5,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """(estimate, ci) for gamma_n({Q_t f > r}); t = 0 means the tail of f.
+    """(estimate, ci) for gamma_n({Q_t f > r}): the t = 0 tail of the image
+    ``ou_image(density, t, rule)``, so t = 0 means the tail of f.
 
-    Methods: "exact" (closed log-linear tail), "quadrature" (1-D level-set
+    Methods: "exact" (the image's closed tail), "quadrature" (1-D level-set
     mass), "monte_carlo" (indicator mean, raises ResolutionError when the
     expected hit count is too small to resolve), "auto" picks the first
-    applicable in that order.
+    that applies to the image in that order.
     """
     if r <= 1.0:
         raise ValueError("tail threshold must satisfy r > 1")
+    image = ou_image(density, t, rule)
     if method == "auto":
-        if density.has_closed_tail:
+        if image.has_closed_tail:
             method = "exact"
-        elif density.dim == 1:
+        elif image.dim == 1:
             method = "quadrature"
         else:
             method = "monte_carlo"
     if method == "exact":
-        return density.closed_tail(r, t), 0.0
+        return image.closed_tail(r), 0.0
     if method == "quadrature":
-        if density.dim != 1:
+        if image.dim != 1:
             raise ValueError("quadrature tails are 1-D only")
-        fn = ou_log_fn(density, t, rule)
-        return superlevel_gamma_mass(fn, np.log(r)), 0.0
+        return superlevel_gamma_mass(image.log_f, np.log(r)), 0.0
     if method == "monte_carlo":
-        fn = ou_log_fn(density, t, rule)
-        x = gaussian_sample(seed, n_samples, density.dim, stream=7)
-        hits = np.asarray(fn(x)) > np.log(r)
+        x = gaussian_sample(seed, n_samples, image.dim, stream=7)
+        hits = np.asarray(image.log_f(x)) > np.log(r)
         if hits.sum() < MC_MIN_HITS:
             raise ResolutionError(
                 f"tail at r={r:g} below Monte Carlo resolution "
@@ -118,22 +153,15 @@ def tail_curve(
     rule: QuadratureRule | None = None,
     n_samples: int = 10**5,
     seed: int = 0,
-) -> TailCurve:
-    r_grid = np.asarray(sorted(float(r) for r in r_grid))
-    tails, cis = [], []
-    for r in r_grid:
-        est, ci = tail_probability(density, t, r, method, rule, n_samples, seed)
-        tails.append(est)
-        cis.append(ci)
-    return TailCurve(
-        family=density.name,
-        t=t,
-        r_grid=r_grid,
-        tail=np.asarray(tails),
-        ci=np.asarray(cis),
-        method=method,
-        beta=density.beta,
-    )
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, tail, ci): ``tail_probability`` at t over the thresholds of
+    ``r_grid`` in increasing order, which must be distinct."""
+    r = np.asarray(sorted(float(x) for x in r_grid))
+    if np.any(np.diff(r) == 0.0):
+        raise ValueError("tail thresholds must be distinct")
+    pairs = [tail_probability(density, t, x, method, rule, n_samples, seed) for x in r]
+    tail, ci = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return r, tail, ci
 
 
 def sharpness_values(r_grid=SHARPNESS_R_GRID) -> np.ndarray:
@@ -326,12 +354,8 @@ def tv_reports(stats: BatchStats, density: DensityModel, pert: Perturbation) -> 
 
 
 def shell_shift_report(stats: BatchStats, density: DensityModel, pert: Perturbation) -> BoundReport:
-    """Perturbed-endpoint shell inequality.
-
-    P(f(X^d) <= r^{1+2d} e^-4) <= P(f(X) <= r) + (beta + 4) d^2 log r,
-    tested on paired paths so the Monte Carlo error applies to the
-    difference of indicators.
-    """
+    """The ``shell_shift`` row, tested on paired paths so the Monte Carlo
+    error applies to the difference of indicators."""
     logr, delta = np.log(pert.r), pert.delta
     lhs = (pert.log_f_xd <= (1.0 + 2.0 * delta) * logr - 4.0).astype(float)
     rhs = (stats.k_final <= logr).astype(float)
@@ -343,15 +367,9 @@ def shell_shift_report(stats: BatchStats, density: DensityModel, pert: Perturbat
 
 
 def composite_reports(stats: BatchStats, density: DensityModel, r: float) -> list[BoundReport]:
-    """Shell probability ratio and the geometric shell reduction.
-
-    * shell_ratio: P(f(X_1) in (r, e r]) * sqrt(log r) / max(beta, 1)
-      against the desk-scale ceiling.
-    * tail_reduction: the direct tail gamma({f > r}) against the per-shell
-      Markov sum E[ (e^k r)^-1 1{f(X_1) in shell_k} ], which dominates it.
-      When Monte Carlo cannot resolve the direct tail, an unanchored
-      ``tail_reduction!exact_required`` row with NaN values stands in.
-    """
+    """The ``shell_ratio`` and ``tail_reduction`` rows at r; the latter
+    compares the direct tail with the per-shell Markov sum, and is
+    ``tail_reduction!exact_required`` when Monte Carlo cannot resolve it."""
     logr = np.log(r)
     meta = _batch_meta(stats, density, r=r)
     gap = stats.k_final - logr

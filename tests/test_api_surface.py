@@ -4,9 +4,12 @@ Every public top-level ``def`` or ``class`` in ``src/outail`` must be reached
 from what runs: the package's module-level code (``cli.main`` is named
 there), the benchmark (``perfbench/*.py``, which rebinds functions by name)
 or the acceptance suite, following the names each reached definition
-mentions.  Imports are not references.  A name that only the unit tests
-call belongs in the tests.  ``ALLOWED`` lists the few that stay anyway,
-each with its reason.
+mentions.  Imports are not references.  The same holds one level down: every
+public method, property and annotated (dataclass or NamedTuple) field of a
+reached class must be read as an attribute (``x.name``) somewhere in that
+reached code; an allowed class is not reached, so its members are not
+checked.  A name that only the unit tests call belongs in the tests.
+``ALLOWED`` lists the few that stay anyway, each with its reason.
 """
 
 import ast
@@ -21,49 +24,77 @@ ALLOWED = {
     "Trajectory": "reference implementation: the record simulate_path returns",
     "fd_gradient": "reference implementation: the closed gradients are tested against it",
     "beta_probe": "ROADMAP item 4 promotes it to a run-time certificate",
+    "Perturbation.x_delta": "the perturbed endpoint X_1^delta itself, which the tests compare "
+                            "with simulate_path; the rows read only log f of it",
 }
 
 
-def _names(tree: ast.AST, strings: bool = False) -> set[str]:
-    """Every name and attribute ``tree`` mentions; with ``strings``, also
-    string constants that are identifiers (``setattr(module, "name", ...)``)."""
-    out = set()
+def _names(tree: ast.AST, strings: bool = False) -> tuple[set[str], set[str]]:
+    """(every name and attribute ``tree`` mentions, the attributes alone);
+    with ``strings``, string constants that are identifiers count as both
+    (``setattr(module, "name", ...)``)."""
+    names, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attrs.add(node.attr)
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
-            out.add(node.value)
-    return out
+            attrs.add(node.value)
+    return names | attrs, attrs
 
 
-def _surface() -> tuple[dict[str, list[str]], set[str]]:
-    """(top-level definition name -> defining modules, names reached)."""
+def _members(cls: ast.ClassDef) -> list[str]:
+    """The public methods, properties and annotated fields of a class."""
+    out = []
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            out.append(node.name)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out.append(node.target.id)
+    return [name for name in out if not name.startswith("_")]
+
+
+def _surface() -> tuple[dict[str, list[str]], set[str], dict[str, str], set[str]]:
+    """(top-level definition name -> defining modules, names reached,
+    ``Class.member`` of every reached class -> defining module, attributes
+    read by reached code)."""
     bodies: dict[str, list[ast.AST]] = {}
     modules: dict[str, list[str]] = {}
-    roots = set()
+    roots, attrs = set(), set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 bodies.setdefault(node.name, []).append(node)
                 modules.setdefault(node.name, []).append(path.stem)
             else:
-                roots |= _names(node)
+                found, read = _names(node)
+                roots |= found
+                attrs |= read
     for path in [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]:
-        roots |= _names(ast.parse(path.read_text(encoding="utf-8")), strings=True)
+        found, read = _names(ast.parse(path.read_text(encoding="utf-8")), strings=True)
+        roots |= found
+        attrs |= read
     reached, todo = set(), [name for name in roots if name in bodies]
     while todo:
         name = todo.pop()
         if name not in reached:
             reached.add(name)
-            todo += [ref for node in bodies[name] for ref in _names(node) if ref in bodies]
-    return modules, reached
+            for node in bodies[name]:
+                found, read = _names(node)
+                attrs |= read
+                todo += [ref for ref in found if ref in bodies]
+    members = {
+        f"{node.name}.{member}": module
+        for name in reached for node, module in zip(bodies[name], modules[name])
+        if isinstance(node, ast.ClassDef) for member in _members(node)
+    }
+    return modules, reached, members, attrs
 
 
 def test_every_public_definition_is_reached():
-    modules, reached = _surface()
+    modules, reached, _, _ = _surface()
     unreached = sorted(
         f"{'/'.join(modules[name])}.{name}" for name in modules
         if not name.startswith("_") and name not in reached and name not in ALLOWED
@@ -71,10 +102,22 @@ def test_every_public_definition_is_reached():
     assert unreached == [], "reached only from unit tests: " + ", ".join(unreached)
 
 
+def test_every_public_member_is_read():
+    _, _, members, attrs = _surface()
+    unread = sorted(
+        f"{module}.{qualified}" for qualified, module in members.items()
+        if qualified.split(".")[1] not in attrs and qualified not in ALLOWED
+    )
+    assert unread == [], "read only from unit tests: " + ", ".join(unread)
+
+
 def test_allowlist_is_live():
-    """Each entry names a definition that still exists and that nothing
-    reaches, with a reason."""
-    modules, reached = _surface()
+    """Each entry names a definition or member that still exists and that
+    nothing reaches or reads, with a reason."""
+    modules, reached, members, attrs = _surface()
     for name, reason in ALLOWED.items():
-        assert name in modules and name not in reached, name
+        if "." in name:
+            assert name in members and name.split(".")[1] not in attrs, name
+        else:
+            assert name in modules and name not in reached, name
         assert reason.strip(), name

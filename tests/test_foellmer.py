@@ -99,7 +99,7 @@ class TestConstantDensityPaths:
         assert traj.x[-1, 0] == pytest.approx(float(traj.db.sum()), abs=1e-14)
         _, arr = small_batch(flat, cfg, E, 0.0, 0.0)
         np.testing.assert_allclose(np.exp(arr.log_d), 1.0, atol=1e-14)
-        assert np.all(arr.y == 0.0) and np.all(arr.z == 0.0)
+        assert np.all(arr.z == 0.0)
 
 
 class TestValueProcess:
@@ -291,7 +291,7 @@ class TestPerturbation:
         cfg = small_cfg()
         stats, arr = small_batch(MIX, cfg, E, 0.0, MIX.beta)
         np.testing.assert_allclose(arr.x_delta, stats.x1, atol=0.0)
-        assert np.all(arr.y == 0.0) and np.all(arr.z == 0.0)
+        assert np.all(arr.z == 0.0)
         traj = simulate_path(MIX, cfg, path_index=4)
         expected_log_d = -traj.stoch_int[-1] - 0.5 * traj.energy[-1]
         assert arr.log_d[4] == pytest.approx(expected_log_d, abs=1e-12)
@@ -303,25 +303,6 @@ class TestPerturbation:
         t_idx = first_passage(traj, E)
         shift = 0.2 * traj.v[:t_idx].sum(axis=0) / cfg.steps
         np.testing.assert_allclose(arr.x_delta[9], traj.x[-1] + shift, atol=1e-14)
-
-    def test_deviation_identity_exact(self):
-        # Y = Z - delta * S_T + (delta^2 / 2) * E_T, an algebraic identity
-        # of the discretized integrals, with S_T and E_T read off each path
-        cfg, delta = small_cfg(), 0.3
-        _, arr = small_batch(MIX, cfg, E, delta, MIX.beta, n_paths=8)
-        for idx in range(8):
-            traj = simulate_path(MIX, cfg, path_index=idx)
-            t_idx = first_passage(traj, E)
-            rhs = (arr.z[idx] - delta * traj.stoch_int[t_idx]
-                   + 0.5 * delta**2 * traj.energy[t_idx])
-            assert arr.y[idx] == pytest.approx(rhs, abs=1e-12)
-
-    def test_deviation_identity_batch(self, batches, families):
-        for name, stats in batches.items():
-            arr = perturbation_arrays(stats, families[name], E**2, 0.1, families[name].beta)
-            sl = stats.slice_for(E**2)
-            rhs = arr.z - 0.1 * sl.stoch + 0.5 * 0.01 * sl.energy
-            np.testing.assert_allclose(arr.y, rhs, atol=1e-12)
 
     def test_reweighted_mass_is_one(self):
         # E[f(X^d) D^d] = 1 holds exactly under the discrete measure change

@@ -74,10 +74,16 @@ class TestBetaProbe:
         assert margin == pytest.approx(-1.0, abs=1e-5)
 
     def test_mixture_ou_image_has_exact_certificate(self):
-        # the image's beta is 1/s_t - 1
+        # the image's beta is 1/s_t - 1, and the Mehler image's beta_t of
+        # the same mixture without its closed image equals it
+        from outail.semigroup import ou_image
         from outail.verify import HESSIAN_PROBES, tail_probability
 
+        class ClosedOuHidden(MixtureDensity):
+            has_closed_ou = False
+
         mix = MixtureDensity([0.5, 0.5], [-1.0, 1.0], 0.5)
+        hidden = ClosedOuHidden(mix.weights, mix.means, mix.spread)
         for t in (0.02, 0.1, 0.5, 1.0, 3.0):
             for r in (1.1, 1.5, np.e):
                 tail_probability(mix, t, r)
@@ -85,6 +91,9 @@ class TestBetaProbe:
             s_t = 1.0 + np.exp(-2.0 * t) * (mix.spread - 1.0)
             assert image.beta == pytest.approx(1.0 / s_t - 1.0, rel=1e-15)
             assert beta_probe(image, HESSIAN_PROBES) >= -1e-6
+            mehler = ou_image(hidden, t)
+            assert not isinstance(mehler, MixtureDensity)
+            assert mehler.beta == pytest.approx(image.beta, rel=1e-14)
 
     def test_nonfinite_probe_rejected(self):
         with pytest.raises(NonFiniteValueError):

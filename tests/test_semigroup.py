@@ -15,6 +15,7 @@ from outail.semigroup import (
     hypercontractivity_check,
     log_lp_norm,
     nelson_exponent,
+    ou_image,
     ou_log,
     ou_log_hessian_min_eig,
 )
@@ -80,6 +81,9 @@ class TestOuApply:
     def test_time_zero_is_log_f(self, density, rng):
         x = rng.normal(size=(9, 1)) * 2.0
         assert np.array_equal(ou_log(density, 0.0, x), density.log_f(x))
+        assert ou_image(density, 0.0) is density
+        with pytest.raises(ValueError):
+            ou_image(density, -0.1)
 
     def test_mc_deterministic(self):
         x = np.array([0.1])
@@ -164,7 +168,7 @@ class TestHeatGradLog:
         kernel, seen = semigroup.heat_log_grad, []
         spy = lambda *args, **kwargs: seen.append(kwargs["grad"]) or kernel(*args, **kwargs)
         monkeypatch.setattr(semigroup, "heat_log_grad", spy)
-        assert np.array_equal(semigroup.ou_log_fn(wide, 0.5, RULE)(x), ou_log(wide, 0.5, x, RULE))
+        assert np.array_equal(ou_image(wide, 0.5, RULE).log_f(x), ou_log(wide, 0.5, x, RULE))
         assert seen == [False, False]
 
     def test_closed_form_bypasses_floor(self):
@@ -213,10 +217,13 @@ class TestLogHessianFloor:
         assert m == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("density", [MIX, SINE], ids=["mixture", "sine"])
-    @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("t", [0.05, 0.1, 0.5, 1.0])
     def test_smoothed_families_respect_floor(self, density, t):
-        for x in np.linspace(-3, 3, 13):
-            assert ou_log_hessian_min_eig(density, t, np.array([x])) >= -1e-5
+        # the image's beta_t, far sharper than 1/(2t), bounds Hess log Q_t f
+        beta_t = ou_image(density, t).beta
+        assert beta_t < 0.5 / t
+        for x in HESSIAN_PROBES:
+            assert ou_log_hessian_min_eig(density, t, np.array([x])) - 0.5 / t >= -beta_t - 1e-5
 
     def test_t_positive_required(self):
         with pytest.raises(ValueError):
@@ -312,4 +319,4 @@ class TestSemigroupAlgebra:
             tilt = TiltDensity([alpha])
             for t in (0.0, 0.5):
                 for r in (1.5, np.e, np.e**2, np.e**4):
-                    assert tilt.closed_tail(r, t) <= 1.0 / r + 1e-15
+                    assert ou_image(tilt, t).closed_tail(r) <= 1.0 / r + 1e-15

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from outail import cli, verify
 from outail.errors import ResolutionError
-from outail.foellmer import PathConfig, perturbation_arrays, simulate_batch
-from outail.measures import MixtureDensity, TiltDensity
+from outail.foellmer import MIN_STEPS, PathConfig, perturbation_arrays, simulate_batch
+from outail.measures import FAMILIES, MixtureDensity, TiltDensity
 from outail.reports import BoundReport
 from outail.verify import (
     DEFAULT_R_GRID,
@@ -94,28 +97,36 @@ class TestTailProbability:
             tail_probability(TiltDensity([1.0]), 0.0, 1.0)
 
 
+def markov_ok(r, tail, ci) -> bool:
+    """Every tail within the Markov envelope 1/r, up to its half-width."""
+    return bool(np.all(tail <= 1.0 / r + ci + 1e-12))
+
+
 class TestTailCurve:
     def test_matched_tilt_ratios_stay_bounded(self):
         t = 1.0
         for r in (E**2, E**4, E**6, E**8):
             alpha = np.sqrt(2.0 * np.log(r)) * np.exp(t)
-            curve = tail_curve(TiltDensity([alpha]), t, (r,), "exact")
-            assert float(curve.ou_ratio[0]) <= 0.3
-            assert curve.markov_ok
+            rs, tail, ci = tail_curve(TiltDensity([alpha]), t, (r,), "exact")
+            assert float(tail[0] * r * np.sqrt(np.log(r)) * min(1.0, t)) <= 0.3
+            assert markov_ok(rs, tail, ci)
 
     def test_constant_density_all_zero(self):
-        curve = tail_curve(TiltDensity(np.zeros(1)), 0.5, DEFAULT_R_GRID, "exact")
-        assert np.all(curve.tail == 0.0)
-        assert np.all(curve.normalized_ratio == 0.0)
+        _, tail, ci = tail_curve(TiltDensity(np.zeros(1)), 0.5, DEFAULT_R_GRID, "exact")
+        assert np.all(tail == 0.0) and np.all(ci == 0.0)
 
     def test_peaky_mixture_markov_and_ceiling(self):
         peaky = MixtureDensity([0.5, 0.5], [-2.0, 2.0], 0.25)
-        curve = tail_curve(peaky, 0.5, (2.0, 5.0, 10.0), "quadrature")
-        assert curve.markov_ok
-        assert np.all(curve.normalized_ratio <= 20.0)
-        assert curve.nonincreasing_trend
+        r, tail, ci = tail_curve(peaky, 0.5, (2.0, 5.0, 10.0), "quadrature")
+        assert markov_ok(r, tail, ci)
+        assert np.all(tail * r * np.sqrt(np.log(r)) / max(peaky.beta, 1.0) <= 20.0)
+        # non-increasing along the grid, up to the half-widths
+        assert np.all(np.diff(tail) <= ci[:-1] + ci[1:] + 1e-12)
 
     def test_grid_must_increase(self):
+        # an unsorted grid comes back in increasing order; a repeat is refused
+        r, tail, _ = tail_curve(TiltDensity([1.0]), 0.0, (5.0, 2.0), "exact")
+        assert list(r) == [2.0, 5.0] and tail[0] > tail[1]
         with pytest.raises(ValueError):
             tail_curve(TiltDensity([1.0]), 0.0, (2.0, 2.0), "exact")
 
@@ -332,3 +343,24 @@ class TestHessianFloorReport:
         for name in ("mixture", "sine"):
             rep = hessian_floor_report(families[name], 0.5)
             assert rep.passed and rep.n_samples == 50
+
+
+class TestRowTable:
+    def test_every_emitted_row_is_in_the_table(self):
+        """Every family with every check token, at the smallest scale: each
+        row's base name has a table entry that gives its anchoring, and each
+        entry names a row some default family emits."""
+        table = {name: mark == "A" for name, mark in
+                 re.findall(r"^(\w+) +([A-])  ", verify.__doc__, re.M)}
+        emitted = set()
+        for family, fam in FAMILIES.items():
+            cfg = cli.ExperimentConfig(family, fam.defaults, paths=cli.MIN_MC_PATHS,
+                                       steps=MIN_STEPS)
+            assert cfg.checks == cli.CHECK_TOKENS
+            for row in cli.collect_rows(cfg, cli._family_batch(cfg)):
+                base = re.split("[!@]", row.name)[0]
+                assert base in table, f"{row.name} has no entry in the verify row table"
+                # a ``!`` row is an unanchored NaN stand-in
+                assert row.anchored == (table[base] and "!" not in row.name), row.name
+                emitted.add(base)
+        assert emitted == set(table)
