@@ -467,7 +467,13 @@ def verify_all(
     """Default experiment matrix: every family, check, t, and r.  Every
     config is checked before the first simulation starts, and all batches
     run through one ``simulate_batches`` pipeline, so the next family's
-    first chunk is drawn while this family's checks run."""
+    first chunk is drawn while this family's checks run.  Family k in name
+    order runs with seed + k, so every one of those seeds must be below
+    ``SEED_LIMIT``."""
+    last = len(FAMILIES) - 1
+    if not 0 <= seed < SEED_LIMIT - last:
+        raise ConfigError("seed", f"verify-all seeds its families with seed, ..., "
+                                  f"seed + {last}, so seed must lie in [0, 2**128 - {last})")
     cfgs = [
         ExperimentConfig(name, FAMILIES[name].defaults, paths=paths, steps=steps, seed=seed + offset)
         for offset, name in enumerate(sorted(FAMILIES))

@@ -9,10 +9,6 @@ class DimensionMismatchError(OutailError, ValueError):
     """Inputs disagree on the ambient dimension."""
 
 
-class ClosedFormUnavailableError(OutailError):
-    """A closed-form evaluation was requested from a family that lacks it."""
-
-
 class NonFiniteValueError(OutailError, FloatingPointError):
     """A log-density, drift, or semigroup value came out non-finite."""
 

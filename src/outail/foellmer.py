@@ -102,7 +102,7 @@ class DriftField:
         self.density = density
         self.dt = 1.0 / steps
         self.rule = (
-            None if density.has_closed_heat
+            None if density.closed_heat_at is not None
             else QuadratureRule.gauss_hermite(density.dim, DRIFT_QUAD_NODES)
         )
         self.grid = None

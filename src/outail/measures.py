@@ -21,11 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import ive, logsumexp
 
-from .errors import (
-    ClosedFormUnavailableError,
-    DimensionMismatchError,
-    NonFiniteValueError,
-)
+from .errors import DimensionMismatchError, NonFiniteValueError
 from .numeric import FD_HESS_STEP, fd_hessian, log_gauss_tail
 from .quadrature import QuadratureRule
 
@@ -65,32 +61,19 @@ class DensityModel:
         raise NotImplementedError
 
     # -- optional closed forms -------------------------------------------
-
-    @property
-    def has_closed_heat(self) -> bool:
-        return False
-
-    @property
-    def has_closed_ou(self) -> bool:
-        return False
+    # A family that has a closed form defines it as a method; None means the
+    # semigroup module falls back to quadrature.
+    #   closed_ou(t) -> DensityModel: the in-family density of Q_t f.
+    #   closed_heat_at(x) -> (s -> (log P_s f(x), grad log P_s f(x))) for
+    #     s > 0 at fixed points x; a part of the form that depends on x alone
+    #     is computed once, for tables over many bandwidths.
+    #   closed_tail(r) -> float: gamma_n({f > r}).
+    closed_ou = closed_heat_at = closed_tail = None
 
     @property
     def has_closed_tail(self) -> bool:
-        return False
-
-    def closed_ou(self, t: float) -> "DensityModel":
-        """The density of the OU image Q_t f, when expressible in-family."""
-        raise ClosedFormUnavailableError(f"{self.name} has no closed OU image")
-
-    def closed_heat_at(self, x) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
-        """s -> (log P_s f(x), grad log P_s f(x)) in closed form for s > 0 at
-        fixed points x; a part of the form that depends on x alone is
-        computed once here, for tables over many bandwidths."""
-        raise ClosedFormUnavailableError(f"{self.name} has no closed heat transform")
-
-    def closed_tail(self, r: float) -> float:
-        """gamma_n({f > r}) in closed form."""
-        raise ClosedFormUnavailableError(f"{self.name} has no exact tail")
+        """Whether closed_tail is defined (the benchmark keys tails on it)."""
+        return self.closed_tail is not None
 
 
 @dataclass(frozen=True)
@@ -135,18 +118,6 @@ class TiltDensity(DensityModel):
     def grad_log_f(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
         return np.broadcast_to(self.u, x.shape).copy()
-
-    @property
-    def has_closed_heat(self) -> bool:
-        return True
-
-    @property
-    def has_closed_ou(self) -> bool:
-        return True
-
-    @property
-    def has_closed_tail(self) -> bool:
-        return True
 
     def closed_ou(self, t: float) -> "TiltDensity":
         return TiltDensity(self.u * np.exp(-t))
@@ -263,14 +234,6 @@ class MixtureDensity(DensityModel):
         abar = p @ self.means  # (..., n)
         return x - (x - abar) / self.spread
 
-    @property
-    def has_closed_heat(self) -> bool:
-        return True
-
-    @property
-    def has_closed_ou(self) -> bool:
-        return True
-
     def closed_ou(self, t: float) -> "MixtureDensity":
         # Q_t maps N(a, s) relative densities to N(a e^-t, s_t), s_t = 1 +
         # e^-2t (s-1)
@@ -364,6 +327,8 @@ class SinePerturbationDensity(DensityModel):
             weights = _jacobi_anger_weights(self.eps, self._k2, 0.0)
             if len(weights) * _EPS_MACH * np.exp(2.0 * self.eps) <= SERIES_TOL:
                 self._weights = weights
+        if self._weights is None:  # the heat transform is not closed
+            self.closed_heat_at = None
 
     def log_f(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
@@ -373,17 +338,10 @@ class SinePerturbationDensity(DensityModel):
         x = _as_points(x, self.dim)
         return self.eps * np.cos(x @ self.wave)[..., None] * self.wave
 
-    @property
-    def has_closed_heat(self) -> bool:
-        return self._weights is not None
-
     def closed_heat_at(self, x) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
         """The cosines cos(j theta - j pi/2) and the derivatives
         -j sin(j theta - j pi/2) at x, computed once; each bandwidth s is
         then one weighted sum over j of each."""
-        if self._weights is None:
-            raise ClosedFormUnavailableError(
-                f"sine series too ill-conditioned at eps = {self.eps:g}")
         x = _as_points(x, self.dim)
         theta = x @ self.wave
         j = np.arange(len(self._weights))

@@ -53,10 +53,10 @@ def default_rule(dim: int) -> QuadratureRule:
 
 def heat_at(density: DensityModel, x, rule: Optional[QuadratureRule] = None, grad: bool = True):
     """s -> (log P_s f(x), grad log P_s f(x)) at the fixed points x: the
-    family's ``closed_heat_at(x)`` when it has a closed heat transform, else
+    family's ``closed_heat_at(x)`` when it is not None, else
     ``heat_log_grad`` on ``rule`` (``default_rule`` when None, built only in
     that case), whose gradient is None when not ``grad``."""
-    if density.has_closed_heat:
+    if density.closed_heat_at is not None:
         return density.closed_heat_at(x)
     return partial(heat_log_grad, density, x=x, rule=rule or default_rule(density.dim), grad=grad)
 
@@ -81,7 +81,7 @@ def ou_image(density: DensityModel, t: float, rule: Optional[QuadratureRule] = N
         raise ValueError("OU time must be >= 0")
     if t == 0.0:
         return density
-    if density.has_closed_ou:
+    if density.closed_ou is not None:
         return density.closed_ou(t)
     return _MehlerImage(density, t, rule)
 

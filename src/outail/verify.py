@@ -2,9 +2,10 @@
 
 Conventions
 -----------
-* Mean-type Monte Carlo comparisons use 3-standard-error half-widths from 32
-  contiguous batch means; the inequalities under test are exact, so the
-  estimate side carries the noise, never the bound side.
+* Mean-type Monte Carlo comparisons use half-widths of ``CI_STANDARD_ERRORS``
+  (3) standard errors from 32 contiguous batch means; the inequalities under
+  test are exact, so the estimate side carries the noise, never the bound
+  side.
 * Sup-type statistics (empirical CDF gaps) use the 1% Kolmogorov-Smirnov
   envelope instead of batch means.
 * Exact Gaussian tails go through the scaled complementary error function in
@@ -72,6 +73,8 @@ from .stats import (
 )
 
 E = float(np.e)
+# Half-width of a Monte Carlo mean, in standard errors of its batch means.
+CI_STANDARD_ERRORS = 3.0
 DEFAULT_T_GRID = (0.1, 0.5, 1.0)
 DEFAULT_R_GRID = (E, E**2, E**4)
 SHARPNESS_R_GRID = (E**2, E**4, E**8, E**16)
@@ -120,13 +123,15 @@ def tail_probability(
         raise ValueError("tail threshold must satisfy r > 1")
     image = ou_image(density, t, rule)
     if method == "auto":
-        if image.has_closed_tail:
+        if image.closed_tail is not None:
             method = "exact"
         elif image.dim == 1:
             method = "quadrature"
         else:
             method = "monte_carlo"
     if method == "exact":
+        if image.closed_tail is None:
+            raise ValueError(f"{image.name} has no exact tail")
         return image.closed_tail(r), 0.0
     if method == "quadrature":
         if image.dim != 1:
@@ -141,7 +146,7 @@ def tail_probability(
                 f"({int(hits.sum())} hits of {n_samples}); method=exact required"
             )
         est, se = batch_means(hits.astype(float))
-        return est, 3.0 * se
+        return est, CI_STANDARD_ERRORS * se
     raise ValueError(f"unknown tail method {method!r}")
 
 
@@ -220,7 +225,8 @@ def entropy_identity_report(stats: BatchStats, density: DensityModel) -> BoundRe
     h = relative_entropy_quadrature(density)
     return BoundReport(
         name="entropy_identity_gap", estimate=abs(mc - h),
-        ci_half_width=3.0 * se + ENTROPY_QUAD_TOL, bound=0.0, **_batch_meta(stats, density),
+        ci_half_width=CI_STANDARD_ERRORS * se + ENTROPY_QUAD_TOL, bound=0.0,
+        **_batch_meta(stats, density),
     )
 
 
@@ -228,7 +234,7 @@ def drift_energy_report(stats: BatchStats, density: DensityModel, r: float) -> B
     """Expected stopped drift energy against its entropy budget 2 log r."""
     est, se = batch_means(stats.slice_for(r).energy)
     return BoundReport(
-        name="drift_energy", estimate=est, ci_half_width=3.0 * se,
+        name="drift_energy", estimate=est, ci_half_width=CI_STANDARD_ERRORS * se,
         bound=2.0 * np.log(r), **_batch_meta(stats, density, r=r),
     )
 
@@ -240,7 +246,7 @@ def exp_moment_report(z: np.ndarray, **meta) -> BoundReport:
     """E[e^Z] <= 1 for the deviation variable."""
     est, se = batch_means(np.exp(np.asarray(z)))
     return BoundReport(
-        name="exp_moment", estimate=est, ci_half_width=3.0 * se, bound=1.0, **meta
+        name="exp_moment", estimate=est, ci_half_width=CI_STANDARD_ERRORS * se, bound=1.0, **meta
     )
 
 
@@ -252,7 +258,7 @@ def deviation_margin_report(z: np.ndarray, **meta) -> BoundReport:
     return BoundReport(
         name="deviation_bound",
         estimate=p,
-        ci_half_width=3.0 * (p_se + mz_se),
+        ci_half_width=CI_STANDARD_ERRORS * (p_se + mz_se),
         bound=-mz,
         **meta,
     )
@@ -264,7 +270,7 @@ def deviation_budget_report(z: np.ndarray, r: float, delta: float, beta: float, 
     return BoundReport(
         name="deviation_budget",
         estimate=p,
-        ci_half_width=3.0 * p_se,
+        ci_half_width=CI_STANDARD_ERRORS * p_se,
         bound=delta**2 * (beta + 1.0) * np.log(r),
         r=r,
         delta=delta,
@@ -287,9 +293,9 @@ def girsanov_reports(stats: BatchStats, density: DensityModel, pert: Perturbatio
     fd_mean, fd_se = batch_means(np.exp(pert.log_f_xd + pert.log_d))
     rows = [
         BoundReport(name="girsanov_mean_gap", estimate=abs(d_mean - 1.0),
-                    ci_half_width=3.0 * d_se, bound=0.0, **meta),
+                    ci_half_width=CI_STANDARD_ERRORS * d_se, bound=0.0, **meta),
         BoundReport(name="girsanov_product_gap", estimate=abs(fd_mean - 1.0),
-                    ci_half_width=3.0 * fd_se, bound=0.0, **meta),
+                    ci_half_width=CI_STANDARD_ERRORS * fd_se, bound=0.0, **meta),
         BoundReport(name="convexity_floor", estimate=-float(pert.convexity_margin.min()),
                     ci_half_width=0.0, bound=CONVEXITY_TOL, **meta),
     ]
@@ -324,7 +330,8 @@ def martingale_gap_reports(stats: BatchStats, density: DensityModel, r: float) -
         ind = (idx < sl.t_index).astype(float)
         est, se = batch_means(((stats.v1 - v_s) * v_s).sum(-1) * ind)
         out.append(BoundReport(
-            name=f"drift_martingale_gap@{tc:g}", estimate=abs(est), ci_half_width=3.0 * se,
+            name=f"drift_martingale_gap@{tc:g}", estimate=abs(est),
+            ci_half_width=CI_STANDARD_ERRORS * se,
             bound=MARTINGALE_ALLOWANCE, **_batch_meta(stats, density, t=tc, r=r),
         ))
     return out
@@ -361,7 +368,7 @@ def shell_shift_report(stats: BatchStats, density: DensityModel, pert: Perturbat
     rhs = (stats.k_final <= logr).astype(float)
     est, se = batch_means(lhs - rhs)
     return BoundReport(
-        name="shell_shift", estimate=est, ci_half_width=3.0 * se,
+        name="shell_shift", estimate=est, ci_half_width=CI_STANDARD_ERRORS * se,
         bound=(pert.beta + 4.0) * delta**2 * logr, **_batch_meta(stats, density, pert),
     )
 
@@ -377,7 +384,8 @@ def composite_reports(stats: BatchStats, density: DensityModel, r: float) -> lis
     p_shell, p_se = batch_means(shell)
     scale = np.sqrt(logr) / max(density.beta, 1.0)
     shell_row = BoundReport(
-        name="shell_ratio", estimate=p_shell * scale, ci_half_width=3.0 * p_se * scale,
+        name="shell_ratio", estimate=p_shell * scale,
+        ci_half_width=CI_STANDARD_ERRORS * p_se * scale,
         bound=DESK_RATIO_CEILING, anchored=False, **meta,
     )
     weights = np.where(gap > 0.0, np.exp(-np.floor(np.maximum(gap, 0.0)) - logr), 0.0)
@@ -389,7 +397,7 @@ def composite_reports(stats: BatchStats, density: DensityModel, r: float) -> lis
         return [shell_row, BoundReport(name="tail_reduction!exact_required", estimate=nan,
                                        ci_half_width=nan, bound=nan, anchored=False, **meta)]
     reduction_row = BoundReport(
-        name="tail_reduction", estimate=direct, ci_half_width=3.0 * w_se,
+        name="tail_reduction", estimate=direct, ci_half_width=CI_STANDARD_ERRORS * w_se,
         bound=w_mean, **meta,
     )
     return [shell_row, reduction_row]

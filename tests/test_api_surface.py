@@ -5,10 +5,11 @@ from what runs: the package's module-level code (``cli.main`` is named
 there), the benchmark (``perfbench/*.py``, which rebinds functions by name)
 or the acceptance suite, following the names each reached definition
 mentions.  Imports are not references.  The same holds one level down: every
-public method, property and annotated (dataclass or NamedTuple) field of a
-reached class must be read as an attribute (``x.name``) somewhere in that
-reached code; an allowed class is not reached, so its members are not
-checked.  A name that only the unit tests call belongs in the tests.
+public method, property, annotated (dataclass or NamedTuple) field and plain
+class attribute (``closed_ou = None``) of a reached class must be read as an
+attribute (``x.name``) somewhere in that reached code; an allowed class is
+not reached, so its members are not checked.  A name that only the unit
+tests call belongs in the tests.
 ``ALLOWED`` lists the few that stay anyway, each with its reason.
 """
 
@@ -46,13 +47,16 @@ def _names(tree: ast.AST, strings: bool = False) -> tuple[set[str], set[str]]:
 
 
 def _members(cls: ast.ClassDef) -> list[str]:
-    """The public methods, properties and annotated fields of a class."""
+    """The public methods, properties, annotated fields and plain class
+    attributes of a class."""
     out = []
     for node in cls.body:
         if isinstance(node, ast.FunctionDef):
             out.append(node.name)
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             out.append(node.target.id)
+        elif isinstance(node, ast.Assign):
+            out += [target.id for target in node.targets if isinstance(target, ast.Name)]
     return [name for name in out if not name.startswith("_")]
 
 

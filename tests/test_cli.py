@@ -579,6 +579,31 @@ class TestMainEntry:
             assert main(argv) == 2
             assert f"error: config field '{argv[-2][2:]}'" in capsys.readouterr().err
 
+    def test_verify_all_seed_range_covers_every_family(self, tmp_path, capsys, monkeypatch):
+        """verify-all seeds family k with seed + k, so the largest seed it
+        takes puts the last family at 2**128 - 1, and the next is rejected
+        with the range it checks."""
+        last = len(FAMILIES) - 1
+        seeds = []
+        monkeypatch.setattr(cli, "collect_rows", lambda cfg, stats: seeds.append(cfg.seed) or [])
+        monkeypatch.setattr(cli, "simulate_batches", lambda jobs: (None for _ in jobs))
+        assert main(["verify-all", "--seed", str(2**128 - 1 - last), "--out", str(tmp_path)]) == 0
+        assert seeds[-1] == 2**128 - 1
+        capsys.readouterr()
+        assert main(["verify-all", "--seed", str(2**128 - last), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert (f"config field 'seed': verify-all seeds its families with seed, ..., "
+                f"seed + {last}, so seed must lie in [0, 2**128 - {last})") in err
+
+    def test_out_env_var_sets_the_default_directory(self, tmp_path, monkeypatch):
+        """With neither --out nor an ``out`` key, reports go to $OUTAIL_OUT."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("OUTAIL_OUT", str(tmp_path / "from_env"))
+        cfg = write_cfg(tmp_path, "[experiment]\nfamily = tilt\nchecks = sharpness\n")
+        assert main(["run", str(cfg)]) == 0
+        assert (tmp_path / "from_env" / "report.csv").exists()
+        assert not (tmp_path / "reports").exists()
+
     @pytest.mark.parametrize("argv", [
         ["verify-all", "--chunk-size", "-5"],
         ["verify-all", "--chunk-size", "0"],

@@ -670,7 +670,7 @@ class TestPipeline:
 class QuadratureMixture(MixtureDensity):
     """A mixture whose drift is computed by the heat-kernel quadrature."""
 
-    has_closed_heat = False
+    closed_heat_at = None
 
 
 class TestDriftTabulation:
@@ -692,7 +692,7 @@ class TestDriftTabulation:
     def test_sine_above_series_cutoff_uses_quadrature(self):
         assert DriftField(SINE, MIN_STEPS).rule is None
         wide = SinePerturbationDensity(6.0, [2.0])
-        assert not wide.has_closed_heat and DriftField(wide, MIN_STEPS).rule is not None
+        assert wide.closed_heat_at is None and DriftField(wide, MIN_STEPS).rule is not None
 
     def test_final_node_bypasses_table(self):
         stats = simulate_batch(MIX, small_cfg(), 32)

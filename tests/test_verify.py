@@ -96,6 +96,11 @@ class TestTailProbability:
         with pytest.raises(ValueError):
             tail_probability(TiltDensity([1.0]), 0.0, 1.0)
 
+    def test_exact_needs_a_closed_tail(self):
+        mix = MixtureDensity([0.5, 0.5], [-1.0, 1.0], 0.5)
+        with pytest.raises(ValueError, match="mixture"):
+            tail_probability(mix, 0.5, 2.0, "exact")
+
 
 def markov_ok(r, tail, ci) -> bool:
     """Every tail within the Markov envelope 1/r, up to its half-width."""
