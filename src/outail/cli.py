@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, OutailError, ResolutionError
+from .errors import ConfigError, OutailError
 from .foellmer import DEFAULT_STEPS, MIN_STEPS, BatchStats, PathConfig, simulate_batches
 from .measures import FAMILIES, DensityModel, MixtureDensity, validate_normalization
 from .quadrature import MAX_QUADRATURE_DIM
@@ -298,7 +298,8 @@ def collect_rows(cfg: ExperimentConfig, stats: BatchStats | None = None) -> list
     """Run the selected checks for one family config, in config order.
 
     ``stats`` is the config's path batch, which the drivers simulate; None
-    when no check reads paths."""
+    when no check reads paths.  The ``tail`` rows at each t come from one
+    ``verify.tail_curve``, in increasing r."""
     density = build_density(cfg)
     beta = density.beta if cfg.beta_override is None else cfg.beta_override
     # one perturbation record per distinct (r, delta), read by all its rows
@@ -307,7 +308,9 @@ def collect_rows(cfg: ExperimentConfig, stats: BatchStats | None = None) -> list
     for tok in cfg.checks:
         if tok == "tail":
             for t in cfg.t_values:
-                tails = [_tail_row(density, t, r, cfg) for r in cfg.r_values]
+                curve = verify.tail_curve(density, t, cfg.r_values,
+                                          n_samples=cfg.paths, seed=cfg.seed)
+                tails = [_tail_row(density, t, *point, cfg) for point in zip(*curve)]
                 rows.extend(tails)
                 rows.append(_ceiling_row(density, t, tails, cfg))
         elif tok == "sharpness":
@@ -343,23 +346,18 @@ def collect_rows(cfg: ExperimentConfig, stats: BatchStats | None = None) -> list
     return rows
 
 
-def _tail_row(density: DensityModel, t: float, r: float, cfg: ExperimentConfig) -> BoundReport:
+def _tail_row(density: DensityModel, t: float, r: float, est: float, ci: float,
+              cfg: ExperimentConfig) -> BoundReport:
+    """The ``tail_markov`` row of one point of the tail curve at t; a NaN
+    estimate, a tail Monte Carlo cannot resolve, gives the unanchored
+    ``tail_markov!exact_required`` row."""
     meta = dict(family=density.name, dim=density.dim, t=t, r=r,
-                beta=density.beta, seed=cfg.seed)
-    try:
-        est, ci = verify.tail_probability(
-            density, t, r, method="auto", n_samples=cfg.paths, seed=cfg.seed
-        )
-    except ResolutionError:
-        return BoundReport(
-            name="tail_markov!exact_required", estimate=float("nan"),
-            ci_half_width=float("nan"), bound=float("nan"),
-            n_samples=cfg.paths, anchored=False, **meta,
-        )
-    return BoundReport(
-        name="tail_markov", estimate=est, ci_half_width=ci, bound=1.0 / r,
-        n_samples=cfg.paths, **meta,
-    )
+                beta=density.beta, seed=cfg.seed, n_samples=cfg.paths)
+    if math.isnan(est):
+        nan = float("nan")
+        return BoundReport(name="tail_markov!exact_required", estimate=nan,
+                           ci_half_width=nan, bound=nan, anchored=False, **meta)
+    return BoundReport(name="tail_markov", estimate=est, ci_half_width=ci, bound=1.0 / r, **meta)
 
 
 def _ceiling_row(

@@ -87,12 +87,15 @@ class TiltDensity(DensityModel):
 
     u: np.ndarray
     name: str = field(default="tilt", init=False)
+    alpha: float = field(init=False, repr=False)  # tilt magnitude |u| (the 1-D parameter)
 
     def __post_init__(self):
         u = np.atleast_1d(np.asarray(self.u, dtype=float))
         if u.ndim != 1:
             raise DimensionMismatchError("tilt vector must be one-dimensional")
         object.__setattr__(self, "u", u)
+        with np.errstate(over="ignore"):  # an overflow gives |u| = inf, as IEEE says
+            object.__setattr__(self, "alpha", float(np.linalg.norm(u)))
 
     @property
     def dim(self) -> int:
@@ -101,11 +104,6 @@ class TiltDensity(DensityModel):
     @property
     def beta(self) -> float:
         return 0.0
-
-    @property
-    def alpha(self) -> float:
-        """Tilt magnitude |u| (the 1-D parameter)."""
-        return float(np.linalg.norm(self.u))
 
     def log_f(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)

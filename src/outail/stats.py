@@ -88,16 +88,26 @@ class DenseCdf:
         return np.interp(np.asarray(x, dtype=float), self.xs, self.cdf_grid)
 
 
-def superlevel_gamma_mass(log_value_fn, log_level: float) -> float:
-    """gamma_1-measure of the 1-D super-level set {x : g(x) > log_level}.
+def superlevel_gamma_mass(log_value_fn, log_levels) -> np.ndarray:
+    """gamma_1-measure of each 1-D super-level set {x : g(x) > level}, for
+    the levels of one curve; the result has the shape of ``log_levels``.
 
-    Locates sign changes of g - log_level on a dense grid, refines each
+    Evaluates g once on a dense grid, shared by every level.  Per level it
+    locates the sign changes of g - level on the grid, refines each
     crossing by bisection, and sums the Gaussian mass of the resulting
     intervals.  The function is assumed continuous with finitely many
     crossings resolved by the grid.
     """
     xs = np.linspace(-GRID_HALFWIDTH, GRID_HALFWIDTH, LEVEL_SET_GRID)
-    diff = np.asarray(log_value_fn(xs)) - log_level
+    values = np.asarray(log_value_fn(xs))
+    levels = np.asarray(log_levels, dtype=float)
+    masses = [_superlevel_mass(log_value_fn, xs, values - level, level)
+              for level in levels.ravel()]
+    return np.reshape(masses, levels.shape)
+
+
+def _superlevel_mass(log_value_fn, xs: np.ndarray, diff: np.ndarray, log_level) -> float:
+    """The mass at one level, from g - level on the grid ``xs``."""
     above = diff > 0
     if not above.any():
         return 0.0

@@ -10,6 +10,9 @@ Conventions
   envelope instead of batch means.
 * Exact Gaussian tails go through the scaled complementary error function in
   log space, which stays finite past r = e^16.
+* A tail curve is evaluated once per t: ``tail_curve`` builds Q_t f and
+  evaluates log Q_t f on the level-set grid or the Monte Carlo sample once
+  for all its thresholds.
 * Floor-type checks ("statistic >= floor") store negated values so that the
   uniform pass rule margin + ci >= 0 applies; their names end in ``_floor``.
 
@@ -111,43 +114,18 @@ def tail_probability(
     n_samples: int = 10**5,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """(estimate, ci) for gamma_n({Q_t f > r}): the t = 0 tail of the image
-    ``ou_image(density, t, rule)``, so t = 0 means the tail of f.
-
-    Methods: "exact" (the image's closed tail), "quadrature" (1-D level-set
-    mass), "monte_carlo" (indicator mean, raises ResolutionError when the
-    expected hit count is too small to resolve), "auto" picks the first
-    that applies to the image in that order.
+    """(estimate, ci) for gamma_n({Q_t f > r}): ``tail_curve`` at the one
+    threshold r.  Raises ResolutionError when Monte Carlo cannot resolve it.
+    It calls ``_tails`` directly, so a direct tail (``composite_reports``)
+    opens no ``tail_curve`` span in a traced run.
     """
-    if r <= 1.0:
-        raise ValueError("tail threshold must satisfy r > 1")
-    image = ou_image(density, t, rule)
-    if method == "auto":
-        if image.closed_tail is not None:
-            method = "exact"
-        elif image.dim == 1:
-            method = "quadrature"
-        else:
-            method = "monte_carlo"
-    if method == "exact":
-        if image.closed_tail is None:
-            raise ValueError(f"{image.name} has no exact tail")
-        return image.closed_tail(r), 0.0
-    if method == "quadrature":
-        if image.dim != 1:
-            raise ValueError("quadrature tails are 1-D only")
-        return superlevel_gamma_mass(image.log_f, np.log(r)), 0.0
-    if method == "monte_carlo":
-        x = gaussian_sample(seed, n_samples, image.dim, stream=7)
-        hits = np.asarray(image.log_f(x)) > np.log(r)
-        if hits.sum() < MC_MIN_HITS:
-            raise ResolutionError(
-                f"tail at r={r:g} below Monte Carlo resolution "
-                f"({int(hits.sum())} hits of {n_samples}); method=exact required"
-            )
-        est, se = batch_means(hits.astype(float))
-        return est, CI_STANDARD_ERRORS * se
-    raise ValueError(f"unknown tail method {method!r}")
+    (est,), (ci,) = _tails(density, t, np.array([float(r)]), method, rule, n_samples, seed)
+    if np.isnan(est):
+        raise ResolutionError(
+            f"tail at r={r:g} below Monte Carlo resolution "
+            f"(fewer than {MC_MIN_HITS} hits of {n_samples}); method=exact required"
+        )
+    return float(est), float(ci)
 
 
 def tail_curve(
@@ -159,14 +137,57 @@ def tail_curve(
     n_samples: int = 10**5,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(r, tail, ci): ``tail_probability`` at t over the thresholds of
-    ``r_grid`` in increasing order, which must be distinct."""
+    """(r, tail, ci): gamma_n({Q_t f > r}) over the thresholds of ``r_grid``
+    in increasing order, which must be distinct and exceed 1.  The tail at
+    t is the t = 0 tail of the image ``ou_image(density, t, rule)``, so
+    t = 0 means the tail of f.
+
+    Methods: "exact" (the image's closed tail), "quadrature" (1-D level-set
+    mass), "monte_carlo" (indicator mean), "auto" picks the first that
+    applies to the image in that order.  The image is built, and log Q_t f
+    evaluated on the level-set grid or the Monte Carlo sample, once for the
+    whole curve.  A Monte Carlo threshold with fewer than ``MC_MIN_HITS``
+    hits has NaN tail and ci: the exact tail is required there.
+    """
     r = np.asarray(sorted(float(x) for x in r_grid))
     if np.any(np.diff(r) == 0.0):
         raise ValueError("tail thresholds must be distinct")
-    pairs = [tail_probability(density, t, x, method, rule, n_samples, seed) for x in r]
-    tail, ci = np.array(pairs, dtype=float).reshape(-1, 2).T
-    return r, tail, ci
+    return (r, *_tails(density, t, r, method, rule, n_samples, seed))
+
+
+def _tails(density: DensityModel, t: float, r: np.ndarray, method: str,
+           rule: QuadratureRule | None, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(tail, ci) of ``tail_curve`` at the thresholds r, in their order."""
+    if np.any(r <= 1.0):
+        raise ValueError("tail threshold must satisfy r > 1")
+    image = ou_image(density, t, rule)
+    if method == "auto":
+        if image.closed_tail is not None:
+            method = "exact"
+        elif image.dim == 1:
+            method = "quadrature"
+        else:
+            method = "monte_carlo"
+    zeros = np.zeros(r.shape)
+    if method == "exact":
+        if image.closed_tail is None:
+            raise ValueError(f"{image.name} has no exact tail")
+        return np.array([image.closed_tail(x) for x in r]), zeros
+    if method == "quadrature":
+        if image.dim != 1:
+            raise ValueError("quadrature tails are 1-D only")
+        return superlevel_gamma_mass(image.log_f, np.log(r)), zeros
+    if method == "monte_carlo":
+        x = gaussian_sample(seed, n_samples, image.dim, stream=7)
+        log_f = np.asarray(image.log_f(x))
+        tail, ci = np.full(r.shape, np.nan), np.full(r.shape, np.nan)
+        for i, log_r in enumerate(np.log(r)):
+            hits = log_f > log_r
+            if hits.sum() >= MC_MIN_HITS:
+                est, se = batch_means(hits.astype(float))
+                tail[i], ci[i] = est, CI_STANDARD_ERRORS * se
+        return tail, ci
+    raise ValueError(f"unknown tail method {method!r}")
 
 
 def sharpness_values(r_grid=SHARPNESS_R_GRID) -> np.ndarray:

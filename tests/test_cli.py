@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from outail import cli, foellmer, verify
+from outail import cli, foellmer, semigroup, verify
 from outail.cli import (
     CHECK_TOKENS,
     CONFIG_KEYS,
@@ -24,10 +24,11 @@ from outail.cli import (
     verify_all,
     write_reports,
 )
-from outail.errors import ConfigError
+from outail.errors import ConfigError, ResolutionError
 from outail.foellmer import DEFAULT_STEPS, PathConfig
-from outail.measures import FAMILIES, TiltDensity
+from outail.measures import FAMILIES, MixtureDensity, SinePerturbationDensity, TiltDensity
 from outail.reports import CSV_COLUMNS, BoundReport
+from outail.stats import LEVEL_SET_GRID
 from outail.verify import canonical_delta, default_families
 
 E = math.e
@@ -363,6 +364,72 @@ paths = 20000
         assert ceiling.estimate == pytest.approx(max(row.estimate * f for row, f in zip(tails, factors)))
         assert ceiling.ci_half_width == pytest.approx(
             max(row.ci_half_width * f for row, f in zip(tails, factors)))
+
+    @pytest.mark.parametrize("family, per_t", [
+        ("sine", lambda t: SinePerturbationDensity if t == 0 else semigroup._MehlerImage),
+        ("mixture", lambda t: MixtureDensity),
+    ])
+    def test_tail_evaluates_the_level_set_grid_once_per_t(self, tmp_path, monkeypatch,
+                                                          family, per_t):
+        """A ``tail`` run with 8 thresholds evaluates log Q_t f on the
+        level-set grid once per t: f itself at t = 0, else the sine's Mehler
+        image or the mixture's ``closed_ou``.  Only grid-sized inputs count;
+        the root refinement evaluates single points."""
+        grid_calls = []
+        for cls in (SinePerturbationDensity, semigroup._MehlerImage, MixtureDensity):
+            def counted(self, x, cls=cls, log_f=cls.log_f):
+                if np.size(x) == LEVEL_SET_GRID:
+                    grid_calls.append(cls)
+                return log_f(self, x)
+            monkeypatch.setattr(cls, "log_f", counted)
+        t_values = (0.0, 0.1, 0.5, 1.0)
+        text = (f"[experiment]\nfamily = {family}\nchecks = tail\n"
+                f"t = {', '.join(map(str, t_values))}\n"
+                "r = e0.01, e0.03, e0.08, e0.2, e0.45, e1, e4, e16\n")
+        rows = collect_rows(parse_config(write_cfg(tmp_path, text)))
+        assert [row.name for row in rows].count("tail_markov") == 8 * len(t_values)
+        assert grid_calls == [per_t(t) for t in t_values]
+
+    @pytest.mark.parametrize("family, t, r", [
+        ("sine", "0, 0.5", "e0.01, e0.08, e0.2, e1"),
+        ("mixture", "0, 0.5", "e0.01, e0.08, e0.2, e1"),
+        ("tilt", "0, 0.5", "1.5, e1, e2, e4"),
+        ("mixture\nmeans = -1, 0; 1, 0\npaths = 20000", "0.5", "1.1, 1.2, 1.5, e1"),
+    ], ids=["sine-quadrature", "mixture-quadrature", "tilt-exact", "mixture2d-monte-carlo"])
+    def test_tail_rows_equal_per_threshold_tails(self, tmp_path, family, t, r):
+        """Each ``tail_markov`` row of the one-curve-per-t path carries the
+        bits of ``verify.tail_probability`` at its (t, r); a threshold that
+        Monte Carlo cannot resolve, and only that one, becomes
+        ``tail_markov!exact_required``, and the ceiling reads the rest."""
+        cfg = parse_config(write_cfg(tmp_path, f"[experiment]\nfamily = {family}\n"
+                                               f"checks = tail\nt = {t}\nr = {r}\n"))
+        density = build_density(cfg)
+        rows = collect_rows(cfg)
+        for ceiling_at in range(len(cfg.r_values), len(rows), len(cfg.r_values) + 1):
+            tails, ceiling = rows[ceiling_at - len(cfg.r_values):ceiling_at], rows[ceiling_at]
+            resolved = []
+            for row in tails:
+                try:
+                    est, ci = verify.tail_probability(density, row.t, row.r,
+                                                      n_samples=cfg.paths, seed=cfg.seed)
+                except ResolutionError:
+                    assert row.name == "tail_markov!exact_required" and not row.anchored
+                    assert math.isnan(row.estimate) and math.isnan(row.ci_half_width)
+                    continue
+                assert row.name == "tail_markov"
+                assert (row.estimate, row.ci_half_width, row.bound) == (est, ci, 1.0 / row.r)
+                resolved.append(row)
+            assert ceiling.name == "tail_curve_ceiling" and ceiling.t == tails[0].t
+            ratio = max(row.estimate * row.r * math.sqrt(math.log(row.r)) * min(1.0, row.t)
+                        for row in resolved)
+            assert ceiling.estimate == pytest.approx(ratio, rel=1e-14, abs=0.0)
+        names = [row.name for row in rows]
+        if density.dim == 2:
+            assert names.count("tail_markov!exact_required") == 1
+            assert rows[names.index("tail_markov!exact_required")].r == E
+        else:
+            assert "tail_markov!exact_required" not in names
+            assert any(row.estimate > 0.0 for row in rows if row.name == "tail_markov")
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = write_cfg(tmp_path, GOOD_CONFIG.format(out=tmp_path / "reports"))
