@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erfcx, ndtr
 
+from .errors import NonFiniteValueError
+
 # Default relative step for first-derivative checks: cbrt(machine epsilon).
 FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 # Second-derivative stencils use a larger step, balancing truncation against
@@ -38,45 +40,43 @@ def fd_gradient(fn, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     return (vals[..., :n] - vals[..., n:]) / (2.0 * hs)
 
 
-def fd_hessian(fn, x: np.ndarray, h: float = FD_HESS_STEP) -> np.ndarray:
-    """Central-difference Hessian, symmetrized.
+def fd_hessian(fn, x: np.ndarray) -> np.ndarray:
+    """Central-difference Hessians, symmetrized, at points of shape (..., n);
+    the result has shape (..., n, n).
 
     Uses the standard 3-point diagonal and 4-point cross stencils with a
-    per-coordinate step h*max(1, |x_i|).  ``fn`` is called once on the full
-    stencil batch.
+    per-coordinate step FD_HESS_STEP*max(1, |x_i|).  ``fn`` is called once,
+    on the stencils of all points, shape (..., 1 + 2n^2, n); each point
+    keeps the stencil and quotients of a one-point call, so the stack equals
+    the one-point Hessians bit for bit when ``fn`` is pointwise.  Raises
+    NonFiniteValueError when a Hessian is not finite.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("fd_hessian expects a single point of shape (dim,)")
-    n = x.shape[0]
-    hs = _steps(x, h)
-    pts = [x]
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = hs[i]
-        pts.append(x + ei)
-        pts.append(x - ei)
-    cross = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = hs[i]
-            ej[j] = hs[j]
-            pts.extend([x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej])
-            cross.append((i, j))
-    vals = np.asarray(fn(np.stack(pts)))
-    f0 = vals[0]
-    hess = np.empty((n, n))
-    for i in range(n):
-        fp, fm = vals[1 + 2 * i], vals[2 + 2 * i]
-        hess[i, i] = (fp - 2.0 * f0 + fm) / hs[i] ** 2
-    base = 1 + 2 * n
-    for k, (i, j) in enumerate(cross):
-        fpp, fpm, fmp, fmm = vals[base + 4 * k: base + 4 * k + 4]
-        hij = (fpp - fpm - fmp + fmm) / (4.0 * hs[i] * hs[j])
-        hess[i, j] = hess[j, i] = hij
-    return 0.5 * (hess + hess.T)
+    n = x.shape[-1]
+    hs = _steps(x, FD_HESS_STEP)
+    vals = np.asarray(fn(x[..., None, :] + _hessian_stencil(n) * hs[..., None, :]))
+    f0, base = vals[..., :1], 1 + 2 * n
+    hess = np.empty(x.shape + (n,))
+    diag = (vals[..., 1:base:2] - 2.0 * f0 + vals[..., 2:base:2]) / hs**2
+    hess[..., np.arange(n), np.arange(n)] = diag
+    i, j = np.triu_indices(n, 1)
+    fpp, fpm, fmp, fmm = (vals[..., base + q::4] for q in range(4))
+    hess[..., i, j] = hess[..., j, i] = (fpp - fpm - fmp + fmm) / (4.0 * hs[..., i] * hs[..., j])
+    hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
+    if not np.isfinite(hess).all():
+        raise NonFiniteValueError("finite-difference Hessian non-finite")
+    return hess
+
+
+def _hessian_stencil(n: int) -> np.ndarray:
+    """Step multipliers in {-1, 0, 1}, shape (1 + 2n^2, n): the point, then
+    +e_i and -e_i for each i, then e_i + e_j, e_i - e_j, -e_i + e_j,
+    -e_i - e_j for each pair i < j in row-major order."""
+    eye = np.eye(n)
+    i, j = np.triu_indices(n, 1)
+    cross = [eye[i] + eye[j], eye[i] - eye[j], -eye[i] + eye[j], -eye[i] - eye[j]]
+    return np.concatenate([np.zeros((1, n)), np.stack([eye, -eye], 1).reshape(-1, n),
+                           np.stack(cross, 1).reshape(-1, n)])
 
 
 def log_gauss_tail(z) -> np.ndarray:

@@ -30,7 +30,6 @@ from scipy.special import logsumexp
 
 from .errors import NonFiniteValueError
 from .measures import DensityModel, _as_points
-from .numeric import fd_hessian
 from .quadrature import QuadratureRule
 from .reports import BoundReport
 
@@ -42,6 +41,10 @@ HYPER_REL_TOL = 1e-8
 # log Q_t f at all 64**dim nodes of the rule, each by heat-kernel
 # quadrature for a family without closed forms.
 HYPER_MAX_DIM = 2
+# Most point-node pairs one pass of ``heat_log_grad`` holds, which bounds its
+# temporaries to about 100 MiB: a 3-D image on the 64**3-node rule needs
+# gigabytes for the Hessian stencils of 50 probes in one pass.
+HEAT_BLOCK_PAIRS = 2**20
 
 
 @lru_cache(maxsize=None)
@@ -109,42 +112,39 @@ def heat_log_grad(
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """(log P_s f(x), grad log P_s f(x)) by quadrature with kernel covariance
     s * id; the gradient is grad log f(x) itself below ``S_MIN``, and is
-    skipped (None) when not ``grad``."""
+    skipped (None) when not ``grad``.  The points go through the kernel in
+    blocks of at most ``HEAT_BLOCK_PAIRS`` point-node pairs (one point when
+    the rule alone exceeds it); every reduction runs per point over the
+    nodes, so the blocks do not change the result."""
     if not 0.0 < s <= 1.0:
         raise ValueError("heat bandwidth must lie in (0, 1]")
     x = _as_points(x, density.dim)
-    sqrt_s = np.sqrt(s)
-    pts = x[..., None, :] + sqrt_s * rule.nodes
-    logs = rule.log_weights + density.log_f(pts)
-    k = logsumexp(logs, axis=-1)
-    if not grad:
-        v = None
-    elif s >= S_MIN:
-        peak = logs.max(axis=-1, keepdims=True)
-        w = np.exp(logs - peak)
-        den = w.sum(-1)
-        num = np.einsum("...m,mn->...n", w, rule.nodes)
-        v = num / (sqrt_s * den[..., None])
+    points = x.reshape(-1, density.dim)
+    block = max(1, HEAT_BLOCK_PAIRS // rule.n_nodes)
+    sqrt_s, score = np.sqrt(s), grad and s >= S_MIN
+    parts = [_heat_block(density, sqrt_s, points[i:i + block], rule, score)
+             for i in range(0, max(len(points), 1), block)]
+    k = np.concatenate([part[0] for part in parts]).reshape(x.shape[:-1])
+    if score:
+        v = np.concatenate([part[1] for part in parts]).reshape(x.shape)
     else:
-        v = density.grad_log_f(x)
+        v = density.grad_log_f(x) if grad else None
     if not (np.isfinite(k).all() and (v is None or np.isfinite(v).all())):
         raise NonFiniteValueError(f"log P_s f or its gradient non-finite at s={s:g}")
     return k, v
 
 
-def ou_log_hessian_min_eig(density: DensityModel, t: float, x) -> float:
-    """lambda_min(Hessian log Q_t f(x)) + 1/(2t).
-
-    A non-negative value (within finite-difference tolerance) confirms the
-    1/(2t) semi-convexity floor of the smoothed log-density at x.
-    """
-    if t <= 0:
-        raise ValueError("Hessian floor check needs t > 0")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    hess = fd_hessian(ou_image(density, t).log_f, x)
-    if not np.isfinite(hess).all():
-        raise NonFiniteValueError("finite-difference Hessian of log Q_t f non-finite")
-    return float(np.linalg.eigvalsh(hess)[0] + 0.5 / t)
+def _heat_block(density: DensityModel, sqrt_s: float, x: np.ndarray, rule: QuadratureRule,
+                score: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """log P_s f at the points x, shape (P, n), and the score-trick gradient
+    when ``score``."""
+    logs = rule.log_weights + density.log_f(x[:, None, :] + sqrt_s * rule.nodes)
+    k = logsumexp(logs, axis=-1)
+    if not score:
+        return k, None
+    w = np.exp(logs - logs.max(axis=-1, keepdims=True))
+    num = np.einsum("...m,mn->...n", w, rule.nodes)
+    return k, num / (sqrt_s * w.sum(-1)[..., None])
 
 
 def nelson_exponent(p: float, t: float) -> float:

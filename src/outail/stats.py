@@ -94,9 +94,9 @@ def superlevel_gamma_mass(log_value_fn, log_levels) -> np.ndarray:
 
     Evaluates g once on a dense grid, shared by every level.  Per level it
     locates the sign changes of g - level on the grid, refines each
-    crossing by bisection, and sums the Gaussian mass of the resulting
-    intervals.  The function is assumed continuous with finitely many
-    crossings resolved by the grid.
+    crossing by Brent's method (``brentq``) on one-point evaluations of g,
+    and sums the Gaussian mass of the resulting intervals.  The function is
+    assumed continuous with finitely many crossings resolved by the grid.
     """
     xs = np.linspace(-GRID_HALFWIDTH, GRID_HALFWIDTH, LEVEL_SET_GRID)
     values = np.asarray(log_value_fn(xs))

@@ -63,11 +63,11 @@ from .errors import ResolutionError
 # through this module and passes each batch and record to the builders below
 from .foellmer import BatchStats, Perturbation, perturbation_arrays, simulate_batch
 from .measures import FAMILIES, DensityModel, TiltDensity
-from .numeric import log_gauss_tail
+from .numeric import fd_hessian, log_gauss_tail
 from .quadrature import QuadratureRule
 from .reports import BoundReport
 from .rng import gaussian_sample
-from .semigroup import default_rule, ou_image, ou_log_hessian_min_eig
+from .semigroup import default_rule, ou_image
 from .stats import (
     KS_TWO_SAMPLE_CRIT,
     batch_means,
@@ -133,14 +133,13 @@ def tail_curve(
     t: float,
     r_grid,
     method: str = "auto",
-    rule: QuadratureRule | None = None,
     n_samples: int = 10**5,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(r, tail, ci): gamma_n({Q_t f > r}) over the thresholds of ``r_grid``
     in increasing order, which must be distinct and exceed 1.  The tail at
-    t is the t = 0 tail of the image ``ou_image(density, t, rule)``, so
-    t = 0 means the tail of f.
+    t is the t = 0 tail of the image ``ou_image(density, t)``, so t = 0
+    means the tail of f.
 
     Methods: "exact" (the image's closed tail), "quadrature" (1-D level-set
     mass), "monte_carlo" (indicator mean), "auto" picks the first that
@@ -152,7 +151,7 @@ def tail_curve(
     r = np.asarray(sorted(float(x) for x in r_grid))
     if np.any(np.diff(r) == 0.0):
         raise ValueError("tail thresholds must be distinct")
-    return (r, *_tails(density, t, r, method, rule, n_samples, seed))
+    return (r, *_tails(density, t, r, method, None, n_samples, seed))
 
 
 def _tails(density: DensityModel, t: float, r: np.ndarray, method: str,
@@ -429,12 +428,16 @@ def composite_reports(stats: BatchStats, density: DensityModel, r: float) -> lis
 
 def hessian_floor_report(density: DensityModel, t: float) -> BoundReport:
     """Worst log-Hessian margin of Q_t f over ``HESSIAN_PROBES`` on the
-    diagonal.
+    diagonal, from one ``fd_hessian`` of the image's log_f over all probes.
 
-    The margin lambda_min + 1/(2t) must be >= -HESSIAN_TOL everywhere.
+    The margin lambda_min + 1/(2t) must be >= -HESSIAN_TOL everywhere; it
+    confirms the 1/(2t) semi-convexity floor of the smoothed log-density.
     """
+    if t <= 0:
+        raise ValueError("Hessian floor check needs t > 0")
     points = np.tile(HESSIAN_PROBES[:, None], density.dim)
-    worst = min(ou_log_hessian_min_eig(density, t, x) for x in points)
+    hess = fd_hessian(ou_image(density, t).log_f, points)
+    worst = float((np.linalg.eigvalsh(hess)[:, 0] + 0.5 / t).min())
     return BoundReport(
         name="log_hessian_floor",
         family=density.name,

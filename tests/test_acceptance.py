@@ -16,10 +16,11 @@ from scipy.stats import norm
 from outail.cli import verify_all
 from outail.foellmer import perturbation_arrays
 from outail.measures import MixtureDensity, TiltDensity
-from outail.semigroup import ou_log, ou_log_hessian_min_eig
+from outail.semigroup import ou_log
 from outail.stats import KS_ONE_SAMPLE_CRIT, DenseCdf, ks_one_sample
 from outail.verify import (
     DEFAULT_R_GRID,
+    HESSIAN_PROBES,
     composite_reports,
     drift_energy_report,
     entropy_identity_report,
@@ -80,12 +81,9 @@ def test_01_tilt_semigroup_closed_form():
 
 def test_02_log_hessian_floor(families):
     """lambda_min(Hess log Q_t f) + 1/(2t) >= -1e-5 on 50-point probes."""
-    worst = np.inf
-    points = np.linspace(-4.0, 4.0, 50)
-    for name in ("mixture", "sine"):
-        for t in (0.1, 0.5, 1.0):
-            for x in points:
-                worst = min(worst, ou_log_hessian_min_eig(families[name], t, np.array([x])))
+    assert np.array_equal(HESSIAN_PROBES, np.linspace(-4.0, 4.0, 50))
+    worst = min(-hessian_floor_report(families[name], t).estimate
+                for name in ("mixture", "sine") for t in (0.1, 0.5, 1.0))
     criterion(2, f"log-Hessian floor margin {worst:.2e} >= -1e-5", worst >= -1e-5)
 
 

@@ -390,6 +390,28 @@ paths = 20000
         assert [row.name for row in rows].count("tail_markov") == 8 * len(t_values)
         assert grid_calls == [per_t(t) for t in t_values]
 
+    @pytest.mark.parametrize("family, image", [
+        ("sine", semigroup._MehlerImage),
+        ("mixture", MixtureDensity),
+    ])
+    def test_hessian_evaluates_the_image_once_per_t(self, tmp_path, monkeypatch, family, image):
+        """A ``hessian`` run over three t calls the image's log_f once per t,
+        on the stencils of every probe: the sine's Mehler image or the
+        mixture's ``closed_ou``.  The config is parsed before counting, so
+        its normalization check on the rule nodes does not count."""
+        t_values = (0.1, 0.5, 1.0)
+        cfg = parse_config(write_cfg(tmp_path, f"[experiment]\nfamily = {family}\nchecks = hessian\n"
+                                               f"t = {', '.join(map(str, t_values))}\n"))
+        calls = []
+        for cls in (SinePerturbationDensity, semigroup._MehlerImage, MixtureDensity):
+            def counted(self, x, cls=cls, log_f=cls.log_f):
+                calls.append(cls)
+                return log_f(self, x)
+            monkeypatch.setattr(cls, "log_f", counted)
+        rows = collect_rows(cfg)
+        assert [(row.name, row.t) for row in rows] == [("log_hessian_floor", t) for t in t_values]
+        assert calls == [image] * len(t_values)
+
     @pytest.mark.parametrize("family, t, r", [
         ("sine", "0, 0.5", "e0.01, e0.08, e0.2, e1"),
         ("mixture", "0, 0.5", "e0.01, e0.08, e0.2, e1"),

@@ -17,7 +17,6 @@ from outail.semigroup import (
     nelson_exponent,
     ou_image,
     ou_log,
-    ou_log_hessian_min_eig,
 )
 from outail.stats import batch_means, superlevel_gamma_mass
 from outail.verify import HESSIAN_PROBES, HESSIAN_TOL, hessian_floor_report, tail_probability
@@ -170,6 +169,26 @@ class TestHeatGradLog:
         assert np.array_equal(ou_image(wide, 0.5, RULE).log_f(x), ou_log(wide, 0.5, x, RULE))
         assert seen == [False, False]
 
+    @pytest.mark.parametrize("density", [
+        MixtureDensity([0.5, 0.5], [[-1.0, 0.5], [1.0, 0.0]], 0.5),
+        SinePerturbationDensity(6.0, [1.0, 1.0]),
+    ], ids=["mixture2d", "sine2d"])
+    def test_blocks_stay_under_the_budget(self, density, monkeypatch, rng):
+        """With a small budget no ``log_f`` call holds more point-node pairs
+        than it, and the blocked results equal one pass bit for bit."""
+        rule = QuadratureRule.gauss_hermite(2, 6)  # 36 nodes
+        x = rng.normal(size=(5, 7, 2))
+        whole = {s: heat_log_grad(density, s, x, rule) for s in (1.0, 0.3, 1e-5)}
+        pairs, log_f = [], type(density).log_f
+        monkeypatch.setattr(type(density), "log_f",
+                            lambda self, y: pairs.append(np.size(y) // self.dim) or log_f(self, y))
+        monkeypatch.setattr(semigroup, "HEAT_BLOCK_PAIRS", 100)  # two points a block
+        for s, (k, v) in whole.items():
+            got_k, got_v = heat_log_grad(density, s, x, rule)
+            assert np.array_equal(got_k, k) and np.array_equal(got_v, v)
+            assert np.array_equal(heat_log_grad(density, s, x, rule, grad=False)[0], k)
+        assert len(pairs) == 2 * len(whole) * 18 and max(pairs) == 72
+
     def test_closed_form_bypasses_floor(self):
         g = MIX.closed_heat_at(np.array([0.4]))(1e-5)[1]
         expected = np.ravel(MIX.grad_log_f(np.array([0.4])))[0]
@@ -208,12 +227,12 @@ class TestSineHeatSeries:
 class TestLogHessianFloor:
     def test_constant_density_margin_is_floor(self):
         for t in (0.1, 0.5, 1.0):
-            m = ou_log_hessian_min_eig(TiltDensity(np.zeros(1)), t, np.array([0.7]))
-            assert m == pytest.approx(0.5 / t, abs=1e-6 / t)
+            rep = hessian_floor_report(TiltDensity(np.zeros(1)), t)
+            assert rep.estimate == pytest.approx(-0.5 / t, abs=1e-6 / t)
 
     def test_tilt_margin_is_floor(self):
-        m = ou_log_hessian_min_eig(TiltDensity([2.0]), 0.5, np.array([-1.0]))
-        assert m == pytest.approx(1.0, abs=1e-6)
+        rep = hessian_floor_report(TiltDensity([2.0]), 0.5)
+        assert rep.estimate == pytest.approx(-1.0, abs=1e-6)
 
     @pytest.mark.parametrize("density", [MIX, SINE], ids=["mixture", "sine"])
     @pytest.mark.parametrize("t", [0.05, 0.1, 0.5, 1.0])
@@ -221,12 +240,11 @@ class TestLogHessianFloor:
         # the image's beta_t, far sharper than 1/(2t), bounds Hess log Q_t f
         beta_t = ou_image(density, t).beta
         assert beta_t < 0.5 / t
-        for x in HESSIAN_PROBES:
-            assert ou_log_hessian_min_eig(density, t, np.array([x])) - 0.5 / t >= -beta_t - 1e-5
+        assert -hessian_floor_report(density, t).estimate - 0.5 / t >= -beta_t - 1e-5
 
     def test_t_positive_required(self):
         with pytest.raises(ValueError):
-            ou_log_hessian_min_eig(MIX, 0.0, np.array([0.0]))
+            hessian_floor_report(MIX, 0.0)
 
 
 class TestNelsonExponent:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
+from outail.errors import NonFiniteValueError
 from outail.measures import MixtureDensity, TiltDensity
 from outail.numeric import fd_hessian, gauss_interval_mass, log_gauss_tail
 from outail.rng import _U_MIN, gaussian_sample, path_normals, uniform_block, words_per_path
@@ -127,6 +128,25 @@ class TestHessianStencil:
         fn = lambda x: np.einsum("...i,ij,...j->...", x, a, x)
         h = fd_hessian(fn, np.array([0.3, -0.7]))
         np.testing.assert_allclose(h, 2 * a, atol=1e-6)
+
+    @pytest.mark.parametrize("fn", [
+        lambda x: np.einsum("...i,ij,...j->...", x, [[2.0, 0.5], [0.5, -1.0]], x),
+        MixtureDensity([0.5, 0.5], [[-1.0, 0.5], [1.0, 0.0]], 0.5).log_f,
+    ], ids=["quadratic", "mixture"])
+    @pytest.mark.parametrize("lead", [(7,), (3, 4)])
+    def test_stacked_points_are_single_point_hessians(self, fn, lead, rng):
+        """One call over points of shape (..., n) gives the stack of the
+        single-point Hessians, bit for bit."""
+        x = 3.0 * rng.normal(size=lead + (2,))
+        single = np.array([fd_hessian(fn, p) for p in x.reshape(-1, 2)]).reshape(lead + (2, 2))
+        got = fd_hessian(fn, x)
+        assert got.shape == lead + (2, 2)
+        np.testing.assert_array_equal(got, single)
+
+    def test_nan_value_raises(self):
+        fn = lambda x: np.where(x[..., 0] > 0.5, np.nan, (x * x).sum(-1))
+        with pytest.raises(NonFiniteValueError):
+            fd_hessian(fn, np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
 class TestPathStreams:
