@@ -111,7 +111,9 @@ class TiltDensity(DensityModel):
             # x @ u without BLAS: the product added to 0 - |u|^2/2, which is
             # bit for bit the matmul's sum from +0 minus |u|^2/2, even at -0
             return x[..., 0] * self.u[0] + (0.0 - 0.5 * self.alpha**2)
-        return x @ self.u - 0.5 * self.alpha**2
+        # x . u by einsum: a point's bits do not depend on the batch, as a
+        # BLAS product's do
+        return np.einsum("...i,i->...", x, self.u) - 0.5 * self.alpha**2
 
     def grad_log_f(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
@@ -328,31 +330,37 @@ class SinePerturbationDensity(DensityModel):
         if self._weights is None:  # the heat transform is not closed
             self.closed_heat_at = None
 
+    def _theta(self, x) -> np.ndarray:
+        """wave . x by einsum: unlike a BLAS product's, a point's bits do not
+        depend on how many points one call holds."""
+        return np.einsum("...i,i->...", _as_points(x, self.dim), self.wave)
+
     def log_f(self, x) -> np.ndarray:
-        x = _as_points(x, self.dim)
-        return self.eps * np.sin(x @ self.wave) - self.log_z
+        return self.eps * np.sin(self._theta(x)) - self.log_z
 
     def grad_log_f(self, x) -> np.ndarray:
-        x = _as_points(x, self.dim)
-        return self.eps * np.cos(x @ self.wave)[..., None] * self.wave
+        return self.eps * np.cos(self._theta(x))[..., None] * self.wave
 
     def closed_heat_at(self, x) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
         """The cosines cos(j theta - j pi/2) and the derivatives
         -j sin(j theta - j pi/2) at x, computed once; each bandwidth s is
         then one weighted sum over j of each."""
-        x = _as_points(x, self.dim)
-        theta = x @ self.wave
+        theta = self._theta(x)
         j = np.arange(len(self._weights))
         phase = np.multiply.outer(j, theta.ravel() - 0.5 * np.pi)  # (J + 1, points)
-        cos_j = np.cos(phase)
-        dcos_j = -j[:, None] * np.sin(phase)
+        trig = np.stack([np.cos(phase), -j[:, None] * np.sin(phase)], 1)  # (J + 1, 2, points)
         decay = -0.5 * self._k2 * j * j
 
         def at(s: float) -> tuple[np.ndarray, np.ndarray]:
             c = self._weights * np.exp(s * decay)
-            a = c @ cos_j  # P_s e^{eps sin} / I_0, positive
+            # einsum adds each point's terms in order of j, so a point's
+            # bits do not depend on how many points the call holds, as a
+            # BLAS gemv's do; the pair axis keeps one point off einsum's
+            # dot kernel, which sums in another order
+            sums = np.einsum("j,jkp->kp", c, trig)
+            a = sums[0]  # P_s e^{eps sin} / I_0, positive
             k = np.log(a) - self._log_z_over_i0
-            v = np.multiply.outer(c @ dcos_j / a, self.wave)
+            v = np.multiply.outer(sums[1] / a, self.wave)
             return k.reshape(theta.shape), v.reshape(theta.shape + (self.dim,))
 
         return at

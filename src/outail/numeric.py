@@ -98,10 +98,9 @@ def log_gauss_tail(z) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def gauss_interval_mass(a: float, b: float) -> float:
-    """P(a < G <= b), computed on the better-conditioned side of the mode."""
-    if b <= a:
-        return 0.0
-    if a >= 0.0:
-        return float(ndtr(-a) - ndtr(-b))
-    return float(ndtr(b) - ndtr(a))
+def gauss_interval_mass(a, b) -> np.ndarray:
+    """P(a < G <= b) elementwise, each computed on the better-conditioned
+    side of the mode; 0 where b <= a."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    mass = np.where(a >= 0.0, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
+    return np.where(b <= a, 0.0, mass)

@@ -8,7 +8,6 @@ fixed order, so results do not depend on how the samples were produced
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .numeric import gauss_interval_mass
 
@@ -92,39 +91,32 @@ def superlevel_gamma_mass(log_value_fn, log_levels) -> np.ndarray:
     """gamma_1-measure of each 1-D super-level set {x : g(x) > level}, for
     the levels of one curve; the result has the shape of ``log_levels``.
 
-    Evaluates g once on a dense grid, shared by every level.  Per level it
-    locates the sign changes of g - level on the grid, refines each
-    crossing by Brent's method (``brentq``) on one-point evaluations of g,
-    and sums the Gaussian mass of the resulting intervals.  The function is
-    assumed continuous with finitely many crossings resolved by the grid.
+    Evaluates g once on a dense grid, shared by every level, and takes the
+    sign changes of g - level of all levels together.  All brackets are
+    bisected together, one call of g on the array of midpoints per halving,
+    until they are narrower than ``LEVEL_SET_XTOL``; each crossing is the
+    midpoint of its last bracket.  The Gaussian masses of the intervals
+    above each level are summed in increasing x.  The function is assumed
+    continuous with finitely many crossings resolved by the grid.
     """
     xs = np.linspace(-GRID_HALFWIDTH, GRID_HALFWIDTH, LEVEL_SET_GRID)
-    values = np.asarray(log_value_fn(xs))
     levels = np.asarray(log_levels, dtype=float)
-    masses = [_superlevel_mass(log_value_fn, xs, values - level, level)
-              for level in levels.ravel()]
-    return np.reshape(masses, levels.shape)
-
-
-def _superlevel_mass(log_value_fn, xs: np.ndarray, diff: np.ndarray, log_level) -> float:
-    """The mass at one level, from g - level on the grid ``xs``."""
-    above = diff > 0
-    if not above.any():
-        return 0.0
-    f = lambda x: float(np.ravel(log_value_fn(np.atleast_1d(x)))[0]) - log_level
-
-    edges = []
-    flips = np.nonzero(above[1:] != above[:-1])[0]
-    for i in flips:
-        edges.append(brentq(f, xs[i], xs[i + 1], xtol=LEVEL_SET_XTOL))
-    # assemble intervals in increasing order
-    bounds = [-np.inf] + edges + [np.inf]
-    mass = 0.0
-    state = bool(above[0])
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if state:
-            lo = a if np.isfinite(a) else -GRID_HALFWIDTH * 10
-            hi = b if np.isfinite(b) else GRID_HALFWIDTH * 10
-            mass += gauss_interval_mass(lo, hi)
-        state = not state
-    return float(mass)
+    flat = levels.ravel()
+    above = np.asarray(log_value_fn(xs)) > flat[:, None]  # (levels, grid)
+    level, i = np.nonzero(above[:, 1:] != above[:, :-1])
+    lo, hi, lo_above = xs[i], xs[i + 1], above[level, i]
+    halvings = int(np.ceil(np.log2((xs[1] - xs[0]) / LEVEL_SET_XTOL))) if level.size else 0
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        to_lo = (np.asarray(log_value_fn(mid)) > flat[level]) == lo_above
+        lo, hi = np.where(to_lo, mid, lo), np.where(to_lo, hi, mid)
+    # a set still above at an end of the grid is closed far out
+    far = 10.0 * GRID_HALFWIDTH
+    open_left, open_right = np.flatnonzero(above[:, 0]), np.flatnonzero(above[:, -1])
+    edges = np.concatenate([0.5 * (lo + hi), np.full(open_left.size, -far),
+                            np.full(open_right.size, far)])
+    owner = np.concatenate([level, open_left, open_right])
+    order = np.lexsort((edges, owner))
+    edges, owner = edges[order], owner[order]
+    mass = gauss_interval_mass(edges[0::2], edges[1::2])
+    return np.bincount(owner[0::2], weights=mass, minlength=flat.size).reshape(levels.shape)

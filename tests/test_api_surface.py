@@ -14,6 +14,9 @@ tests call belongs in the tests.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -125,3 +128,14 @@ def test_allowlist_is_live():
         else:
             assert name in modules and name not in reached, name
         assert reason.strip(), name
+
+
+def test_the_cli_does_not_import_a_root_finder():
+    """Importing the CLI and the checks leaves ``scipy.optimize`` unloaded:
+    no module of the package needs it, and its import costs startup time and
+    resident memory on every run."""
+    code = ("import sys, outail.cli, outail.verify; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "[]"

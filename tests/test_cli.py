@@ -374,7 +374,7 @@ paths = 20000
         """A ``tail`` run with 8 thresholds evaluates log Q_t f on the
         level-set grid once per t: f itself at t = 0, else the sine's Mehler
         image or the mixture's ``closed_ou``.  Only grid-sized inputs count;
-        the root refinement evaluates single points."""
+        the bisection evaluates the midpoints of the brackets."""
         grid_calls = []
         for cls in (SinePerturbationDensity, semigroup._MehlerImage, MixtureDensity):
             def counted(self, x, cls=cls, log_f=cls.log_f):
@@ -389,6 +389,20 @@ paths = 20000
         rows = collect_rows(parse_config(write_cfg(tmp_path, text)))
         assert [row.name for row in rows].count("tail_markov") == 8 * len(t_values)
         assert grid_calls == [per_t(t) for t in t_values]
+
+    @pytest.mark.parametrize("params", [
+        "family = tilt\nu = 1.3, 0.7",
+        "family = mixture\nmeans = -1, 0; 1, 0",
+        "family = sine\nwave = 1.5, 1.0",
+    ], ids=["tilt", "mixture", "sine"])
+    def test_2d_csv_does_not_depend_on_the_chunk_size(self, tmp_path, params):
+        """A 2-D family evaluates its drift on whole chunks of paths, so
+        each point's drift must not depend on the chunk that holds it: one
+        chunk, seven uneven ones, and one that ends with a single path."""
+        cfg = write_cfg(tmp_path, f"[experiment]\n{params}\npaths = 2000\nsteps = 128\n")
+        csvs = [run(cfg, out_dir=tmp_path / str(chunk), chunk_paths=chunk).csv_path.read_bytes()
+                for chunk in (2000, 333, 1999)]
+        assert csvs[0] == csvs[1] == csvs[2]
 
     @pytest.mark.parametrize("family, image", [
         ("sine", semigroup._MehlerImage),

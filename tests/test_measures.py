@@ -311,3 +311,25 @@ class TestSineFamily:
         flat = SinePerturbationDensity(0.0, [2.0])
         assert abs(flat.log_z) < 1e-14
         np.testing.assert_allclose(flat.log_f(np.linspace(-3, 3, 7)), 0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("density", [
+    TiltDensity([1.3, 0.7]),
+    MixtureDensity([0.2, 0.3, 0.5], [[-1.3, 0.4], [0.9, -0.2], [0.1, 1.1]], 0.6),
+    SinePerturbationDensity(0.3, [2.0]),
+    SinePerturbationDensity(0.3, [1.5, 1.0]),
+    SinePerturbationDensity(0.3, [1.0, 0.5, 0.25]),
+], ids=["tilt2d", "mixture2d", "sine1d", "sine2d", "sine3d"])
+def test_values_do_not_depend_on_the_batch(density):
+    """log f, grad log f and the closed heat form at each point equal one
+    call over all points, bit for bit, in batches of 1, 2 and 7: the drift
+    and the endpoint values of a path must not depend on the chunk that
+    holds it."""
+    x = 3.0 * np.random.default_rng(5).normal(size=(70, density.dim))
+    fns = (density.log_f, density.grad_log_f,
+           lambda x: density.closed_heat_at(x)(0.5)[0], lambda x: density.closed_heat_at(x)(0.5)[1])
+    for fn in fns:
+        whole = fn(x)
+        for n in (1, 2, 7):
+            parts = np.concatenate([fn(x[i:i + n]) for i in range(0, len(x), n)])
+            np.testing.assert_array_equal(parts, whole)

@@ -2,15 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 from outail.errors import NonFiniteValueError
-from outail.measures import MixtureDensity, TiltDensity
+from outail.measures import MixtureDensity, SinePerturbationDensity, TiltDensity
 from outail.numeric import fd_hessian, gauss_interval_mass, log_gauss_tail
 from outail.rng import _U_MIN, gaussian_sample, path_normals, uniform_block, words_per_path
+from outail.semigroup import ou_image
 from outail.stats import (
+    GRID_HALFWIDTH,
     KS_ONE_SAMPLE_CRIT,
+    LEVEL_SET_GRID,
+    LEVEL_SET_XTOL,
     DenseCdf,
     batch_means,
     ks_one_sample,
@@ -76,6 +81,45 @@ class TestDenseCdf:
         np.testing.assert_allclose(cdf(xs), closed, atol=1e-7)
 
 
+MIX = MixtureDensity([0.5, 0.5], [-1.0, 1.0], 0.5)
+TWO_BUMPS = MixtureDensity([0.5, 0.5], [-2.0, 2.0], 0.25)
+SINE = SinePerturbationDensity(0.3, [2.0])
+# the t and log r grids of the benchmark's ``analytic`` workload
+ANALYTIC_T = (0.02, 0.1, 0.3, 0.6, 1.0)
+ANALYTIC_LOG_R = np.array([0.01, 0.03, 0.08, 0.2, 0.45, 1.0, 4.0, 16.0])
+
+
+def brentq_superlevel_mass(log_value_fn, log_level) -> float:
+    """The scalar level-set mass, the reference of the array path: the
+    grid's sign changes refined one at a time by ``brentq`` on one-point
+    evaluations, and the masses of the intervals above the level added in
+    increasing x, an end still above the level closed at 10 grid
+    half-widths."""
+    xs = np.linspace(-GRID_HALFWIDTH, GRID_HALFWIDTH, LEVEL_SET_GRID)
+    above = np.asarray(log_value_fn(xs)) > log_level
+    f = lambda x: float(np.ravel(log_value_fn(np.atleast_1d(x)))[0]) - log_level
+    edges = [brentq(f, xs[i], xs[i + 1], xtol=LEVEL_SET_XTOL)
+             for i in np.nonzero(above[1:] != above[:-1])[0]]
+    bounds = [-10 * GRID_HALFWIDTH] + edges + [10 * GRID_HALFWIDTH]
+    mass, state = 0.0, bool(above[0])
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if state:
+            mass += float(gauss_interval_mass(a, b))
+        state = not state
+    return mass
+
+
+def counted(log_value_fn):
+    """``log_value_fn`` with a list of the sizes of its calls."""
+    sizes = []
+
+    def fn(x):
+        sizes.append(np.size(x))
+        return log_value_fn(x)
+
+    return fn, sizes
+
+
 class TestSuperlevelMass:
     def test_half_space_matches_closed_tail(self):
         tilt = TiltDensity([1.5])
@@ -85,16 +129,74 @@ class TestSuperlevelMass:
 
     def test_union_of_intervals(self, rng):
         # peaky two-bump mixture: the super-level set splits in two
-        mix = MixtureDensity([0.5, 0.5], [-2.0, 2.0], 0.25)
         level = 2.0
-        mass = superlevel_gamma_mass(mix.log_f, np.log(level))
+        mass = superlevel_gamma_mass(TWO_BUMPS.log_f, np.log(level))
         x = rng.standard_normal(400000)
-        hit = np.ravel(mix.log_f(x)) > np.log(level)
+        hit = np.ravel(TWO_BUMPS.log_f(x)) > np.log(level)
         mc = hit.mean()
         assert mass == pytest.approx(mc, abs=4 * np.sqrt(mc / 400000))
 
     def test_empty_set(self):
         assert superlevel_gamma_mass(TiltDensity(np.zeros(1)).log_f, np.log(2.0)) == 0.0
+
+    @pytest.mark.parametrize("log_value_fn, log_levels", [
+        (TiltDensity([1.5]).log_f, np.log([1.2, 2.0, np.e**2])),
+        (TiltDensity([-1.5]).log_f, np.log([1.2, 2.0, np.e**2])),  # open on the left
+        (MIX.log_f, ANALYTIC_LOG_R),
+        (TWO_BUMPS.log_f, np.log([1.01, 1.5, 2.0, 3.0])),
+        (SINE.log_f, ANALYTIC_LOG_R),
+        (lambda x: x * x - 4.0, np.array([0.0])),  # open at both ends
+        (SINE.log_f, np.array([-1.0, 1.0])),  # below the minimum, above the maximum
+    ], ids=["tilt+", "tilt-", "mixture", "two-bumps", "sine", "both-ends", "all-or-nothing"])
+    def test_matches_scalar_brentq(self, log_value_fn, log_levels):
+        got = superlevel_gamma_mass(log_value_fn, log_levels)
+        want = [brentq_superlevel_mass(log_value_fn, level) for level in log_levels]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("density", [MIX, SINE], ids=["mixture", "sine"])
+    def test_ou_images_match_scalar_brentq(self, density):
+        """On the ``analytic`` t and log r grid, the OU images: the
+        mixture's in-family image and the sine's Mehler image."""
+        for t in ANALYTIC_T:
+            image = ou_image(density, t)
+            got = superlevel_gamma_mass(image.log_f, ANALYTIC_LOG_R)
+            want = [brentq_superlevel_mass(image.log_f, level) for level in ANALYTIC_LOG_R]
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_edge_cases(self):
+        assert superlevel_gamma_mass(lambda x: x * x - 4.0, 0.0) == pytest.approx(
+            2.0 * ndtr(-2.0), rel=0.0, abs=1e-12)
+        assert superlevel_gamma_mass(SINE.log_f, -1.0) == 1.0
+        assert superlevel_gamma_mass(SINE.log_f, 1.0) == 0.0
+        mass = superlevel_gamma_mass(MIX.log_f, np.float64(0.1))
+        assert isinstance(mass, np.ndarray) and mass.shape == ()
+
+    @pytest.mark.parametrize("log_levels", [np.array([0.1]), np.linspace(-0.5, 0.5, 8)],
+                             ids=["one", "eight"])
+    def test_one_call_per_halving(self, log_levels):
+        """One grid evaluation, then one call per halving on the midpoints of
+        all brackets: ceil(log2(grid step / LEVEL_SET_XTOL)) = 32 halvings."""
+        fn, sizes = counted(MIX.log_f)
+        superlevel_gamma_mass(fn, log_levels)
+        assert len(sizes) == 1 + 32 and sizes[0] == LEVEL_SET_GRID
+        assert set(sizes[1:]) == {4 * len(log_levels)}  # four crossings per level
+
+    def test_no_crossing_evaluates_the_grid_only(self):
+        fn, sizes = counted(SINE.log_f)
+        assert (superlevel_gamma_mass(fn, [-1.0, 1.0]) == [1.0, 0.0]).all()
+        assert sizes == [LEVEL_SET_GRID]
+
+    @pytest.mark.parametrize("image, log_levels", [
+        (MIX, np.linspace(-0.5, 0.5, 8)),
+        (ou_image(SINE, 0.5), np.linspace(-0.07, 0.07, 8)),
+    ], ids=["mixture", "sine-mehler"])
+    def test_curve_equals_single_levels(self, image, log_levels):
+        """A curve of 8 levels, each crossed, equals 8 one-level calls bit
+        for bit."""
+        curve = superlevel_gamma_mass(image.log_f, log_levels)
+        single = [superlevel_gamma_mass(image.log_f, level) for level in log_levels]
+        assert 0.0 < curve.min() and curve.max() < 1.0
+        np.testing.assert_array_equal(curve, single)
 
 
 class TestGaussianTails:
@@ -114,6 +216,15 @@ class TestGaussianTails:
         exact = norm.sf(a) - norm.sf(b)
         assert gauss_interval_mass(a, b) == pytest.approx(exact, rel=1e-12)
         assert gauss_interval_mass(3.0, 2.0) == 0.0
+
+    def test_interval_mass_arrays_are_scalar_calls(self):
+        """Elementwise over arrays, bit for bit: pairs on either side of
+        the mode, straddling it, and empty (b <= a)."""
+        a = np.array([-3.0, -1.0, -0.5, 0.0, 0.2, 6.0, 2.0, 1.0, -1.0, -120.0])
+        b = np.array([-2.0, 1.5, 0.0, 0.7, 4.0, 7.0, 2.0, -1.0, -2.0, 120.0])
+        want = [float(gauss_interval_mass(float(x), float(y))) for x, y in zip(a, b)]
+        np.testing.assert_array_equal(gauss_interval_mass(a, b), want)
+        assert (gauss_interval_mass(a, b)[6:9] == 0.0).all()
 
     def test_nan_maps_to_nan(self):
         assert np.isnan(log_gauss_tail(float("nan")))
