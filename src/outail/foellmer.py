@@ -40,10 +40,12 @@ order; ``simulate_batch`` is its one-batch case.  A batch runs in chunks of
 at most ``NORMALS_BUDGET_WORDS`` normals, held step-major as Brownian
 increments, so the loop reads one contiguous row per step.  The chunks of
 all batches form one queue for two worker threads, which draw each chunk as
-two path halves: a batch's first chunk while the calling thread builds the
-batch's drift tables, every other chunk while the one before it steps.  So
-batch k+1's first chunk is drawn while batch k steps its last chunk and the
-caller checks it, and at most two chunks are held at once.
+two path halves, each one ``path_normals`` call that writes sqrt(1/m) times
+the normals into its view of the chunk: a batch's first chunk while the
+calling thread builds the batch's drift tables, every other chunk while the
+one before it steps.  So batch k+1's first chunk is drawn while batch k
+steps its last chunk and the caller checks it, and at most two chunks are
+held at once.
 """
 
 from __future__ import annotations
@@ -350,7 +352,8 @@ def simulate_batches(jobs: Iterable[tuple]) -> Iterator[BatchStats]:
             incs = np.empty((m, c, n))
             by_path = incs.transpose(1, 0, 2)
             return incs, [
-                pool.submit(_draw_increments, b.cfg.seed, start + lo, by_path[lo:hi])
+                pool.submit(path_normals, b.cfg.seed, start + lo, hi - lo, m, n,
+                            out=by_path[lo:hi], scale=np.sqrt(1.0 / m))
                 for lo, hi in ((0, c // 2), (c // 2, c)) if hi > lo
             ]
 
@@ -363,17 +366,11 @@ def simulate_batches(jobs: Iterable[tuple]) -> Iterator[BatchStats]:
                 f.result()
             pending = draw(j + 1) if j + 1 < len(chunks) else None
             b.step(start, incs)
-            del incs, filling  # no chunk but the next is held while the caller works
+            # no chunk but the next is held while the caller works; the result
+            # of a draw ``f`` is its view of the chunk
+            del incs, filling, f
             if start + b.chunk >= b.n_paths:
                 yield b.finish()
-
-
-def _draw_increments(seed: int, first_path: int, out: np.ndarray) -> None:
-    """Fill ``out`` (paths, m, dim) with the Brownian increments
-    sqrt(1/m) * normals of paths first_path, first_path + 1, ..."""
-    n_paths, m, dim = out.shape
-    path_normals(seed, first_path, n_paths, m, dim, out=out)
-    out *= np.sqrt(1.0 / m)
 
 
 class _Passages:
@@ -483,7 +480,7 @@ def simulate_path(density: DensityModel, cfg: PathConfig, path_index: int = 0) -
 
     ends, frozen = _path_arrays(1, n, 0)
     db = np.empty((m, n))
-    _draw_increments(cfg.seed, path_index, db[None])
+    path_normals(cfg.seed, path_index, 1, m, n, out=db[None], scale=np.sqrt(1.0 / m))
     _run_paths(density, DriftField(density, m), db[:, None], np.empty(0), ends, frozen, record_node)
     xs, vs, ks, stochs, energies = nodes
     return Trajectory(

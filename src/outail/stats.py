@@ -38,9 +38,13 @@ def batch_means(values: np.ndarray) -> tuple[float, float]:
     if n < 2 * N_BATCHES:
         se = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         return mean, se
-    batches = np.array_split(values, N_BATCHES)
-    bmeans = np.array([b.mean() for b in batches])
-    sizes = np.array([b.size for b in batches], dtype=float)
+    # the first n % N_BATCHES batches hold one sample more, as np.array_split
+    q, big = divmod(n, N_BATCHES)
+    cut = big * (q + 1)
+    sums = np.concatenate([values[:cut].reshape(big, q + 1).sum(1),
+                           values[cut:].reshape(N_BATCHES - big, q).sum(1)])
+    sizes = np.repeat([q + 1.0, q], [big, N_BATCHES - big])
+    bmeans = sums / sizes
     grand = float(bmeans @ sizes / n)
     var_bm = float(((bmeans - grand) ** 2 * sizes).sum() / (N_BATCHES - 1))
     return mean, float(np.sqrt(var_bm / n))

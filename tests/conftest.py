@@ -7,8 +7,10 @@ entropy, Girsanov, and acceptance tests.
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from outail.foellmer import PathConfig, simulate_batches
+from outail.rng import _U_MIN, words_per_path
 from outail.verify import DEFAULT_R_GRID, default_families
 
 N_PATHS = 10**5
@@ -33,3 +35,22 @@ def batches(families):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def reference_normals():
+    """The normals of paths [first, first + n_paths), each path's window
+    drawn on its own: a fresh Philox stream advanced to the path's first
+    word, its ``steps * dim`` words of the stride, the floor, then ndtri."""
+
+    def normals(seed, first, n_paths, steps, dim):
+        stride = words_per_path(steps * dim)
+        paths = []
+        for p in range(first, first + n_paths):
+            bg = np.random.Philox(key=seed)
+            bg.advance(p * stride // 4)
+            u = np.random.Generator(bg).random(stride)[: steps * dim]
+            paths.append(ndtri(np.maximum(u, _U_MIN)).reshape(steps, dim))
+        return np.array(paths)
+
+    return normals

@@ -360,15 +360,15 @@ class TestDeterminism:
         assert (a.stopped[1.05].t_index < cfg.steps).any()
         assert (a.stopped[E].t_index == cfg.steps).all()
 
-    @pytest.mark.parametrize("n_steps, dim", [(101, 1), (128, 2), (100, 3)])
-    def test_normals_into_a_step_major_buffer(self, monkeypatch, n_steps, dim):
-        # blocks of 3 paths, with stream strides that are and are not n_steps * dim
+    @pytest.mark.parametrize("n_steps, dim", [(101, 1), (128, 2), (100, 3), (129, 1), (101, 2)])
+    def test_normals_into_a_step_major_buffer(self, monkeypatch, reference_normals, n_steps, dim):
+        # 10 paths from path 5 in blocks of 3, the last block partial, with
+        # stream strides that are and are not n_steps * dim
         monkeypatch.setattr(rng_module, "_OUT_BLOCK_WORDS", 3 * words_per_path(n_steps * dim))
-        direct = foellmer.path_normals(7, 5, 10, n_steps, dim)
         buf = np.empty((n_steps, 10, dim))
         by_path = buf.transpose(1, 0, 2)
         assert foellmer.path_normals(7, 5, 10, n_steps, dim, out=by_path) is by_path
-        assert np.array_equal(by_path, direct)
+        assert np.array_equal(by_path, reference_normals(7, 5, 10, n_steps, dim))
         with pytest.raises(ValueError, match="out has shape"):
             foellmer.path_normals(7, 5, 9, n_steps, dim, out=by_path)
 
@@ -636,12 +636,12 @@ class TestPipeline:
             gc.collect()
             return sum(ref() is not None for ref in buffers)
 
-        def track(seed, first, *rest, out=None):
+        def track(seed, first, *rest, out=None, scale=1.0):
             with lock:
                 if not any(ref() is out.base for ref in buffers):
                     buffers.append(weakref.ref(out.base))
                 at_draw.append(live())
-            return draw(seed, first, *rest, out=out)
+            return draw(seed, first, *rest, out=out, scale=scale)
 
         at_draw, at_yield = [], []
         monkeypatch.setattr(foellmer, "path_normals", track)

@@ -9,13 +9,14 @@ from scipy.stats import norm
 from outail.errors import NonFiniteValueError
 from outail.measures import MixtureDensity, SinePerturbationDensity, TiltDensity
 from outail.numeric import fd_hessian, gauss_interval_mass, log_gauss_tail
-from outail.rng import _U_MIN, gaussian_sample, path_normals, uniform_block, words_per_path
+from outail.rng import _U_MIN, gaussian_sample, path_normals, words_per_path
 from outail.semigroup import ou_image
 from outail.stats import (
     GRID_HALFWIDTH,
     KS_ONE_SAMPLE_CRIT,
     LEVEL_SET_GRID,
     LEVEL_SET_XTOL,
+    N_BATCHES,
     DenseCdf,
     batch_means,
     ks_one_sample,
@@ -42,6 +43,20 @@ class TestBatchMeans:
     def test_deterministic_given_array(self, rng):
         x = rng.normal(size=10000)
         assert batch_means(x) == batch_means(x.copy())
+
+    @pytest.mark.parametrize("n", [64, 100, 6000, 6001, 20000, 99999, 100000])
+    @pytest.mark.parametrize("law", ["normal", "lognormal", "bernoulli"])
+    def test_matches_array_split_batches(self, rng, n, law):
+        """Bit for bit the batches of np.array_split, the first n % 32 of
+        them one sample longer, whether or not 32 divides n."""
+        x = {"normal": lambda: rng.normal(size=n), "lognormal": lambda: rng.lognormal(size=n),
+             "bernoulli": lambda: (rng.random(n) < 0.3).astype(float)}[law]()
+        batches = np.array_split(x, N_BATCHES)
+        bmeans = np.array([b.mean() for b in batches])
+        sizes = np.array([b.size for b in batches], dtype=float)
+        grand = float(bmeans @ sizes / n)
+        var_bm = float(((bmeans - grand) ** 2 * sizes).sum() / (N_BATCHES - 1))
+        assert batch_means(x) == (float(x.mean()), float(np.sqrt(var_bm / n)))
 
 
 class TestKolmogorovSmirnov:
@@ -265,11 +280,6 @@ class TestPathStreams:
         assert words_per_path(2048) == 2048
         assert words_per_path(129) == 132
 
-    def test_uniform_block_positions(self):
-        full = uniform_block(99, 0, 64)
-        tail = uniform_block(99, 16, 48)
-        np.testing.assert_array_equal(full[16:], tail)
-
     def test_path_normals_chunk_invariance(self):
         whole = path_normals(7, 0, 10, 128, 1)
         parts = np.concatenate(
@@ -278,14 +288,18 @@ class TestPathStreams:
         np.testing.assert_array_equal(whole, parts)
 
     @pytest.mark.parametrize("steps, dim", [(128, 1), (129, 1), (101, 2)])
-    def test_path_normals_match_out_of_place_formula(self, steps, dim):
-        # (129, 1) and (101, 2) have stride > steps * dim: a strided in-place view
-        stride = words_per_path(steps * dim)
-        u = uniform_block(5, 3 * stride, 4 * stride).reshape(4, stride)[:, : steps * dim]
-        expected = ndtri(np.maximum(u, _U_MIN)).reshape(4, steps, dim)
+    def test_path_normals_match_out_of_place_formula(self, steps, dim, reference_normals):
+        # (129, 1) and (101, 2) have stride > steps * dim: padding words skipped
+        expected = reference_normals(5, 3, 4, steps, dim)
         got = path_normals(5, 3, 4, steps, dim)
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("steps, dim", [(128, 1), (101, 2)])
+    def test_scale_multiplies_the_normals(self, steps, dim):
+        c = np.sqrt(1.0 / steps)
+        expected = c * path_normals(5, 3, 4, steps, dim)
+        assert np.array_equal(path_normals(5, 3, 4, steps, dim, scale=c), expected)
 
     def test_gaussian_sample_matches_out_of_place_formula(self):
         u = np.random.Generator(np.random.Philox(key=9).jumped(3)).random(500 * 2)
