@@ -394,15 +394,18 @@ def rows_to_csv_text(rows: list[BoundReport]) -> str:
 def passage_diagnostics(stats: BatchStats) -> list[dict]:
     """Per threshold of a batch: the fraction of paths that never passed
     log r (``t_index == steps``) and the median and largest overshoot of K
-    over log r at the stop; JSON null for a non-finite value."""
+    over log r at the stop, over the paths that stopped; JSON null for a
+    non-finite value and for the overshoot when no path stopped."""
     def num(v) -> float | None:
         return float(v) if math.isfinite(v) else None
 
     out = []
     for r, sl in stats.stopped.items():
-        over = sl.overshoot()
-        out.append({"r": r, "never_stopped": num(np.mean(sl.t_index == stats.steps)),
-                    "overshoot_median": num(np.median(over)), "overshoot_max": num(over.max())})
+        never = sl.t_index == stats.steps
+        over = sl.overshoot()[~never]
+        out.append({"r": r, "never_stopped": num(np.mean(never)),
+                    "overshoot_median": num(np.median(over)) if over.size else None,
+                    "overshoot_max": num(over.max()) if over.size else None})
     return out
 
 

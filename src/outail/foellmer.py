@@ -43,16 +43,20 @@ all batches form one queue for two worker threads, which draw each chunk as
 two path halves, each one ``path_normals`` call that writes sqrt(1/m) times
 the normals into its view of the chunk: a batch's first chunk while the
 calling thread builds the batch's drift tables, every other chunk while the
-one before it steps.  So batch k+1's first chunk is drawn while batch k
-steps its last chunk and the caller checks it, and at most two chunks are
-held at once.
+one before it steps.  A draw writes its uniforms first and then turns them
+into normals one tile of steps at a time, reporting each tile, and the step
+loop waits only when it reaches a step that a half has not reported: a
+chunk starts stepping once its uniforms are in place, not once it is drawn.
+So batch k+1's first chunk is drawn while batch k steps its last chunk and
+the caller checks it, and at most two chunks are held at once.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -278,8 +282,9 @@ class _Batch:
         self.cps = {tc: np.empty((n_paths, n)) for tc in self.cp_idx}
         self.drift = DriftField(self.density, self.cfg.steps)
 
-    def step(self, start: int, incs: np.ndarray) -> None:
-        """Run the paths from ``start`` on, driven by the chunk ``incs``."""
+    def step(self, start: int, incs: np.ndarray, ready: Callable[[int], int]) -> None:
+        """Run the paths from ``start`` on, driven by the chunk ``incs``
+        whose steps ``ready`` hands out (see ``_run_paths``)."""
         sl = slice(start, start + incs.shape[1])
         cp_views = {i: self.cps[tc][sl] for tc, i in self.cp_idx.items()}
 
@@ -290,6 +295,7 @@ class _Batch:
         self.k0 = _run_paths(
             self.density, self.drift, incs, self.log_rs,
             [a[sl] for a in self.ends], [a[:, sl] for a in self.frozen], record_checkpoints,
+            ready,
         )
 
     def finish(self) -> BatchStats:
@@ -332,45 +338,87 @@ def simulate_batches(jobs: Iterable[tuple]) -> Iterator[BatchStats]:
     Every job is checked before the first draw.  The chunks of all jobs form
     one queue for two worker threads, which draw each chunk as two path
     halves: the first chunk while this thread builds the first batch's drift
-    tables, and each later one while the chunk before it steps.  The first
-    chunk of batch k+1 is thus drawn while batch k steps its last chunk and
-    while the caller works on the yielded batch k; at most two chunks are
-    held at once.  An error in a draw propagates once the workers are
-    joined.  The workers are joined when the generator ends or is closed, so
-    a caller that may stop early closes it (``contextlib.closing``).
+    tables, and each later one while the chunk before it steps.  A chunk
+    steps as its halves report tiles of steps, so its stepping overlaps the
+    end of its own draw.  The first chunk of batch k+1 is thus drawn while
+    batch k steps its last chunk and while the caller works on the yielded
+    batch k; at most two chunks are held at once.  An error in a draw
+    propagates, before any step it did not report is taken, once the
+    workers are joined.  The workers are joined when the generator ends or
+    is closed, so a caller that may stop early closes it
+    (``contextlib.closing``).
     """
     batches = [_Batch(*job) for job in jobs]
     chunks = [(b, start) for b in batches for start in range(0, b.n_paths, b.chunk)]
     with ThreadPoolExecutor(max_workers=2) as pool:
-
-        def draw(j):
-            """Step-major increments of chunk j, its two path halves filled
-            by the two workers."""
-            b, start = chunks[j]
-            m, n = b.cfg.steps, b.density.dim
-            c = min(b.chunk, b.n_paths - start)
-            incs = np.empty((m, c, n))
-            by_path = incs.transpose(1, 0, 2)
-            return incs, [
-                pool.submit(path_normals, b.cfg.seed, start + lo, hi - lo, m, n,
-                            out=by_path[lo:hi], scale=np.sqrt(1.0 / m))
-                for lo, hi in ((0, c // 2), (c // 2, c)) if hi > lo
-            ]
-
-        pending = draw(0) if chunks else None
+        pending = _Chunk(pool, *chunks[0]) if chunks else None
         for j, (b, start) in enumerate(chunks):
             if start == 0:
                 b.begin()
-            incs, filling = pending
-            for f in filling:
-                f.result()
-            pending = draw(j + 1) if j + 1 < len(chunks) else None
-            b.step(start, incs)
-            # no chunk but the next is held while the caller works; the result
-            # of a draw ``f`` is its view of the chunk
-            del incs, filling, f
+            chunk = pending
+            # each chunk's halves are under way before the next chunk's queue
+            # behind them, and before the chunk ahead of them is dropped
+            chunk.started()
+            pending = _Chunk(pool, *chunks[j + 1]) if j + 1 < len(chunks) else None
+            b.step(start, chunk.incs, chunk.ready)
+            if pending is not None:
+                pending.started()
+            del chunk  # no chunk but the next is held while the caller works
             if start + b.chunk >= b.n_paths:
                 yield b.finish()
+
+
+class _Chunk:
+    """The step-major Brownian increments (m, paths, dim) of the chunk of
+    batch ``b`` that starts at path ``start``, drawn on ``pool`` as two path
+    halves.  Each half is one ``path_normals`` call that writes sqrt(1/m)
+    times the normals into its view of ``incs`` and reports each finished
+    tile of steps.
+
+    A half whose call has ended counts as holding every step, also when it
+    raised or never reported, so a wait cannot hang; ``ready`` then reads
+    its result, which raises a draw's error before its rows are stepped.
+    """
+
+    def __init__(self, pool: ThreadPoolExecutor, b: _Batch, start: int):
+        m, n = b.cfg.steps, b.density.dim
+        c = min(b.chunk, b.n_paths - start)
+        self.incs = np.empty((m, c, n))
+        self._m = m
+        self._cond = threading.Condition()
+        by_path = self.incs.transpose(1, 0, 2)
+        halves = [(lo, hi) for lo, hi in ((0, c // 2), (c // 2, c)) if hi > lo]
+        self._steps = [-1] * len(halves)  # steps each half holds, -1 before it starts
+        self._draws = [
+            pool.submit(self._fill, h, b.cfg.seed, start + lo, hi - lo, m, n, by_path[lo:hi])
+            for h, (lo, hi) in enumerate(halves)
+        ]
+
+    def _fill(self, h, seed, first, n_paths, m, n, out) -> None:
+        def report(k):
+            with self._cond:
+                self._steps[h] = k
+                self._cond.notify_all()
+
+        try:
+            path_normals(seed, first, n_paths, m, n, out=out, scale=np.sqrt(1.0 / m), done=report)
+        finally:
+            report(m)
+
+    def started(self) -> None:
+        """Block until both halves have begun."""
+        with self._cond:
+            self._cond.wait_for(lambda: min(self._steps) >= 0)
+
+    def ready(self, i: int) -> int:
+        """Block until both halves hold step i; the steps both hold."""
+        with self._cond:
+            self._cond.wait_for(lambda: min(self._steps) > i)
+            steps = list(self._steps)
+        for draw, k in zip(self._draws, steps):
+            if k == self._m:
+                draw.result()
+        return min(steps)
 
 
 class _Passages:
@@ -425,9 +473,13 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return p[:, 0] if p.shape[1] == 1 else p.sum(-1)
 
 
-def _run_paths(density, drift, increments, log_rs, ends, frozen, observe) -> float:
+def _run_paths(density, drift, increments, log_rs, ends, frozen, observe, ready=None) -> float:
     """Run one path per row of the zeroed ``ends`` views, driven by the
     step-major Brownian ``increments`` (m, paths, dim), and return K_0.
+
+    ``ready(i)``, if given, blocks until step i of ``increments`` is drawn
+    and returns how many leading steps are; the loop calls it only when it
+    reaches a step beyond the last count, so it waits per tile of the draw.
 
     The loop state lives in the views: ``ends`` = (X, v, K, S, E) ends at
     (X_1, v_1, K_1, S_1, E_1), and the threshold-major ``frozen`` views get
@@ -441,8 +493,11 @@ def _run_paths(density, drift, increments, log_rs, ends, frozen, observe) -> flo
     vds = np.zeros_like(x)
     passages = _Passages(log_rs, len(x))
     k0 = None
+    drawn = m if ready is None else 0
 
     for i in range(m):
+        if i == drawn:
+            drawn = ready(i)
         k_i, v_i = drift.eval(i, x)
         if i == 0:
             k0 = float(k_i[0])

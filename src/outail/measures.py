@@ -116,8 +116,9 @@ class TiltDensity(DensityModel):
         return np.einsum("...i,i->...", x, self.u) - 0.5 * self.alpha**2
 
     def grad_log_f(self, x) -> np.ndarray:
-        x = _as_points(x, self.dim)
-        return np.broadcast_to(self.u, x.shape).copy()
+        g = np.empty(_as_points(x, self.dim).shape)
+        g[...] = self.u
+        return g
 
     def closed_ou(self, t: float) -> "TiltDensity":
         return TiltDensity(self.u * np.exp(-t))

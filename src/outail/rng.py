@@ -7,16 +7,23 @@ a multiple of 4.
 
 Normals come from the inverse Gaussian CDF of raw uniforms (one 64-bit word
 per variate), keeping consumption strictly positional.  ``path_normals``
-positions one Philox stream at its first path and streams the consecutive
-path windows through one reused buffer of about 1 MiB: each block is
-floored at ``_U_MIN``, turned into normals by ``ndtri`` and scaled in
-place, then copied into the caller's buffer, of any layout, so disjoint path
-ranges of one buffer can be drawn on several threads at once.  None of the
-steps (Philox, the floor, ``ndtri``, the scaling, the block copy) holds the
-GIL, so the draws run beside the thread that uses the paths.
+works in two phases.  First it positions one Philox stream at its first
+path and streams the consecutive path windows, as raw uniforms, through one
+reused buffer of about 1 MiB into the caller's buffer, of any layout, so
+disjoint path ranges of one buffer can be drawn on several threads at once.
+Then it turns that buffer into normals in place, one tile of steps at a time
+(about 1 MiB across its paths): the ``_U_MIN`` floor, ``ndtri`` and the
+scaling, each elementwise, so the bytes do not depend on the tiling.  After
+each tile an optional ``done(step_end)`` callback reports that the steps
+before ``step_end`` are final, so a consumer can start on the first steps
+while the rest are transformed.  None of the array work (Philox, the copy,
+the floor, ``ndtri``, the scaling) holds the GIL, so the draws run beside
+the thread that uses the paths.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
@@ -40,14 +47,19 @@ def _to_normals(u: np.ndarray) -> np.ndarray:
 def path_normals(
     seed: int, first_path: int, n_paths: int, n_steps: int, dim: int,
     out: np.ndarray | None = None, scale: float = 1.0,
+    done: Callable[[int], None] | None = None,
 ) -> np.ndarray:
     """``scale`` times the Brownian-increment normals of paths
     [first_path, first_path + n_paths), of shape (n_paths, n_steps, dim).
 
-    Independent of how the caller chunks the path range.  The normals are
-    drawn in blocks of about ``_OUT_BLOCK_WORDS`` words and written into
+    Independent of how the caller chunks the path range.  The draw fills
     ``out``, an array of that shape and any strides (say, a path-major view
-    of a step-major buffer), or into a new array; that array is returned.
+    of a step-major buffer), or a new array, and returns it.  The uniforms
+    go in first, in blocks of about ``_OUT_BLOCK_WORDS`` words; then ``out``
+    becomes normals in tiles of about as many words across the paths.
+    ``done(k)`` is called once the draw starts, with k = 0, and after each
+    tile: steps below k then hold their final values, and the last call
+    has k = n_steps.
     """
     words = n_steps * dim
     stride = words_per_path(words)
@@ -55,6 +67,8 @@ def path_normals(
         out = np.empty((n_paths, n_steps, dim))
     elif out.shape != (n_paths, n_steps, dim):
         raise ValueError(f"out has shape {out.shape}, need {(n_paths, n_steps, dim)}")
+    if done is not None:
+        done(0)
     gen = np.random.Generator(np.random.Philox(key=seed))
     gen.bit_generator.advance(first_path * stride // _BLOCK)
     block = max(1, _OUT_BLOCK_WORDS // stride)
@@ -62,9 +76,14 @@ def path_normals(
     for lo in range(0, n_paths, block):
         hi = min(lo + block, n_paths)
         u = gen.random(out=buf[: (hi - lo) * stride])  # padding words included
-        _to_normals(u)
-        u *= scale
         out[lo:hi] = u.reshape(hi - lo, stride)[:, :words].reshape(hi - lo, n_steps, dim)
+    tile = max(1, _OUT_BLOCK_WORDS // max(1, n_paths * dim))
+    for s0 in range(0, n_steps, tile):
+        s1 = min(s0 + tile, n_steps)
+        u = _to_normals(out[:, s0:s1])
+        u *= scale
+        if done is not None:
+            done(s1)
     return out
 
 

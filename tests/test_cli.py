@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -536,7 +537,8 @@ checks = z, tv, prop2
 
     def test_json_carries_passage_diagnostics(self, tmp_path):
         """Per threshold, the never-stopped fraction and the median and largest
-        overshoot of the batch the checks read; the CSV is that of the rows."""
+        overshoot over the paths that stopped, of the batch the checks read;
+        the CSV is that of the rows."""
         cfg_path = write_cfg(tmp_path, f"""
 [experiment]
 family = tilt
@@ -555,9 +557,12 @@ out = {tmp_path}
         assert [row["r"] for row in diag] == list(cfg.r_values)
         for row in diag:
             sl = stats.slice_for(row["r"])
-            assert row["never_stopped"] == np.mean(sl.t_index == cfg.steps)
-            assert row["overshoot_median"] == np.median(sl.overshoot())
-            assert row["overshoot_max"] == sl.overshoot().max()
+            stopped = sl.t_index < cfg.steps
+            assert row["never_stopped"] == np.mean(~stopped)
+            assert row["overshoot_median"] == np.median(sl.overshoot()[stopped])
+            assert row["overshoot_max"] == sl.overshoot()[stopped].max()
+            # a path that never stopped would count as overshoot 0
+            assert row["overshoot_median"] > 0.0
         # a higher threshold stops no more paths
         assert 0.0 < diag[0]["never_stopped"] < 1.0
         assert diag[0]["never_stopped"] <= diag[1]["never_stopped"]
@@ -569,6 +574,18 @@ out = {tmp_path}
         (row,) = cli.passage_diagnostics(stats)
         assert row["overshoot_median"] is None and row["overshoot_max"] is None
         assert json.loads(json.dumps(row, allow_nan=False)) == row
+
+    def test_passage_diagnostics_null_when_no_path_stops(self):
+        stats = verify.simulate_batch(TiltDensity([2.0]), PathConfig(128, 3), 50,
+                                      r_values=(E, E**40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no empty-median RuntimeWarning
+            low, high = cli.passage_diagnostics(stats)
+        assert (stats.stopped[E**40].t_index == 128).all()
+        assert high == {"r": E**40, "never_stopped": 1.0,
+                        "overshoot_median": None, "overshoot_max": None}
+        assert low["overshoot_median"] is not None and low["never_stopped"] < 1.0
+        assert json.loads(json.dumps(high, allow_nan=False)) == high
 
     def test_analytic_run_has_no_diagnostics(self, tmp_path):
         text = GOOD_CONFIG.format(out=tmp_path).replace("checks = energy, z, prop2", "checks = tail")

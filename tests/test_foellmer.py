@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import gc
+import sys
 import threading
 import time
 import weakref
@@ -636,12 +637,12 @@ class TestPipeline:
             gc.collect()
             return sum(ref() is not None for ref in buffers)
 
-        def track(seed, first, *rest, out=None, scale=1.0):
+        def track(seed, first, *rest, out=None, scale=1.0, done=None):
             with lock:
                 if not any(ref() is out.base for ref in buffers):
                     buffers.append(weakref.ref(out.base))
                 at_draw.append(live())
-            return draw(seed, first, *rest, out=out, scale=scale)
+            return draw(seed, first, *rest, out=out, scale=scale, done=done)
 
         at_draw, at_yield = [], []
         monkeypatch.setattr(foellmer, "path_normals", track)
@@ -665,6 +666,125 @@ class TestPipeline:
             for k, _ in enumerate(batches, start=1):
                 gc.collect()
                 assert len(fields) == k and all(ref() is None for ref in fields)
+
+
+class TestTiledDraws:
+    """A draw writes its uniforms first and turns them into normals one tile
+    of steps at a time, reporting each tile; the step loop waits per tile."""
+
+    @pytest.mark.parametrize("n_steps, dim, tile", [(100, 1, 7), (129, 1, 10), (100, 2, 9), (129, 2, 64)])
+    def test_tiles_keep_the_bytes(self, monkeypatch, reference_normals, n_steps, dim, tile):
+        """Tiles that do not divide the steps, from path 5 on: the draw that
+        reports equals the one-tile draw without a callback, bit for bit;
+        each report covers final steps only, and the steps after it still
+        hold uniforms."""
+        n_paths = 6
+        whole = foellmer.path_normals(7, 5, n_paths, n_steps, dim, scale=0.25)
+        assert np.array_equal(whole, 0.25 * reference_normals(7, 5, n_paths, n_steps, dim))
+        monkeypatch.setattr(rng_module, "_OUT_BLOCK_WORDS", tile * n_paths * dim)
+        buf = np.empty((n_steps, n_paths, dim))
+        by_path = buf.transpose(1, 0, 2)
+        reports = []
+        foellmer.path_normals(7, 5, n_paths, n_steps, dim, out=by_path, scale=0.25,
+                              done=lambda k: reports.append((k, by_path.copy())))
+        assert np.array_equal(by_path, whole)
+        assert [k for k, _ in reports] == [0, *range(tile, n_steps, tile), n_steps]
+        for k, seen in reports[1:]:
+            assert np.array_equal(seen[:, :k], whole[:, :k]), k
+            assert ((seen[:, k:] >= 0.0) & (seen[:, k:] < 1.0)).all(), k
+
+    def test_late_tiles_give_the_batch(self, monkeypatch):
+        """The second half reports each tile after a sleep, so the first
+        half runs ahead: the batch is the one drawn in one tile, and
+        ``simulate_path`` reproduces its paths; the loop steps the first tile
+        before either half reports its last.  The tilt builds no tables, so
+        the loop starts at once."""
+        cfg = PathConfig(steps=128, seed=9)
+        r_values = (E, E**2)
+        whole = simulate_batch(TILT, cfg, 300, r_values=r_values)
+        paths = {j: simulate_path(TILT, cfg, j) for j in (0, 151, 299)}
+        draw, evaluate = foellmer.path_normals, DriftField.eval
+        first_step = threading.Event()
+        early = []
+
+        def step(self, i, x):
+            if i == 0:
+                first_step.set()
+            return evaluate(self, i, x)
+
+        def late(seed, first, *rest, done=None, **kw):
+            def report(k):
+                if first == 150:
+                    time.sleep(0.005)
+                if k == cfg.steps:
+                    early.append(first_step.wait(10.0))
+                done(k)
+
+            return draw(seed, first, *rest, done=report, **kw)
+
+        monkeypatch.setattr(rng_module, "_OUT_BLOCK_WORDS", 150 * 10)  # 10-step tiles
+        monkeypatch.setattr(foellmer, "path_normals", late)
+        monkeypatch.setattr(DriftField, "eval", step)
+        tiled = simulate_batch(TILT, cfg, 300, r_values=r_values)
+        assert early == [True, True]
+        assert (whole.stopped[E].t_index < cfg.steps).any()
+        assert_same_batch(whole, tiled)
+        for j, traj in paths.items():
+            assert np.array_equal(traj.x[-1], tiled.x1[j])
+            assert np.array_equal(traj.k[-1], tiled.k_final[j])
+
+    def test_concurrent_runs_under_fast_switching(self, monkeypatch):
+        """Three runs at once (six draw workers on fewer cores), tiles of 5
+        to 7 steps and a 10 us switch interval: every run, three chunks
+        each, gives the batch of a run on its own."""
+        cfg = PathConfig(steps=100, seed=21)
+        ref = simulate_batch(MIX, cfg, 400, r_values=(1.05,), chunk_paths=150)
+        monkeypatch.setattr(rng_module, "_OUT_BLOCK_WORDS", 75 * 5)
+        runs = [None] * 3
+
+        def run(k):
+            runs[k] = simulate_batch(MIX, cfg, 400, r_values=(1.05,), chunk_paths=150)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for stats in runs:
+            assert_same_batch(ref, stats)
+
+    def test_draw_failing_after_some_tiles(self, monkeypatch):
+        """A half that raises after reporting steps below 20: the error
+        propagates, no step from 20 on is taken, and no thread is left."""
+        draw, evaluate = foellmer.path_normals, DriftField.eval
+        stepped = []
+
+        def step(self, i, x):
+            stepped.append(i)
+            return evaluate(self, i, x)
+
+        def fail_late(seed, first, *rest, done=None, **kw):
+            def report(k):
+                if first == 150 and k > 20:
+                    raise RuntimeError("draw failed")
+                done(k)
+
+            return draw(seed, first, *rest, done=report, **kw)
+
+        monkeypatch.setattr(rng_module, "_OUT_BLOCK_WORDS", 150 * 10)  # 10-step tiles
+        monkeypatch.setattr(foellmer, "path_normals", fail_late)
+        monkeypatch.setattr(DriftField, "eval", step)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            simulate_batch(MIX, small_cfg(128), 300)
+        assert threading.active_count() == before
+        assert max(stepped, default=-1) < 20
 
 
 class QuadratureMixture(MixtureDensity):
