@@ -392,16 +392,16 @@ def rows_to_csv_text(rows: list[BoundReport]) -> str:
 
 
 def passage_diagnostics(stats: BatchStats) -> list[dict]:
-    """Per threshold of a batch: the fraction of paths that never passed
-    log r (``t_index == steps``) and the median and largest overshoot of K
-    over log r at the stop, over the paths that stopped; JSON null for a
-    non-finite value and for the overshoot when no path stopped."""
+    """Per threshold of a batch: the fraction of paths whose K never
+    exceeds log r, up to the final node included, and the median and
+    largest overshoot of K over log r at the stop, over the other paths;
+    JSON null for a non-finite value and for the overshoot when none."""
     def num(v) -> float | None:
         return float(v) if math.isfinite(v) else None
 
     out = []
     for r, sl in stats.stopped.items():
-        never = sl.t_index == stats.steps
+        never = (sl.t_index == stats.steps) & (sl.k_at_stop <= np.log(r))
         over = sl.overshoot()[~never]
         out.append({"r": r, "never_stopped": num(np.mean(never)),
                     "overshoot_median": num(np.median(over)) if over.size else None,
@@ -409,14 +409,23 @@ def passage_diagnostics(stats: BatchStats) -> list[dict]:
     return out
 
 
+def _out_dir(out_dir) -> Path:
+    """``out_dir``, or ``$OUTAIL_OUT`` if empty, else ``reports``, created;
+    a ConfigError naming ``out`` if it cannot be."""
+    out = Path(out_dir or os.environ.get(OUT_ENV_VAR, "reports"))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out", f"cannot create directory {str(out)!r}: {exc.strerror}") from exc
+    return out
+
+
 def write_reports(
     rows: list[BoundReport], out_dir, stem: str, seed: int, diagnostics: dict | None = None,
 ) -> RunResult:
-    """Write ``<stem>.csv`` and ``<stem>.json``; an empty ``out_dir`` is
-    ``$OUTAIL_OUT``, else ``reports``.  ``diagnostics`` maps each simulated
-    family to its ``passage_diagnostics``."""
-    out = Path(out_dir or os.environ.get(OUT_ENV_VAR, "reports"))
-    out.mkdir(parents=True, exist_ok=True)
+    """Write ``<stem>.csv`` and ``<stem>.json`` into ``_out_dir(out_dir)``;
+    ``diagnostics`` maps each simulated family to its ``passage_diagnostics``."""
+    out = _out_dir(out_dir)
     csv_path = out / f"{stem}.csv"
     csv_path.write_text(rows_to_csv_text(rows), encoding="utf-8")
     anchored_failures = [r.name for r in rows if r.anchored and not r.passed]
@@ -452,10 +461,11 @@ def write_reports(
 
 def run(config_path, out_dir=None, chunk_paths: int | None = None) -> RunResult:
     cfg = parse_config(config_path)
+    out = _out_dir(out_dir or cfg.out_dir)  # a bad directory fails before the batch
     stats = _family_batch(cfg, chunk_paths)
     rows = collect_rows(cfg, stats)
     diagnostics = {} if stats is None else {cfg.family: passage_diagnostics(stats)}
-    return write_reports(rows, out_dir or cfg.out_dir, "report", cfg.seed, diagnostics)
+    return write_reports(rows, out, "report", cfg.seed, diagnostics)
 
 
 def verify_all(
@@ -479,6 +489,7 @@ def verify_all(
         ExperimentConfig(name, FAMILIES[name].defaults, paths=paths, steps=steps, seed=seed + offset)
         for offset, name in enumerate(sorted(FAMILIES))
     ]
+    out = _out_dir(out_dir)
     rows, diagnostics = [], {}
     jobs = [_batch_job(cfg, chunk_paths) for cfg in cfgs if _needs_paths(cfg)]
     with contextlib.closing(simulate_batches(jobs)) as batches:
@@ -488,7 +499,7 @@ def verify_all(
             if stats is not None:
                 diagnostics[cfg.family] = passage_diagnostics(stats)
             del stats  # not held while the next batch simulates
-    return write_reports(rows, out_dir, "verify_all", seed, diagnostics)
+    return write_reports(rows, out, "verify_all", seed, diagnostics)
 
 
 def _positive_int(raw: str) -> int:

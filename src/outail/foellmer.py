@@ -19,9 +19,9 @@ Per-path randomness comes from a counter-based stream keyed by (seed, path
 index), so batches are reproducible under any chunk layout.
 
 ``PathConfig`` holds the only settings a caller chooses: the number of
-steps and the seed.  The drift is read off the density by ``heat_at``: closed
-forms when the family has them, else the Gauss-Hermite heat kernel, and one
-spatial table per step for 1-D fields whose drift depends on the state.
+steps and the seed.  The drift is read off the density's closed heat
+transform ``closed_heat_at``, with one spatial table per step for 1-D fields
+whose drift depends on the state.
 Thresholds are an argument of ``simulate_batch``: each distinct one is one
 more stopping time on the same paths, stored threshold-major in increasing
 order as (n_thresholds, N) arrays whose rows are the ``StoppedSlice`` views;
@@ -62,13 +62,10 @@ import numpy as np
 
 from .errors import NonFiniteValueError
 from .measures import DensityModel, TiltDensity
-from .quadrature import QuadratureRule
 from .rng import path_normals, words_per_path
-from .semigroup import heat_at
 
 DEFAULT_STEPS = 2048
 MIN_STEPS = 100
-DRIFT_QUAD_NODES = 24
 # Spatial grid of the drift tables: the final node is always exact, and the
 # interpolation error stays well under the Monte Carlo noise floor.
 DRIFT_GRID_POINTS = 2048
@@ -96,28 +93,23 @@ class DriftField:
     """Evaluates (K, v)(s, x) = (log P_s f(x), grad log P_s f(x)) for the
     drift of a ``steps``-step path, whose step i has bandwidth s = 1 - i/steps.
 
-    Every evaluation comes from ``semigroup.heat_at``: closed forms when the
-    family has them, otherwise the ``DRIFT_QUAD_NODES``-node Gauss-Hermite
-    heat kernel.  A 1-D field whose drift depends on the state (every family
-    but the log-linear tilt) is tabulated on a fixed spatial grid, one table
-    per step in ``tables``, and evaluated by linear interpolation; the tables
-    depend only on the steps, so results are independent of batch layout.
+    Every evaluation comes from the family's ``closed_heat_at``.  A 1-D
+    field whose drift depends on the state (every family but the log-linear
+    tilt) is tabulated on a fixed spatial grid, one table per step in
+    ``tables``, and evaluated by linear interpolation; the tables depend
+    only on the steps, so results are independent of batch layout.
     """
 
     def __init__(self, density: DensityModel, steps: int):
         self.density = density
         self.dt = 1.0 / steps
-        self.rule = (
-            None if density.closed_heat_at is not None
-            else QuadratureRule.gauss_hermite(density.dim, DRIFT_QUAD_NODES)
-        )
         self.grid = None
         self.tables: list[tuple[np.ndarray, np.ndarray]] = []
         if density.dim == 1 and not isinstance(density, TiltDensity):
             self.grid = np.linspace(-DRIFT_GRID_HALFWIDTH, DRIFT_GRID_HALFWIDTH, DRIFT_GRID_POINTS)
             self._grid_lo = float(self.grid[0])
             self._grid_inv_h = (len(self.grid) - 1) / (self.grid[-1] - self.grid[0])
-            self._on_grid = heat_at(density, self.grid[:, None], self.rule)
+            self._on_grid = density.closed_heat_at(self.grid[:, None])
             for i in range(steps):
                 k, v = self.raw(1.0 - i * self.dt)
                 self.tables.append((k, v[:, 0]))
@@ -127,7 +119,7 @@ class DriftField:
         the table grid when x is None."""
         if x is None:
             return self._on_grid(s)
-        return heat_at(self.density, x, self.rule)(s)
+        return self.density.closed_heat_at(x)(s)
 
     def eval(self, i: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(K, v) at step i for points x of shape (..., dim)."""

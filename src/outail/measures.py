@@ -7,10 +7,10 @@ carries a weak-convexity certificate beta with
     Hessian(log f) >= -beta * id   pointwise.
 
 Families are exponentials by construction, hence strictly positive
-everywhere.  Where Gaussian algebra permits, a family also provides closed
-forms for its heat and Ornstein-Uhlenbeck images and (for the log-linear
-tilt) its exact super-level tail; the sine family's heat image is a Bessel
-series.  Everything else falls back to quadrature in the semigroup module.
+everywhere.  Every family has a closed heat image (``closed_heat_at``; the
+sine's is a Bessel series).  Where Gaussian algebra permits, a family also
+provides its Ornstein-Uhlenbeck image and (for the log-linear tilt) its
+exact super-level tail.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ def _as_points(x, dim: int) -> np.ndarray:
 class DensityModel:
     """Base class for densities relative to gamma_n.
 
-    Subclasses set ``dim`` and ``beta`` and implement ``log_f`` /
-    ``grad_log_f`` on arrays of shape (..., dim).
+    Subclasses set ``dim`` and ``beta`` and implement ``log_f``,
+    ``grad_log_f`` and ``closed_heat_at`` on arrays of shape (..., dim).
     """
 
     dim: int
@@ -60,15 +60,18 @@ class DensityModel:
     def grad_log_f(self, x) -> np.ndarray:
         raise NotImplementedError
 
+    def closed_heat_at(self, x) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
+        """s -> (log P_s f(x), grad log P_s f(x)) for s > 0 at the fixed
+        points x; a part of the form that depends on x alone is computed
+        once, for tables over many bandwidths."""
+        raise NotImplementedError
+
     # -- optional closed forms -------------------------------------------
-    # A family that has a closed form defines it as a method; None means the
-    # semigroup module falls back to quadrature.
+    # A family that has one defines it as a method; None means the caller
+    # does without (Mehler's formula, quadrature or Monte Carlo).
     #   closed_ou(t) -> DensityModel: the in-family density of Q_t f.
-    #   closed_heat_at(x) -> (s -> (log P_s f(x), grad log P_s f(x))) for
-    #     s > 0 at fixed points x; a part of the form that depends on x alone
-    #     is computed once, for tables over many bandwidths.
     #   closed_tail(r) -> float: gamma_n({f > r}).
-    closed_ou = closed_heat_at = closed_tail = None
+    closed_ou = closed_tail = None
 
     @property
     def has_closed_tail(self) -> bool:
@@ -292,13 +295,12 @@ class SinePerturbationDensity(DensityModel):
     frequency with 2 I_J / I_0 below machine epsilon (J = 11 at eps = 0.3).
     Its sums lose up to (J + 1) * eps_mach * e^{2 eps} relative precision to
     cancellation (e^{eps sin theta} can be e^{-2 eps} times the largest
-    term), so the heat transform is closed, and the OU image follows by
-    Mehler's formula, only while that bound stays within ``SERIES_TOL``:
-    for eps up to about 4.9.  Larger eps takes the quadrature paths, and the
-    24-node drift kernel is then visibly wrong: against the series at 50
-    digits (``mpmath``), log P_1 f is off by up to 0.30 over a period at
-    eps = 6, wave 2, and by up to 0.011 at eps = 8, wave 1.  A rule that
-    stays accurate at every eps is ROADMAP item 5.
+    term), so an eps for which that bound exceeds ``SERIES_TOL`` is
+    rejected: eps above about 4.88.  The Z series has fewer terms, each
+    bounded by the drift series' at s = 0, and a sum of at least
+    e^{-2 eps} times theirs, so it keeps ``SERIES_TOL`` too.  The OU image
+    follows by Mehler's formula.  A heat transform that stays accurate at
+    every eps is ROADMAP item 5.
     """
 
     name = "sine"
@@ -315,21 +317,19 @@ class SinePerturbationDensity(DensityModel):
             self.beta = self.eps * self._k2
         if not np.isfinite(self.beta):
             raise ValueError(f"beta = eps * |wave|^2 is not finite ({self.beta})")
+        # the drift series; an eps past the first test has NaN weights far out
+        weights = None
+        if 2.0 * self.eps <= np.log(SERIES_TOL / _EPS_MACH):
+            weights = _jacobi_anger_weights(self.eps, self._k2, 0.0)
+        if weights is None or len(weights) * _EPS_MACH * np.exp(2.0 * self.eps) > SERIES_TOL:
+            raise ValueError(f"eps = {self.eps:g} is too large: the heat series loses more "
+                             f"than SERIES_TOL = {SERIES_TOL:g} to cancellation")
+        self._weights = weights
         # log Z = log I_0 + log1p(sum over even j >= 2 of w_j cos(j pi/2) e^{-j^2 |k|^2 / 2})
         terms = _jacobi_anger_weights(self.eps, self._k2, 1.0)[::2]
         terms[1::2] *= -1.0
-        # the terms alternate in sign: a slow wave with large eps cancels
-        if not len(terms) * _EPS_MACH * np.abs(terms).sum() <= SERIES_TOL * terms.sum():
-            raise ValueError(f"the series for Z loses more than {SERIES_TOL:g} to cancellation")
         self._log_z_over_i0 = float(np.log1p(terms[1:].sum()))
         self.log_z = self.eps + float(np.log(ive(0, self.eps))) + self._log_z_over_i0
-        self._weights = None  # the drift series, where its sums keep SERIES_TOL
-        if 2.0 * self.eps <= np.log(SERIES_TOL / _EPS_MACH):
-            weights = _jacobi_anger_weights(self.eps, self._k2, 0.0)
-            if len(weights) * _EPS_MACH * np.exp(2.0 * self.eps) <= SERIES_TOL:
-                self._weights = weights
-        if self._weights is None:  # the heat transform is not closed
-            self.closed_heat_at = None
 
     def _theta(self, x) -> np.ndarray:
         """wave . x by einsum: unlike a BLAS product's, a point's bits do not
@@ -370,16 +370,11 @@ class SinePerturbationDensity(DensityModel):
 def _jacobi_anger_weights(eps: float, k2: float, s: float) -> np.ndarray:
     """w_j = (2 - [j = 0]) I_j(eps) / I_0(eps) e^{-s j^2 k2 / 2} for j = 0..J,
     J the first j >= 1 with w_j below machine epsilon (the weights decrease
-    in j).  Raises ValueError when no J below ``MAX_SERIES_TERMS`` qualifies
-    (or scipy's I_j(eps) is NaN, for eps beyond about 2e9)."""
+    in j; J = 25 at the largest eps the sine family accepts)."""
     j = np.arange(MAX_SERIES_TERMS)
     w = 2.0 * ive(j, eps) / ive(0, eps) * np.exp(-0.5 * s * k2 * j * j)
     w[0] = 1.0
-    small = np.flatnonzero(w[1:] < _EPS_MACH)
-    if small.size == 0:
-        raise ValueError(f"the Bessel weights at eps = {eps:g} do not fall below machine "
-                         f"epsilon within {MAX_SERIES_TERMS} terms")
-    return w[: small[0] + 2]
+    return w[: np.flatnonzero(w[1:] < _EPS_MACH)[0] + 2]
 
 
 class Family(NamedTuple):

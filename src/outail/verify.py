@@ -117,9 +117,11 @@ def tail_probability(
     """(estimate, ci) for gamma_n({Q_t f > r}): ``tail_curve`` at the one
     threshold r.  Raises ResolutionError when Monte Carlo cannot resolve it.
     It calls ``_tails`` directly, so a direct tail (``composite_reports``)
-    opens no ``tail_curve`` span in a traced run.
+    opens no ``tail_curve`` span in a traced run.  ``rule`` is unused: every
+    image is evaluated through its family's closed heat transform, and the
+    benchmark's tracer still binds the argument by name.
     """
-    (est,), (ci,) = _tails(density, t, np.array([float(r)]), method, rule, n_samples, seed)
+    (est,), (ci,) = _tails(density, t, np.array([float(r)]), method, n_samples, seed)
     if np.isnan(est):
         raise ResolutionError(
             f"tail at r={r:g} below Monte Carlo resolution "
@@ -151,15 +153,15 @@ def tail_curve(
     r = np.asarray(sorted(float(x) for x in r_grid))
     if np.any(np.diff(r) == 0.0):
         raise ValueError("tail thresholds must be distinct")
-    return (r, *_tails(density, t, r, method, None, n_samples, seed))
+    return (r, *_tails(density, t, r, method, n_samples, seed))
 
 
 def _tails(density: DensityModel, t: float, r: np.ndarray, method: str,
-           rule: QuadratureRule | None, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+           n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(tail, ci) of ``tail_curve`` at the thresholds r, in their order."""
     if np.any(r <= 1.0):
         raise ValueError("tail threshold must satisfy r > 1")
-    image = ou_image(density, t, rule)
+    image = ou_image(density, t)
     if method == "auto":
         if image.closed_tail is not None:
             method = "exact"

@@ -7,7 +7,7 @@ entropy, Girsanov, and acceptance tests.
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import logsumexp, ndtri, softmax
 
 from outail.foellmer import PathConfig, simulate_batches
 from outail.rng import _U_MIN, words_per_path
@@ -30,6 +30,23 @@ def batches(families):
     jobs = [(families[name], PathConfig(STEPS, SEED + offset), N_PATHS, DEFAULT_R_GRID)
             for offset, name in enumerate(names)]
     return dict(zip(names, simulate_batches(jobs)))
+
+
+@pytest.fixture(scope="session")
+def heat_kernel():
+    """(density, s, x, rule) -> (log P_s f(x), grad log P_s f(x)) at points
+    x of shape (..., dim) by Gauss-Hermite quadrature, with the gradient
+    through the kernel score,
+
+        grad log P_s f(x) = E[f(x + sqrt(s) Y) Y] / (sqrt(s) E[f(x + sqrt(s) Y)]):
+
+    the reference the closed heat forms are tested against."""
+
+    def kernel(density, s, x, rule):
+        logs = rule.log_weights + density.log_f(x[..., None, :] + np.sqrt(s) * rule.nodes)
+        return logsumexp(logs, axis=-1), softmax(logs, axis=-1) @ rule.nodes / np.sqrt(s)
+
+    return kernel
 
 
 @pytest.fixture(scope="session")

@@ -557,7 +557,7 @@ out = {tmp_path}
         assert [row["r"] for row in diag] == list(cfg.r_values)
         for row in diag:
             sl = stats.slice_for(row["r"])
-            stopped = sl.t_index < cfg.steps
+            stopped = (sl.t_index < cfg.steps) | (sl.k_at_stop > np.log(row["r"]))
             assert row["never_stopped"] == np.mean(~stopped)
             assert row["overshoot_median"] == np.median(sl.overshoot()[stopped])
             assert row["overshoot_max"] == sl.overshoot()[stopped].max()
@@ -567,6 +567,25 @@ out = {tmp_path}
         assert 0.0 < diag[0]["never_stopped"] < 1.0
         assert diag[0]["never_stopped"] <= diag[1]["never_stopped"]
         assert result.csv_path.read_text() == rows_to_csv_text(collect_rows(cfg, stats))
+
+    def test_a_passage_at_the_final_node_is_a_stop(self):
+        """T = steps also means that K first exceeds log r at the final node:
+        such a path passed, so it counts in the overshoot and not as never
+        stopped.  The threshold is picked from the batch: between a path's
+        largest K before the final node and its K_1."""
+        density, cfg = TiltDensity([2.0]), PathConfig(128, 3)
+        for i in range(200):
+            traj = foellmer.simulate_path(density, cfg, i)
+            if traj.k[-1] > traj.k[:-1].max():
+                break
+        r = float(np.exp(0.5 * (traj.k[:-1].max() + traj.k[-1])))
+        stats = verify.simulate_batch(density, cfg, i + 1, r_values=(r,))
+        sl = stats.stopped[r]
+        assert sl.t_index[i] == cfg.steps and sl.k_at_stop[i] > np.log(r)
+        passed = (sl.t_index < cfg.steps) | (sl.k_at_stop > np.log(r))
+        (row,) = cli.passage_diagnostics(stats)
+        assert row["never_stopped"] == np.mean(~passed) < np.mean(sl.t_index == cfg.steps)
+        assert row["overshoot_max"] == sl.overshoot()[passed].max()
 
     def test_passage_diagnostics_null_when_not_finite(self):
         stats = verify.simulate_batch(TiltDensity([2.0]), PathConfig(128, 3), 50, r_values=(E,))
@@ -698,6 +717,39 @@ class TestMainEntry:
                      ["sharpness", "--r", "e2, e2"], ["sharpness", "--r", ""]):
             assert main(argv) == 2
             assert f"error: config field '{argv[-2][2:]}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["verify-all", "run"])
+    def test_an_output_dir_that_cannot_be_made_exits_2_first(self, tmp_path, capsys, monkeypatch,
+                                                              entry):
+        """``--out`` below a regular file, or a config ``out`` that is one,
+        exits 2 with one error line naming ``out`` before any path is drawn."""
+        drawn = []
+        monkeypatch.setattr(foellmer, "path_normals", lambda *a, **kw: drawn.append(a))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        if entry == "verify-all":
+            argv = ["verify-all", "--paths", "1000", "--steps", "100", "--out", str(blocker / "sub")]
+        else:
+            argv = ["run", str(write_cfg(tmp_path, f"[experiment]\nfamily = tilt\npaths = 1000\n"
+                                                   f"steps = 100\nout = {blocker}\n"))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'out': cannot create directory")
+        assert err.count("\n") == 1 and drawn == []
+
+    def test_sine_beyond_its_series_exits_2_first(self, tmp_path, capsys, monkeypatch):
+        """A sine eps whose heat series cannot keep SERIES_TOL is a parse-time
+        error naming eps, before any path is drawn; eps = 4.8 runs."""
+        real_draw, drawn = foellmer.path_normals, []
+        monkeypatch.setattr(foellmer, "path_normals",
+                            lambda *a, **kw: drawn.append(a) or real_draw(*a, **kw))
+        cfg = "[experiment]\nfamily = sine\neps = {}\npaths = 1000\nsteps = 100\nchecks = energy\n"
+        assert main(["run", str(write_cfg(tmp_path, cfg.format(6))), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'family'") and err.count("\n") == 1
+        assert "eps = 6 is too large" in err and "SERIES_TOL" in err and drawn == []
+        assert main(["run", str(write_cfg(tmp_path, cfg.format(4.8))), "--out", str(tmp_path)]) == 0
+        assert drawn
 
     def test_verify_all_seed_range_covers_every_family(self, tmp_path, capsys, monkeypatch):
         """verify-all seeds family k with seed + k, so the largest seed it

@@ -16,7 +16,6 @@ from outail import foellmer
 from outail import rng as rng_module
 from outail.foellmer import (
     MIN_CHUNK_PATHS,
-    MIN_STEPS,
     NORMALS_BUDGET_WORDS,
     DriftField,
     PathConfig,
@@ -29,6 +28,7 @@ from outail.foellmer import (
     simulate_path,
 )
 from outail.measures import DensityModel, MixtureDensity, SinePerturbationDensity, TiltDensity
+from outail.quadrature import QuadratureRule
 from outail.rng import words_per_path
 
 E = float(np.e)
@@ -136,6 +136,10 @@ class RaisedTilt(DensityModel):
 
     def grad_log_f(self, x):
         return TiltDensity([1.0]).grad_log_f(x)
+
+    def closed_heat_at(self, x):
+        heat = TiltDensity([1.0]).closed_heat_at(x)
+        return lambda s: (heat(s)[0] + 10.0, heat(s)[1])
 
 
 class TestStopping:
@@ -787,15 +791,8 @@ class TestTiledDraws:
         assert max(stepped, default=-1) < 20
 
 
-class QuadratureMixture(MixtureDensity):
-    """A mixture whose drift is computed by the heat-kernel quadrature."""
-
-    closed_heat_at = None
-
-
 class TestDriftTabulation:
-    @pytest.mark.parametrize("density", [MIX, SINE, QuadratureMixture([0.5, 0.5], [-1.0, 1.0], 0.5)],
-                             ids=["mixture", "sine", "quadrature"])
+    @pytest.mark.parametrize("density", [MIX, SINE], ids=["mixture", "sine"])
     def test_table_matches_direct_evaluation(self, density, rng):
         # eval interpolates table i of the field, raw evaluates its bandwidth
         # s = 1 - i/m directly: s = 1, 0.5, about 0.05 and 1/256
@@ -808,11 +805,6 @@ class TestDriftTabulation:
             k_d, v_d = drift.raw(1.0 - i / m, x)
             assert np.abs(k_t - k_d).max() < 2e-4
             assert np.abs(v_t - v_d).max() < 5e-4
-
-    def test_sine_above_series_cutoff_uses_quadrature(self):
-        assert DriftField(SINE, MIN_STEPS).rule is None
-        wide = SinePerturbationDensity(6.0, [2.0])
-        assert wide.closed_heat_at is None and DriftField(wide, MIN_STEPS).rule is not None
 
     def test_final_node_bypasses_table(self):
         stats = simulate_batch(MIX, small_cfg(), 32)
@@ -827,13 +819,14 @@ class TestTwoDimensional:
         err = np.abs(stats.x1.mean(axis=0) - np.array([1.0, -0.5]))
         assert np.all(err <= 3.0 / np.sqrt(4000))
 
-    def test_mixture_2d_quadrature_drift_runs(self):
-        means = [[-1.0, 0.0], [1.0, 0.0]]
-        cfg = PathConfig(steps=128, seed=8)
-        quad2 = QuadratureMixture([0.5, 0.5], means, 0.5)
-        assert DriftField(quad2, cfg.steps).rule is not None
-        stats = simulate_batch(quad2, cfg, 256)
+    def test_mixture_2d_quadrature_drift_runs(self, heat_kernel):
+        """The closed 2-D mixture drift agrees with the heat-kernel
+        quadrature on a 24-node rule at the endpoints of a batch."""
+        mix2 = MixtureDensity([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], 0.5)
+        stats = simulate_batch(mix2, PathConfig(steps=128, seed=8), 256)
         assert np.isfinite(stats.x1).all()
-        # closed drift agrees with the quadrature drift on the same seed
-        stats_c = simulate_batch(MixtureDensity([0.5, 0.5], means, 0.5), cfg, 256)
-        assert np.abs(stats.x1 - stats_c.x1).max() < 1e-6
+        rule = QuadratureRule.gauss_hermite(2, 24)
+        for s in (1.0, 0.5, 1.0 / 128):
+            for closed, quad in zip(mix2.closed_heat_at(stats.x1)(s),
+                                    heat_kernel(mix2, s, stats.x1, rule)):
+                assert np.abs(closed - quad).max() < 1e-10

@@ -282,7 +282,7 @@ class TestSineFamily:
         assert SinePerturbationDensity(0.5, [2.0]).beta == pytest.approx(2.0)
         assert SinePerturbationDensity(0.25, [1.0, 2.0]).beta == pytest.approx(1.25)
 
-    @pytest.mark.parametrize("eps, wave", [(0.3, [2.0]), (0.3, [1.0, 0.7]), (2.0, [0.5]), (8.0, [0.5])])
+    @pytest.mark.parametrize("eps, wave", [(0.3, [2.0]), (0.3, [1.0, 0.7]), (2.0, [0.5]), (4.8, [0.5])])
     def test_series_log_z_matches_quadrature(self, eps, wave):
         # Z = E[exp(eps sin(|k| G))] with G a standard 1-D Gaussian
         sine = SinePerturbationDensity(eps, wave)
@@ -296,10 +296,13 @@ class TestSineFamily:
         assert len(SinePerturbationDensity(2.0, [2.0])._weights) > 12
 
     def test_closed_heat_stops_at_the_cancellation_cutoff(self):
-        # (J + 1) eps_mach e^{2 eps} crosses SERIES_TOL between eps = 4.8 and 4.9
-        below, above = SinePerturbationDensity(4.8, [2.0]), SinePerturbationDensity(4.9, [2.0])
-        assert below.closed_heat_at is not None and above.closed_heat_at is None
+        # (J + 1) eps_mach e^{2 eps} crosses SERIES_TOL between eps = 4.8 and 4.9,
+        # and an eps past it is rejected rather than evaluated wrongly
+        below = SinePerturbationDensity(4.8, [2.0])
         assert len(below._weights) * np.finfo(float).eps * np.exp(9.6) <= SERIES_TOL
+        for eps in (4.9, 6.0):
+            with pytest.raises(ValueError, match=r"eps = .* SERIES_TOL"):
+                SinePerturbationDensity(eps, [2.0])
 
     @pytest.mark.parametrize("eps, wave", [(0.3, [1e308]), (1e10, [2.0]), (20.0, [0.1])],
                              ids=["beta_inf", "bessel_nan", "z_cancels"])

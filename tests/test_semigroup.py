@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from outail import semigroup
-from outail.errors import NonFiniteValueError
+from outail.foellmer import DriftField, PathConfig, simulate_batch
 from outail.measures import MixtureDensity, SinePerturbationDensity, TiltDensity
-from outail.numeric import fd_hessian
+from outail.numeric import fd_gradient, fd_hessian
 from outail.quadrature import QuadratureRule
 from outail.rng import gaussian_sample
 from outail.semigroup import (
-    S_MIN,
     default_rule,
-    heat_at,
-    heat_log_grad,
     hypercontractivity_check,
     log_lp_norm,
     nelson_exponent,
@@ -24,6 +21,7 @@ from outail.verify import HESSIAN_PROBES, HESSIAN_TOL, hessian_floor_report, tai
 RULE = QuadratureRule.gauss_hermite(1, 64)
 MIX = MixtureDensity([0.5, 0.5], [-1.0, 1.0], 0.5)
 SINE = SinePerturbationDensity(0.3, [2.0])
+CONSTANTS = (TiltDensity(np.zeros(1)), SinePerturbationDensity(0.0, [2.0]))
 
 
 def ou_value(density, t, x):
@@ -40,10 +38,10 @@ def ou_apply_mc(density, t, x, n_samples, seed):
     return batch_means(np.exp(density.log_f(rho * x + tau * y)))
 
 
-def heat(density, s, x, rule=None):
-    """(log P_s f(x), grad log P_s f(x)) at one 1-D point by the heat kernel."""
-    k, v = heat_log_grad(density, s, np.array([x]), rule or default_rule(density.dim))
-    return float(k), float(v[0])
+def closed_heat(density, s, x):
+    """(log P_s f(x), grad log P_s f(x)) at one 1-D point by the closed form."""
+    k, v = density.closed_heat_at(np.array([[x]]))(s)
+    return float(k[0]), float(v[0, 0])
 
 
 class TestOuApply:
@@ -94,100 +92,59 @@ class TestHeatApply:
     def test_tiny_bandwidth_recovers_f(self):
         for d in (MIX, SINE):
             for x in (-1.2, 0.4):
-                val = np.exp(heat(d, 1e-6, x)[0])
+                val = np.exp(closed_heat(d, 1e-6, x)[0])
                 assert val == pytest.approx(float(np.exp(d.log_f(np.array([x])))), abs=1e-4)
 
-    def test_tilt_closed_formula(self):
+    def test_tilt_closed_formula(self, heat_kernel):
         alpha, s, x = 1.4, 0.6, 0.8
         tilt = TiltDensity([alpha])
         expected = np.exp(alpha * x - alpha**2 / 2 + alpha**2 * s / 2)
-        quad = np.exp(heat(tilt, s, x)[0])
-        closed = float(np.exp(tilt.closed_heat_at(np.array([x]))(s)[0]))
-        assert closed == pytest.approx(expected, rel=1e-14)
+        quad = np.exp(heat_kernel(tilt, s, np.array([[x]]), RULE)[0][0])
+        assert np.exp(closed_heat(tilt, s, x)[0]) == pytest.approx(expected, rel=1e-14)
         assert quad == pytest.approx(expected, rel=1e-10)
 
-    def test_mass_conserved_for_constant(self):
-        assert np.exp(heat(TiltDensity(np.zeros(1)), 1.0, 3.0)[0]) == pytest.approx(1.0, abs=1e-13)
+    def test_mass_conserved_for_constant(self, heat_kernel):
+        for flat in CONSTANTS:
+            assert np.exp(closed_heat(flat, 1.0, 3.0)[0]) == pytest.approx(1.0, abs=1e-13)
+            k, _ = heat_kernel(flat, 1.0, np.array([[3.0]]), RULE)
+            assert np.exp(k[0]) == pytest.approx(1.0, abs=1e-13)
 
     def test_heat_at_4d_mixture_is_closed_and_builds_no_rule(self, monkeypatch, rng):
-        def no_rule(dim):
-            raise AssertionError("heat_at built a quadrature rule for a closed family")
+        """A 4-D mixture's drift is its closed heat form, bit for bit, and
+        neither the field nor a batch asks for a tensor rule, which exists
+        only up to 3 dimensions."""
+        def no_rule(*args, **kwargs):
+            raise AssertionError("a quadrature rule was built for the drift")
 
-        monkeypatch.setattr(semigroup, "default_rule", no_rule)
+        monkeypatch.setattr(QuadratureRule, "gauss_hermite", no_rule)
         mix4 = MixtureDensity([0.5, 0.5], [[1.0, 0, 0, 0], [-1.0, 0.5, 0, 0]], 0.5)
         x = rng.normal(size=(20, 4))
-        heat_x, closed_x = heat_at(mix4, x), mix4.closed_heat_at(x)
+        field, closed_x = DriftField(mix4, 100), mix4.closed_heat_at(x)
         for s in (1.0, 0.3, 1e-5):
-            for got, want in zip(heat_x(s), closed_x(s)):
+            for got, want in zip(field.raw(s, x), closed_x(s)):
                 assert np.array_equal(got, want)
+        assert np.isfinite(simulate_batch(mix4, PathConfig(100, 3), 8).x1).all()
 
 
 class TestHeatGradLog:
-    def test_tilt_gradient_is_constant(self):
+    def test_tilt_gradient_is_constant(self, heat_kernel):
         tilt = TiltDensity([1.7])
+        x = np.array([[-2.0], [0.0], [1.3]])
         for s in (0.01, 0.5, 1.0):
-            for x in (-2.0, 0.0, 1.3):
-                assert heat(tilt, s, x)[1] == pytest.approx(1.7, rel=1e-9)
+            assert np.all(tilt.closed_heat_at(x)(s)[1] == 1.7)
+            np.testing.assert_allclose(heat_kernel(tilt, s, x, RULE)[1], 1.7, rtol=1e-9)
 
-    def test_constant_density_zero_gradient(self):
-        assert abs(heat(TiltDensity(np.zeros(1)), 0.5, 1.0)[1]) < 1e-12
+    def test_constant_density_zero_gradient(self, heat_kernel):
+        for flat in CONSTANTS:
+            assert abs(closed_heat(flat, 0.5, 1.0)[1]) < 1e-12
+            assert abs(heat_kernel(flat, 0.5, np.array([[1.0]]), RULE)[1][0, 0]) < 1e-12
 
-    def test_matches_finite_differences_of_heat_log(self):
-        s, h = 0.5, 1e-5
-        for x in (-0.7, 0.0, 1.1):
-            g = heat(MIX, s, x, RULE)[1]
-            num = heat(MIX, s, x + h, RULE)[0]
-            den = heat(MIX, s, x - h, RULE)[0]
-            assert g == pytest.approx((num - den) / (2 * h), abs=1e-6)
-
-    def test_below_floor_returns_exact_limit(self):
-        x = np.linspace(-2.0, 2.0, 9)[:, None]
-        for s in (1e-5, 0.5 * S_MIN):
-            k, v = heat_log_grad(MIX, s, x, RULE)
-            assert np.array_equal(v, MIX.grad_log_f(x))
-            np.testing.assert_allclose(k, MIX.log_f(x), atol=1e-3)
-
-    def test_nonfinite_gradient_raises(self):
-        class NanGradient(TiltDensity):
-            def grad_log_f(self, x):
-                return np.full(np.shape(x), np.nan)
-
-        with pytest.raises(NonFiniteValueError):
-            heat_log_grad(NanGradient([1.0]), 1e-5, np.zeros((3, 1)), RULE)
-
-    def test_log_only_skips_the_gradient(self, monkeypatch):
-        wide = SinePerturbationDensity(6.0, [2.0])  # above the series cutoff
-        assert wide.closed_heat_at is None
-        x = np.linspace(-3.0, 3.0, 13)[:, None]
-        for s in (1.0, 0.3, 1e-5):
-            k_only, none = heat_log_grad(wide, s, x, RULE, grad=False)
-            assert none is None and np.array_equal(k_only, heat_log_grad(wide, s, x, RULE)[0])
-        # the OU image of a family without closed forms asks for log P_s f alone
-        kernel, seen = semigroup.heat_log_grad, []
-        spy = lambda *args, **kwargs: seen.append(kwargs["grad"]) or kernel(*args, **kwargs)
-        monkeypatch.setattr(semigroup, "heat_log_grad", spy)
-        assert np.array_equal(ou_image(wide, 0.5, RULE).log_f(x), ou_log(wide, 0.5, x, RULE))
-        assert seen == [False, False]
-
-    @pytest.mark.parametrize("density", [
-        MixtureDensity([0.5, 0.5], [[-1.0, 0.5], [1.0, 0.0]], 0.5),
-        SinePerturbationDensity(6.0, [1.0, 1.0]),
-    ], ids=["mixture2d", "sine2d"])
-    def test_blocks_stay_under_the_budget(self, density, monkeypatch, rng):
-        """With a small budget no ``log_f`` call holds more point-node pairs
-        than it, and the blocked results equal one pass bit for bit."""
-        rule = QuadratureRule.gauss_hermite(2, 6)  # 36 nodes
-        x = rng.normal(size=(5, 7, 2))
-        whole = {s: heat_log_grad(density, s, x, rule) for s in (1.0, 0.3, 1e-5)}
-        pairs, log_f = [], type(density).log_f
-        monkeypatch.setattr(type(density), "log_f",
-                            lambda self, y: pairs.append(np.size(y) // self.dim) or log_f(self, y))
-        monkeypatch.setattr(semigroup, "HEAT_BLOCK_PAIRS", 100)  # two points a block
-        for s, (k, v) in whole.items():
-            got_k, got_v = heat_log_grad(density, s, x, rule)
-            assert np.array_equal(got_k, k) and np.array_equal(got_v, v)
-            assert np.array_equal(heat_log_grad(density, s, x, rule, grad=False)[0], k)
-        assert len(pairs) == 2 * len(whole) * 18 and max(pairs) == 72
+    def test_matches_finite_differences_of_heat_log(self, rng):
+        for density in (MIX, SINE, SinePerturbationDensity(0.3, [1.0, 0.7])):
+            x = rng.normal(size=(9, density.dim))
+            for s in (1.0, 0.5, 0.05):
+                grad = fd_gradient(lambda y: density.closed_heat_at(y)(s)[0], x)
+                np.testing.assert_allclose(density.closed_heat_at(x)(s)[1], grad, atol=1e-6)
 
     def test_closed_form_bypasses_floor(self):
         g = MIX.closed_heat_at(np.array([0.4]))(1e-5)[1]
@@ -200,12 +157,11 @@ class TestSineHeatSeries:
 
     @pytest.mark.parametrize("wave", [[2.0], [1.0, 0.7]], ids=["1d", "2d"])
     @pytest.mark.parametrize("s", [1.0, 0.5, 0.1, 1e-3])
-    def test_series_matches_high_node_quadrature(self, wave, s, rng):
+    def test_series_matches_high_node_quadrature(self, wave, s, rng, heat_kernel):
         sine = SinePerturbationDensity(0.3, wave)
-        assert sine.closed_heat_at is not None
         x = rng.normal(size=(30, len(wave))) * 2.0
         k, v = sine.closed_heat_at(x)(s)
-        k_q, v_q = heat_log_grad(sine, s, x, QuadratureRule.gauss_hermite(len(wave), 150))
+        k_q, v_q = heat_kernel(sine, s, x, QuadratureRule.gauss_hermite(len(wave), 150))
         assert np.abs(k - k_q).max() < 1e-13
         assert np.abs(v - v_q).max() < 1e-13
 
@@ -306,7 +262,6 @@ class TestClosedFormChecks:
             raise AssertionError("quadrature called for a family with closed forms")
 
         monkeypatch.setattr(semigroup, "ou_log", no_quadrature)
-        monkeypatch.setattr(semigroup, "heat_log_grad", no_quadrature)
         floor = hessian_floor_report(density, t)
         hyper = hypercontractivity_check(density, 2.0, t)
         assert floor.margin == pytest.approx(HESSIAN_TOL + worst, abs=1e-6)

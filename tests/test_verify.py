@@ -101,6 +101,17 @@ class TestTailProbability:
         with pytest.raises(ValueError, match="mixture"):
             tail_probability(mix, 0.5, 2.0, "exact")
 
+    @pytest.mark.parametrize("density, t, method, match", [
+        (FAMILIES["sine"].build(**FAMILIES["sine"].defaults), 0.5, "exact", "sine has no exact tail"),
+        (MixtureDensity([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], 0.5), 0.5, "quadrature", "1-D only"),
+        (TiltDensity([1.0]), 0.0, "simpson", "unknown tail method 'simpson'"),
+    ], ids=["exact_on_a_mehler_image", "quadrature_in_2d", "unknown_method"])
+    def test_a_method_that_does_not_apply_is_rejected(self, density, t, method, match):
+        for tails in (lambda: tail_probability(density, t, 2.0, method),
+                      lambda: tail_curve(density, t, (2.0, 3.0), method)):
+            with pytest.raises(ValueError, match=match):
+                tails()
+
 
 def markov_ok(r, tail, ci) -> bool:
     """Every tail within the Markov envelope 1/r, up to its half-width."""
