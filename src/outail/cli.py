@@ -20,7 +20,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -118,9 +118,10 @@ class ExperimentConfig:
 
 
 def _parse_floats(field_name: str, raw: str) -> tuple[float, ...]:
-    """A list of finite numbers; ``e<k>`` or ``e^<k>`` is e to the k."""
+    """A list of finite numbers, separated by ','; ``e<k>`` or ``e^<k>`` is
+    e to the k.  ';' separates points, so it is not a separator here."""
     vals = []
-    for tok in raw.replace(";", ",").split(","):
+    for tok in raw.split(","):
         tok = tok.strip()
         if not tok:
             continue
@@ -269,7 +270,12 @@ def _build_experiment(parser: configparser.ConfigParser) -> ExperimentConfig:
 
 
 def build_density(cfg: ExperimentConfig) -> DensityModel:
-    return FAMILIES[cfg.family].build(**cfg.params)
+    """The config's member; a ridge vector v of n > 1 entries becomes (|v|,)."""
+    family, params = FAMILIES[cfg.family], dict(cfg.params)
+    if len(params.get(family.ridge, ())) > 1:
+        with np.errstate(over="ignore"):  # an overflow gives inf, which the family rejects
+            params[family.ridge] = (float(np.linalg.norm(params[family.ridge])),)
+    return family.build(**params)
 
 
 @dataclass
@@ -343,7 +349,8 @@ def collect_rows(cfg: ExperimentConfig, stats: BatchStats | None = None) -> list
                 for t in cfg.t_values:
                     if t > 0:
                         rows.append(hypercontractivity_check(density, cfg.p, t))
-    return rows
+    n = len(cfg.params.get(FAMILIES[cfg.family].ridge, ()))  # the dim of a ridge config
+    return [replace(row, dim=n) for row in rows] if n > 1 else rows
 
 
 def _tail_row(density: DensityModel, t: float, r: float, est: float, ci: float,

@@ -7,7 +7,10 @@ carries a weak-convexity certificate beta with
     Hessian(log f) >= -beta * id   pointwise.
 
 Families are exponentials by construction, hence strictly positive
-everywhere.  Every family has a closed heat image (``closed_heat_at``; the
+everywhere.  The tilt and the sine are ridges, f(x) = g(<k, x>), so they
+are 1-D: gamma_n is rotation invariant, and every law the lab checks is the
+1-D profile's (``cli.build_density`` builds an n-D ridge as the member with
+vector (|k|,)).  Every family has a closed heat image (``closed_heat_at``; the
 sine's is a Bessel series).  Where Gaussian algebra permits, a family also
 provides its Ornstein-Uhlenbeck image and (for the log-linear tilt) its
 exact super-level tail.
@@ -81,45 +84,34 @@ class DensityModel:
 
 @dataclass(frozen=True)
 class TiltDensity(DensityModel):
-    """Log-linear density f_u(x) = exp(<u, x> - |u|^2 / 2).
+    """Log-linear density f_u(x) = exp(u x - u^2 / 2) on the line.
 
     The zero tilt is the constant density 1.  All transforms are closed:
-    the heat semigroup multiplies by exp(s|u|^2/2), the OU semigroup shrinks
-    the tilt to u*exp(-t), and super-level sets are half-spaces.
+    the heat semigroup multiplies by exp(s u^2/2), the OU semigroup shrinks
+    the tilt to u*exp(-t), and super-level sets are half-lines.  A tilt
+    whose u^2 / 2 is not finite is rejected.
     """
 
     u: np.ndarray
     name: str = field(default="tilt", init=False)
-    alpha: float = field(init=False, repr=False)  # tilt magnitude |u| (the 1-D parameter)
+    alpha: float = field(init=False, repr=False)  # tilt magnitude |u|
+    dim = 1
+    beta = 0.0
 
     def __post_init__(self):
-        u = np.atleast_1d(np.asarray(self.u, dtype=float))
-        if u.ndim != 1:
-            raise DimensionMismatchError("tilt vector must be one-dimensional")
-        object.__setattr__(self, "u", u)
-        with np.errstate(over="ignore"):  # an overflow gives |u| = inf, as IEEE says
-            object.__setattr__(self, "alpha", float(np.linalg.norm(u)))
-
-    @property
-    def dim(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def beta(self) -> float:
-        return 0.0
+        object.__setattr__(self, "u", np.asarray(self.u, dtype=float).reshape(1))
+        with np.errstate(over="ignore"):  # an overflow gives |u| = inf, rejected below
+            object.__setattr__(self, "alpha", float(np.linalg.norm(self.u)))
+        if not np.isfinite(0.5 * np.square(self.alpha)):
+            raise ValueError(f"|u|^2 / 2 is not finite (|u| = {self.alpha:g})")
 
     def log_f(self, x) -> np.ndarray:
-        x = _as_points(x, self.dim)
-        if self.dim == 1:
-            # x @ u without BLAS: the product added to 0 - |u|^2/2, which is
-            # bit for bit the matmul's sum from +0 minus |u|^2/2, even at -0
-            return x[..., 0] * self.u[0] + (0.0 - 0.5 * self.alpha**2)
-        # x . u by einsum: a point's bits do not depend on the batch, as a
-        # BLAS product's do
-        return np.einsum("...i,i->...", x, self.u) - 0.5 * self.alpha**2
+        # x u without BLAS: the product added to 0 - u^2/2, which is bit for
+        # bit the matmul's sum from +0 minus u^2/2, even at -0
+        return _as_points(x, 1)[..., 0] * self.u[0] + (0.0 - 0.5 * self.alpha**2)
 
     def grad_log_f(self, x) -> np.ndarray:
-        g = np.empty(_as_points(x, self.dim).shape)
+        g = np.empty(_as_points(x, 1).shape)
         g[...] = self.u
         return g
 
@@ -282,15 +274,15 @@ class MixtureDensity(DensityModel):
 
 
 class SinePerturbationDensity(DensityModel):
-    """Bounded perturbation f(x) = exp(eps * sin(<k, x>)) / Z.
+    """Bounded perturbation f(x) = exp(eps * sin(k x)) / Z on the line.
 
-    The convexity certificate is exact: the Hessian of the exponent is
-    -eps*sin(<k,x>) k k^T, so beta = eps * |k|^2.
+    The convexity certificate is exact: the second derivative of the
+    exponent is -eps k^2 sin(k x), so beta = eps * k^2.
 
-    With theta = <k, x>, the Jacobi-Anger expansion (Abramowitz & Stegun
+    With theta = k x, the Jacobi-Anger expansion (Abramowitz & Stegun
     9.6.34) writes e^{eps sin theta} as I_0(eps) + 2 sum_{j>=1} I_j(eps)
     cos(j theta - j pi/2), and the heat semigroup P_s multiplies frequency j
-    by exp(-s j^2 |k|^2 / 2).  Z is that series at s = 1 and x = 0, where
+    by exp(-s j^2 k^2 / 2).  Z is that series at s = 1 and x = 0, where
     only even j survive.  The drift series keeps j = 0..J, J the first
     frequency with 2 I_J / I_0 below machine epsilon (J = 11 at eps = 0.3).
     Its sums lose up to (J + 1) * eps_mach * e^{2 eps} relative precision to
@@ -304,19 +296,18 @@ class SinePerturbationDensity(DensityModel):
     """
 
     name = "sine"
+    dim = 1
 
     def __init__(self, eps: float, wave):
         if eps < 0:
             raise ValueError("perturbation size eps must be >= 0")
-        wave = np.atleast_1d(np.asarray(wave, dtype=float))
         self.eps = float(eps)
-        self.wave = wave
-        self.dim = wave.shape[0]
+        self.wave = wave = np.asarray(wave, dtype=float).reshape(1)
         with np.errstate(over="ignore"):  # an infinite beta is rejected below
             self._k2 = float(wave @ wave)
             self.beta = self.eps * self._k2
         if not np.isfinite(self.beta):
-            raise ValueError(f"beta = eps * |wave|^2 is not finite ({self.beta})")
+            raise ValueError(f"beta = eps * wave^2 is not finite ({self.beta})")
         # the drift series; an eps past the first test has NaN weights far out
         weights = None
         if 2.0 * self.eps <= np.log(SERIES_TOL / _EPS_MACH):
@@ -325,16 +316,14 @@ class SinePerturbationDensity(DensityModel):
             raise ValueError(f"eps = {self.eps:g} is too large: the heat series loses more "
                              f"than SERIES_TOL = {SERIES_TOL:g} to cancellation")
         self._weights = weights
-        # log Z = log I_0 + log1p(sum over even j >= 2 of w_j cos(j pi/2) e^{-j^2 |k|^2 / 2})
+        # log Z = log I_0 + log1p(sum over even j >= 2 of w_j cos(j pi/2) e^{-j^2 k^2 / 2})
         terms = _jacobi_anger_weights(self.eps, self._k2, 1.0)[::2]
         terms[1::2] *= -1.0
         self._log_z_over_i0 = float(np.log1p(terms[1:].sum()))
         self.log_z = self.eps + float(np.log(ive(0, self.eps))) + self._log_z_over_i0
 
     def _theta(self, x) -> np.ndarray:
-        """wave . x by einsum: unlike a BLAS product's, a point's bits do not
-        depend on how many points one call holds."""
-        return np.einsum("...i,i->...", _as_points(x, self.dim), self.wave)
+        return _as_points(x, 1)[..., 0] * self.wave[0] + 0.0  # k x, a -0 product as +0
 
     def log_f(self, x) -> np.ndarray:
         return self.eps * np.sin(self._theta(x)) - self.log_z
@@ -361,8 +350,7 @@ class SinePerturbationDensity(DensityModel):
             sums = np.einsum("j,jkp->kp", c, trig)
             a = sums[0]  # P_s e^{eps sin} / I_0, positive
             k = np.log(a) - self._log_z_over_i0
-            v = np.multiply.outer(sums[1] / a, self.wave)
-            return k.reshape(theta.shape), v.reshape(theta.shape + (self.dim,))
+            return k.reshape(theta.shape), (sums[1] / a * self.wave[0]).reshape(theta.shape + (1,))
 
         return at
 
@@ -378,20 +366,21 @@ def _jacobi_anger_weights(eps: float, k2: float, s: float) -> np.ndarray:
 
 
 class Family(NamedTuple):
-    """A density family: its constructor and the keyword parameters of its
-    default member.  Vector parameters are tuples; ``means`` is a tuple of
-    points."""
+    """A density family: its constructor, the keyword parameters of its
+    default member and the name of its ridge vector ("" if none).  Vector
+    parameters are tuples; ``means`` is a tuple of points."""
 
     build: Callable[..., DensityModel]
     defaults: dict
+    ridge: str
 
 
 FAMILIES: dict[str, Family] = {
-    "tilt": Family(TiltDensity, {"u": (2.0,)}),
+    "tilt": Family(TiltDensity, {"u": (2.0,)}, "u"),
     "mixture": Family(
-        MixtureDensity, {"weights": (0.5, 0.5), "means": ((-1.0,), (1.0,)), "spread": 0.5}
+        MixtureDensity, {"weights": (0.5, 0.5), "means": ((-1.0,), (1.0,)), "spread": 0.5}, ""
     ),
-    "sine": Family(SinePerturbationDensity, {"eps": 0.3, "wave": (2.0,)}),
+    "sine": Family(SinePerturbationDensity, {"eps": 0.3, "wave": (2.0,)}, "wave"),
 }
 
 

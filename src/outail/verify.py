@@ -397,8 +397,9 @@ def shell_shift_report(stats: BatchStats, density: DensityModel, pert: Perturbat
 
 def composite_reports(stats: BatchStats, density: DensityModel, r: float) -> list[BoundReport]:
     """The ``shell_ratio`` and ``tail_reduction`` rows at r; the latter
-    compares the direct tail with the per-shell Markov sum, and is
-    ``tail_reduction!exact_required`` when Monte Carlo cannot resolve it."""
+    compares the direct tail with the per-shell Markov sum, with both their
+    half-widths, and is ``tail_reduction!exact_required`` when Monte Carlo
+    cannot resolve the tail."""
     logr = np.log(r)
     meta = _batch_meta(stats, density, r=r)
     gap = stats.k_final - logr
@@ -413,13 +414,13 @@ def composite_reports(stats: BatchStats, density: DensityModel, r: float) -> lis
     weights = np.where(gap > 0.0, np.exp(-np.floor(np.maximum(gap, 0.0)) - logr), 0.0)
     w_mean, w_se = batch_means(weights)
     try:
-        direct, _ = tail_probability(density, 0.0, r, method="auto", seed=stats.seed)
+        direct, direct_ci = tail_probability(density, 0.0, r, method="auto", seed=stats.seed)
     except ResolutionError:
         nan = float("nan")
         return [shell_row, BoundReport(name="tail_reduction!exact_required", estimate=nan,
                                        ci_half_width=nan, bound=nan, anchored=False, **meta)]
     reduction_row = BoundReport(
-        name="tail_reduction", estimate=direct, ci_half_width=CI_STANDARD_ERRORS * w_se,
+        name="tail_reduction", estimate=direct, ci_half_width=CI_STANDARD_ERRORS * w_se + direct_ci,
         bound=w_mean, **meta,
     )
     return [shell_row, reduction_row]

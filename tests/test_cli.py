@@ -152,6 +152,11 @@ class TestConfigParsing:
         ("seed = 7", f"seed = {2**128}", "seed"),
         ("family = mixture", "family = sine\nwave = 1e308", "family"),
         ("family = mixture", "family = sine\neps = 1e10", "family"),
+        ("family = mixture", "family = tilt\nu = 1e155", "family"),
+        ("family = mixture", "family = tilt\nu = 1e200, 1e200", "family"),
+        ("family = mixture", "family = tilt\nu = 1, 2; 3, 4", "u"),
+        ("family = mixture", "family = sine\nwave = 1; 2", "wave"),
+        ("weights = 0.5, 0.5", "weights = 0.5; 0.5", "weights"),
         ("spread = 0.5", "spread = 5e-324", "family"),
         ("spread = 0.5", "spread = 1e-5", "family"),
         ("spread = 0.5", "spread = 0.01", "family"),
@@ -164,7 +169,8 @@ class TestConfigParsing:
             "negative_seed",
             "p_at_most_one", "p_not_float", "negative_beta", "negative_delta", "r_nan", "t_nan",
             "beta_inf", "p_inf", "r_overflow", "eps_nan", "wave_inf", "delta_inf",
-            "seed_2_128", "sine_beta_inf", "sine_log_z_nan", "mixture_beta_inf",
+            "seed_2_128", "sine_beta_inf", "sine_log_z_nan", "tilt_half_square_inf",
+            "tilt_2d_norm_inf", "tilt_points", "wave_points", "weights_points", "mixture_beta_inf",
             "mixture_not_normalized", "mixture_residual_0.53", "mixture_2d_not_normalized",
             "entropy_above_quadrature_dim"])
     def test_bad_value_names_field(self, tmp_path, old, new, field):
@@ -259,9 +265,11 @@ VALUE_TEXT = st.one_of(
 @example(family="sine", key="eps", value="nan")
 @example(family="tilt", key="delta", value="fixed:inf")
 @example(family="tilt", key="t", value="50%")
+@example(family="tilt", key="u", value="1e155")
 def test_parse_config_rejects_or_returns_finite_in_range(tmp_path_factory, family, key, value):
     """Any text under any key is a ConfigError or a config whose numbers are
-    finite and in range; no other exception escapes."""
+    finite and in range, and whose density has a finite log f and heat
+    transform at the origin; no other exception escapes."""
     fields = {"family": family, "paths": "2000", "steps": "128", key: value}
     path = tmp_path_factory.getbasetemp() / "property.cfg"
     path.write_text("[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()),
@@ -280,6 +288,10 @@ def test_parse_config_rejects_or_returns_finite_in_range(tmp_path_factory, famil
     assert cfg.paths >= 1000 and cfg.steps >= 100 and 0 <= cfg.seed < 2**128
     assert cfg.delta is None or cfg.delta >= 0
     assert cfg.beta_override is None or cfg.beta_override >= 0
+    density = build_density(cfg)
+    origin = np.zeros((1, density.dim))
+    assert np.isfinite(density.log_f(origin)).all()
+    assert all(np.isfinite(part).all() for part in density.closed_heat_at(origin)(0.5))
 
 
 class TestRun:
@@ -404,6 +416,33 @@ paths = 20000
         csvs = [run(cfg, out_dir=tmp_path / str(chunk), chunk_paths=chunk).csv_path.read_bytes()
                 for chunk in (2000, 333, 1999)]
         assert csvs[0] == csvs[1] == csvs[2]
+
+    @pytest.mark.parametrize("family, key, vector", [
+        ("tilt", "u", (1.3, -0.7)),
+        ("sine", "wave", (1.5, 1.0)),
+        ("sine", "wave", (1.0, -0.5, 0.5, 1.0)),
+    ], ids=["tilt-2d", "sine-2d", "sine-4d"])
+    def test_a_ridge_config_runs_its_profile(self, tmp_path, family, key, vector):
+        """An n-D tilt or sine config runs the 1-D member whose vector is
+        its norm: with every check, entropy and hyper included, it writes
+        the 1-D config's CSV but for ``dim``, which is n in every row, and
+        the same exit code and JSON."""
+        results = {}
+        for v in (vector, (float(np.linalg.norm(vector)),)):
+            cfg = write_cfg(tmp_path, f"[experiment]\nfamily = {family}\n"
+                                      f"{key} = {', '.join(map(repr, v))}\nchecks = all\n"
+                                      "paths = 1000\nsteps = 100\n", f"{len(v)}.cfg")
+            result = run(cfg, out_dir=tmp_path / str(len(v)))
+            with result.csv_path.open() as fh:
+                rows = list(csv.DictReader(fh))
+            summary = json.loads(result.json_path.read_text())
+            del summary["created"]
+            results[len(v)] = result.exit_code, rows, summary
+        (code_n, rows_n, json_n), (code_1, rows_1, json_1) = results[len(vector)], results[1]
+        assert all(row["dim"] == str(len(vector)) for row in rows_n)
+        assert [{**row, "dim": "1"} for row in rows_n] == rows_1
+        assert code_n == code_1 and json_n == json_1
+        assert {"entropy_identity_gap", "hypercontractivity"} <= {row["name"] for row in rows_1}
 
     @pytest.mark.parametrize("family, image", [
         ("sine", semigroup._MehlerImage),
@@ -616,16 +655,22 @@ out = {tmp_path}
     def test_4d_composite_unresolved_tail_is_a_row(self, tmp_path, capsys, family):
         """A direct tail below Monte Carlo resolution gives an unanchored NaN
         ``tail_reduction!exact_required`` row, not an exit-2 error, and stdout
-        marks it [NOTE], not [FAIL], since it cannot fail the run."""
+        marks it [NOTE], not [FAIL], since it cannot fail the run.  The 4-D
+        sine runs its 1-D profile, whose tail is a level-set mass, so its
+        rows resolve."""
         cfg = write_cfg(tmp_path, f"[experiment]\n{family}\nchecks = composite\n"
                                   "paths = 1000\nsteps = 100\n")
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert not any(line.startswith("[FAIL]") for line in out)
-        assert any(line.startswith("[NOTE] tail_reduction!exact_required") for line in out)
         with (tmp_path / "report.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert [row["name"] for row in rows].count("shell_ratio") == 3
+        if "sine" in family:
+            assert [row["name"] for row in rows].count("tail_reduction") == 3
+            assert all(row["dim"] == "4" and row["pass"] == "True" for row in rows)
+            return
+        assert any(line.startswith("[NOTE] tail_reduction!exact_required") for line in out)
         unresolved = [row for row in rows if row["name"] == "tail_reduction!exact_required"]
         assert unresolved
         assert all(row["estimate"] == row["ci"] == row["bound"] == "" for row in unresolved)

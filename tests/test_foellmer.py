@@ -812,13 +812,6 @@ class TestDriftTabulation:
 
 
 class TestTwoDimensional:
-    def test_tilt_2d_endpoint_mean(self):
-        tilt2 = TiltDensity([1.0, -0.5])
-        cfg = PathConfig(steps=128, seed=6)
-        stats = simulate_batch(tilt2, cfg, 4000)
-        err = np.abs(stats.x1.mean(axis=0) - np.array([1.0, -0.5]))
-        assert np.all(err <= 3.0 / np.sqrt(4000))
-
     def test_mixture_2d_quadrature_drift_runs(self, heat_kernel):
         """The closed 2-D mixture drift agrees with the heat-kernel
         quadrature on a 24-node rule at the endpoints of a batch."""

@@ -49,7 +49,7 @@ class TestNormalization:
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            validate_normalization(TiltDensity([1.0, 0.0]), RULE64)
+            validate_normalization(TiltDensity([1.0]), QuadratureRule.gauss_hermite(2, 8))
 
 
 class TestBetaProbe:
@@ -133,7 +133,7 @@ class TestTiltClosedForms:
         assert float(tilt.log_f(np.array([x]))) == pytest.approx(expected, rel=1e-12)
 
     @given(
-        u=st.floats(allow_nan=True, allow_infinity=True),
+        u=st.floats(-1e154, 1e154),
         x=hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(1)),
                      elements=st.floats(allow_nan=True, allow_infinity=True)),
     )
@@ -143,9 +143,8 @@ class TestTiltClosedForms:
     @example(u=-0.0, x=np.array([[-1.0], [1.0], [-0.0]]))
     @example(u=1e-200, x=np.array([[-0.0], [-1e-200]]))
     def test_1d_log_density_is_the_matmul_bit_for_bit(self, u, x):
-        """The dim-1 product path equals ``x @ u - |u|^2 / 2``, the form
-        every dimension above 1 keeps, in every bit: signed zeros,
-        infinities and NaN included."""
+        """The product path equals ``x @ u - |u|^2 / 2`` in every bit:
+        signed zeros, infinities and NaN included."""
         tilt = TiltDensity([u])
         with np.errstate(all="ignore"):
             want = x @ tilt.u - 0.5 * tilt.alpha**2
@@ -166,6 +165,15 @@ class TestTiltClosedForms:
 
     def test_beta_zero(self):
         assert TiltDensity([3.0]).beta == 0.0
+
+    @pytest.mark.parametrize("u", [1e155, -1e155, np.inf, np.nan])
+    def test_infinite_half_square_rejected(self, u):
+        with pytest.raises(ValueError, match="not finite"):
+            TiltDensity([u])
+
+    def test_one_entry_only(self):
+        with pytest.raises(ValueError):
+            TiltDensity([1.3, 0.7])
 
 
 class TestMixtureValidation:
@@ -280,9 +288,10 @@ class TestMixtureLogSumExp:
 class TestSineFamily:
     def test_beta_is_exact(self):
         assert SinePerturbationDensity(0.5, [2.0]).beta == pytest.approx(2.0)
-        assert SinePerturbationDensity(0.25, [1.0, 2.0]).beta == pytest.approx(1.25)
+        assert SinePerturbationDensity(0.25, [np.sqrt(5.0)]).beta == pytest.approx(1.25)
 
-    @pytest.mark.parametrize("eps, wave", [(0.3, [2.0]), (0.3, [1.0, 0.7]), (2.0, [0.5]), (4.8, [0.5])])
+    @pytest.mark.parametrize("eps, wave", [(0.3, [2.0]), (0.3, [np.hypot(1.0, 0.7)]), (2.0, [0.5]),
+                                           (4.8, [0.5])])
     def test_series_log_z_matches_quadrature(self, eps, wave):
         # Z = E[exp(eps sin(|k| G))] with G a standard 1-D Gaussian
         sine = SinePerturbationDensity(eps, wave)
@@ -317,12 +326,10 @@ class TestSineFamily:
 
 
 @pytest.mark.parametrize("density", [
-    TiltDensity([1.3, 0.7]),
+    TiltDensity([1.3]),
     MixtureDensity([0.2, 0.3, 0.5], [[-1.3, 0.4], [0.9, -0.2], [0.1, 1.1]], 0.6),
     SinePerturbationDensity(0.3, [2.0]),
-    SinePerturbationDensity(0.3, [1.5, 1.0]),
-    SinePerturbationDensity(0.3, [1.0, 0.5, 0.25]),
-], ids=["tilt2d", "mixture2d", "sine1d", "sine2d", "sine3d"])
+], ids=["tilt1d", "mixture2d", "sine1d"])
 def test_values_do_not_depend_on_the_batch(density):
     """log f, grad log f and the closed heat form at each point equal one
     call over all points, bit for bit, in batches of 1, 2 and 7: the drift

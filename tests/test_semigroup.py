@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -140,7 +142,7 @@ class TestHeatGradLog:
             assert abs(heat_kernel(flat, 0.5, np.array([[1.0]]), RULE)[1][0, 0]) < 1e-12
 
     def test_matches_finite_differences_of_heat_log(self, rng):
-        for density in (MIX, SINE, SinePerturbationDensity(0.3, [1.0, 0.7])):
+        for density in (MIX, SINE, SinePerturbationDensity(0.3, [np.hypot(1.0, 0.7)])):
             x = rng.normal(size=(9, density.dim))
             for s in (1.0, 0.5, 0.05):
                 grad = fd_gradient(lambda y: density.closed_heat_at(y)(s)[0], x)
@@ -158,12 +160,18 @@ class TestSineHeatSeries:
     @pytest.mark.parametrize("wave", [[2.0], [1.0, 0.7]], ids=["1d", "2d"])
     @pytest.mark.parametrize("s", [1.0, 0.5, 0.1, 1e-3])
     def test_series_matches_high_node_quadrature(self, wave, s, rng, heat_kernel):
-        sine = SinePerturbationDensity(0.3, wave)
+        """The heat kernel of the ridge f(x) = g(<wave, x>) in len(wave)
+        dimensions is the 1-D profile's series at theta = <unit, x>, the
+        gradient along the unit vector: the reduction ``cli.build_density``
+        makes."""
+        norm = np.linalg.norm(wave)
+        unit, sine = np.array(wave) / norm, SinePerturbationDensity(0.3, [norm])
+        ridge = SimpleNamespace(log_f=lambda y: sine.log_f(y @ unit))
         x = rng.normal(size=(30, len(wave))) * 2.0
-        k, v = sine.closed_heat_at(x)(s)
-        k_q, v_q = heat_kernel(sine, s, x, QuadratureRule.gauss_hermite(len(wave), 150))
+        k, v = sine.closed_heat_at(x @ unit)(s)
+        k_q, v_q = heat_kernel(ridge, s, x, QuadratureRule.gauss_hermite(len(wave), 150))
         assert np.abs(k - k_q).max() < 1e-13
-        assert np.abs(v - v_q).max() < 1e-13
+        assert np.abs(v * unit - v_q).max() < 1e-13
 
     def test_zero_bandwidth_is_log_f(self, rng):
         x = rng.normal(size=(7, 1)) * 3.0

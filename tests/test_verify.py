@@ -9,6 +9,7 @@ from outail.errors import ResolutionError
 from outail.foellmer import MIN_STEPS, PathConfig, perturbation_arrays, simulate_batch
 from outail.measures import FAMILIES, MixtureDensity, TiltDensity
 from outail.reports import BoundReport
+from outail.stats import batch_means
 from outail.verify import (
     DEFAULT_R_GRID,
     composite_reports,
@@ -346,6 +347,20 @@ class TestComposite:
             for r in DEFAULT_R_GRID:
                 for rep in composite_reports(stats, families[name], r):
                     assert rep.passed, f"{name} r={r} {rep.name}"
+
+    @pytest.mark.parametrize("r", [np.exp(0.25), np.exp(0.5)], ids=["log_r_0.25", "log_r_0.5"])
+    def test_reduction_ci_carries_the_direct_tail_ci(self, r):
+        """A Monte Carlo direct tail (a 2-D mixture) adds its half-width to
+        that of the per-shell sum."""
+        mix2 = MixtureDensity([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], 0.5)
+        stats = simulate_batch(mix2, PathConfig(128, 4), 4000, r_values=(r,))
+        row = next(rep for rep in composite_reports(stats, mix2, r) if rep.name == "tail_reduction")
+        gap = stats.k_final - np.log(r)
+        weights = np.where(gap > 0.0, np.exp(-np.floor(np.maximum(gap, 0.0)) - np.log(r)), 0.0)
+        _, w_se = batch_means(weights)
+        _, _, (tail_ci,) = tail_curve(mix2, 0.0, (r,), seed=stats.seed)
+        assert tail_ci > 0.0
+        assert row.ci_half_width == verify.CI_STANDARD_ERRORS * w_se + tail_ci
 
     def test_reduction_dominates_direct_tail_for_tilt(self, batches, families):
         reps = composite_reports(batches["tilt"], families["tilt"], E)
