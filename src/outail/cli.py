@@ -31,7 +31,7 @@ from .foellmer import DEFAULT_STEPS, MIN_STEPS, BatchStats, PathConfig, simulate
 from .measures import FAMILIES, DensityModel, MixtureDensity, validate_normalization
 from .quadrature import MAX_QUADRATURE_DIM
 from .reports import CSV_COLUMNS, BoundReport
-from .semigroup import DEFAULT_NODES, HYPER_MAX_DIM, default_rule, hypercontractivity_check
+from .semigroup import DEFAULT_NODES, default_rule, hypercontractivity_check
 from . import verify
 from .verify import DEFAULT_R_GRID, DEFAULT_T_GRID, canonical_delta
 
@@ -59,9 +59,8 @@ NORMALIZATION_TOL = 1e-6
 
 _NEEDS_PATHS = {"entropy", "energy", "z", "tv", "prop2", "composite"}
 # Checks that integrate on ``default_rule(dim)``, which exists only up to
-# ``MAX_QUADRATURE_DIM``.  ``hyper`` is not among them: ``collect_rows``
-# skips it above ``HYPER_MAX_DIM``.
-_NEEDS_QUADRATURE = {"entropy"}
+# ``MAX_QUADRATURE_DIM``.
+_NEEDS_QUADRATURE = {"entropy", "hyper"}
 
 
 def _check_thresholds(r_values) -> None:
@@ -345,10 +344,9 @@ def collect_rows(cfg: ExperimentConfig, stats: BatchStats | None = None) -> list
                 if t > 0:
                     rows.append(verify.hessian_floor_report(density, t))
         elif tok == "hyper":
-            if density.dim <= HYPER_MAX_DIM:
-                for t in cfg.t_values:
-                    if t > 0:
-                        rows.append(hypercontractivity_check(density, cfg.p, t))
+            for t in cfg.t_values:
+                if t > 0:
+                    rows.append(hypercontractivity_check(density, cfg.p, t))
     n = len(cfg.params.get(FAMILIES[cfg.family].ridge, ()))  # the dim of a ridge config
     return [replace(row, dim=n) for row in rows] if n > 1 else rows
 

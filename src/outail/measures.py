@@ -11,13 +11,14 @@ everywhere.  The tilt and the sine are ridges, f(x) = g(<k, x>), so they
 are 1-D: gamma_n is rotation invariant, and every law the lab checks is the
 1-D profile's (``cli.build_density`` builds an n-D ridge as the member with
 vector (|k|,)).  Every family has a closed heat image (``closed_heat_at``; the
-sine's is a Bessel series).  Where Gaussian algebra permits, a family also
-provides its Ornstein-Uhlenbeck image and (for the log-linear tilt) its
-exact super-level tail.
+sine's is a Bessel series) and its Ornstein-Uhlenbeck image as a member of
+the family (``closed_ou``); the log-linear tilt also has its exact
+super-level tail.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -49,8 +50,8 @@ def _as_points(x, dim: int) -> np.ndarray:
 class DensityModel:
     """Base class for densities relative to gamma_n.
 
-    Subclasses set ``dim`` and ``beta`` and implement ``log_f``,
-    ``grad_log_f`` and ``closed_heat_at`` on arrays of shape (..., dim).
+    Subclasses set ``dim`` and ``beta`` and implement ``closed_ou`` and, on
+    arrays of shape (..., dim), ``log_f``, ``grad_log_f`` and ``closed_heat_at``.
     """
 
     dim: int
@@ -69,12 +70,13 @@ class DensityModel:
         once, for tables over many bandwidths."""
         raise NotImplementedError
 
-    # -- optional closed forms -------------------------------------------
-    # A family that has one defines it as a method; None means the caller
-    # does without (Mehler's formula, quadrature or Monte Carlo).
-    #   closed_ou(t) -> DensityModel: the in-family density of Q_t f.
-    #   closed_tail(r) -> float: gamma_n({f > r}).
-    closed_ou = closed_tail = None
+    def closed_ou(self, t: float) -> "DensityModel":
+        """The density of Q_t f for t > 0, a member of the same family."""
+        raise NotImplementedError
+
+    # An optional closed form, a method where a family has it, else None:
+    # closed_tail(r) -> float, gamma_n({f > r}); the caller does without.
+    closed_tail = None
 
     @property
     def has_closed_tail(self) -> bool:
@@ -139,7 +141,8 @@ class MixtureDensity(DensityModel):
     posterior component weights and s the spread; the covariance is positive
     semi-definite, so beta = 1/s - 1 is a valid certificate, and it is
     approached far from the means.  A spread so small that this beta is not
-    finite is rejected.
+    finite is rejected.  Spread 1, the limit of the OU images (reached from
+    t = 18.4 at spread 0.5), is a mixture of tilts, with beta = 0.
 
     Heat and OU images stay inside the Gaussian-mixture class, giving
     closed drift and semigroup evaluations.
@@ -158,8 +161,8 @@ class MixtureDensity(DensityModel):
             raise ValueError("mixture weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-8:
             raise ValueError("mixture weights must sum to 1")
-        if not 0.0 < spread < 1.0:
-            raise ValueError("per-component spread must lie in (0, 1)")
+        if not 0.0 < spread <= 1.0:
+            raise ValueError("per-component spread must lie in (0, 1]")
         self.weights = weights / weights.sum()
         self.means = means
         self.spread = float(spread)
@@ -290,13 +293,19 @@ class SinePerturbationDensity(DensityModel):
     term), so an eps for which that bound exceeds ``SERIES_TOL`` is
     rejected: eps above about 4.88.  The Z series has fewer terms, each
     bounded by the drift series' at s = 0, and a sum of at least
-    e^{-2 eps} times theirs, so it keeps ``SERIES_TOL`` too.  The OU image
-    follows by Mehler's formula.  A heat transform that stays accurate at
-    every eps is ROADMAP item 5.
+    e^{-2 eps} times theirs, so it keeps ``SERIES_TOL`` too.  A heat
+    transform that stays accurate at every eps is ROADMAP item 5.
+
+    The OU image is the smoothed member x -> P_{s0} f(rho x) (f has rho = 1,
+    s0 = 0): by Mehler's formula Q_t takes it to rho e^{-t} and
+    s0 + rho^2 (1 - e^{-2t}), and P_s to P_{s0 + rho^2 s} f(rho x).  Its beta
+    is beta_t = e^{-2t} beta / (1 + (1 - e^{-2t}) beta), the Cramer-Rao bound
+    on the heat posterior, which a Gaussian mixture's image attains.
     """
 
     name = "sine"
     dim = 1
+    _rho, _s0 = 1.0, 0.0
 
     def __init__(self, eps: float, wave):
         if eps < 0:
@@ -316,6 +325,8 @@ class SinePerturbationDensity(DensityModel):
             raise ValueError(f"eps = {self.eps:g} is too large: the heat series loses more "
                              f"than SERIES_TOL = {SERIES_TOL:g} to cancellation")
         self._weights = weights
+        self._j = j = np.arange(len(weights))
+        self._decay = -0.5 * self._k2 * j * j
         # log Z = log I_0 + log1p(sum over even j >= 2 of w_j cos(j pi/2) e^{-j^2 k^2 / 2})
         terms = _jacobi_anger_weights(self.eps, self._k2, 1.0)[::2]
         terms[1::2] *= -1.0
@@ -323,34 +334,54 @@ class SinePerturbationDensity(DensityModel):
         self.log_z = self.eps + float(np.log(ive(0, self.eps))) + self._log_z_over_i0
 
     def _theta(self, x) -> np.ndarray:
-        return _as_points(x, 1)[..., 0] * self.wave[0] + 0.0  # k x, a -0 product as +0
+        return _as_points(x, 1)[..., 0] * self._rho * self.wave[0] + 0.0  # k rho x, -0 as +0
+
+    def _phase(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """theta at x and its phases j theta - j pi/2, (J + 1, points)."""
+        theta = self._theta(x)
+        return theta, np.multiply.outer(self._j, theta.ravel() - 0.5 * np.pi)
+
+    def _weights_at(self, s: float) -> np.ndarray:
+        """The series weights c_j of P_{s0 + rho^2 s}: sum_j c_j cos(phase_j)
+        is P_{s0 + rho^2 s} e^{eps sin}(rho x) / I_0, positive."""
+        return self._weights * np.exp((self._s0 + self._rho**2 * s) * self._decay)
 
     def log_f(self, x) -> np.ndarray:
-        return self.eps * np.sin(self._theta(x)) - self.log_z
+        if not self._s0:
+            return self.eps * np.sin(self._theta(x)) - self.log_z
+        # the cosine sum of closed_heat_at(x)(0) alone, added from 0 in order
+        # of j as einsum adds it, so with the same bits
+        theta, phase = self._phase(x)
+        a = sum(map(np.multiply, self._weights_at(0.0), np.cos(phase)))
+        return (np.log(a) - self._log_z_over_i0).reshape(theta.shape)
 
     def grad_log_f(self, x) -> np.ndarray:
-        return self.eps * np.cos(self._theta(x))[..., None] * self.wave
+        if not self._s0:
+            return self.eps * np.cos(self._theta(x))[..., None] * self.wave
+        return self.closed_heat_at(x)(0.0)[1]
+
+    def closed_ou(self, t: float) -> "SinePerturbationDensity":
+        image, s = copy.copy(self), -np.expm1(-2.0 * t)  # s = 1 - e^{-2t}
+        image._rho, image._s0 = self._rho * np.exp(-t), self._s0 + self._rho**2 * s
+        image.beta = np.exp(-2.0 * t) * self.beta / (1.0 + s * self.beta)
+        return image
 
     def closed_heat_at(self, x) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
         """The cosines cos(j theta - j pi/2) and the derivatives
         -j sin(j theta - j pi/2) at x, computed once; each bandwidth s is
         then one weighted sum over j of each."""
-        theta = self._theta(x)
-        j = np.arange(len(self._weights))
-        phase = np.multiply.outer(j, theta.ravel() - 0.5 * np.pi)  # (J + 1, points)
-        trig = np.stack([np.cos(phase), -j[:, None] * np.sin(phase)], 1)  # (J + 1, 2, points)
-        decay = -0.5 * self._k2 * j * j
+        theta, phase = self._phase(x)
+        trig = np.stack([np.cos(phase), -self._j[:, None] * np.sin(phase)], 1)  # (J + 1, 2, points)
 
         def at(s: float) -> tuple[np.ndarray, np.ndarray]:
-            c = self._weights * np.exp(s * decay)
             # einsum adds each point's terms in order of j, so a point's
             # bits do not depend on how many points the call holds, as a
             # BLAS gemv's do; the pair axis keeps one point off einsum's
             # dot kernel, which sums in another order
-            sums = np.einsum("j,jkp->kp", c, trig)
-            a = sums[0]  # P_s e^{eps sin} / I_0, positive
-            k = np.log(a) - self._log_z_over_i0
-            return k.reshape(theta.shape), (sums[1] / a * self.wave[0]).reshape(theta.shape + (1,))
+            sums = np.einsum("j,jkp->kp", self._weights_at(s), trig)
+            k = np.log(sums[0]) - self._log_z_over_i0
+            v = sums[1] / sums[0] * self.wave[0] * self._rho
+            return k.reshape(theta.shape), v.reshape(theta.shape + (1,))
 
         return at
 

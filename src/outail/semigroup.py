@@ -2,11 +2,9 @@
 
 Values are carried in log scale internally and exponentiated only at API
 boundaries (thresholds r up to e^16 overflow otherwise).  Every family has a
-closed heat transform, ``closed_heat_at``, so no heat kernel runs here.
-``ou_image`` is the one place that decides how Q_t f is represented: as a
-density, the family's in-family OU image when it has one, else Mehler's
-formula over the family's heat transform; ``ou_log``, Mehler on the
-Gauss-Hermite rule, is the quadrature reference.
+closed heat transform, ``closed_heat_at``, so no heat kernel runs here, and
+an in-family OU image, ``closed_ou``, which ``ou_image`` returns; ``ou_log``,
+Mehler's formula on the Gauss-Hermite rule, is the quadrature reference.
 Monte Carlo carries an explicit seed and reduces deterministically.
 """
 
@@ -26,9 +24,6 @@ from .reports import BoundReport
 DEFAULT_NODES = 64
 # Slack of the hypercontractivity comparison, relative to ||f||_p.
 HYPER_REL_TOL = 1e-8
-# Largest dimension of the hypercontractivity check: ||Q_t f||_q evaluates
-# log Q_t f at all 64**dim nodes of the rule.
-HYPER_MAX_DIM = 2
 
 
 @lru_cache(maxsize=None)
@@ -57,33 +52,10 @@ def ou_log(density: DensityModel, t: float, x, rule: Optional[QuadratureRule] = 
 
 def ou_image(density: DensityModel, t: float) -> DensityModel:
     """Q_t f as a density relative to gamma_n: f itself at t = 0, else the
-    family's in-family image ``closed_ou(t)``, else ``_MehlerImage`` over
-    its ``closed_heat_at``."""
+    family's in-family image ``closed_ou(t)``."""
     if t < 0:
         raise ValueError("OU time must be >= 0")
-    if t == 0.0:
-        return density
-    if density.closed_ou is not None:
-        return density.closed_ou(t)
-    return _MehlerImage(density, t)
-
-
-class _MehlerImage(DensityModel):
-    """Q_t f(x) = P_{1 - e^{-2t}} f(e^{-t} x) by Mehler's formula, log only.
-
-    If Hess log f >= -beta, then Hess log Q_t f >= -beta_t with
-    beta_t = e^{-2t} beta / (1 + (1 - e^{-2t}) beta), by the Cramer-Rao bound
-    on the heat posterior; a Gaussian mixture's image attains it.
-    """
-
-    def __init__(self, density: DensityModel, t: float):
-        self._density = density
-        self._s, self._rho = -np.expm1(-2.0 * t), np.exp(-t)
-        self.dim, self.name = density.dim, density.name
-        self.beta = np.exp(-2.0 * t) * density.beta / (1.0 + self._s * density.beta)
-
-    def log_f(self, x) -> np.ndarray:
-        return self._density.closed_heat_at(self._rho * x)(self._s)[0]
+    return density if t == 0.0 else density.closed_ou(t)
 
 
 def nelson_exponent(p: float, t: float) -> float:
@@ -106,8 +78,6 @@ def hypercontractivity_check(density: DensityModel, p: float, t: float) -> Bound
     ``ou_image``; the report passes when the smoothed norm does not exceed
     the raw norm beyond ``HYPER_REL_TOL``.
     """
-    if density.dim > HYPER_MAX_DIM:
-        raise ValueError(f"norm quadrature limited to dim <= {HYPER_MAX_DIM}")
     rule = default_rule(density.dim)
     q = nelson_exponent(p, t)
     lhs = np.exp(log_lp_norm(ou_image(density, t).log_f, q, rule))

@@ -6,7 +6,7 @@ there), the benchmark (``perfbench/*.py``, which rebinds functions by name)
 or the acceptance suite, following the names each reached definition
 mentions.  Imports are not references.  The same holds one level down: every
 public method, property, annotated (dataclass or NamedTuple) field and plain
-class attribute (``closed_ou = None``) of a reached class must be read as an
+class attribute (``closed_tail = None``) of a reached class must be read as an
 attribute (``x.name``) somewhere in that reached code; an allowed class is
 not reached, so its members are not checked.  A name that only the unit
 tests call belongs in the tests.

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from outail import cli, foellmer, semigroup, verify
+from outail import cli, foellmer, verify
 from outail.cli import (
     CHECK_TOKENS,
     CONFIG_KEYS,
@@ -161,9 +161,11 @@ class TestConfigParsing:
         ("spread = 0.5", "spread = 1e-5", "family"),
         ("spread = 0.5", "spread = 0.01", "family"),
         ("means = -1, 1\nspread = 0.5", "means = -1, 0; 1, 0\nspread = 1e-3", "family"),
-        # the entropy check integrates on a rule that stops at dim 3
+        # the entropy and hyper checks integrate on a rule that stops at dim 3
         (GOOD_CONFIG[GOOD_CONFIG.index("means"):GOOD_CONFIG.index("\nout")],
          "means = -1, 0, 0, 0; 1, 0, 0, 0\nchecks = energy, entropy", "checks"),
+        (GOOD_CONFIG[GOOD_CONFIG.index("means"):GOOD_CONFIG.index("\nout")],
+         "means = -1, 0, 0, 0; 1, 0, 0, 0\nchecks = tail, hyper", "checks"),
     ], ids=["beta", "means", "duplicate_r", "rejected_by_family", "paths_not_int",
             "steps_not_int", "seed_not_int", "dim_not_int", "dim_mismatch", "too_few_steps",
             "negative_seed",
@@ -172,7 +174,7 @@ class TestConfigParsing:
             "seed_2_128", "sine_beta_inf", "sine_log_z_nan", "tilt_half_square_inf",
             "tilt_2d_norm_inf", "tilt_points", "wave_points", "weights_points", "mixture_beta_inf",
             "mixture_not_normalized", "mixture_residual_0.53", "mixture_2d_not_normalized",
-            "entropy_above_quadrature_dim"])
+            "entropy_above_quadrature_dim", "hyper_above_quadrature_dim"])
     def test_bad_value_names_field(self, tmp_path, old, new, field):
         text = GOOD_CONFIG.format(out=tmp_path).replace(old, new)
         with pytest.raises(ConfigError) as exc:
@@ -357,6 +359,30 @@ out = {out}
         assert summary["worst_margin"] is None
         assert [row["margin"] for row in summary["rows"]] == [None, None]
 
+    def test_mixture_at_large_t_runs(self, tmp_path):
+        """At t = 20 the default mixture's OU image has spread 1 to the last
+        bit, the mixture of tilts; the run writes its rows and exits 0."""
+        assert build_density(parse_config(write_cfg(
+            tmp_path, "[experiment]\nfamily = mixture\n"))).closed_ou(20.0).spread == 1.0
+        cfg = write_cfg(tmp_path, "[experiment]\nfamily = mixture\nt = 20\n"
+                                  "checks = tail, hessian, hyper\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+        with (tmp_path / "report.csv").open() as fh:
+            names = [row["name"] for row in csv.DictReader(fh)]
+        assert names == ["tail_markov"] * 3 + ["tail_curve_ceiling", "log_hessian_floor",
+                                               "hypercontractivity"]
+
+    def test_3d_mixture_hyper_writes_rows(self, tmp_path):
+        """``hyper`` integrates on the tensor rule, so it runs wherever
+        ``entropy`` does: a 3-D mixture writes one row per positive t."""
+        cfg = write_cfg(tmp_path, "[experiment]\nfamily = mixture\nmeans = -1, 0, 0; 1, 0.5, 0\n"
+                                  "checks = hyper, hessian\nt = 0, 0.5, 1\n")
+        rows = collect_rows(parse_config(cfg))
+        assert [(row.name, row.t, row.dim) for row in rows] == [
+            ("hypercontractivity", 0.5, 3), ("hypercontractivity", 1.0, 3),
+            ("log_hessian_floor", 0.5, 3), ("log_hessian_floor", 1.0, 3)]
+        assert all(row.passed for row in rows)
+
     def test_ceiling_half_width_in_ratio_units(self, tmp_path):
         """The ceiling's half-width is the largest tail half-width times its
         row's factor r sqrt(log r) min(1, t), the factor of its estimate."""
@@ -378,18 +404,18 @@ paths = 20000
         assert ceiling.ci_half_width == pytest.approx(
             max(row.ci_half_width * f for row, f in zip(tails, factors)))
 
-    @pytest.mark.parametrize("family, per_t", [
-        ("sine", lambda t: SinePerturbationDensity if t == 0 else semigroup._MehlerImage),
-        ("mixture", lambda t: MixtureDensity),
-    ])
+    @pytest.mark.parametrize("family, image", [
+        ("sine", SinePerturbationDensity),
+        ("mixture", MixtureDensity),
+    ], ids=["sine", "mixture"])
     def test_tail_evaluates_the_level_set_grid_once_per_t(self, tmp_path, monkeypatch,
-                                                          family, per_t):
+                                                          family, image):
         """A ``tail`` run with 8 thresholds evaluates log Q_t f on the
-        level-set grid once per t: f itself at t = 0, else the sine's Mehler
-        image or the mixture's ``closed_ou``.  Only grid-sized inputs count;
-        the bisection evaluates the midpoints of the brackets."""
+        level-set grid once per t: f itself at t = 0, else the family's
+        ``closed_ou``.  Only grid-sized inputs count; the bisection
+        evaluates the midpoints of the brackets."""
         grid_calls = []
-        for cls in (SinePerturbationDensity, semigroup._MehlerImage, MixtureDensity):
+        for cls in (SinePerturbationDensity, MixtureDensity):
             def counted(self, x, cls=cls, log_f=cls.log_f):
                 if np.size(x) == LEVEL_SET_GRID:
                     grid_calls.append(cls)
@@ -401,7 +427,7 @@ paths = 20000
                 "r = e0.01, e0.03, e0.08, e0.2, e0.45, e1, e4, e16\n")
         rows = collect_rows(parse_config(write_cfg(tmp_path, text)))
         assert [row.name for row in rows].count("tail_markov") == 8 * len(t_values)
-        assert grid_calls == [per_t(t) for t in t_values]
+        assert grid_calls == [image] * len(t_values)
 
     @pytest.mark.parametrize("params", [
         "family = tilt\nu = 1.3, 0.7",
@@ -445,19 +471,19 @@ paths = 20000
         assert {"entropy_identity_gap", "hypercontractivity"} <= {row["name"] for row in rows_1}
 
     @pytest.mark.parametrize("family, image", [
-        ("sine", semigroup._MehlerImage),
+        ("sine", SinePerturbationDensity),
         ("mixture", MixtureDensity),
     ])
     def test_hessian_evaluates_the_image_once_per_t(self, tmp_path, monkeypatch, family, image):
         """A ``hessian`` run over three t calls the image's log_f once per t,
-        on the stencils of every probe: the sine's Mehler image or the
-        mixture's ``closed_ou``.  The config is parsed before counting, so
-        its normalization check on the rule nodes does not count."""
+        on the stencils of every probe: the image is the family's
+        ``closed_ou``.  The config is parsed before counting, so its
+        normalization check on the rule nodes does not count."""
         t_values = (0.1, 0.5, 1.0)
         cfg = parse_config(write_cfg(tmp_path, f"[experiment]\nfamily = {family}\nchecks = hessian\n"
                                                f"t = {', '.join(map(str, t_values))}\n"))
         calls = []
-        for cls in (SinePerturbationDensity, semigroup._MehlerImage, MixtureDensity):
+        for cls in (SinePerturbationDensity, MixtureDensity):
             def counted(self, x, cls=cls, log_f=cls.log_f):
                 calls.append(cls)
                 return log_f(self, x)

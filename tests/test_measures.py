@@ -8,7 +8,9 @@ from hypothesis.extra import numpy as hnp
 from outail.errors import DimensionMismatchError, NonFiniteValueError
 from outail.foellmer import DriftField
 from outail.measures import (
+    FAMILIES,
     SERIES_TOL,
+    DensityModel,
     MixtureDensity,
     SinePerturbationDensity,
     TiltDensity,
@@ -74,26 +76,23 @@ class TestBetaProbe:
         assert margin == pytest.approx(-1.0, abs=1e-5)
 
     def test_mixture_ou_image_has_exact_certificate(self):
-        # the image's beta is 1/s_t - 1, and the Mehler image's beta_t of
-        # the same mixture without its closed image equals it
-        from outail.semigroup import ou_image
+        # the image is Q_t f, its beta is 1/s_t - 1, and that is the beta_t
+        # which smoothing certifies for any f with the mixture's beta
+        from outail.semigroup import ou_log
         from outail.verify import HESSIAN_PROBES, tail_probability
 
-        class ClosedOuHidden(MixtureDensity):
-            closed_ou = None
-
         mix = MixtureDensity([0.5, 0.5], [-1.0, 1.0], 0.5)
-        hidden = ClosedOuHidden(mix.weights, mix.means, mix.spread)
+        x = HESSIAN_PROBES[:, None]
         for t in (0.02, 0.1, 0.5, 1.0, 3.0):
             for r in (1.1, 1.5, np.e):
                 tail_probability(mix, t, r)
             image = mix.closed_ou(t)
+            np.testing.assert_allclose(image.log_f(x), ou_log(mix, t, x), rtol=0, atol=1e-10)
             s_t = 1.0 + np.exp(-2.0 * t) * (mix.spread - 1.0)
             assert image.beta == pytest.approx(1.0 / s_t - 1.0, rel=1e-15)
             assert beta_probe(image, HESSIAN_PROBES) >= -1e-6
-            mehler = ou_image(hidden, t)
-            assert not isinstance(mehler, MixtureDensity)
-            assert mehler.beta == pytest.approx(image.beta, rel=1e-14)
+            beta_t = np.exp(-2.0 * t) * mix.beta / (1.0 - np.expm1(-2.0 * t) * mix.beta)
+            assert beta_t == pytest.approx(image.beta, rel=1e-14)
 
     def test_nonfinite_probe_rejected(self):
         with pytest.raises(NonFiniteValueError):
@@ -182,9 +181,27 @@ class TestMixtureValidation:
             MixtureDensity([0.5, 0.6], [-1.0, 1.0], 0.5)
 
     def test_spread_bounds(self):
-        for bad in (0.0, 1.0, 1.5, -0.2, 5e-324):  # 1/5e-324 overflows
+        for bad in (0.0, np.nextafter(1.0, 2.0), 1.5, -0.2, 5e-324):  # 1/5e-324 overflows
             with pytest.raises(ValueError):
                 MixtureDensity([1.0], [0.0], bad)
+
+    def test_spread_one_is_the_tilt_mixture(self, heat_kernel):
+        """Spread 1, the limit of every OU image, is sum_j w_j
+        e^{a_j x - a_j^2 / 2}: beta 0, the heat image multiplies each tilt
+        by e^{s a_j^2 / 2}, and the OU image stays at spread 1."""
+        w, a = np.array([0.3, 0.7]), np.array([-1.2, 0.8])
+        mix, x = MixtureDensity(w, a, 1.0), np.linspace(-4.0, 4.0, 17)[:, None]
+        assert mix.beta == 0.0
+        for s in (0.0, 0.4, 1.0):
+            logs = np.log(w) + a * x - 0.5 * a**2 + 0.5 * s * a**2  # (points, J)
+            p = np.exp(logs - logsumexp(logs, axis=1, keepdims=True))
+            k, v = mix.closed_heat_at(x)(s) if s else (mix.log_f(x), mix.grad_log_f(x))
+            np.testing.assert_allclose(k, logsumexp(logs, axis=1), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(v[:, 0], p @ a, rtol=0, atol=1e-13)
+        image = mix.closed_ou(0.5)
+        assert image.spread == 1.0 and np.array_equal(image.means[:, 0], a * np.exp(-0.5))
+        k_q = heat_kernel(mix, 0.4, x, RULE64)[0]
+        np.testing.assert_allclose(mix.closed_heat_at(x)(0.4)[0], k_q, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("mix", [
         MixtureDensity([0.5, 0.5], [-1.0, 1.0], 0.5),
@@ -329,7 +346,9 @@ class TestSineFamily:
     TiltDensity([1.3]),
     MixtureDensity([0.2, 0.3, 0.5], [[-1.3, 0.4], [0.9, -0.2], [0.1, 1.1]], 0.6),
     SinePerturbationDensity(0.3, [2.0]),
-], ids=["tilt1d", "mixture2d", "sine1d"])
+    SinePerturbationDensity(0.3, [2.0]).closed_ou(0.5),
+    MixtureDensity([0.2, 0.3, 0.5], [[-1.3, 0.4], [0.9, -0.2], [0.1, 1.1]], 0.6).closed_ou(0.5),
+], ids=["tilt1d", "mixture2d", "sine1d", "sine1d_ou", "mixture2d_ou"])
 def test_values_do_not_depend_on_the_batch(density):
     """log f, grad log f and the closed heat form at each point equal one
     call over all points, bit for bit, in batches of 1, 2 and 7: the drift
@@ -343,3 +362,12 @@ def test_values_do_not_depend_on_the_batch(density):
         for n in (1, 2, 7):
             parts = np.concatenate([fn(x[i:i + n]) for i in range(0, len(x), n)])
             np.testing.assert_array_equal(parts, whole)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_family_implements_the_density_contract(name):
+    """Each registered family overrides every required method: log f, its
+    gradient, the closed heat form and the in-family OU image."""
+    cls = FAMILIES[name].build
+    for method in ("log_f", "grad_log_f", "closed_heat_at", "closed_ou"):
+        assert getattr(cls, method) is not getattr(DensityModel, method), method

@@ -73,7 +73,7 @@ class TestOuApply:
         assert abs(mc - quad) <= 3.0 * se
 
     def test_closed_form_unavailable(self):
-        assert SINE.closed_ou is None and SINE.closed_tail is None
+        assert SINE.closed_tail is None and not ou_image(SINE, 0.5).has_closed_tail
 
     @pytest.mark.parametrize("density", [TiltDensity([2.0]), MIX, SINE], ids=["tilt", "mixture", "sine"])
     def test_time_zero_is_log_f(self, density, rng):
@@ -88,6 +88,58 @@ class TestOuApply:
         a = ou_apply_mc(MIX, 0.3, x, 10**4, seed=9)
         b = ou_apply_mc(MIX, 0.3, x, 10**4, seed=9)
         assert a == b
+
+
+FAMILY_MEMBERS = [TiltDensity([2.0]), MIX, SINE]
+FAMILY_IDS = ["tilt", "mixture", "sine"]
+
+
+class TestOuImage:
+    """``ou_image`` is the family's ``closed_ou``: a full density of the
+    family, checked against the quadrature reference ``ou_log``."""
+
+    @pytest.mark.parametrize("density", FAMILY_MEMBERS, ids=FAMILY_IDS)
+    @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
+    def test_image_matches_quadrature_and_its_gradient(self, density, t):
+        image, x = ou_image(density, t), np.linspace(-4.0, 4.0, 33)[:, None]
+        assert type(image) is type(density)
+        np.testing.assert_allclose(image.log_f(x), ou_log(density, t, x), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(image.grad_log_f(x), fd_gradient(image.log_f, x),
+                                   rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("density", FAMILY_MEMBERS, ids=FAMILY_IDS)
+    @pytest.mark.parametrize("a, b", [(0.1, 0.4), (0.7, 1.3)])
+    def test_images_compose(self, density, a, b):
+        """Q_b Q_a f = Q_{a+b} f: log f, its gradient and beta."""
+        twice, once = density.closed_ou(a).closed_ou(b), density.closed_ou(a + b)
+        x = np.linspace(-5.0, 5.0, 41)[:, None]
+        np.testing.assert_allclose(twice.log_f(x), once.log_f(x), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(twice.grad_log_f(x), once.grad_log_f(x), rtol=0, atol=1e-13)
+        assert twice.beta == pytest.approx(once.beta, rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("density", FAMILY_MEMBERS, ids=FAMILY_IDS)
+    @pytest.mark.parametrize("t", [0.1, 1.0])
+    def test_image_heat_form_matches_the_heat_kernel(self, density, t, heat_kernel):
+        """P_s Q_t f by the image's ``closed_heat_at`` against Gauss-Hermite
+        quadrature of the image's own log f."""
+        image, x = ou_image(density, t), np.linspace(-3.0, 3.0, 13)[:, None]
+        for s in (1.0, 0.3, 0.01):
+            k, v = image.closed_heat_at(x)(s)
+            k_q, v_q = heat_kernel(image, s, x, RULE)
+            np.testing.assert_allclose(k, k_q, rtol=0, atol=1e-11)
+            np.testing.assert_allclose(v, v_q, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("t", [0.02, 0.5, 3.0])
+    def test_sine_image_log_f_is_mehler_bit_for_bit(self, t, rng):
+        """The smoothed sine's log f is its heat form at s = 0, cosine sum
+        alone, with the bits of Mehler's P_{1 - e^{-2t}} f(e^{-t} x) over
+        f's heat form, at any batch size."""
+        image, x = SINE.closed_ou(t), rng.normal(size=(40, 1)) * 4.0
+        mehler = SINE.closed_heat_at(np.exp(-t) * x)(-np.expm1(-2.0 * t))[0]
+        assert np.array_equal(image.closed_heat_at(x)(0.0)[0], mehler)
+        for n in (1, 3, 40):
+            parts = np.concatenate([image.log_f(x[i:i + n]) for i in range(0, len(x), n)])
+            assert np.array_equal(parts, mehler)
 
 
 class TestHeatApply:

@@ -170,8 +170,8 @@ class TestSuperlevelMass:
 
     @pytest.mark.parametrize("density", [MIX, SINE], ids=["mixture", "sine"])
     def test_ou_images_match_scalar_brentq(self, density):
-        """On the ``analytic`` t and log r grid, the OU images: the
-        mixture's in-family image and the sine's Mehler image."""
+        """On the ``analytic`` t and log r grid, the OU images: each
+        family's in-family image ``closed_ou``."""
         for t in ANALYTIC_T:
             image = ou_image(density, t)
             got = superlevel_gamma_mass(image.log_f, ANALYTIC_LOG_R)
