@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import csv
 import functools
 import io
@@ -289,14 +288,12 @@ def _needs_paths(cfg: ExperimentConfig) -> bool:
     return any(tok in _NEEDS_PATHS for tok in cfg.checks)
 
 
-def _batch_job(cfg: ExperimentConfig, chunk_paths: int | None) -> tuple:
-    """The ``simulate_batch`` arguments of a config's path batch."""
-    return build_density(cfg), PathConfig(cfg.steps, cfg.seed), cfg.paths, cfg.r_values, chunk_paths
-
-
 def _family_batch(cfg: ExperimentConfig, chunk_paths: int | None = None) -> BatchStats | None:
     """The config's path batch on its own, or None when no check reads paths."""
-    return verify.simulate_batch(*_batch_job(cfg, chunk_paths)) if _needs_paths(cfg) else None
+    if not _needs_paths(cfg):
+        return None
+    return verify.simulate_batch(build_density(cfg), PathConfig(cfg.steps, cfg.seed), cfg.paths,
+                                 cfg.r_values, chunk_paths)
 
 
 def collect_rows(cfg: ExperimentConfig, stats: BatchStats | None = None) -> list[BoundReport]:
@@ -481,29 +478,22 @@ def verify_all(
     chunk_paths: int | None = None,
 ) -> RunResult:
     """Default experiment matrix: every family, check, t, and r.  Every
-    config is checked before the first simulation starts, and all batches
-    run through one ``simulate_batches`` pipeline, so the next family's
-    first chunk is drawn while this family's checks run.  Family k in name
-    order runs with seed + k, so every one of those seeds must be below
-    ``SEED_LIMIT``."""
-    last = len(FAMILIES) - 1
-    if not 0 <= seed < SEED_LIMIT - last:
-        raise ConfigError("seed", f"verify-all seeds its families with seed, ..., "
-                                  f"seed + {last}, so seed must lie in [0, 2**128 - {last})")
+    config is checked before the first simulation starts.  Every family
+    runs with ``seed``, on the same paths: one ``simulate_batches`` call
+    draws each chunk of normals once and steps it for every family."""
     cfgs = [
-        ExperimentConfig(name, FAMILIES[name].defaults, paths=paths, steps=steps, seed=seed + offset)
-        for offset, name in enumerate(sorted(FAMILIES))
+        ExperimentConfig(name, FAMILIES[name].defaults, paths=paths, steps=steps, seed=seed)
+        for name in sorted(FAMILIES)
     ]
     out = _out_dir(out_dir)
+    jobs = [(build_density(cfg), cfg.r_values) for cfg in cfgs if _needs_paths(cfg)]
+    batches = iter(simulate_batches(PathConfig(steps, seed), paths, jobs, chunk_paths))
     rows, diagnostics = [], {}
-    jobs = [_batch_job(cfg, chunk_paths) for cfg in cfgs if _needs_paths(cfg)]
-    with contextlib.closing(simulate_batches(jobs)) as batches:
-        for cfg in cfgs:
-            stats = next(batches) if _needs_paths(cfg) else None
-            rows.extend(collect_rows(cfg, stats))
-            if stats is not None:
-                diagnostics[cfg.family] = passage_diagnostics(stats)
-            del stats  # not held while the next batch simulates
+    for cfg in cfgs:
+        stats = next(batches) if _needs_paths(cfg) else None
+        rows.extend(collect_rows(cfg, stats))
+        if stats is not None:
+            diagnostics[cfg.family] = passage_diagnostics(stats)
     return write_reports(rows, out, "verify_all", seed, diagnostics)
 
 

@@ -34,21 +34,21 @@ path keeps how many of the sorted thresholds it has passed and the next
 log r, so a step makes one comparison per path, and only the paths that
 crossed are frozen, by index, for every threshold they jumped.
 
-A run is one draw pipeline: ``simulate_batches`` takes every batch of the
-run (``verify-all`` has one per family) and yields their ``BatchStats`` in
-order; ``simulate_batch`` is its one-batch case.  A batch runs in chunks of
-at most ``NORMALS_BUDGET_WORDS`` normals, held step-major as Brownian
-increments, so the loop reads one contiguous row per step.  The chunks of
-all batches form one queue for two worker threads, which draw each chunk as
-two path halves, each one ``path_normals`` call that writes sqrt(1/m) times
-the normals into its view of the chunk: a batch's first chunk while the
-calling thread builds the batch's drift tables, every other chunk while the
-one before it steps.  A draw writes its uniforms first and then turns them
-into normals one tile of steps at a time, reporting each tile, and the step
-loop waits only when it reaches a step that a half has not reported: a
-chunk starts stepping once its uniforms are in place, not once it is drawn.
-So batch k+1's first chunk is drawn while batch k steps its last chunk and
-the caller checks it, and at most two chunks are held at once.
+A run is one draw: ``simulate_batches`` takes one ``PathConfig``, one path
+count and every batch of the run (``verify-all`` has one per family, all of
+one dim) and returns their ``BatchStats`` in order; ``simulate_batch`` is its
+one-batch case.  Every batch of a run is driven by the same normals (common
+random numbers), so each chunk of paths is drawn once, stepped for every
+batch and dropped before the next is drawn: one chunk is held at a time.  A
+chunk holds at most ``NORMALS_BUDGET_WORDS`` normals, step-major as Brownian
+increments, so the loop reads one contiguous row per step.  Two worker
+threads draw it as two path halves, each one ``path_normals`` call that
+writes sqrt(1/m) times the normals into its view of the chunk; the first
+chunk is drawn while the calling thread builds the drift tables.  A draw
+writes its uniforms first and then turns them into normals one tile of
+steps at a time, reporting each tile, and the step loop waits only when it
+reaches a step that a half has not reported: a chunk starts stepping once
+its uniforms are in place, not once it is drawn.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -71,8 +71,8 @@ MIN_STEPS = 100
 DRIFT_GRID_POINTS = 2048
 DRIFT_GRID_HALFWIDTH = 12.0
 CHECKPOINT_TIMES = (0.25, 0.5, 0.75)
-# Normals drawn per chunk of paths (float64 words, 128 MiB); with the next
-# chunk drawn while one steps, two such buffers are alive at once.
+# Normals drawn per chunk of paths (float64 words, 128 MiB); every batch of a
+# run steps the same chunk, and one such buffer is alive at a time.
 NORMALS_BUDGET_WORDS = 1 << 24
 MIN_CHUNK_PATHS = 256
 
@@ -243,28 +243,17 @@ def _path_arrays(n_paths: int, dim: int, n_thresholds: int):
 
 
 class _Batch:
-    """One batch of a run: the checked arguments of ``simulate_batch`` and
-    its chunk layout.  ``begin`` allocates the outputs and builds the drift
+    """One batch of a run: a density and its checked thresholds on the
+    run's paths.  ``begin`` allocates the outputs and builds the drift
     tables, ``step`` runs one chunk of paths, and ``finish`` hands the
     outputs over as ``BatchStats`` and drops the tables."""
 
-    def __init__(
-        self,
-        density: DensityModel,
-        cfg: PathConfig,
-        n_paths: int,
-        r_values: Sequence[float] = (),
-        chunk_paths: Optional[int] = None,
-    ):
+    def __init__(self, density: DensityModel, cfg: PathConfig, n_paths: int,
+                 r_values: Sequence[float]):
         self.r_values = tuple(sorted({float(r) for r in r_values}))
         if any(r <= 1.0 for r in self.r_values):
             raise ValueError("all thresholds must exceed 1")
-        if n_paths < 1:
-            raise ValueError(f"need at least one path, got {n_paths}")
-        if chunk_paths is not None and chunk_paths < 1:
-            raise ValueError(f"chunk_paths must be at least 1, got {chunk_paths}")
         self.density, self.cfg, self.n_paths = density, cfg, n_paths
-        self.chunk = chunk_paths or _chunk_size(n_paths, cfg.steps, density.dim)
         self.log_rs = np.array([np.log(r) for r in self.r_values])
         self.cp_idx = {tc: int(round(tc * cfg.steps)) for tc in CHECKPOINT_TIMES}
 
@@ -318,71 +307,77 @@ def simulate_batch(
     nodes nearest ``CHECKPOINT_TIMES``.  Results are bit-identical for any
     ``chunk_paths``.
     """
-    (stats,) = simulate_batches([(density, cfg, n_paths, r_values, chunk_paths)])
+    (stats,) = simulate_batches(cfg, n_paths, [(density, r_values)], chunk_paths)
     return stats
 
 
-def simulate_batches(jobs: Iterable[tuple]) -> Iterator[BatchStats]:
-    """Yield the BatchStats of each job, in order; a job is the argument
-    tuple (density, cfg, n_paths[, r_values[, chunk_paths]]) of
-    ``simulate_batch``.
+def simulate_batches(
+    cfg: PathConfig,
+    n_paths: int,
+    jobs: Sequence[tuple[DensityModel, Sequence[float]]],
+    chunk_paths: Optional[int] = None,
+) -> list[BatchStats]:
+    """The BatchStats of each job (density, r_values), in order, all on
+    paths [0, n_paths) of ``cfg``: each equals the job's own
+    ``simulate_batch(density, cfg, n_paths, r_values, chunk_paths)``, bit
+    for bit.
 
-    Every job is checked before the first draw.  The chunks of all jobs form
-    one queue for two worker threads, which draw each chunk as two path
-    halves: the first chunk while this thread builds the first batch's drift
-    tables, and each later one while the chunk before it steps.  A chunk
-    steps as its halves report tiles of steps, so its stepping overlaps the
-    end of its own draw.  The first chunk of batch k+1 is thus drawn while
-    batch k steps its last chunk and while the caller works on the yielded
-    batch k; at most two chunks are held at once.  An error in a draw
-    propagates, before any step it did not report is taken, once the
-    workers are joined.  The workers are joined when the generator ends or
-    is closed, so a caller that may stop early closes it
-    (``contextlib.closing``).
+    Every job is checked before the first draw, and the densities must
+    share one dim.  Each chunk is drawn once, by two worker threads as two
+    path halves, the first while this thread builds every batch's drift
+    tables; the chunk is stepped for every batch, starting as its halves
+    report tiles of steps, and dropped before the next chunk is drawn, so
+    one chunk is held at a time.  The last chunk done, every batch hands
+    over its stats and drops its tables.  An error in a draw propagates
+    before any step it did not report is taken; the workers are joined
+    before the call returns or raises.
     """
-    batches = [_Batch(*job) for job in jobs]
-    chunks = [(b, start) for b in batches for start in range(0, b.n_paths, b.chunk)]
+    if n_paths < 1:
+        raise ValueError(f"need at least one path, got {n_paths}")
+    if chunk_paths is not None and chunk_paths < 1:
+        raise ValueError(f"chunk_paths must be at least 1, got {chunk_paths}")
+    batches = [_Batch(density, cfg, n_paths, r_values) for density, r_values in jobs]
+    dims = sorted({b.density.dim for b in batches})
+    if len(dims) > 1:
+        raise ValueError(f"the batches of a run share their paths, so one dim; got dims {dims}")
+    if not batches:
+        return []
+    dim = dims[0]
+    size = chunk_paths or _chunk_size(n_paths, cfg.steps, dim)
     with ThreadPoolExecutor(max_workers=2) as pool:
-        pending = _Chunk(pool, *chunks[0]) if chunks else None
-        for j, (b, start) in enumerate(chunks):
+        for start in range(0, n_paths, size):
+            chunk = _Chunk(pool, cfg, dim, start, min(size, n_paths - start))
             if start == 0:
-                b.begin()
-            chunk = pending
-            # each chunk's halves are under way before the next chunk's queue
-            # behind them, and before the chunk ahead of them is dropped
-            chunk.started()
-            pending = _Chunk(pool, *chunks[j + 1]) if j + 1 < len(chunks) else None
-            b.step(start, chunk.incs, chunk.ready)
-            if pending is not None:
-                pending.started()
-            del chunk  # no chunk but the next is held while the caller works
-            if start + b.chunk >= b.n_paths:
-                yield b.finish()
+                for b in batches:
+                    b.begin()
+            for b in batches:
+                b.step(start, chunk.incs, chunk.ready)
+            del chunk  # dropped before the next chunk is allocated
+    return [b.finish() for b in batches]
 
 
 class _Chunk:
-    """The step-major Brownian increments (m, paths, dim) of the chunk of
-    batch ``b`` that starts at path ``start``, drawn on ``pool`` as two path
-    halves.  Each half is one ``path_normals`` call that writes sqrt(1/m)
-    times the normals into its view of ``incs`` and reports each finished
-    tile of steps.
+    """The step-major Brownian increments (m, c, dim) of paths
+    [start, start + c) under ``cfg``, drawn on ``pool`` as two path halves.
+    Each half is one ``path_normals`` call that writes sqrt(1/m) times the
+    normals into its view of ``incs`` and reports each finished tile of
+    steps.
 
     A half whose call has ended counts as holding every step, also when it
     raised or never reported, so a wait cannot hang; ``ready`` then reads
     its result, which raises a draw's error before its rows are stepped.
     """
 
-    def __init__(self, pool: ThreadPoolExecutor, b: _Batch, start: int):
-        m, n = b.cfg.steps, b.density.dim
-        c = min(b.chunk, b.n_paths - start)
-        self.incs = np.empty((m, c, n))
+    def __init__(self, pool: ThreadPoolExecutor, cfg: PathConfig, dim: int, start: int, c: int):
+        m = cfg.steps
+        self.incs = np.empty((m, c, dim))
         self._m = m
         self._cond = threading.Condition()
         by_path = self.incs.transpose(1, 0, 2)
         halves = [(lo, hi) for lo, hi in ((0, c // 2), (c // 2, c)) if hi > lo]
         self._steps = [-1] * len(halves)  # steps each half holds, -1 before it starts
         self._draws = [
-            pool.submit(self._fill, h, b.cfg.seed, start + lo, hi - lo, m, n, by_path[lo:hi])
+            pool.submit(self._fill, h, cfg.seed, start + lo, hi - lo, m, dim, by_path[lo:hi])
             for h, (lo, hi) in enumerate(halves)
         ]
 
@@ -396,11 +391,6 @@ class _Chunk:
             path_normals(seed, first, n_paths, m, n, out=out, scale=np.sqrt(1.0 / m), done=report)
         finally:
             report(m)
-
-    def started(self) -> None:
-        """Block until both halves have begun."""
-        with self._cond:
-            self._cond.wait_for(lambda: min(self._steps) >= 0)
 
     def ready(self, i: int) -> int:
         """Block until both halves hold step i; the steps both hold."""

@@ -25,11 +25,11 @@ def families():
 
 @pytest.fixture(scope="session")
 def batches(families):
-    """One 10^5-path batch per family, reused across every test that can."""
+    """One 10^5-path batch per family on the same paths, as ``verify-all``
+    runs them, reused across every test that can."""
     names = sorted(families)
-    jobs = [(families[name], PathConfig(STEPS, SEED + offset), N_PATHS, DEFAULT_R_GRID)
-            for offset, name in enumerate(names)]
-    return dict(zip(names, simulate_batches(jobs)))
+    jobs = [(families[name], DEFAULT_R_GRID) for name in names]
+    return dict(zip(names, simulate_batches(PathConfig(STEPS, SEED), N_PATHS, jobs)))
 
 
 @pytest.fixture(scope="session")

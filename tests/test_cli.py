@@ -202,18 +202,16 @@ class TestConfigParsing:
             ran[c.family] = c
             return []
 
-        def no_paths(batch_jobs):
+        def no_paths(path_cfg, n_paths, batch_jobs, chunk_paths=None):
             # the checks are recorded, not run, so no batch is simulated
-            for job in batch_jobs:
-                jobs.append(job)
-                yield None
+            jobs.extend((density, path_cfg, n_paths, r_values) for density, r_values in batch_jobs)
+            return [None] * len(batch_jobs)
 
         monkeypatch.setattr(cli, "collect_rows", record)
         monkeypatch.setattr(cli, "simulate_batches", no_paths)
-        verify_all(seed=DEFAULT_SEED - sorted(FAMILIES).index(name), out_dir=tmp_path,
-                   paths=DEFAULT_PATHS, steps=DEFAULT_STEPS)
+        verify_all(seed=DEFAULT_SEED, out_dir=tmp_path, paths=DEFAULT_PATHS, steps=DEFAULT_STEPS)
         assert ran[name] == cfg
-        density, path_cfg, n_paths, r_values, _ = jobs[sorted(FAMILIES).index(name)]
+        density, path_cfg, n_paths, r_values = jobs[sorted(FAMILIES).index(name)]
         assert (density.name, path_cfg, n_paths, r_values) == (
             name, PathConfig(cfg.steps, cfg.seed), cfg.paths, cfg.r_values)
 
@@ -776,9 +774,8 @@ class TestMainEntry:
         assert main(["run", str(wide), "--out", str(tmp_path)]) == 2
         assert "error: config field 'checks': 'entropy'" in capsys.readouterr().err
         assert drawn == []
-        # 2**128 - 1 reaches the limit at the second family, before any simulation
         for flag, value in (("--paths", "10"), ("--steps", "50"), ("--seed", "-1"),
-                            ("--seed", str(2**128)), ("--seed", str(2**128 - 1))):
+                            ("--seed", str(2**128))):
             assert main(["verify-all", flag, value, "--out", str(tmp_path)]) == 2
             assert f"'{flag[2:]}'" in capsys.readouterr().err
         # tail and sharpness report a bad value in the same format
@@ -823,20 +820,19 @@ class TestMainEntry:
         assert drawn
 
     def test_verify_all_seed_range_covers_every_family(self, tmp_path, capsys, monkeypatch):
-        """verify-all seeds family k with seed + k, so the largest seed it
-        takes puts the last family at 2**128 - 1, and the next is rejected
-        with the range it checks."""
-        last = len(FAMILIES) - 1
+        """verify-all runs every family with its own seed, so it takes any
+        seed of the 128-bit Philox key range, and the next is the ordinary
+        seed error."""
         seeds = []
         monkeypatch.setattr(cli, "collect_rows", lambda cfg, stats: seeds.append(cfg.seed) or [])
-        monkeypatch.setattr(cli, "simulate_batches", lambda jobs: (None for _ in jobs))
-        assert main(["verify-all", "--seed", str(2**128 - 1 - last), "--out", str(tmp_path)]) == 0
-        assert seeds[-1] == 2**128 - 1
+        monkeypatch.setattr(cli, "simulate_batches",
+                            lambda cfg, n_paths, jobs, chunk_paths=None: [None] * len(jobs))
+        assert main(["verify-all", "--seed", str(2**128 - 1), "--out", str(tmp_path)]) == 0
+        assert seeds == [2**128 - 1] * len(FAMILIES)
         capsys.readouterr()
-        assert main(["verify-all", "--seed", str(2**128 - last), "--out", str(tmp_path)]) == 2
+        assert main(["verify-all", "--seed", str(2**128), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert (f"config field 'seed': verify-all seeds its families with seed, ..., "
-                f"seed + {last}, so seed must lie in [0, 2**128 - {last})") in err
+        assert "config field 'seed': seed must lie in [0, 2**128)" in err
 
     def test_out_env_var_sets_the_default_directory(self, tmp_path, monkeypatch):
         """With neither --out nor an ``out`` key, reports go to $OUTAIL_OUT."""

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import gc
 import sys
@@ -478,6 +477,10 @@ class TestChunking:
 
 
 class TestPrefetch:
+    """The draw runs ahead of the step loop: the first chunk is drawn while
+    the drift tables build, and each chunk's tiles ahead of its steps.  An
+    error on either side propagates, and the workers are joined."""
+
     def test_step_error_propagates_and_joins_worker(self, monkeypatch):
         drawn = []
         draw = foellmer.path_normals
@@ -495,8 +498,8 @@ class TestPrefetch:
         with pytest.raises(RuntimeError, match="step failed"):
             simulate_batch(TILT, small_cfg(), 900, chunk_paths=300)
         assert threading.active_count() == before
-        # the halves of chunk 1, then those of chunk 2, drawn while chunk 1 failed
-        assert [sorted(drawn[:2]), sorted(drawn[2:])] == [[0, 150], [300, 450]]
+        # the halves of chunk 1 only: no chunk is drawn before the one ahead of it is dropped
+        assert sorted(drawn) == [0, 150]
 
     def test_draw_error_propagates_and_joins_worker(self, monkeypatch):
         draw = foellmer.path_normals
@@ -551,89 +554,98 @@ class TestPrefetch:
         assert built == []
 
 
-MIX2 = MixtureDensity([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], 0.5)
-# batches of different dims, chunk sizes and thresholds, with distinct seeds
-PIPELINE_JOBS = (
-    (TILT, small_cfg(128, seed=3), 700, (E, E**2), 300),
-    (MIX2, small_cfg(100, seed=4), 500, (E,), None),
-    (SINE, small_cfg(128, seed=5), 400, (), 128),
-)
+PIPELINE_CFG = small_cfg(100, seed=4)
+PIPELINE_PATHS = 2000
+# batches of one dim with different drift tables and thresholds
+PIPELINE_JOBS = ((TILT, (E, E**2)), (MIX, (1.05, E)), (SINE, ()))
 
 
-def assert_stats_equal(a, b):
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if f.name == "checkpoints":
-            assert x.keys() == y.keys()
-            assert all(np.array_equal(x[t], y[t]) for t in x)
-        elif f.name == "stopped":
-            assert x.keys() == y.keys()
-            for r in x:
-                for g in dataclasses.fields(x[r]):
-                    assert np.array_equal(getattr(x[r], g.name), getattr(y[r], g.name)), g.name
-        else:
-            assert np.array_equal(x, y), f.name
+def draw_spy(monkeypatch, fail_at=None):
+    """Record the first path of every ``path_normals`` call, raising for the
+    call whose first path is ``fail_at``."""
+    drawn = []
+
+    def spy(seed, first, *rest, **kw):
+        drawn.append(first)
+        if first == fail_at:
+            raise RuntimeError("draw failed")
+        return rng_module.path_normals(seed, first, *rest, **kw)
+
+    monkeypatch.setattr(foellmer, "path_normals", spy)
+    return drawn
 
 
 class TestPipeline:
+    """One ``simulate_batches`` call draws each chunk once, steps it for
+    every batch and drops it before the next chunk is drawn."""
+
     def test_run_equals_separate_batches(self):
-        before = threading.active_count()
-        with contextlib.closing(simulate_batches(PIPELINE_JOBS)) as batches:
-            run = list(batches)
-        assert threading.active_count() == before
-        assert len(run) == len(PIPELINE_JOBS)
-        for job, stats in zip(PIPELINE_JOBS, run):
-            assert_stats_equal(stats, simulate_batch(*job))
+        for chunk in (None, 384, 1000):
+            before = threading.active_count()
+            run = simulate_batches(PIPELINE_CFG, PIPELINE_PATHS, PIPELINE_JOBS, chunk)
+            assert threading.active_count() == before
+            assert len(run) == len(PIPELINE_JOBS)
+            for (density, r_values), stats in zip(PIPELINE_JOBS, run):
+                alone = simulate_batch(density, PIPELINE_CFG, PIPELINE_PATHS, r_values, chunk)
+                assert_same_batch(stats, alone)
+            assert (run[1].stopped[1.05].t_index < PIPELINE_CFG.steps).any()
+
+    def test_one_draw_per_chunk(self, monkeypatch):
+        """Two ``path_normals`` calls per chunk, one per half, whatever the
+        number of batches."""
+        drawn = draw_spy(monkeypatch)
+        halves = sorted(lo + h for lo in range(0, PIPELINE_PATHS, 384)
+                        for h in (0, min(384, PIPELINE_PATHS - lo) // 2))
+        for k in range(1, len(PIPELINE_JOBS) + 1):
+            drawn.clear()
+            simulate_batches(PIPELINE_CFG, PIPELINE_PATHS, PIPELINE_JOBS[:k], 384)
+            assert sorted(drawn) == halves and len(drawn) == 2 * 6
 
     def test_jobs_are_checked_before_any_draw(self, monkeypatch):
-        drawn = []
-        monkeypatch.setattr(foellmer, "path_normals", lambda *a, **kw: drawn.append(a))
+        drawn = draw_spy(monkeypatch)
         with pytest.raises(ValueError, match="thresholds must exceed 1"):
-            list(simulate_batches(PIPELINE_JOBS + ((TILT, small_cfg(), 10, (0.5,)),)))
+            simulate_batches(PIPELINE_CFG, 10, PIPELINE_JOBS + ((TILT, (0.5,)),))
         assert drawn == []
 
-    def test_check_error_joins_the_prefetching_workers(self, monkeypatch):
-        """An error in the caller's work on batch 0, while batch 1's first
-        chunk is being drawn, leaves no worker behind."""
-        draw = foellmer.path_normals
-        prefetching = threading.Event()
+    def test_dims_must_agree_before_any_draw(self, monkeypatch):
+        drawn = draw_spy(monkeypatch)
+        mix2 = MixtureDensity([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], 0.5)
+        with pytest.raises(ValueError, match=r"one dim; got dims \[1, 2\]"):
+            simulate_batches(PIPELINE_CFG, 10, PIPELINE_JOBS + ((mix2, (E,)),))
+        assert drawn == []
 
-        def slow_next_batch(seed, first, *rest, **kw):
-            if seed == PIPELINE_JOBS[1][1].seed and first == 0:
-                prefetching.set()
-                time.sleep(0.2)
-            return draw(seed, first, *rest, **kw)
+    def test_step_error_in_a_later_batch_propagates_and_joins(self, monkeypatch):
+        """The second batch fails on the first chunk, after the first batch
+        stepped it: the error propagates, no later chunk is drawn, and no
+        worker is left."""
+        drawn = draw_spy(monkeypatch)
+        evaluate = DriftField.eval
 
-        monkeypatch.setattr(foellmer, "path_normals", slow_next_batch)
+        def fail_mixture(self, i, x):
+            if self.density is MIX:
+                raise RuntimeError("step failed")
+            return evaluate(self, i, x)
+
+        monkeypatch.setattr(DriftField, "eval", fail_mixture)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="check failed"):
-            with contextlib.closing(simulate_batches(PIPELINE_JOBS)) as batches:
-                for _ in batches:
-                    assert prefetching.wait(5.0)
-                    raise RuntimeError("check failed")
+        with pytest.raises(RuntimeError, match="step failed"):
+            simulate_batches(PIPELINE_CFG, PIPELINE_PATHS, PIPELINE_JOBS, 384)
         assert threading.active_count() == before
+        assert sorted(drawn) == [0, 192]
 
-    def test_prefetched_draw_error_propagates_and_joins(self, monkeypatch):
-        draw = foellmer.path_normals
-
-        def fail_next_batch(seed, first, *rest, **kw):
-            if seed == PIPELINE_JOBS[1][1].seed:
-                raise RuntimeError("draw failed")
-            return draw(seed, first, *rest, **kw)
-
-        monkeypatch.setattr(foellmer, "path_normals", fail_next_batch)
+    def test_draw_error_propagates_and_joins(self, monkeypatch):
+        """Either half of the first chunk, or the second half of a later one."""
         before = threading.active_count()
-        done = []
-        with pytest.raises(RuntimeError, match="draw failed"):
-            with contextlib.closing(simulate_batches(PIPELINE_JOBS)) as batches:
-                for stats in batches:
-                    done.append(stats)
-        assert len(done) == 1
-        assert threading.active_count() == before
+        for failing in (0, 192, 384 + 192):
+            draw_spy(monkeypatch, fail_at=failing)
+            with pytest.raises(RuntimeError, match="draw failed"):
+                simulate_batches(PIPELINE_CFG, PIPELINE_PATHS, PIPELINE_JOBS, 384)
+            assert threading.active_count() == before
 
-    def test_at_most_two_chunk_buffers(self, monkeypatch):
-        """Counted at every draw and while the caller holds each batch."""
-        draw = foellmer.path_normals
+    def test_at_most_one_chunk_buffer(self, monkeypatch):
+        """Counted as each chunk submits its draws, at every draw, and after
+        the call returns."""
+        draw, init = foellmer.path_normals, foellmer._Chunk.__init__
         buffers = []  # a weak reference per chunk buffer, both halves share one
         lock = threading.Lock()
 
@@ -641,23 +653,28 @@ class TestPipeline:
             gc.collect()
             return sum(ref() is not None for ref in buffers)
 
-        def track(seed, first, *rest, out=None, scale=1.0, done=None):
+        def allocate(self, *args):
+            init(self, *args)
             with lock:
-                if not any(ref() is out.base for ref in buffers):
-                    buffers.append(weakref.ref(out.base))
-                at_draw.append(live())
-            return draw(seed, first, *rest, out=out, scale=scale, done=done)
+                buffers.append(weakref.ref(self.incs))
+                at_allocation.append(live())
 
-        at_draw, at_yield = [], []
+        def track(*args, **kw):
+            with lock:
+                at_draw.append(live())
+            return draw(*args, **kw)
+
+        at_allocation, at_draw = [], []
+        monkeypatch.setattr(foellmer._Chunk, "__init__", allocate)
         monkeypatch.setattr(foellmer, "path_normals", track)
-        with contextlib.closing(simulate_batches(PIPELINE_JOBS)) as batches:
-            for _ in batches:
-                with lock:
-                    at_yield.append(live())
-        assert len(buffers) == 3 + 1 + 4  # chunks of the three batches
-        assert max(at_draw) == 2 and at_yield == [1, 1, 0]
+        run = simulate_batches(PIPELINE_CFG, PIPELINE_PATHS, PIPELINE_JOBS, 384)
+        assert len(run) == len(PIPELINE_JOBS)
+        assert at_allocation == [1] * 6 and len(at_draw) == 12
+        assert max(at_draw) == 1 and live() == 0
 
     def test_drift_tables_go_with_their_batch(self, monkeypatch):
+        """Every batch builds one field, and none is alive once the call
+        returns, while the stats are held."""
         fields = []
         init = DriftField.__init__
 
@@ -666,10 +683,10 @@ class TestPipeline:
             fields.append(weakref.ref(self))
 
         monkeypatch.setattr(DriftField, "__init__", track)
-        with contextlib.closing(simulate_batches(PIPELINE_JOBS)) as batches:
-            for k, _ in enumerate(batches, start=1):
-                gc.collect()
-                assert len(fields) == k and all(ref() is None for ref in fields)
+        run = simulate_batches(PIPELINE_CFG, PIPELINE_PATHS, PIPELINE_JOBS, 384)
+        gc.collect()
+        assert len(run) == len(fields) == len(PIPELINE_JOBS)
+        assert all(ref() is None for ref in fields)
 
 
 class TestTiledDraws:
