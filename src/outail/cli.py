@@ -423,10 +423,12 @@ def _out_dir(out_dir) -> Path:
 
 
 def write_reports(
-    rows: list[BoundReport], out_dir, stem: str, seed: int, diagnostics: dict | None = None,
+    rows: list[BoundReport], out_dir, stem: str, seed: int, batches: dict | None = None,
 ) -> RunResult:
     """Write ``<stem>.csv`` and ``<stem>.json`` into ``_out_dir(out_dir)``;
-    ``diagnostics`` maps each simulated family to its ``passage_diagnostics``."""
+    ``batches`` maps each simulated family to its ``BatchStats``, whose
+    ``passage_diagnostics`` and drift grid clamps the JSON carries."""
+    batches = batches or {}
     out = _out_dir(out_dir)
     csv_path = out / f"{stem}.csv"
     csv_path.write_text(rows_to_csv_text(rows), encoding="utf-8")
@@ -451,7 +453,8 @@ def write_reports(
              "margin": r.margin if math.isfinite(r.margin) else None}  # JSON has no NaN
             for r in rows
         ],
-        "diagnostics": diagnostics or {},
+        "diagnostics": {family: passage_diagnostics(stats) for family, stats in batches.items()},
+        "drift_grid_clamps": {family: stats.drift_grid_clamps for family, stats in batches.items()},
     }
     json_path = out / f"{stem}.json"
     json_path.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n", encoding="utf-8")
@@ -466,8 +469,7 @@ def run(config_path, out_dir=None, chunk_paths: int | None = None) -> RunResult:
     out = _out_dir(out_dir or cfg.out_dir)  # a bad directory fails before the batch
     stats = _family_batch(cfg, chunk_paths)
     rows = collect_rows(cfg, stats)
-    diagnostics = {} if stats is None else {cfg.family: passage_diagnostics(stats)}
-    return write_reports(rows, out, "report", cfg.seed, diagnostics)
+    return write_reports(rows, out, "report", cfg.seed, {} if stats is None else {cfg.family: stats})
 
 
 def verify_all(
@@ -488,13 +490,13 @@ def verify_all(
     out = _out_dir(out_dir)
     jobs = [(build_density(cfg), cfg.r_values) for cfg in cfgs if _needs_paths(cfg)]
     batches = iter(simulate_batches(PathConfig(steps, seed), paths, jobs, chunk_paths))
-    rows, diagnostics = [], {}
+    rows, simulated = [], {}
     for cfg in cfgs:
         stats = next(batches) if _needs_paths(cfg) else None
         rows.extend(collect_rows(cfg, stats))
         if stats is not None:
-            diagnostics[cfg.family] = passage_diagnostics(stats)
-    return write_reports(rows, out, "verify_all", seed, diagnostics)
+            simulated[cfg.family] = stats
+    return write_reports(rows, out, "verify_all", seed, simulated)
 
 
 def _positive_int(raw: str) -> int:

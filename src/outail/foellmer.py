@@ -43,12 +43,17 @@ batch and dropped before the next is drawn: one chunk is held at a time.  A
 chunk holds at most ``NORMALS_BUDGET_WORDS`` normals, step-major as Brownian
 increments, so the loop reads one contiguous row per step.  Two worker
 threads draw it as two path halves, each one ``path_normals`` call that
-writes sqrt(1/m) times the normals into its view of the chunk; the first
-chunk is drawn while the calling thread builds the drift tables.  A draw
+writes sqrt(1/m) times the normals into its view of the chunk.  A draw
 writes its uniforms first and then turns them into normals one tile of
 steps at a time, reporting each tile, and the step loop waits only when it
 reaches a step that a half has not reported: a chunk starts stepping once
 its uniforms are in place, not once it is drawn.
+
+A drift table holds only the grid cells that the paths reach: a step's
+table is built when the first chunk reaches the step, over the cells its
+paths occupy, and a later chunk's paths that go past it widen it.  At 2048
+steps the paths of the default mixture and sine occupy about a quarter of
+the 2048 cells.
 """
 
 from __future__ import annotations
@@ -70,6 +75,9 @@ MIN_STEPS = 100
 # interpolation error stays well under the Monte Carlo noise floor.
 DRIFT_GRID_POINTS = 2048
 DRIFT_GRID_HALFWIDTH = 12.0
+# Cells a step's table window takes beyond those its points reached, on each
+# side: later chunks of paths then seldom widen it.
+DRIFT_WINDOW_PAD = 64
 CHECKPOINT_TIMES = (0.25, 0.5, 0.75)
 # Normals drawn per chunk of paths (float64 words, 128 MiB); every batch of a
 # run steps the same chunk, and one such buffer is alive at a time.
@@ -95,49 +103,91 @@ class DriftField:
 
     Every evaluation comes from the family's ``closed_heat_at``.  A 1-D
     field whose drift depends on the state (every family but the log-linear
-    tilt) is tabulated on a fixed spatial grid, one table per step in
-    ``tables``, and evaluated by linear interpolation; the tables depend
-    only on the steps, so results are independent of batch layout.
+    tilt) is tabulated on a fixed spatial grid and evaluated by linear
+    interpolation.  Step i's table ``tables[i]`` = (first cell, K, v) holds
+    only a window, the contiguous run of grid cells that its evaluations
+    have reached, ``DRIFT_WINDOW_PAD`` more on each side: it is built at
+    the step's first ``eval`` and widened, never rebuilt, when a later one
+    reaches past it, so each cell of a step is computed once.  A table
+    value depends only on its step and cell, so results are independent of
+    batch layout.  States beyond the grid clamp to its edge values;
+    ``clamps`` counts the (state, step) pairs that did.
     """
 
     def __init__(self, density: DensityModel, steps: int):
         self.density = density
         self.dt = 1.0 / steps
         self.grid = None
-        self.tables: list[tuple[np.ndarray, np.ndarray]] = []
+        self.tables: list[Optional[tuple[int, np.ndarray, np.ndarray]]] = []
+        self.clamps = 0
         if density.dim == 1 and not isinstance(density, TiltDensity):
             self.grid = np.linspace(-DRIFT_GRID_HALFWIDTH, DRIFT_GRID_HALFWIDTH, DRIFT_GRID_POINTS)
             self._grid_lo = float(self.grid[0])
             self._grid_inv_h = (len(self.grid) - 1) / (self.grid[-1] - self.grid[0])
+            self._pos_max = len(self.grid) - 1.000001  # so idx + 1 stays on the grid
             self._on_grid = density.closed_heat_at(self.grid[:, None])
-            for i in range(steps):
-                k, v = self.raw(1.0 - i * self.dt)
-                self.tables.append((k, v[:, 0]))
+            self.tables = [None] * steps
 
-    def raw(self, s: float, x: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    def raw(self, s: float, x: Optional[np.ndarray] = None,
+            cells: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """(K, v) without tabulation at points x of shape (..., dim), or on
-        the table grid when x is None."""
+        the table grid's ``cells`` when x is None."""
         if x is None:
-            return self._on_grid(s)
+            return self._on_grid(s, cells)
         return self.density.closed_heat_at(x)(s)
 
     def eval(self, i: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(K, v) at step i for points x of shape (..., dim)."""
         if self.grid is None:
             return self.raw(1.0 - i * self.dt, x)
-        k_tab, v_tab = self.tables[i]
         # uniform grid: fused linear interpolation, one index computation
-        # for both tables; points beyond the grid clamp to the edge value
+        # for both tables; points beyond the grid clamp to the edge value,
+        # and the clip runs only on the steps whose extremes need it
         pos = x[..., 0] - self._grid_lo
         pos *= self._grid_inv_h
-        np.clip(pos, 0.0, len(self.grid) - 1.000001, out=pos)
+        lo, hi = float(pos.min()), float(pos.max())
+        if lo < 0.0 or hi > self._pos_max:
+            top = len(self.grid) - 1
+            self.clamps += int(np.count_nonzero((pos < 0.0) | (pos > top)))
+            np.clip(pos, 0.0, self._pos_max, out=pos)
+            lo, hi = (min(max(p, 0.0), self._pos_max) for p in (lo, hi))
         idx = pos.astype(np.int64)
         frac = pos - idx
-        idx1 = idx + 1
+        # the cells of the extreme points and the right neighbour of the last
+        first, k_tab, v_tab = self._window(i, int(lo), int(hi) + 2)
+        idx -= first
         rest = 1.0 - frac
-        k = k_tab[idx] * rest + k_tab[idx1] * frac
-        v = (v_tab[idx] * rest + v_tab[idx1] * frac)[..., None]
+        # k_tab[1:][idx] is k_tab[idx + 1], without a pass for idx + 1
+        k = k_tab[idx] * rest + k_tab[1:][idx] * frac
+        v = (v_tab[idx] * rest + v_tab[1:][idx] * frac)[..., None]
         return k, v
+
+    def _window(self, i: int, lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """Step i's table, built or widened to hold cells [lo, hi): one
+        ``raw`` call per side that needs new cells."""
+        table = self.tables[i]
+        if table is not None and table[0] <= lo and hi <= table[0] + len(table[1]):
+            return table
+        lo, hi = max(lo - DRIFT_WINDOW_PAD, 0), min(hi + DRIFT_WINDOW_PAD, len(self.grid))
+        s = 1.0 - i * self.dt
+        if table is None:
+            k, v = self.raw(s, cells=slice(lo, hi))
+            table = (lo, k, v[:, 0])
+        else:
+            first, k, v = table
+            end = first + len(k)
+            ks, vs = [k], [v]
+            if lo < first:
+                k_new, v_new = self.raw(s, cells=slice(lo, first))
+                ks.insert(0, k_new)
+                vs.insert(0, v_new[:, 0])
+            if hi > end:
+                k_new, v_new = self.raw(s, cells=slice(end, hi))
+                ks.append(k_new)
+                vs.append(v_new[:, 0])
+            table = (min(lo, first), np.concatenate(ks), np.concatenate(vs))
+        self.tables[i] = table
+        return table
 
 
 @dataclass(frozen=True)
@@ -201,6 +251,7 @@ class BatchStats:
     checkpoints: dict[float, np.ndarray] = field(default_factory=dict)
     checkpoint_indices: dict[float, int] = field(default_factory=dict)
     stopped: dict[float, StoppedSlice] = field(default_factory=dict)
+    drift_grid_clamps: int = 0  # (path, step) states beyond the drift tables' grid
 
     def fvt_residual(self) -> np.ndarray:
         """Endpoint reconstruction error of the exponential representation."""
@@ -244,9 +295,10 @@ def _path_arrays(n_paths: int, dim: int, n_thresholds: int):
 
 class _Batch:
     """One batch of a run: a density and its checked thresholds on the
-    run's paths.  ``begin`` allocates the outputs and builds the drift
-    tables, ``step`` runs one chunk of paths, and ``finish`` hands the
-    outputs over as ``BatchStats`` and drops the tables."""
+    run's paths.  ``begin`` allocates the outputs and the drift field,
+    ``step`` runs one chunk of paths, building or widening the drift
+    tables as it goes, and ``finish`` hands the outputs over as
+    ``BatchStats`` and drops the tables."""
 
     def __init__(self, density: DensityModel, cfg: PathConfig, n_paths: int,
                  r_values: Sequence[float]):
@@ -286,6 +338,7 @@ class _Batch:
             checkpoint_indices=self.cp_idx,
             stopped={r: StoppedSlice(r, *(a[j] for a in self.frozen))
                      for j, r in enumerate(self.r_values)},
+            drift_grid_clamps=self.drift.clamps,
         )
         del self.drift, self.ends, self.frozen, self.cps
         return stats
@@ -324,11 +377,10 @@ def simulate_batches(
 
     Every job is checked before the first draw, and the densities must
     share one dim.  Each chunk is drawn once, by two worker threads as two
-    path halves, the first while this thread builds every batch's drift
-    tables; the chunk is stepped for every batch, starting as its halves
-    report tiles of steps, and dropped before the next chunk is drawn, so
-    one chunk is held at a time.  The last chunk done, every batch hands
-    over its stats and drops its tables.  An error in a draw propagates
+    path halves; the chunk is stepped for every batch, starting as its
+    halves report tiles of steps, and dropped before the next chunk is
+    drawn, so one chunk is held at a time.  The last chunk done, every batch
+    hands over its stats and drops its tables.  An error in a draw propagates
     before any step it did not report is taken; the workers are joined
     before the call returns or raises.
     """

@@ -64,10 +64,12 @@ class DensityModel:
     def grad_log_f(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def closed_heat_at(self, x) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
-        """s -> (log P_s f(x), grad log P_s f(x)) for s > 0 at the fixed
-        points x; a part of the form that depends on x alone is computed
-        once, for tables over many bandwidths."""
+    def closed_heat_at(self, x) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+        """(s, cells=...) -> (log P_s f(x[cells]), grad log P_s f(x[cells]))
+        for s > 0 at the fixed points x, ``cells`` indexing their leading
+        axis (every point by default); a part of the form that depends on x
+        alone is computed once for all of x, for tables over many
+        bandwidths and over parts of x."""
         raise NotImplementedError
 
     def closed_ou(self, t: float) -> "DensityModel":
@@ -120,8 +122,10 @@ class TiltDensity(DensityModel):
     def closed_ou(self, t: float) -> "TiltDensity":
         return TiltDensity(self.u * np.exp(-t))
 
-    def closed_heat_at(self, x) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
-        return lambda s: (self.log_f(x) + 0.5 * s * self.alpha**2, self.grad_log_f(x))
+    def closed_heat_at(self, x) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+        x = _as_points(x, 1)
+        return lambda s, cells=...: (self.log_f(x[cells]) + 0.5 * s * self.alpha**2,
+                                     self.grad_log_f(x[cells]))
 
     def closed_tail(self, r: float) -> float:
         if r <= 1.0:
@@ -255,13 +259,14 @@ class MixtureDensity(DensityModel):
         )
         return per_coord.sum(-1) + log_weights, b
 
-    def closed_heat_at(self, x) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
-        x = _as_points(x, self.dim)
+    def closed_heat_at(self, x) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+        points = _as_points(x, self.dim)
 
-        def at(s: float) -> tuple[np.ndarray, np.ndarray]:
+        def at(s: float, cells=...) -> tuple[np.ndarray, np.ndarray]:
+            x = points[cells]
             # The outputs come first: drift tables keep them for the whole
             # run, and allocated after the temporaries below they would pin
-            # one freed temporary each in the heap (32 MiB over 2048 tables).
+            # one freed temporary each in the heap.
             k, v = np.empty(x.shape[:-1]), np.empty(x.shape)
             logs, b = self._heat_component_logs(s, x)
             lse, p = self._log_sum_exp(logs)
@@ -366,22 +371,25 @@ class SinePerturbationDensity(DensityModel):
         image.beta = np.exp(-2.0 * t) * self.beta / (1.0 + s * self.beta)
         return image
 
-    def closed_heat_at(self, x) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
+    def closed_heat_at(self, x) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
         """The cosines cos(j theta - j pi/2) and the derivatives
         -j sin(j theta - j pi/2) at x, computed once; each bandwidth s is
-        then one weighted sum over j of each."""
+        then one weighted sum over j of each, over the cells asked for."""
         theta, phase = self._phase(x)
-        trig = np.stack([np.cos(phase), -self._j[:, None] * np.sin(phase)], 1)  # (J + 1, 2, points)
+        trig = np.stack([np.cos(phase), -self._j[:, None] * np.sin(phase)], 1)
+        trig = trig.reshape(trig.shape[:2] + theta.shape)  # (J + 1, 2, *points)
 
-        def at(s: float) -> tuple[np.ndarray, np.ndarray]:
+        def at(s: float, cells=...) -> tuple[np.ndarray, np.ndarray]:
+            part = trig[:, :, cells]
+            shape = part.shape[2:]
             # einsum adds each point's terms in order of j, so a point's
             # bits do not depend on how many points the call holds, as a
             # BLAS gemv's do; the pair axis keeps one point off einsum's
             # dot kernel, which sums in another order
-            sums = np.einsum("j,jkp->kp", self._weights_at(s), trig)
+            sums = np.einsum("j,jkp->kp", self._weights_at(s), part.reshape(part.shape[:2] + (-1,)))
             k = np.log(sums[0]) - self._log_z_over_i0
             v = sums[1] / sums[0] * self.wave[0] * self._rho
-            return k.reshape(theta.shape), v.reshape(theta.shape + (1,))
+            return k.reshape(shape), v.reshape(shape + (1,))
 
         return at
 

@@ -631,6 +631,27 @@ out = {tmp_path}
         assert diag[0]["never_stopped"] <= diag[1]["never_stopped"]
         assert result.csv_path.read_text() == rows_to_csv_text(collect_rows(cfg, stats))
 
+    def test_json_counts_states_beyond_the_drift_grid(self, tmp_path):
+        """Mixture paths that end near +-12 leave the drift tables' grid on
+        their last steps: the count of those states is in the JSON, the
+        batch's ``drift_grid_clamps``."""
+        cfg_path = write_cfg(tmp_path, f"""
+[experiment]
+family = mixture
+weights = 0.5, 0.5
+means = -12, 12
+spread = 0.5
+r = e
+paths = 1000
+steps = 128
+checks = energy
+out = {tmp_path}
+""")
+        summary = json.loads(run(cfg_path).json_path.read_text(), parse_constant=_reject_constant)
+        stats = cli._family_batch(parse_config(cfg_path))
+        assert summary["drift_grid_clamps"] == {"mixture": stats.drift_grid_clamps}
+        assert stats.drift_grid_clamps > 0
+
     def test_a_passage_at_the_final_node_is_a_stop(self):
         """T = steps also means that K first exceeds log r at the final node:
         such a path passed, so it counts in the overshoot and not as never
@@ -672,7 +693,8 @@ out = {tmp_path}
     def test_analytic_run_has_no_diagnostics(self, tmp_path):
         text = GOOD_CONFIG.format(out=tmp_path).replace("checks = energy, z, prop2", "checks = tail")
         result = run(write_cfg(tmp_path, text))
-        assert json.loads(result.json_path.read_text())["diagnostics"] == {}
+        summary = json.loads(result.json_path.read_text())
+        assert summary["diagnostics"] == summary["drift_grid_clamps"] == {}
 
     @pytest.mark.parametrize("family", ["family = mixture\nmeans = 1,0,0,0; -1,0,0,0",
                                         "family = sine\nwave = 2,0,0,0"], ids=["mixture", "sine"])
@@ -712,6 +734,7 @@ class TestVerifyAll:
         for result in (r1, r2):
             summary = json.loads(result.json_path.read_text(), parse_constant=_reject_constant)
             assert list(summary["diagnostics"]) == sorted(FAMILIES)
+            assert summary["drift_grid_clamps"] == {name: 0 for name in sorted(FAMILIES)}
             for diag in summary["diagnostics"].values():
                 assert [row["r"] for row in diag] == list(verify.DEFAULT_R_GRID)
                 assert all(0.0 <= row["never_stopped"] <= 1.0 for row in diag)

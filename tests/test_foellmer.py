@@ -138,7 +138,7 @@ class RaisedTilt(DensityModel):
 
     def closed_heat_at(self, x):
         heat = TiltDensity([1.0]).closed_heat_at(x)
-        return lambda s: (heat(s)[0] + 10.0, heat(s)[1])
+        return lambda s, cells=...: (heat(s, cells)[0] + 10.0, heat(s, cells)[1])
 
 
 class TestStopping:
@@ -460,10 +460,13 @@ class TestChunking:
         (MIX, 1, None), (SINE, 2, 1), (MIX, 777, 259), (MIX, 777, 101),
         (MixtureDensity([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], 0.5), 777, 333),
         (MixtureDensity([0.2, 0.5, 0.3], [-2.0, 0.5, 1.5], 0.4), 777, 259),
-    ], ids=["one_path", "one_path_chunks", "odd_chunks", "uneven_chunks", "mixture_2d", "mixture_3"])
+        (MIX, 2000, 384), (MIX, 2000, 1000), (SINE, 2000, 384), (SINE, 2000, 1000),
+    ], ids=["one_path", "one_path_chunks", "odd_chunks", "uneven_chunks", "mixture_2d", "mixture_3",
+            "mixture_384", "mixture_1000", "sine_384", "sine_1000"])
     def test_split_draws_match_one_chunk(self, density, n_paths, chunk):
         """Odd chunk sizes, one-path halves and the empty half of a one-path
-        chunk all reproduce the batch drawn as one chunk."""
+        chunk all reproduce the batch drawn as one chunk, and so do later
+        chunks that widen the drift table windows."""
         cfg = PathConfig(steps=128, seed=11)
         r_values = (1.05, 1.5)
         whole = simulate_batch(density, cfg, n_paths, r_values=r_values, chunk_paths=n_paths)
@@ -477,9 +480,9 @@ class TestChunking:
 
 
 class TestPrefetch:
-    """The draw runs ahead of the step loop: the first chunk is drawn while
-    the drift tables build, and each chunk's tiles ahead of its steps.  An
-    error on either side propagates, and the workers are joined."""
+    """The draw runs ahead of the step loop: each chunk's tiles ahead of its
+    steps, which build the drift tables as they reach new cells.  An error
+    on either side propagates, and the workers are joined."""
 
     def test_step_error_propagates_and_joins_worker(self, monkeypatch):
         drawn = []
@@ -512,22 +515,24 @@ class TestPrefetch:
 
         monkeypatch.setattr(foellmer, "path_normals", fail_at)
         before = threading.active_count()
-        # either half of the first chunk (drawn beside the tables), or of a later one
+        # either half of the first chunk, or of a later one
         for failing in (0, 150, 450):
             with pytest.raises(RuntimeError, match="draw failed"):
                 simulate_batch(MIX, small_cfg(), 900, chunk_paths=300)
             assert threading.active_count() == before
 
     def test_table_error_propagates_and_joins_worker(self, monkeypatch):
+        """An error while a step's table window is built, during the first
+        chunk's steps, propagates."""
         raw = DriftField.raw
         built = []
 
-        def fail_late(self, s, x=None):
+        def fail_late(self, s, x=None, cells=slice(None)):
             if x is None:
                 built.append(s)
                 if len(built) == 100:
                     raise RuntimeError("table failed")
-            return raw(self, s, x)
+            return raw(self, s, x, cells)
 
         monkeypatch.setattr(DriftField, "raw", fail_late)
         before = threading.active_count()
@@ -536,19 +541,24 @@ class TestPrefetch:
         assert threading.active_count() == before
 
     def test_tables_are_built_once_per_step(self, monkeypatch):
+        """Each (step, cell) of a table is computed at most once across the
+        chunks, every step has a table, and later chunks widen some."""
         raw = DriftField.raw
         built = []
 
-        def count(self, s, x=None):
+        def count(self, s, x=None, cells=slice(None)):
             if x is None:
-                built.append((id(self), s))
-            return raw(self, s, x)
+                built.append((id(self), s, cells))
+            return raw(self, s, x, cells)
 
         monkeypatch.setattr(DriftField, "raw", count)
         for density in (MIX, SINE):
             built.clear()
             simulate_batch(density, PathConfig(steps=1000, seed=5), 600, chunk_paths=250)
-            assert len(built) == len(set(built)) == 1000
+            cells = [(field, s, c) for field, s, sl in built
+                     for c in range(*sl.indices(foellmer.DRIFT_GRID_POINTS))]
+            assert len(cells) == len(set(cells))
+            assert len({(field, s) for field, s, _ in built}) == 1000 < len(built)
         built.clear()
         simulate_batch(TILT, PathConfig(steps=1000, seed=5), 600, chunk_paths=250)
         assert built == []
@@ -822,6 +832,58 @@ class TestDriftTabulation:
             k_d, v_d = drift.raw(1.0 - i / m, x)
             assert np.abs(k_t - k_d).max() < 2e-4
             assert np.abs(v_t - v_d).max() < 5e-4
+
+    @pytest.mark.parametrize("density", [MIX, SINE], ids=["mixture", "sine"])
+    def test_windows_interpolate_as_the_full_grid(self, density, rng):
+        """eval on table windows equals the interpolation on the full grid
+        bit for bit, in a call sequence that builds a window, widens it on
+        the right and on the left, and reaches beyond the grid, where the
+        points clamp to its edge and are counted."""
+        m = 128
+        drift = DriftField(density, m)
+        grid = drift.grid
+        inv_h = (len(grid) - 1) / (grid[-1] - grid[0])
+
+        def full_grid(i, x):
+            k_tab, v_tab = drift.raw(1.0 - i / m)
+            pos = (x[..., 0] - grid[0]) * inv_h
+            np.clip(pos, 0.0, len(grid) - 1.000001, out=pos)
+            idx = pos.astype(np.int64)
+            frac = pos - idx
+            return (k_tab[idx] * (1.0 - frac) + k_tab[idx + 1] * frac,
+                    (v_tab[idx, 0] * (1.0 - frac) + v_tab[idx + 1, 0] * frac)[..., None])
+
+        beyond = np.array([[-50.0], [-12.01], [12.01], [13.0], [-12.0], [12.0]])
+        calls = [rng.normal(size=(300, 1)) * 0.5, rng.normal(size=(300, 1)) * 0.5 + 3.0,
+                 rng.normal(size=(300, 1)) * 0.5 - 4.0, rng.normal(size=(300, 1)) * 0.5, beyond]
+        for i in (0, 1, 77, m - 1):
+            widths = []
+            for x in calls:
+                got, want = drift.eval(i, x.copy()), full_grid(i, x)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want)), i
+                first, k_tab, _ = drift.tables[i]
+                widths.append((first, first + len(k_tab)))
+            (lo0, hi0), (lo1, hi1), (lo2, hi2), (lo3, hi3), (lo4, hi4) = widths
+            assert lo1 == lo0 and hi1 > hi0 and lo2 < lo1 and hi2 == hi1 and (lo3, hi3) == (lo2, hi2)
+            assert (lo4, hi4) == (0, len(grid))
+        assert drift.clamps == 4 * 4
+
+    def test_tables_hold_the_reached_cells_only(self, monkeypatch):
+        """At the default steps, 2000 paths of the default mixture and sine
+        leave their tables under 40% of the full grid."""
+        fields = []
+        init = DriftField.__init__
+
+        def keep(self, *args):
+            init(self, *args)
+            fields.append(self)
+
+        monkeypatch.setattr(DriftField, "__init__", keep)
+        for density in (MIX, SINE):
+            simulate_batch(density, PathConfig(foellmer.DEFAULT_STEPS, seed=11), 2000)
+        for field in fields:
+            cells = sum(len(k) for _, k, _ in field.tables)
+            assert cells < 0.4 * foellmer.DEFAULT_STEPS * foellmer.DRIFT_GRID_POINTS
 
     def test_final_node_bypasses_table(self):
         stats = simulate_batch(MIX, small_cfg(), 32)

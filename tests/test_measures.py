@@ -279,11 +279,18 @@ class TestMixtureLogSumExp:
         MixtureDensity([0.5, 0.5], [-1.0, 1.0], 0.5),
         MixtureDensity([0.2, 0.5, 0.3], [-2.0, 0.5, 1.5], 0.4),
     ], ids=["J1", "J2", "J3"])
-    def test_drift_tables_match_scipy(self, mix):
+    def test_drift_tables_match_scipy(self, mix, rng):
+        """Every stored table window, built by a first evaluation and
+        widened by a second, wider one, equals the reference at its cells."""
         field = DriftField(mix, 128)
         assert len(field.tables) == 128
-        for i, (k, v) in enumerate(field.tables):
-            k_ref, v_ref = _scipy_heat_log_grad(mix, 1.0 - i / 128, field.grid[:, None])
+        for i in range(128):
+            for spread in (1.0, 3.0):
+                field.eval(i, rng.normal(size=(50, 1)) * spread)
+        for i, (first, k, v) in enumerate(field.tables):
+            assert 0 < len(k) < len(field.grid)
+            cells = field.grid[first:first + len(k), None]
+            k_ref, v_ref = _scipy_heat_log_grad(mix, 1.0 - i / 128, cells)
             assert np.array_equal(k, k_ref) and np.array_equal(v, v_ref[:, 0])
 
     @pytest.mark.parametrize("mix", [
