@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, OutailError
-from .foellmer import DEFAULT_STEPS, MIN_STEPS, BatchStats, PathConfig, simulate_batches
+from .foellmer import DEFAULT_STEPS, MIN_STEPS, BatchStats, PathConfig
 from .measures import FAMILIES, DensityModel, MixtureDensity, validate_normalization
 from .quadrature import MAX_QUADRATURE_DIM
 from .reports import CSV_COLUMNS, BoundReport
@@ -284,23 +284,11 @@ class RunResult:
     exit_code: int = 0
 
 
-def _needs_paths(cfg: ExperimentConfig) -> bool:
-    return any(tok in _NEEDS_PATHS for tok in cfg.checks)
-
-
-def _family_batch(cfg: ExperimentConfig, chunk_paths: int | None = None) -> BatchStats | None:
-    """The config's path batch on its own, or None when no check reads paths."""
-    if not _needs_paths(cfg):
-        return None
-    return verify.simulate_batch(build_density(cfg), PathConfig(cfg.steps, cfg.seed), cfg.paths,
-                                 cfg.r_values, chunk_paths)
-
-
 def collect_rows(cfg: ExperimentConfig, stats: BatchStats | None = None) -> list[BoundReport]:
     """Run the selected checks for one family config, in config order.
 
-    ``stats`` is the config's path batch, which the drivers simulate; None
-    when no check reads paths.  The ``tail`` rows at each t come from one
+    ``stats`` is the config's path batch, which ``_run_configs`` simulates;
+    None when no check reads paths.  The ``tail`` rows at each t come from one
     ``verify.tail_curve``, in increasing r."""
     density = build_density(cfg)
     beta = density.beta if cfg.beta_override is None else cfg.beta_override
@@ -464,12 +452,26 @@ def write_reports(
     )
 
 
+def _run_configs(cfgs: list[ExperimentConfig], out: Path, stem: str,
+                 chunk_paths: int | None) -> RunResult:
+    """Run the checks of ``cfgs``, of distinct families that share
+    ``paths``, ``steps`` and ``seed``, and write their rows in config order
+    as ``stem`` in ``out``.  The configs whose checks read paths share one
+    ``verify.simulate_batch`` call; none is made when no config's do."""
+    first = cfgs[0]
+    simulated = [cfg for cfg in cfgs if not _NEEDS_PATHS.isdisjoint(cfg.checks)]
+    jobs = [(build_density(cfg), cfg.r_values) for cfg in simulated]
+    stats = verify.simulate_batch(PathConfig(first.steps, first.seed), first.paths, jobs,
+                                  chunk_paths) if jobs else []
+    batches = {cfg.family: batch for cfg, batch in zip(simulated, stats)}
+    rows = [row for cfg in cfgs for row in collect_rows(cfg, batches.get(cfg.family))]
+    return write_reports(rows, out, stem, first.seed, batches)
+
+
 def run(config_path, out_dir=None, chunk_paths: int | None = None) -> RunResult:
     cfg = parse_config(config_path)
     out = _out_dir(out_dir or cfg.out_dir)  # a bad directory fails before the batch
-    stats = _family_batch(cfg, chunk_paths)
-    rows = collect_rows(cfg, stats)
-    return write_reports(rows, out, "report", cfg.seed, {} if stats is None else {cfg.family: stats})
+    return _run_configs([cfg], out, "report", chunk_paths)
 
 
 def verify_all(
@@ -481,22 +483,13 @@ def verify_all(
 ) -> RunResult:
     """Default experiment matrix: every family, check, t, and r.  Every
     config is checked before the first simulation starts.  Every family
-    runs with ``seed``, on the same paths: one ``simulate_batches`` call
+    runs with ``seed``, on the same paths: one ``simulate_batch`` call
     draws each chunk of normals once and steps it for every family."""
     cfgs = [
         ExperimentConfig(name, FAMILIES[name].defaults, paths=paths, steps=steps, seed=seed)
         for name in sorted(FAMILIES)
     ]
-    out = _out_dir(out_dir)
-    jobs = [(build_density(cfg), cfg.r_values) for cfg in cfgs if _needs_paths(cfg)]
-    batches = iter(simulate_batches(PathConfig(steps, seed), paths, jobs, chunk_paths))
-    rows, simulated = [], {}
-    for cfg in cfgs:
-        stats = next(batches) if _needs_paths(cfg) else None
-        rows.extend(collect_rows(cfg, stats))
-        if stats is not None:
-            simulated[cfg.family] = stats
-    return write_reports(rows, out, "verify_all", seed, simulated)
+    return _run_configs(cfgs, _out_dir(out_dir), "verify_all", chunk_paths)
 
 
 def _positive_int(raw: str) -> int:

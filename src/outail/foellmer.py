@@ -22,7 +22,7 @@ index), so batches are reproducible under any chunk layout.
 steps and the seed.  The drift is read off the density's closed heat
 transform ``closed_heat_at``, with one spatial table per step for 1-D fields
 whose drift depends on the state.
-Thresholds are an argument of ``simulate_batch``: each distinct one is one
+Thresholds are part of each ``simulate_batch`` job: each distinct one is one
 more stopping time on the same paths, stored threshold-major in increasing
 order as (n_thresholds, N) arrays whose rows are the ``StoppedSlice`` views;
 delta and beta enter only ``perturbation_arrays``.  The step loop writes
@@ -34,11 +34,11 @@ path keeps how many of the sorted thresholds it has passed and the next
 log r, so a step makes one comparison per path, and only the paths that
 crossed are frozen, by index, for every threshold they jumped.
 
-A run is one draw: ``simulate_batches`` takes one ``PathConfig``, one path
-count and every batch of the run (``verify-all`` has one per family, all of
-one dim) and returns their ``BatchStats`` in order; ``simulate_batch`` is its
-one-batch case.  Every batch of a run is driven by the same normals (common
-random numbers), so each chunk of paths is drawn once, stepped for every
+A run is one draw: ``simulate_batch``, the one driver, takes one
+``PathConfig``, one path count and every batch of the run (``verify-all``
+has one per family, all of one dim) and returns their ``BatchStats`` in
+order.  Every batch of a run is driven by the same normals (common random
+numbers), so each chunk of paths is drawn once, stepped for every
 batch and dropped before the next is drawn: one chunk is held at a time.  A
 chunk holds at most ``NORMALS_BUDGET_WORDS`` normals, step-major as Brownian
 increments, so the loop reads one contiguous row per step.  Two worker
@@ -128,18 +128,14 @@ class DriftField:
             self._on_grid = density.closed_heat_at(self.grid[:, None])
             self.tables = [None] * steps
 
-    def raw(self, s: float, x: Optional[np.ndarray] = None,
-            cells: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """(K, v) without tabulation at points x of shape (..., dim), or on
-        the table grid's ``cells`` when x is None."""
-        if x is None:
-            return self._on_grid(s, cells)
-        return self.density.closed_heat_at(x)(s)
+    def raw(self, s: float, cells: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """(K, v) at bandwidth s on the table grid's ``cells``, for the tables."""
+        return self._on_grid(s, cells)
 
     def eval(self, i: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(K, v) at step i for points x of shape (..., dim)."""
         if self.grid is None:
-            return self.raw(1.0 - i * self.dt, x)
+            return self.density.closed_heat_at(x)(1.0 - i * self.dt)
         # uniform grid: fused linear interpolation, one index computation
         # for both tables; points beyond the grid clamp to the edge value,
         # and the clip runs only on the steps whose extremes need it
@@ -171,18 +167,18 @@ class DriftField:
         lo, hi = max(lo - DRIFT_WINDOW_PAD, 0), min(hi + DRIFT_WINDOW_PAD, len(self.grid))
         s = 1.0 - i * self.dt
         if table is None:
-            k, v = self.raw(s, cells=slice(lo, hi))
+            k, v = self.raw(s, slice(lo, hi))
             table = (lo, k, v[:, 0])
         else:
             first, k, v = table
             end = first + len(k)
             ks, vs = [k], [v]
             if lo < first:
-                k_new, v_new = self.raw(s, cells=slice(lo, first))
+                k_new, v_new = self.raw(s, slice(lo, first))
                 ks.insert(0, k_new)
                 vs.insert(0, v_new[:, 0])
             if hi > end:
-                k_new, v_new = self.raw(s, cells=slice(end, hi))
+                k_new, v_new = self.raw(s, slice(end, hi))
                 ks.append(k_new)
                 vs.append(v_new[:, 0])
             table = (min(lo, first), np.concatenate(ks), np.concatenate(vs))
@@ -219,7 +215,7 @@ class Trajectory:
 class StoppedSlice:
     """Per-path integrals frozen at the passage time of one threshold.
 
-    ``simulate_batch`` stores the integrals of all its thresholds
+    ``simulate_batch`` stores the integrals of all of a job's thresholds
     threshold-major, as (n_thresholds, N) arrays; the fields of a slice are
     views of one row of them.
     """
@@ -295,10 +291,10 @@ def _path_arrays(n_paths: int, dim: int, n_thresholds: int):
 
 class _Batch:
     """One batch of a run: a density and its checked thresholds on the
-    run's paths.  ``begin`` allocates the outputs and the drift field,
-    ``step`` runs one chunk of paths, building or widening the drift
-    tables as it goes, and ``finish`` hands the outputs over as
-    ``BatchStats`` and drops the tables."""
+    run's paths, with its zeroed outputs and drift field.  ``step`` runs
+    one chunk of paths, building or widening the drift tables as it goes,
+    and ``finish`` hands the outputs over as ``BatchStats`` and drops the
+    tables."""
 
     def __init__(self, density: DensityModel, cfg: PathConfig, n_paths: int,
                  r_values: Sequence[float]):
@@ -308,12 +304,9 @@ class _Batch:
         self.density, self.cfg, self.n_paths = density, cfg, n_paths
         self.log_rs = np.array([np.log(r) for r in self.r_values])
         self.cp_idx = {tc: int(round(tc * cfg.steps)) for tc in CHECKPOINT_TIMES}
-
-    def begin(self) -> None:
-        n_paths, n = self.n_paths, self.density.dim
-        self.ends, self.frozen = _path_arrays(n_paths, n, len(self.r_values))
-        self.cps = {tc: np.empty((n_paths, n)) for tc in self.cp_idx}
-        self.drift = DriftField(self.density, self.cfg.steps)
+        self.ends, self.frozen = _path_arrays(n_paths, density.dim, len(self.r_values))
+        self.cps = {tc: np.empty((n_paths, density.dim)) for tc in self.cp_idx}
+        self.drift = DriftField(density, cfg.steps)
 
     def step(self, start: int, incs: np.ndarray, ready: Callable[[int], int]) -> None:
         """Run the paths from ``start`` on, driven by the chunk ``incs``
@@ -345,35 +338,19 @@ class _Batch:
 
 
 def simulate_batch(
-    density: DensityModel,
-    cfg: PathConfig,
-    n_paths: int,
-    r_values: Sequence[float] = (),
-    chunk_paths: Optional[int] = None,
-) -> BatchStats:
-    """Simulate ``n_paths`` trajectories and reduce them to BatchStats: the
-    one-batch run of ``simulate_batches``.
-
-    Stopped integrals are frozen for every threshold in ``r_values`` (any
-    order; a repeat is one threshold), so one simulation serves all
-    (r, delta) analyses; the drift is kept at the
-    nodes nearest ``CHECKPOINT_TIMES``.  Results are bit-identical for any
-    ``chunk_paths``.
-    """
-    (stats,) = simulate_batches(cfg, n_paths, [(density, r_values)], chunk_paths)
-    return stats
-
-
-def simulate_batches(
     cfg: PathConfig,
     n_paths: int,
     jobs: Sequence[tuple[DensityModel, Sequence[float]]],
     chunk_paths: Optional[int] = None,
 ) -> list[BatchStats]:
     """The BatchStats of each job (density, r_values), in order, all on
-    paths [0, n_paths) of ``cfg``: each equals the job's own
-    ``simulate_batch(density, cfg, n_paths, r_values, chunk_paths)``, bit
-    for bit.
+    paths [0, n_paths) of ``cfg``; a job's stats do not depend on the other
+    jobs of the call, nor on ``chunk_paths``, bit for bit.
+
+    Stopped integrals are frozen for every threshold in a job's
+    ``r_values`` (any order; a repeat is one threshold), so one simulation
+    serves all (r, delta) analyses; the drift is kept at the nodes nearest
+    ``CHECKPOINT_TIMES``.
 
     Every job is checked before the first draw, and the densities must
     share one dim.  Each chunk is drawn once, by two worker threads as two
@@ -388,10 +365,10 @@ def simulate_batches(
         raise ValueError(f"need at least one path, got {n_paths}")
     if chunk_paths is not None and chunk_paths < 1:
         raise ValueError(f"chunk_paths must be at least 1, got {chunk_paths}")
-    batches = [_Batch(density, cfg, n_paths, r_values) for density, r_values in jobs]
-    dims = sorted({b.density.dim for b in batches})
+    dims = sorted({density.dim for density, _ in jobs})
     if len(dims) > 1:
         raise ValueError(f"the batches of a run share their paths, so one dim; got dims {dims}")
+    batches = [_Batch(density, cfg, n_paths, r_values) for density, r_values in jobs]
     if not batches:
         return []
     dim = dims[0]
@@ -399,9 +376,6 @@ def simulate_batches(
     with ThreadPoolExecutor(max_workers=2) as pool:
         for start in range(0, n_paths, size):
             chunk = _Chunk(pool, cfg, dim, start, min(size, n_paths - start))
-            if start == 0:
-                for b in batches:
-                    b.begin()
             for b in batches:
                 b.step(start, chunk.incs, chunk.ready)
             del chunk  # dropped before the next chunk is allocated

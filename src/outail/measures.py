@@ -337,6 +337,8 @@ class SinePerturbationDensity(DensityModel):
         terms[1::2] *= -1.0
         self._log_z_over_i0 = float(np.log1p(terms[1:].sum()))
         self.log_z = self.eps + float(np.log(ive(0, self.eps))) + self._log_z_over_i0
+        if not self._k2:  # the constant density 1: log Z is 0 exactly, not rounded
+            self._log_z_over_i0, self.log_z = self._log_z_over_i0 - self.log_z, 0.0
 
     def _theta(self, x) -> np.ndarray:
         return _as_points(x, 1)[..., 0] * self._rho * self.wave[0] + 0.0  # k rho x, -0 as +0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp, ndtri, softmax
 
-from outail.foellmer import PathConfig, simulate_batches
+from outail.foellmer import PathConfig, simulate_batch
 from outail.rng import _U_MIN, words_per_path
 from outail.verify import DEFAULT_R_GRID, default_families
 
@@ -29,7 +29,7 @@ def batches(families):
     runs them, reused across every test that can."""
     names = sorted(families)
     jobs = [(families[name], DEFAULT_R_GRID) for name in names]
-    return dict(zip(names, simulate_batches(PathConfig(STEPS, SEED), N_PATHS, jobs)))
+    return dict(zip(names, simulate_batch(PathConfig(STEPS, SEED), N_PATHS, jobs)))
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,10 @@
 import csv
+import inspect
 import json
 import math
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,6 +58,19 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+def empty_batches(jobs):
+    """A stand-in for the batches of ``jobs`` where the checks are recorded,
+    not run: no thresholds and no clamps, all the reports read of them."""
+    return [SimpleNamespace(stopped={}, drift_grid_clamps=0) for _ in jobs]
+
+
+def path_batch(cfg):
+    """The config's path batch, as ``run`` simulates it."""
+    (stats,) = verify.simulate_batch(PathConfig(cfg.steps, cfg.seed), cfg.paths,
+                                     [(build_density(cfg), cfg.r_values)])
+    return stats
 
 
 class TestConfigParsing:
@@ -205,10 +220,10 @@ class TestConfigParsing:
         def no_paths(path_cfg, n_paths, batch_jobs, chunk_paths=None):
             # the checks are recorded, not run, so no batch is simulated
             jobs.extend((density, path_cfg, n_paths, r_values) for density, r_values in batch_jobs)
-            return [None] * len(batch_jobs)
+            return empty_batches(batch_jobs)
 
         monkeypatch.setattr(cli, "collect_rows", record)
-        monkeypatch.setattr(cli, "simulate_batches", no_paths)
+        monkeypatch.setattr(verify, "simulate_batch", no_paths)
         verify_all(seed=DEFAULT_SEED, out_dir=tmp_path, paths=DEFAULT_PATHS, steps=DEFAULT_STEPS)
         assert ran[name] == cfg
         density, path_cfg, n_paths, r_values = jobs[sorted(FAMILIES).index(name)]
@@ -569,7 +584,7 @@ checks = z, tv, prop2
 
         monkeypatch.setattr(verify, "perturbation_arrays", counting)
         cfg = parse_config(write_cfg(tmp_path, text))
-        rows = collect_rows(cfg, cli._family_batch(cfg))
+        rows = collect_rows(cfg, path_batch(cfg))
         assert len(keys) == len(set(keys)) == calls
         assert {(row.r, row.delta) for row in rows if not math.isnan(row.delta)} == {
             (r, delta) for r, delta, _ in keys
@@ -614,7 +629,7 @@ out = {tmp_path}
         result = run(cfg_path)
         summary = json.loads(result.json_path.read_text(), parse_constant=_reject_constant)
         cfg = parse_config(cfg_path)
-        stats = cli._family_batch(cfg)
+        stats = path_batch(cfg)
         diag = summary["diagnostics"]["tilt"]
         assert list(summary["diagnostics"]) == ["tilt"]
         assert [row["r"] for row in diag] == list(cfg.r_values)
@@ -648,7 +663,7 @@ checks = energy
 out = {tmp_path}
 """)
         summary = json.loads(run(cfg_path).json_path.read_text(), parse_constant=_reject_constant)
-        stats = cli._family_batch(parse_config(cfg_path))
+        stats = path_batch(parse_config(cfg_path))
         assert summary["drift_grid_clamps"] == {"mixture": stats.drift_grid_clamps}
         assert stats.drift_grid_clamps > 0
 
@@ -663,7 +678,7 @@ out = {tmp_path}
             if traj.k[-1] > traj.k[:-1].max():
                 break
         r = float(np.exp(0.5 * (traj.k[:-1].max() + traj.k[-1])))
-        stats = verify.simulate_batch(density, cfg, i + 1, r_values=(r,))
+        (stats,) = verify.simulate_batch(cfg, i + 1, [(density, (r,))])
         sl = stats.stopped[r]
         assert sl.t_index[i] == cfg.steps and sl.k_at_stop[i] > np.log(r)
         passed = (sl.t_index < cfg.steps) | (sl.k_at_stop > np.log(r))
@@ -672,15 +687,15 @@ out = {tmp_path}
         assert row["overshoot_max"] == sl.overshoot()[passed].max()
 
     def test_passage_diagnostics_null_when_not_finite(self):
-        stats = verify.simulate_batch(TiltDensity([2.0]), PathConfig(128, 3), 50, r_values=(E,))
+        (stats,) = verify.simulate_batch(PathConfig(128, 3), 50, [(TiltDensity([2.0]), (E,))])
         stats.stopped[E].k_at_stop[3] = math.nan
         (row,) = cli.passage_diagnostics(stats)
         assert row["overshoot_median"] is None and row["overshoot_max"] is None
         assert json.loads(json.dumps(row, allow_nan=False)) == row
 
     def test_passage_diagnostics_null_when_no_path_stops(self):
-        stats = verify.simulate_batch(TiltDensity([2.0]), PathConfig(128, 3), 50,
-                                      r_values=(E, E**40))
+        (stats,) = verify.simulate_batch(PathConfig(128, 3), 50,
+                                         [(TiltDensity([2.0]), (E, E**40))])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no empty-median RuntimeWarning
             low, high = cli.passage_diagnostics(stats)
@@ -695,6 +710,19 @@ out = {tmp_path}
         result = run(write_cfg(tmp_path, text))
         summary = json.loads(result.json_path.read_text())
         assert summary["diagnostics"] == summary["drift_grid_clamps"] == {}
+
+    @pytest.mark.parametrize("wave", ["0", "0, 0"], ids=["1d", "2d"])
+    def test_a_zero_wave_sine_is_exact(self, tmp_path, capsys, wave):
+        """With wave 0 the sine is the constant density 1: log Z and log f
+        are 0 exactly, so no row fails on a rounded log Z, and the run
+        exits 0."""
+        path = write_cfg(tmp_path, f"[experiment]\nfamily = sine\nwave = {wave}\n"
+                                   "paths = 1000\nsteps = 128\n")
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+        density = build_density(parse_config(path))
+        assert density.log_z == 0.0
+        assert (density.log_f(np.linspace(-5.0, 5.0, 11)[:, None]) == 0.0).all()
 
     @pytest.mark.parametrize("family", ["family = mixture\nmeans = 1,0,0,0; -1,0,0,0",
                                         "family = sine\nwave = 2,0,0,0"], ids=["mixture", "sine"])
@@ -743,6 +771,50 @@ class TestVerifyAll:
         r1 = verify_all(seed=1, out_dir=tmp_path / "s1", paths=2000, steps=128)
         r2 = verify_all(seed=2, out_dir=tmp_path / "s2", paths=2000, steps=128)
         assert r1.csv_path.read_bytes() != r2.csv_path.read_bytes()
+
+
+class TestOneDriver:
+    """``run`` and ``verify-all`` simulate through the module attribute
+    ``verify.simulate_batch``, the name a tracer wraps: one call per
+    command, with a job for every config whose checks read paths, and no
+    call when none does."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The arguments of each driver call, bound by name as a tracer
+        binds them."""
+        driver, calls = verify.simulate_batch, []
+        sig = inspect.signature(driver)
+
+        def counted(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments)
+            return driver(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "simulate_batch", counted)
+        return calls
+
+    def test_verify_all_is_one_call_for_every_family(self, tmp_path, calls):
+        verify_all(seed=3, out_dir=tmp_path, paths=1000, steps=100, chunk_paths=400)
+        (call,) = calls
+        assert (call["cfg"], call["n_paths"], call["chunk_paths"]) == (PathConfig(100, 3), 1000, 400)
+        assert [(density.name, r_values) for density, r_values in call["jobs"]] == [
+            (name, verify.DEFAULT_R_GRID) for name in sorted(FAMILIES)]
+
+    def test_run_is_one_call(self, tmp_path, calls):
+        path = write_cfg(tmp_path, GOOD_CONFIG.format(out=tmp_path))
+        run(path)
+        cfg = parse_config(path)
+        (call,) = calls
+        assert (call["cfg"], call["n_paths"]) == (PathConfig(cfg.steps, cfg.seed), cfg.paths)
+        ((density, r_values),) = call["jobs"]
+        assert (density.name, r_values) == ("mixture", cfg.r_values)
+
+    def test_a_run_whose_checks_read_no_paths_makes_no_call(self, tmp_path, calls):
+        text = GOOD_CONFIG.format(out=tmp_path).replace("checks = energy, z, prop2", "checks = tail")
+        assert run(write_cfg(tmp_path, text)).exit_code == 0
+        assert calls == []
 
 
 def _reject_constant(name):
@@ -843,13 +915,13 @@ class TestMainEntry:
         assert drawn
 
     def test_verify_all_seed_range_covers_every_family(self, tmp_path, capsys, monkeypatch):
-        """verify-all runs every family with its own seed, so it takes any
-        seed of the 128-bit Philox key range, and the next is the ordinary
-        seed error."""
+        """verify-all runs every family with the one seed it is given, so it
+        takes any seed of the 128-bit Philox key range, and the next is the
+        ordinary seed error."""
         seeds = []
         monkeypatch.setattr(cli, "collect_rows", lambda cfg, stats: seeds.append(cfg.seed) or [])
-        monkeypatch.setattr(cli, "simulate_batches",
-                            lambda cfg, n_paths, jobs, chunk_paths=None: [None] * len(jobs))
+        monkeypatch.setattr(verify, "simulate_batch",
+                            lambda cfg, n_paths, jobs, chunk_paths=None: empty_batches(jobs))
         assert main(["verify-all", "--seed", str(2**128 - 1), "--out", str(tmp_path)]) == 0
         assert seeds == [2**128 - 1] * len(FAMILIES)
         capsys.readouterr()

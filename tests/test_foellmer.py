@@ -23,7 +23,6 @@ from outail.foellmer import (
     _Passages,
     perturbation_arrays,
     simulate_batch,
-    simulate_batches,
     simulate_path,
 )
 from outail.measures import DensityModel, MixtureDensity, SinePerturbationDensity, TiltDensity
@@ -43,7 +42,7 @@ def small_cfg(steps=256, seed=1234):
 def small_batch(density, cfg, r, delta, beta, n_paths=16):
     """A batch stopped at r and its perturbation arrays at delta and beta;
     ``simulate_path`` reproduces any of its paths node by node."""
-    stats = simulate_batch(density, cfg, n_paths, r_values=(r,))
+    (stats,) = simulate_batch(cfg, n_paths, [(density, (r,))])
     return stats, perturbation_arrays(stats, density, r, delta, beta)
 
 
@@ -61,11 +60,11 @@ class TestPathConfigValidation:
     def test_threshold_above_one(self):
         # thresholds are an argument of simulate_batch, not of the config
         with pytest.raises(ValueError):
-            simulate_batch(TILT, small_cfg(), 16, r_values=(E, 1.0))
+            simulate_batch(small_cfg(), 16, [(TILT, (E, 1.0))])
 
     def test_needs_a_path(self):
         with pytest.raises(ValueError, match="at least one path"):
-            simulate_batch(TILT, small_cfg(), 0)
+            simulate_batch(small_cfg(), 0, [(TILT, ())])
 
 
 class TestTiltPaths:
@@ -77,11 +76,11 @@ class TestTiltPaths:
         assert traj.x[-1, 0] == pytest.approx(b1[0] + 2.0, abs=1e-12)
 
     def test_endpoint_mean(self):
-        stats = simulate_batch(TILT, small_cfg(), 20000)
+        (stats,) = simulate_batch(small_cfg(), 20000, [(TILT, ())])
         assert abs(stats.x1.mean() - 2.0) <= 3.0 / np.sqrt(20000)
 
     def test_energy_is_deterministic(self):
-        stats = simulate_batch(TILT, small_cfg(), 100)
+        (stats,) = simulate_batch(small_cfg(), 100, [(TILT, ())])
         np.testing.assert_allclose(stats.energy_full, 4.0, atol=1e-12)
 
     def test_reconstruction_is_exact(self):
@@ -107,11 +106,11 @@ class TestValueProcess:
         # P_1 f(0) integrates f against gamma, so K_0 vanishes for any
         # normalized family (up to quadrature/interpolation error)
         for density in (TILT, MIX, SINE):
-            stats = simulate_batch(density, small_cfg(), 16)
+            (stats,) = simulate_batch(small_cfg(), 16, [(density, ())])
             assert abs(stats.k0) < 1e-4
 
     def test_final_node_is_exact_log_f(self):
-        stats = simulate_batch(MIX, small_cfg(), 64)
+        (stats,) = simulate_batch(small_cfg(), 64, [(MIX, ())])
         np.testing.assert_allclose(
             stats.k_final, np.ravel(MIX.log_f(stats.x1)), atol=0.0
         )
@@ -176,7 +175,7 @@ class TestStopping:
         r_values = (float(np.exp(0.5)), E, float(np.exp(2.5)), float(np.exp(50.0)))
         tilt3 = TiltDensity([alpha])
         cfg = small_cfg(steps=512)
-        stats = simulate_batch(tilt3, cfg, 40, r_values=r_values)
+        (stats,) = simulate_batch(cfg, 40, [(tilt3, r_values)])
         stopped = dict.fromkeys(r_values, 0)
         for idx in range(40):
             traj = simulate_path(tilt3, cfg, path_index=idx)
@@ -269,10 +268,10 @@ class TestPassageBookkeeping:
         cfg = small_cfg(steps=128, seed=11)
         log_rs = np.random.default_rng(3).permutation(np.linspace(0.02, 2.5, 16))
         r_values = tuple(float(r) for r in np.exp(log_rs))
-        many = simulate_batch(density, cfg, 300, r_values=r_values)
+        (many,) = simulate_batch(cfg, 300, [(density, r_values)])
         crossed = 0
         for r in r_values:
-            one = simulate_batch(density, cfg, 300, r_values=(r,)).stopped[r]
+            one = simulate_batch(cfg, 300, [(density, (r,))])[0].stopped[r]
             for name in ("t_index", "stoch", "energy", "vds", "k_at_stop"):
                 assert np.array_equal(getattr(many.stopped[r], name), getattr(one, name)), name
             crossed += bool((one.t_index < cfg.steps).any())
@@ -281,8 +280,8 @@ class TestPassageBookkeeping:
     def test_unsorted_repeated_thresholds_equal_sorted(self):
         cfg = small_cfg(steps=128, seed=11)
         r_values = (E**2, E**0.5, E, E**0.5, E**1.5)
-        given_order = simulate_batch(MIX, cfg, 300, r_values=r_values)
-        ordered = simulate_batch(MIX, cfg, 300, r_values=sorted(set(r_values)))
+        (given_order,) = simulate_batch(cfg, 300, [(MIX, r_values)])
+        (ordered,) = simulate_batch(cfg, 300, [(MIX, sorted(set(r_values)))])
         assert list(given_order.stopped) == list(ordered.stopped) == sorted(set(r_values))
         for r in r_values:
             for name in ("t_index", "stoch", "energy", "vds", "k_at_stop"):
@@ -311,7 +310,7 @@ class TestPerturbation:
     def test_reweighted_mass_is_one(self):
         # E[f(X^d) D^d] = 1 holds exactly under the discrete measure change
         cfg = PathConfig(steps=512, seed=3)
-        stats = simulate_batch(TILT, cfg, 30000, r_values=(E**2,))
+        (stats,) = simulate_batch(cfg, 30000, [(TILT, (E**2,))])
         arr = perturbation_arrays(stats, TILT, E**2, 0.1, 0.0)
         vals = np.exp(arr.log_f_xd + arr.log_d)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
@@ -341,7 +340,7 @@ class TestConvexityMargin:
 class TestDeterminism:
     def test_single_path_equals_batch_path(self):
         cfg = small_cfg()
-        stats = simulate_batch(MIX, cfg, 16, r_values=(E,))
+        (stats,) = simulate_batch(cfg, 16, [(MIX, (E,))])
         traj = simulate_path(MIX, cfg, path_index=13)
         assert float(traj.x[-1, 0]) == stats.x1[13, 0]
         assert float(traj.k[-1]) == stats.k_final[13]
@@ -353,8 +352,8 @@ class TestDeterminism:
         # sine paths cross log r < 0.66 and never E: both stop rules covered
         cfg = small_cfg()
         r_values = (1.05, 1.2, 1.5, E)
-        a = simulate_batch(SINE, cfg, 3000, r_values=r_values, chunk_paths=271)
-        b = simulate_batch(SINE, cfg, 3000, r_values=r_values, chunk_paths=3000)
+        (a,) = simulate_batch(cfg, 3000, [(SINE, r_values)], 271)
+        (b,) = simulate_batch(cfg, 3000, [(SINE, r_values)], 3000)
         assert np.array_equal(a.x1, b.x1)
         assert np.array_equal(a.stoch_full, b.stoch_full)
         for r in r_values:
@@ -379,11 +378,11 @@ class TestDeterminism:
     @pytest.mark.parametrize("chunk", [0, -5])
     def test_chunk_paths_must_be_positive(self, chunk):
         with pytest.raises(ValueError, match="chunk_paths"):
-            simulate_batch(TILT, small_cfg(), 100, chunk_paths=chunk)
+            simulate_batch(small_cfg(), 100, [(TILT, ())], chunk)
 
     def test_seed_changes_paths(self):
-        a = simulate_batch(TILT, small_cfg(seed=1), 32)
-        b = simulate_batch(TILT, small_cfg(seed=2), 32)
+        (a,) = simulate_batch(small_cfg(seed=1), 32, [(TILT, ())])
+        (b,) = simulate_batch(small_cfg(seed=2), 32, [(TILT, ())])
         assert not np.array_equal(a.x1, b.x1)
 
 
@@ -440,7 +439,7 @@ class TestChunking:
         mix2 = MixtureDensity([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], 0.5)
         cfg = PathConfig(steps=128, seed=3)
         r_values = (1.05, 1.5, E)
-        whole = simulate_batch(mix2, cfg, 800, r_values=r_values)
+        (whole,) = simulate_batch(cfg, 800, [(mix2, r_values)])
         drawn = []
         draw = foellmer.path_normals
 
@@ -450,7 +449,7 @@ class TestChunking:
 
         monkeypatch.setattr(foellmer, "path_normals", spy)
         monkeypatch.setattr(foellmer, "NORMALS_BUDGET_WORDS", 300 * words_per_path(128 * 2))
-        split = simulate_batch(mix2, cfg, 800, r_values=r_values)
+        (split,) = simulate_batch(cfg, 800, [(mix2, r_values)])
         # each chunk is drawn as two halves, in either order
         assert [sorted(drawn[j:j + 2]) for j in (0, 2, 4)] == [[133, 134], [133, 134], [133, 133]]
         assert (whole.stopped[1.05].t_index < cfg.steps).any()
@@ -469,8 +468,8 @@ class TestChunking:
         chunks that widen the drift table windows."""
         cfg = PathConfig(steps=128, seed=11)
         r_values = (1.05, 1.5)
-        whole = simulate_batch(density, cfg, n_paths, r_values=r_values, chunk_paths=n_paths)
-        split = simulate_batch(density, cfg, n_paths, r_values=r_values, chunk_paths=chunk)
+        (whole,) = simulate_batch(cfg, n_paths, [(density, r_values)], n_paths)
+        (split,) = simulate_batch(cfg, n_paths, [(density, r_values)], chunk)
         assert_same_batch(whole, split)
         normals = foellmer.path_normals(cfg.seed, 0, n_paths, cfg.steps, density.dim)
         paths = [simulate_path(density, cfg, j) for j in (0, n_paths - 1)]
@@ -499,7 +498,7 @@ class TestPrefetch:
         monkeypatch.setattr(DriftField, "eval", fail)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="step failed"):
-            simulate_batch(TILT, small_cfg(), 900, chunk_paths=300)
+            simulate_batch(small_cfg(), 900, [(TILT, ())], 300)
         assert threading.active_count() == before
         # the halves of chunk 1 only: no chunk is drawn before the one ahead of it is dropped
         assert sorted(drawn) == [0, 150]
@@ -518,7 +517,7 @@ class TestPrefetch:
         # either half of the first chunk, or of a later one
         for failing in (0, 150, 450):
             with pytest.raises(RuntimeError, match="draw failed"):
-                simulate_batch(MIX, small_cfg(), 900, chunk_paths=300)
+                simulate_batch(small_cfg(), 900, [(MIX, ())], 300)
             assert threading.active_count() == before
 
     def test_table_error_propagates_and_joins_worker(self, monkeypatch):
@@ -527,17 +526,16 @@ class TestPrefetch:
         raw = DriftField.raw
         built = []
 
-        def fail_late(self, s, x=None, cells=slice(None)):
-            if x is None:
-                built.append(s)
-                if len(built) == 100:
-                    raise RuntimeError("table failed")
-            return raw(self, s, x, cells)
+        def fail_late(self, s, cells=slice(None)):
+            built.append(s)
+            if len(built) == 100:
+                raise RuntimeError("table failed")
+            return raw(self, s, cells)
 
         monkeypatch.setattr(DriftField, "raw", fail_late)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="table failed"):
-            simulate_batch(MIX, small_cfg(), 900, chunk_paths=300)
+            simulate_batch(small_cfg(), 900, [(MIX, ())], 300)
         assert threading.active_count() == before
 
     def test_tables_are_built_once_per_step(self, monkeypatch):
@@ -546,21 +544,20 @@ class TestPrefetch:
         raw = DriftField.raw
         built = []
 
-        def count(self, s, x=None, cells=slice(None)):
-            if x is None:
-                built.append((id(self), s, cells))
-            return raw(self, s, x, cells)
+        def count(self, s, cells=slice(None)):
+            built.append((id(self), s, cells))
+            return raw(self, s, cells)
 
         monkeypatch.setattr(DriftField, "raw", count)
         for density in (MIX, SINE):
             built.clear()
-            simulate_batch(density, PathConfig(steps=1000, seed=5), 600, chunk_paths=250)
+            simulate_batch(PathConfig(steps=1000, seed=5), 600, [(density, ())], 250)
             cells = [(field, s, c) for field, s, sl in built
                      for c in range(*sl.indices(foellmer.DRIFT_GRID_POINTS))]
             assert len(cells) == len(set(cells))
             assert len({(field, s) for field, s, _ in built}) == 1000 < len(built)
         built.clear()
-        simulate_batch(TILT, PathConfig(steps=1000, seed=5), 600, chunk_paths=250)
+        simulate_batch(PathConfig(steps=1000, seed=5), 600, [(TILT, ())], 250)
         assert built == []
 
 
@@ -586,17 +583,18 @@ def draw_spy(monkeypatch, fail_at=None):
 
 
 class TestPipeline:
-    """One ``simulate_batches`` call draws each chunk once, steps it for
+    """One ``simulate_batch`` call draws each chunk once, steps it for
     every batch and drops it before the next chunk is drawn."""
 
     def test_run_equals_separate_batches(self):
         for chunk in (None, 384, 1000):
             before = threading.active_count()
-            run = simulate_batches(PIPELINE_CFG, PIPELINE_PATHS, PIPELINE_JOBS, chunk)
+            run = simulate_batch(PIPELINE_CFG, PIPELINE_PATHS, PIPELINE_JOBS, chunk)
             assert threading.active_count() == before
             assert len(run) == len(PIPELINE_JOBS)
             for (density, r_values), stats in zip(PIPELINE_JOBS, run):
-                alone = simulate_batch(density, PIPELINE_CFG, PIPELINE_PATHS, r_values, chunk)
+                (alone,) = simulate_batch(PIPELINE_CFG, PIPELINE_PATHS, [(density, r_values)],
+                                          chunk)
                 assert_same_batch(stats, alone)
             assert (run[1].stopped[1.05].t_index < PIPELINE_CFG.steps).any()
 
@@ -608,20 +606,20 @@ class TestPipeline:
                         for h in (0, min(384, PIPELINE_PATHS - lo) // 2))
         for k in range(1, len(PIPELINE_JOBS) + 1):
             drawn.clear()
-            simulate_batches(PIPELINE_CFG, PIPELINE_PATHS, PIPELINE_JOBS[:k], 384)
+            simulate_batch(PIPELINE_CFG, PIPELINE_PATHS, PIPELINE_JOBS[:k], 384)
             assert sorted(drawn) == halves and len(drawn) == 2 * 6
 
     def test_jobs_are_checked_before_any_draw(self, monkeypatch):
         drawn = draw_spy(monkeypatch)
         with pytest.raises(ValueError, match="thresholds must exceed 1"):
-            simulate_batches(PIPELINE_CFG, 10, PIPELINE_JOBS + ((TILT, (0.5,)),))
+            simulate_batch(PIPELINE_CFG, 10, PIPELINE_JOBS + ((TILT, (0.5,)),))
         assert drawn == []
 
     def test_dims_must_agree_before_any_draw(self, monkeypatch):
         drawn = draw_spy(monkeypatch)
         mix2 = MixtureDensity([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], 0.5)
         with pytest.raises(ValueError, match=r"one dim; got dims \[1, 2\]"):
-            simulate_batches(PIPELINE_CFG, 10, PIPELINE_JOBS + ((mix2, (E,)),))
+            simulate_batch(PIPELINE_CFG, 10, PIPELINE_JOBS + ((mix2, (E,)),))
         assert drawn == []
 
     def test_step_error_in_a_later_batch_propagates_and_joins(self, monkeypatch):
@@ -639,7 +637,7 @@ class TestPipeline:
         monkeypatch.setattr(DriftField, "eval", fail_mixture)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="step failed"):
-            simulate_batches(PIPELINE_CFG, PIPELINE_PATHS, PIPELINE_JOBS, 384)
+            simulate_batch(PIPELINE_CFG, PIPELINE_PATHS, PIPELINE_JOBS, 384)
         assert threading.active_count() == before
         assert sorted(drawn) == [0, 192]
 
@@ -649,7 +647,7 @@ class TestPipeline:
         for failing in (0, 192, 384 + 192):
             draw_spy(monkeypatch, fail_at=failing)
             with pytest.raises(RuntimeError, match="draw failed"):
-                simulate_batches(PIPELINE_CFG, PIPELINE_PATHS, PIPELINE_JOBS, 384)
+                simulate_batch(PIPELINE_CFG, PIPELINE_PATHS, PIPELINE_JOBS, 384)
             assert threading.active_count() == before
 
     def test_at_most_one_chunk_buffer(self, monkeypatch):
@@ -677,7 +675,7 @@ class TestPipeline:
         at_allocation, at_draw = [], []
         monkeypatch.setattr(foellmer._Chunk, "__init__", allocate)
         monkeypatch.setattr(foellmer, "path_normals", track)
-        run = simulate_batches(PIPELINE_CFG, PIPELINE_PATHS, PIPELINE_JOBS, 384)
+        run = simulate_batch(PIPELINE_CFG, PIPELINE_PATHS, PIPELINE_JOBS, 384)
         assert len(run) == len(PIPELINE_JOBS)
         assert at_allocation == [1] * 6 and len(at_draw) == 12
         assert max(at_draw) == 1 and live() == 0
@@ -693,7 +691,7 @@ class TestPipeline:
             fields.append(weakref.ref(self))
 
         monkeypatch.setattr(DriftField, "__init__", track)
-        run = simulate_batches(PIPELINE_CFG, PIPELINE_PATHS, PIPELINE_JOBS, 384)
+        run = simulate_batch(PIPELINE_CFG, PIPELINE_PATHS, PIPELINE_JOBS, 384)
         gc.collect()
         assert len(run) == len(fields) == len(PIPELINE_JOBS)
         assert all(ref() is None for ref in fields)
@@ -732,7 +730,7 @@ class TestTiledDraws:
         the loop starts at once."""
         cfg = PathConfig(steps=128, seed=9)
         r_values = (E, E**2)
-        whole = simulate_batch(TILT, cfg, 300, r_values=r_values)
+        (whole,) = simulate_batch(cfg, 300, [(TILT, r_values)])
         paths = {j: simulate_path(TILT, cfg, j) for j in (0, 151, 299)}
         draw, evaluate = foellmer.path_normals, DriftField.eval
         first_step = threading.Event()
@@ -756,7 +754,7 @@ class TestTiledDraws:
         monkeypatch.setattr(rng_module, "_OUT_BLOCK_WORDS", 150 * 10)  # 10-step tiles
         monkeypatch.setattr(foellmer, "path_normals", late)
         monkeypatch.setattr(DriftField, "eval", step)
-        tiled = simulate_batch(TILT, cfg, 300, r_values=r_values)
+        (tiled,) = simulate_batch(cfg, 300, [(TILT, r_values)])
         assert early == [True, True]
         assert (whole.stopped[E].t_index < cfg.steps).any()
         assert_same_batch(whole, tiled)
@@ -769,12 +767,12 @@ class TestTiledDraws:
         to 7 steps and a 10 us switch interval: every run, three chunks
         each, gives the batch of a run on its own."""
         cfg = PathConfig(steps=100, seed=21)
-        ref = simulate_batch(MIX, cfg, 400, r_values=(1.05,), chunk_paths=150)
+        (ref,) = simulate_batch(cfg, 400, [(MIX, (1.05,))], 150)
         monkeypatch.setattr(rng_module, "_OUT_BLOCK_WORDS", 75 * 5)
         runs = [None] * 3
 
         def run(k):
-            runs[k] = simulate_batch(MIX, cfg, 400, r_values=(1.05,), chunk_paths=150)
+            (runs[k],) = simulate_batch(cfg, 400, [(MIX, (1.05,))], 150)
 
         threads = [threading.Thread(target=run, args=(k,)) for k in range(3)]
         interval = sys.getswitchinterval()
@@ -813,7 +811,7 @@ class TestTiledDraws:
         monkeypatch.setattr(DriftField, "eval", step)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="draw failed"):
-            simulate_batch(MIX, small_cfg(128), 300)
+            simulate_batch(small_cfg(128), 300, [(MIX, ())])
         assert threading.active_count() == before
         assert max(stepped, default=-1) < 20
 
@@ -821,15 +819,15 @@ class TestTiledDraws:
 class TestDriftTabulation:
     @pytest.mark.parametrize("density", [MIX, SINE], ids=["mixture", "sine"])
     def test_table_matches_direct_evaluation(self, density, rng):
-        # eval interpolates table i of the field, raw evaluates its bandwidth
-        # s = 1 - i/m directly: s = 1, 0.5, about 0.05 and 1/256
+        # eval interpolates table i of the field, closed_heat_at evaluates
+        # its bandwidth s = 1 - i/m directly: s = 1, 0.5, about 0.05 and 1/256
         m = 256
         drift = DriftField(density, m)
         assert drift.grid is not None and len(drift.tables) == m
         x = rng.normal(size=(2000, 1)) * 2.5
         for i in (0, m // 2, 243, m - 1):
             k_t, v_t = drift.eval(i, x)
-            k_d, v_d = drift.raw(1.0 - i / m, x)
+            k_d, v_d = density.closed_heat_at(x)(1.0 - i / m)
             assert np.abs(k_t - k_d).max() < 2e-4
             assert np.abs(v_t - v_d).max() < 5e-4
 
@@ -880,13 +878,13 @@ class TestDriftTabulation:
 
         monkeypatch.setattr(DriftField, "__init__", keep)
         for density in (MIX, SINE):
-            simulate_batch(density, PathConfig(foellmer.DEFAULT_STEPS, seed=11), 2000)
+            simulate_batch(PathConfig(foellmer.DEFAULT_STEPS, seed=11), 2000, [(density, ())])
         for field in fields:
             cells = sum(len(k) for _, k, _ in field.tables)
             assert cells < 0.4 * foellmer.DEFAULT_STEPS * foellmer.DRIFT_GRID_POINTS
 
     def test_final_node_bypasses_table(self):
-        stats = simulate_batch(MIX, small_cfg(), 32)
+        (stats,) = simulate_batch(small_cfg(), 32, [(MIX, ())])
         np.testing.assert_allclose(stats.k_final, np.ravel(MIX.log_f(stats.x1)), atol=0.0)
 
 
@@ -895,7 +893,7 @@ class TestTwoDimensional:
         """The closed 2-D mixture drift agrees with the heat-kernel
         quadrature on a 24-node rule at the endpoints of a batch."""
         mix2 = MixtureDensity([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], 0.5)
-        stats = simulate_batch(mix2, PathConfig(steps=128, seed=8), 256)
+        (stats,) = simulate_batch(PathConfig(steps=128, seed=8), 256, [(mix2, ())])
         assert np.isfinite(stats.x1).all()
         rule = QuadratureRule.gauss_hermite(2, 24)
         for s in (1.0, 0.5, 1.0 / 128):

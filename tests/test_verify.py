@@ -194,7 +194,7 @@ class TestEnergyBound:
 
     def test_constant_density_trivial(self):
         flat = TiltDensity(np.zeros(1))
-        stats = simulate_batch(flat, PathConfig(steps=128, seed=2), 500, r_values=(E,))
+        (stats,) = simulate_batch(PathConfig(steps=128, seed=2), 500, [(flat, (E,))])
         rep = drift_energy_report(stats, flat, E)
         assert rep.estimate == 0.0 and rep.passed
 
@@ -353,7 +353,7 @@ class TestComposite:
         """A Monte Carlo direct tail (a 2-D mixture) adds its half-width to
         that of the per-shell sum."""
         mix2 = MixtureDensity([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], 0.5)
-        stats = simulate_batch(mix2, PathConfig(128, 4), 4000, r_values=(r,))
+        (stats,) = simulate_batch(PathConfig(128, 4), 4000, [(mix2, (r,))])
         row = next(rep for rep in composite_reports(stats, mix2, r) if rep.name == "tail_reduction")
         gap = stats.k_final - np.log(r)
         weights = np.where(gap > 0.0, np.exp(-np.floor(np.maximum(gap, 0.0)) - np.log(r)), 0.0)
@@ -388,7 +388,9 @@ class TestRowTable:
             cfg = cli.ExperimentConfig(family, fam.defaults, paths=cli.MIN_MC_PATHS,
                                        steps=MIN_STEPS)
             assert cfg.checks == cli.CHECK_TOKENS
-            for row in cli.collect_rows(cfg, cli._family_batch(cfg)):
+            (stats,) = simulate_batch(PathConfig(cfg.steps, cfg.seed), cfg.paths,
+                                      [(cli.build_density(cfg), cfg.r_values)])
+            for row in cli.collect_rows(cfg, stats):
                 base = re.split("[!@]", row.name)[0]
                 assert base in table, f"{row.name} has no entry in the verify row table"
                 # a ``!`` row is an unanchored NaN stand-in
