@@ -346,7 +346,7 @@ def _tail_row(density: DensityModel, t: float, r: float, est: float, ci: float,
     if math.isnan(est):
         nan = float("nan")
         return BoundReport(name="tail_markov!exact_required", estimate=nan,
-                           ci_half_width=nan, bound=nan, anchored=False, **meta)
+                           ci_half_width=nan, bound=nan, **meta)
     return BoundReport(name="tail_markov", estimate=est, ci_half_width=ci, bound=1.0 / r, **meta)
 
 
@@ -368,7 +368,7 @@ def _ceiling_row(
         name="tail_curve_ceiling", family=density.name, dim=density.dim,
         t=t, beta=density.beta, estimate=est, ci_half_width=ci,
         bound=verify.DESK_RATIO_CEILING,
-        n_samples=len(cfg.r_values), seed=cfg.seed, anchored=False,
+        n_samples=len(cfg.r_values), seed=cfg.seed,
     )
 
 
@@ -437,7 +437,7 @@ def write_reports(
         ),
         "rows": [
             {"name": r.name, "family": r.family, "pass": r.passed,
-             "anchored": r.anchored,
+             "anchored": r.anchored, "vacuous": r.vacuous,
              "margin": r.margin if math.isfinite(r.margin) else None}  # JSON has no NaN
             for r in rows
         ],

@@ -330,15 +330,16 @@ class SinePerturbationDensity(DensityModel):
             raise ValueError(f"eps = {self.eps:g} is too large: the heat series loses more "
                              f"than SERIES_TOL = {SERIES_TOL:g} to cancellation")
         self._weights = weights
-        self._j = j = np.arange(len(weights))
+        if self._k2:
+            # log Z = log I_0 + log1p(sum over even j >= 2 of w_j cos(j pi/2) e^{-j^2 k^2 / 2})
+            terms = _jacobi_anger_weights(self.eps, self._k2, 1.0)[::2]
+            terms[1::2] *= -1.0
+            self._log_z_over_i0 = float(np.log1p(terms[1:].sum()))
+            self.log_z = self.eps + float(np.log(ive(0, self.eps))) + self._log_z_over_i0
+        else:  # the constant density 1: its series is the j = 0 term, 1, so log Z, K and v are 0
+            self._weights, self._log_z_over_i0, self.log_z = weights[:1], 0.0, 0.0
+        self._j = j = np.arange(len(self._weights))
         self._decay = -0.5 * self._k2 * j * j
-        # log Z = log I_0 + log1p(sum over even j >= 2 of w_j cos(j pi/2) e^{-j^2 k^2 / 2})
-        terms = _jacobi_anger_weights(self.eps, self._k2, 1.0)[::2]
-        terms[1::2] *= -1.0
-        self._log_z_over_i0 = float(np.log1p(terms[1:].sum()))
-        self.log_z = self.eps + float(np.log(ive(0, self.eps))) + self._log_z_over_i0
-        if not self._k2:  # the constant density 1: log Z is 0 exactly, not rounded
-            self._log_z_over_i0, self.log_z = self._log_z_over_i0 - self.log_z, 0.0
 
     def _theta(self, x) -> np.ndarray:
         return _as_points(x, 1)[..., 0] * self._rho * self.wave[0] + 0.0  # k rho x, -0 as +0

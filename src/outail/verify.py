@@ -13,45 +13,17 @@ Conventions
 * A tail curve is evaluated once per t: ``tail_curve`` builds Q_t f and
   evaluates log Q_t f on the level-set grid or the Monte Carlo sample once
   for all its thresholds.
-* Floor-type checks ("statistic >= floor") store negated values so that the
-  uniform pass rule margin + ci >= 0 applies; their names end in ``_floor``.
 
 Rows
 ----
-Each row name up to a ``!`` or ``@`` suffix, anchored (A: a miss fails the
-run) or not (-), the statement it checks and, after ``--``, its source.  EL
-is Eldan & Lee (Duke Math. J. 2018), whose tail bound the rows take apart.
+``reports.ROWS`` gives each row name up to a ``!`` or ``@`` suffix: whether
+it is anchored (a miss fails the run), its trivial cap, and in a comment the
+statement it checks and, after ``--``, its source.  EL is Eldan & Lee (Duke
+Math. J. 2018), whose tail bound the rows take apart.
 L = log r, v is the drift, T the passage of K = log P_{1-t} f(X_t) over L,
 and d, X^d, D^d, Z, S_T, E_T, I_T are delta and the quantities of
 ``foellmer.perturbation_arrays``.  A ``!exact_required`` row is an
 unanchored NaN stand-in for a tail that Monte Carlo cannot resolve.
-
-tail_markov             A  gamma(Q_t f > r) <= 1/r -- Markov: Q_t f integrates to 1
-tail_curve_ceiling      -  max_r gamma(Q_t f > r) r sqrt(L) min(1, t) <= 20 -- desk stand-in for C_t
-sharpness_floor         -  tilt |u| = sqrt(2L): gamma(f > r) r sqrt(L) >= 0.1 -- sqrt(L) is sharp (EL)
-entropy_identity_gap    A  E int_0^1 |v|^2 / 2 = H(f dgamma | gamma) -- Foellmer (Lehec, AIHP 2013)
-drift_energy            A  E E_T <= 2L -- K = S + E/2 with K_0 = 0 and K_T <= L, stopped at T (EL)
-girsanov_mean_gap       A  E D^d = 1 -- Girsanov
-girsanov_product_gap    A  E f(X^d) D^d = 1 -- Girsanov: X^d is standard Gaussian under D^d dP
-convexity_floor         A  log f(X^d) >= log f(X_1) + d <v_1, I_T> - beta d^2 E_T / 2 on each path
-                           -- Taylor under Hess log f >= -beta
-pathwise_product_floor  A  f(X^d) D^d >= e^Z (1 - 1e-6) on each path, tilt only -- convexity_floor
-                           and K_1 = S_1 + E_1 / 2, exact for the discrete K of a constant drift
-exp_moment              A  E e^Z <= 1 -- pathwise_product_floor and girsanov_product_gap (EL)
-deviation_bound         A  P(Z <= -2) <= -E Z -- E e^Z <= 1 and e^z - 1 - z >= 1{z <= -2}
-deviation_budget        A  P(Z <= -2) <= d^2 (beta + 1) L -- deviation_bound, drift_energy and
-                           -E Z = (beta + 1) d^2 E E_T / 2 (EL)
-drift_martingale_gap    A  E <v_1 - v_s, v_s> 1{s <= T} = 0 up to an allowance -- v is a martingale
-tv_lower_bound          A  KS gap of f(X_1) and f(X^d) <= d sqrt((beta + 1) L) -- EL's TV step
-tv_pinsker              -  the same gap <= d sqrt((beta + 1) L / 2) -- no stated source
-shell_shift             A  P(f(X^d) <= r^{1+2d} e^{-4}) <= P(f(X_1) <= r) + (beta + 4) d^2 L
-                           -- EL's shell-shift proposition (the ``prop2`` token)
-shell_ratio             -  P(r < f(X_1) <= e r) sqrt(L) / max(beta, 1) <= 20 -- desk stand-in
-tail_reduction          A  gamma(f > r) <= E sum_k 1{f(X_1) in (e^k r, e^{k+1} r]} / (e^k r)
-                           -- Markov per shell: gamma(f > r) = E[1/f(X_1); f(X_1) > r]
-log_hessian_floor       A  lambda_min(Hess log Q_t f) >= -1/(2t) -- smoothing, any f: the beta
-                           -> inf limit of ``ou_image``'s beta_t is 1/(e^{2t} - 1) <= 1/(2t)
-hypercontractivity      A  ||Q_t f||_q <= ||f||_p, q = 1 + e^{2t} (p - 1) -- Nelson (1973)
 """
 
 from __future__ import annotations
@@ -205,18 +177,9 @@ def sharpness_values(r_grid=SHARPNESS_R_GRID) -> np.ndarray:
 
 def sharpness_report(seed: int = 0) -> BoundReport:
     vals = sharpness_values(SHARPNESS_R_GRID)
-    return BoundReport(
-        name="sharpness_floor",
-        family="tilt",
-        dim=1,
-        estimate=float(-vals.min()),
-        ci_half_width=0.0,
-        bound=-SHARPNESS_FLOOR,
-        beta=0.0,
-        n_samples=len(vals),
-        seed=seed,
-        anchored=False,  # the floor itself is a desk-scale convention
-    )
+    return BoundReport(name="sharpness_floor", family="tilt", dim=1, estimate=float(-vals.min()),
+                       ci_half_width=0.0, bound=-SHARPNESS_FLOOR, beta=0.0, n_samples=len(vals),
+                       seed=seed)
 
 
 # -- relative entropy and drift energy ---------------------------------------
@@ -242,7 +205,6 @@ def _batch_meta(stats: BatchStats, density: DensityModel, pert: Perturbation | N
 
 
 def entropy_identity_report(stats: BatchStats, density: DensityModel) -> BoundReport:
-    """Half the expected drift energy against the quadrature entropy."""
     mc, se = batch_means(0.5 * stats.energy_full)
     h = relative_entropy_quadrature(density)
     return BoundReport(
@@ -253,7 +215,6 @@ def entropy_identity_report(stats: BatchStats, density: DensityModel) -> BoundRe
 
 
 def drift_energy_report(stats: BatchStats, density: DensityModel, r: float) -> BoundReport:
-    """Expected stopped drift energy against its entropy budget 2 log r."""
     est, se = batch_means(stats.slice_for(r).energy)
     return BoundReport(
         name="drift_energy", estimate=est, ci_half_width=CI_STANDARD_ERRORS * se,
@@ -265,40 +226,17 @@ def drift_energy_report(stats: BatchStats, density: DensityModel, r: float) -> B
 
 
 def exp_moment_report(z: np.ndarray, **meta) -> BoundReport:
-    """E[e^Z] <= 1 for the deviation variable."""
     est, se = batch_means(np.exp(np.asarray(z)))
-    return BoundReport(
-        name="exp_moment", estimate=est, ci_half_width=CI_STANDARD_ERRORS * se, bound=1.0, **meta
-    )
+    return BoundReport(name="exp_moment", estimate=est, ci_half_width=CI_STANDARD_ERRORS * se,
+                       bound=1.0, **meta)
 
 
 def deviation_margin_report(z: np.ndarray, **meta) -> BoundReport:
-    """P(Z <= -2) <= -E[Z], valid whenever E[e^Z] <= 1."""
     z = np.asarray(z)
     p, p_se = batch_means((z <= -2.0).astype(float))
     mz, mz_se = batch_means(z)
-    return BoundReport(
-        name="deviation_bound",
-        estimate=p,
-        ci_half_width=CI_STANDARD_ERRORS * (p_se + mz_se),
-        bound=-mz,
-        **meta,
-    )
-
-
-def deviation_budget_report(z: np.ndarray, r: float, delta: float, beta: float, **meta) -> BoundReport:
-    """P(Z <= -2) <= delta^2 (beta + 1) log r."""
-    p, p_se = batch_means((np.asarray(z) <= -2.0).astype(float))
-    return BoundReport(
-        name="deviation_budget",
-        estimate=p,
-        ci_half_width=CI_STANDARD_ERRORS * p_se,
-        bound=delta**2 * (beta + 1.0) * np.log(r),
-        r=r,
-        delta=delta,
-        beta=beta,
-        **meta,
-    )
+    return BoundReport(name="deviation_bound", estimate=p,
+                       ci_half_width=CI_STANDARD_ERRORS * (p_se + mz_se), bound=-mz, **meta)
 
 
 def girsanov_reports(stats: BatchStats, density: DensityModel, pert: Perturbation) -> list[BoundReport]:
@@ -331,10 +269,12 @@ def girsanov_reports(stats: BatchStats, density: DensityModel, pert: Perturbatio
 
 def z_suite_reports(stats: BatchStats, density: DensityModel, pert: Perturbation) -> list[BoundReport]:
     meta = _batch_meta(stats, density, pert)
+    p, p_se = batch_means((pert.z <= -2.0).astype(float))
     return [
         exp_moment_report(pert.z, **meta),
         deviation_margin_report(pert.z, **meta),
-        deviation_budget_report(pert.z, **meta),
+        BoundReport(name="deviation_budget", estimate=p, ci_half_width=CI_STANDARD_ERRORS * p_se,
+                    bound=pert.delta**2 * (pert.beta + 1.0) * np.log(pert.r), **meta),
         *martingale_gap_reports(stats, density, pert.r),
     ]
 
@@ -378,7 +318,7 @@ def tv_reports(stats: BatchStats, density: DensityModel, pert: Perturbation) -> 
         BoundReport(name="tv_lower_bound", estimate=d_hat,
                     ci_half_width=envelope, bound=budget, **meta),
         BoundReport(name="tv_pinsker", estimate=d_hat, ci_half_width=envelope,
-                    bound=budget / np.sqrt(2.0), anchored=False, **meta),
+                    bound=budget / np.sqrt(2.0), **meta),
     ]
 
 
@@ -409,7 +349,7 @@ def composite_reports(stats: BatchStats, density: DensityModel, r: float) -> lis
     shell_row = BoundReport(
         name="shell_ratio", estimate=p_shell * scale,
         ci_half_width=CI_STANDARD_ERRORS * p_se * scale,
-        bound=DESK_RATIO_CEILING, anchored=False, **meta,
+        bound=DESK_RATIO_CEILING, **meta,
     )
     weights = np.where(gap > 0.0, np.exp(-np.floor(np.maximum(gap, 0.0)) - logr), 0.0)
     w_mean, w_se = batch_means(weights)
@@ -418,7 +358,7 @@ def composite_reports(stats: BatchStats, density: DensityModel, r: float) -> lis
     except ResolutionError:
         nan = float("nan")
         return [shell_row, BoundReport(name="tail_reduction!exact_required", estimate=nan,
-                                       ci_half_width=nan, bound=nan, anchored=False, **meta)]
+                                       ci_half_width=nan, bound=nan, **meta)]
     reduction_row = BoundReport(
         name="tail_reduction", estimate=direct, ci_half_width=CI_STANDARD_ERRORS * w_se + direct_ci,
         bound=w_mean, **meta,
@@ -431,25 +371,14 @@ def composite_reports(stats: BatchStats, density: DensityModel, r: float) -> lis
 
 def hessian_floor_report(density: DensityModel, t: float) -> BoundReport:
     """Worst log-Hessian margin of Q_t f over ``HESSIAN_PROBES`` on the
-    diagonal, from one ``fd_hessian`` of the image's log_f over all probes.
-
-    The margin lambda_min + 1/(2t) must be >= -HESSIAN_TOL everywhere; it
-    confirms the 1/(2t) semi-convexity floor of the smoothed log-density.
+    diagonal, from one ``fd_hessian`` of the image's log_f over all probes;
+    the margin lambda_min + 1/(2t) must be >= -HESSIAN_TOL at every probe.
     """
     if t <= 0:
         raise ValueError("Hessian floor check needs t > 0")
     points = np.tile(HESSIAN_PROBES[:, None], density.dim)
     hess = fd_hessian(ou_image(density, t).log_f, points)
     worst = float((np.linalg.eigvalsh(hess)[:, 0] + 0.5 / t).min())
-    return BoundReport(
-        name="log_hessian_floor",
-        family=density.name,
-        dim=density.dim,
-        t=t,
-        beta=density.beta,
-        estimate=-worst,
-        ci_half_width=0.0,
-        bound=HESSIAN_TOL,
-        n_samples=len(points),
-        seed=0,
-    )
+    return BoundReport(name="log_hessian_floor", family=density.name, dim=density.dim, t=t,
+                       beta=density.beta, estimate=-worst, ci_half_width=0.0, bound=HESSIAN_TOL,
+                       n_samples=len(points))

@@ -722,7 +722,17 @@ out = {tmp_path}
         assert "[FAIL]" not in capsys.readouterr().out
         density = build_density(parse_config(path))
         assert density.log_z == 0.0
-        assert (density.log_f(np.linspace(-5.0, 5.0, 11)[:, None]) == 0.0).all()
+        x = np.linspace(-5.0, 5.0, 11)[:, None]
+        assert (density.log_f(x) == 0.0).all()
+        # its heat transform and OU image are exact too: the parent read
+        # K = -1.39e-16 at every x and s, and so did the image's log f
+        for s in (0.0, 0.5, 1.0):
+            k, v = density.closed_heat_at(x)(s)
+            assert (k == 0.0).all() and (v == 0.0).all()
+        assert (density.closed_ou(1.0).log_f(x) == 0.0).all()
+        # so K starts at 0 and the value process closes exactly on every path
+        (stats,) = foellmer.simulate_batch(PathConfig(128, 42), 1000, [(density, (E,))])
+        assert stats.k0 == 0.0 and (stats.fvt_residual() == 0.0).all()
 
     @pytest.mark.parametrize("family", ["family = mixture\nmeans = 1,0,0,0; -1,0,0,0",
                                         "family = sine\nwave = 2,0,0,0"], ids=["mixture", "sine"])
@@ -766,6 +776,28 @@ class TestVerifyAll:
             for diag in summary["diagnostics"].values():
                 assert [row["r"] for row in diag] == list(verify.DEFAULT_R_GRID)
                 assert all(0.0 <= row["never_stopped"] <= 1.0 for row in diag)
+
+    def test_json_flags_the_vacuous_rows(self, tmp_path):
+        """A row is ``vacuous`` when its bound reaches its cap (1 for the
+        probability and TV rows).  At seed 42 and 2000 x 128 the anchored
+        vacuous rows are every ``tv_lower_bound``, ``shell_shift`` and
+        ``deviation_budget`` row and three ``deviation_bound`` rows."""
+        result = verify_all(seed=42, out_dir=tmp_path, paths=2000, steps=128)
+        summary = json.loads(result.json_path.read_text(), parse_constant=_reject_constant)
+        with result.csv_path.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(isinstance(js["vacuous"], bool) for js in summary["rows"])
+        # every flagged row has a bound of 1 or more, whatever its cap
+        assert all(float(row["bound"]) >= 1.0 for row, js in zip(rows, summary["rows"])
+                   if js["vacuous"])
+        flagged = {(row["name"], row["family"], float(row["r"]))
+                   for row, js in zip(rows, summary["rows"]) if js["anchored"] and js["vacuous"]}
+        expected = {(name, family, r)
+                    for name in ("tv_lower_bound", "shell_shift", "deviation_budget")
+                    for family in FAMILIES for r in verify.DEFAULT_R_GRID}
+        expected |= {("deviation_bound", "mixture", E), ("deviation_bound", "tilt", E),
+                     ("deviation_bound", "tilt", E**2)}
+        assert flagged == expected
 
     def test_seed_changes_estimates(self, tmp_path):
         r1 = verify_all(seed=1, out_dir=tmp_path / "s1", paths=2000, steps=128)
@@ -823,19 +855,21 @@ def _reject_constant(name):
 
 class TestCsvFormatting:
     def test_missing_params_serialize_empty(self):
-        text = rows_to_csv_text([BoundReport(name="x", estimate=1.0, ci_half_width=0.0, bound=2.0)])
+        text = rows_to_csv_text([BoundReport(name="sharpness_floor", estimate=1.0,
+                                             ci_half_width=0.0, bound=2.0)])
         line = text.splitlines()[1].split(",")
         assert line[3] == "" and line[4] == "" and line[5] == ""
 
     def test_worst_margin_skips_nonfinite_rows(self, tmp_path):
         rows = [
-            BoundReport(name="nan_row", estimate=math.nan, ci_half_width=math.nan, bound=math.nan),
-            BoundReport(name="tight", estimate=1.5, ci_half_width=0.0, bound=2.0),
-            BoundReport(name="loose", estimate=0.0, ci_half_width=0.0, bound=2.0),
+            BoundReport(name="tail_reduction!exact_required", estimate=math.nan,
+                        ci_half_width=math.nan, bound=math.nan),
+            BoundReport(name="drift_energy", estimate=1.5, ci_half_width=0.0, bound=2.0),
+            BoundReport(name="exp_moment", estimate=0.0, ci_half_width=0.0, bound=2.0),
         ]
         result = write_reports(rows, tmp_path, "summary", seed=0)
         summary = json.loads(result.json_path.read_text(), parse_constant=_reject_constant)
-        assert summary["worst_margin"] == {"name": "tight", "family": "", "slack": 0.5}
+        assert summary["worst_margin"] == {"name": "drift_energy", "family": "", "slack": 0.5}
         assert summary["rows"][0]["margin"] is None
 
 

@@ -8,7 +8,7 @@ from outail import cli, verify
 from outail.errors import ResolutionError
 from outail.foellmer import MIN_STEPS, PathConfig, perturbation_arrays, simulate_batch
 from outail.measures import FAMILIES, MixtureDensity, TiltDensity
-from outail.reports import BoundReport
+from outail.reports import ROWS, BoundReport
 from outail.stats import batch_means
 from outail.verify import (
     DEFAULT_R_GRID,
@@ -42,19 +42,36 @@ def on_record(builder, stats, density, r, delta):
 
 class TestBoundReport:
     def test_pass_is_pure_function_of_fields(self):
-        rep = BoundReport(name="x", estimate=1.0, ci_half_width=0.2, bound=0.9)
+        rep = BoundReport(name="exp_moment", estimate=1.0, ci_half_width=0.2, bound=0.9)
         assert rep.margin == pytest.approx(-0.1)
         assert rep.passed
-        rep2 = BoundReport(name="x", estimate=1.0, ci_half_width=0.05, bound=0.9)
+        rep2 = BoundReport(name="exp_moment", estimate=1.0, ci_half_width=0.05, bound=0.9)
         assert not rep2.passed
 
     def test_nan_fails(self):
-        rep = BoundReport(name="x", estimate=float("nan"), ci_half_width=0.0, bound=1.0)
+        rep = BoundReport(name="tail_markov", estimate=float("nan"), ci_half_width=0.0, bound=1.0)
         assert not rep.passed
 
     def test_negative_ci_rejected(self):
         with pytest.raises(ValueError):
-            BoundReport(name="x", estimate=0.0, ci_half_width=-1.0, bound=0.0)
+            BoundReport(name="girsanov_mean_gap", estimate=0.0, ci_half_width=-1.0, bound=0.0)
+
+    @pytest.mark.parametrize("name", ["x", "tail_markov_2", "!exact_required", "@0.5", ""])
+    def test_a_name_outside_the_row_table_is_rejected(self, name):
+        """No row bypasses ``reports.ROWS``: a base name without an entry
+        cannot be built."""
+        with pytest.raises(ValueError, match="reports.ROWS"):
+            BoundReport(name=name, estimate=0.0, ci_half_width=0.0, bound=1.0)
+
+    @pytest.mark.parametrize("name, bound, vacuous", [
+        ("tail_markov", 1.0, True), ("tail_markov", 0.5, False),
+        ("tail_markov", float("nan"), False), ("tail_markov!exact_required", float("nan"), False),
+        ("tv_pinsker", 1.5, True), ("drift_energy", 50.0, False),
+        ("drift_martingale_gap@0.5", 2.0, False),
+    ])
+    def test_vacuous_is_a_bound_at_or_above_the_cap(self, name, bound, vacuous):
+        rep = BoundReport(name=name, estimate=0.0, ci_half_width=0.0, bound=bound)
+        assert rep.vacuous is vacuous
 
 
 class TestTailProbability:
@@ -376,13 +393,17 @@ class TestHessianFloorReport:
             assert rep.passed and rep.n_samples == 50
 
 
+# Restated apart from ``reports.ROWS``, so that a flipped entry fails a test.
+UNANCHORED_ROWS = {"tail_curve_ceiling", "sharpness_floor", "tv_pinsker", "shell_ratio"}
+CAPPED_ROWS = {"tail_markov", "deviation_bound", "deviation_budget", "tv_lower_bound",
+               "tv_pinsker", "shell_shift", "tail_reduction"}
+
+
 class TestRowTable:
     def test_every_emitted_row_is_in_the_table(self):
         """Every family with every check token, at the smallest scale: each
-        row's base name has a table entry that gives its anchoring, and each
-        entry names a row some default family emits."""
-        table = {name: mark == "A" for name, mark in
-                 re.findall(r"^(\w+) +([A-])  ", verify.__doc__, re.M)}
+        row's anchoring is the restated one (a row cannot be built without a
+        ``ROWS`` entry), and each entry names a row some default family emits."""
         emitted = set()
         for family, fam in FAMILIES.items():
             cfg = cli.ExperimentConfig(family, fam.defaults, paths=cli.MIN_MC_PATHS,
@@ -392,8 +413,13 @@ class TestRowTable:
                                       [(cli.build_density(cfg), cfg.r_values)])
             for row in cli.collect_rows(cfg, stats):
                 base = re.split("[!@]", row.name)[0]
-                assert base in table, f"{row.name} has no entry in the verify row table"
                 # a ``!`` row is an unanchored NaN stand-in
-                assert row.anchored == (table[base] and "!" not in row.name), row.name
+                assert row.anchored == (base not in UNANCHORED_ROWS and "!" not in row.name), \
+                    row.name
                 emitted.add(base)
-        assert emitted == set(table)
+        assert emitted == set(ROWS)
+
+    def test_anchoring_and_caps_are_as_restated(self):
+        assert {name for name, row in ROWS.items() if not row.anchored} == UNANCHORED_ROWS
+        assert {name: row.cap for name, row in ROWS.items() if row.cap is not None} == \
+            dict.fromkeys(CAPPED_ROWS, 1.0)
