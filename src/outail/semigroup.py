@@ -84,7 +84,14 @@ def hypercontractivity_check(density: DensityModel, p: float, t: float) -> Bound
     rhs = np.exp(log_lp_norm(density.log_f, p, rule))
     if not (np.isfinite(lhs) and np.isfinite(rhs)):
         raise NonFiniteValueError("norm integral non-finite")
-    return BoundReport(name="hypercontractivity", family=density.name, dim=density.dim, t=t,
-                       beta=density.beta, estimate=float(lhs),
-                       ci_half_width=HYPER_REL_TOL * max(1.0, rhs), bound=float(rhs),
-                       n_samples=rule.n_nodes)
+    return BoundReport(
+        name="hypercontractivity",
+        family=density.name,
+        dim=density.dim,
+        t=t,
+        beta=density.beta,
+        estimate=float(lhs),
+        ci_half_width=HYPER_REL_TOL * max(1.0, rhs),
+        bound=float(rhs),
+        n_samples=rule.n_nodes,
+    )

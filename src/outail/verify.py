@@ -13,6 +13,8 @@ Conventions
 * A tail curve is evaluated once per t: ``tail_curve`` builds Q_t f and
   evaluates log Q_t f on the level-set grid or the Monte Carlo sample once
   for all its thresholds.
+* Floor-type checks ("statistic >= floor") store negated values so that the
+  uniform pass rule margin + ci >= 0 applies; their names end in ``_floor``.
 
 Rows
 ----
@@ -177,9 +179,17 @@ def sharpness_values(r_grid=SHARPNESS_R_GRID) -> np.ndarray:
 
 def sharpness_report(seed: int = 0) -> BoundReport:
     vals = sharpness_values(SHARPNESS_R_GRID)
-    return BoundReport(name="sharpness_floor", family="tilt", dim=1, estimate=float(-vals.min()),
-                       ci_half_width=0.0, bound=-SHARPNESS_FLOOR, beta=0.0, n_samples=len(vals),
-                       seed=seed)
+    return BoundReport(
+        name="sharpness_floor",
+        family="tilt",
+        dim=1,
+        estimate=float(-vals.min()),
+        ci_half_width=0.0,
+        bound=-SHARPNESS_FLOOR,
+        beta=0.0,
+        n_samples=len(vals),
+        seed=seed,
+    )
 
 
 # -- relative entropy and drift energy ---------------------------------------
@@ -205,6 +215,7 @@ def _batch_meta(stats: BatchStats, density: DensityModel, pert: Perturbation | N
 
 
 def entropy_identity_report(stats: BatchStats, density: DensityModel) -> BoundReport:
+    """Half the expected drift energy against the quadrature entropy."""
     mc, se = batch_means(0.5 * stats.energy_full)
     h = relative_entropy_quadrature(density)
     return BoundReport(
@@ -215,6 +226,7 @@ def entropy_identity_report(stats: BatchStats, density: DensityModel) -> BoundRe
 
 
 def drift_energy_report(stats: BatchStats, density: DensityModel, r: float) -> BoundReport:
+    """Expected stopped drift energy against its entropy budget 2 log r."""
     est, se = batch_means(stats.slice_for(r).energy)
     return BoundReport(
         name="drift_energy", estimate=est, ci_half_width=CI_STANDARD_ERRORS * se,
@@ -226,17 +238,37 @@ def drift_energy_report(stats: BatchStats, density: DensityModel, r: float) -> B
 
 
 def exp_moment_report(z: np.ndarray, **meta) -> BoundReport:
+    """E[e^Z] <= 1 for the deviation variable."""
     est, se = batch_means(np.exp(np.asarray(z)))
-    return BoundReport(name="exp_moment", estimate=est, ci_half_width=CI_STANDARD_ERRORS * se,
-                       bound=1.0, **meta)
+    return BoundReport(
+        name="exp_moment", estimate=est, ci_half_width=CI_STANDARD_ERRORS * se, bound=1.0, **meta
+    )
 
 
-def deviation_margin_report(z: np.ndarray, **meta) -> BoundReport:
+def deviation_reports(z: np.ndarray, r: float, delta: float, beta: float,
+                      **meta) -> list[BoundReport]:
+    """P(Z <= -2) <= -E[Z], valid whenever E[e^Z] <= 1, and
+    P(Z <= -2) <= delta^2 (beta + 1) log r, from one mean of the event."""
     z = np.asarray(z)
     p, p_se = batch_means((z <= -2.0).astype(float))
     mz, mz_se = batch_means(z)
-    return BoundReport(name="deviation_bound", estimate=p,
-                       ci_half_width=CI_STANDARD_ERRORS * (p_se + mz_se), bound=-mz, **meta)
+    meta.update(r=r, delta=delta, beta=beta)
+    return [
+        BoundReport(
+            name="deviation_bound",
+            estimate=p,
+            ci_half_width=CI_STANDARD_ERRORS * (p_se + mz_se),
+            bound=-mz,
+            **meta,
+        ),
+        BoundReport(
+            name="deviation_budget",
+            estimate=p,
+            ci_half_width=CI_STANDARD_ERRORS * p_se,
+            bound=delta**2 * (beta + 1.0) * np.log(r),
+            **meta,
+        ),
+    ]
 
 
 def girsanov_reports(stats: BatchStats, density: DensityModel, pert: Perturbation) -> list[BoundReport]:
@@ -269,12 +301,9 @@ def girsanov_reports(stats: BatchStats, density: DensityModel, pert: Perturbatio
 
 def z_suite_reports(stats: BatchStats, density: DensityModel, pert: Perturbation) -> list[BoundReport]:
     meta = _batch_meta(stats, density, pert)
-    p, p_se = batch_means((pert.z <= -2.0).astype(float))
     return [
         exp_moment_report(pert.z, **meta),
-        deviation_margin_report(pert.z, **meta),
-        BoundReport(name="deviation_budget", estimate=p, ci_half_width=CI_STANDARD_ERRORS * p_se,
-                    bound=pert.delta**2 * (pert.beta + 1.0) * np.log(pert.r), **meta),
+        *deviation_reports(pert.z, **meta),
         *martingale_gap_reports(stats, density, pert.r),
     ]
 
@@ -371,14 +400,25 @@ def composite_reports(stats: BatchStats, density: DensityModel, r: float) -> lis
 
 def hessian_floor_report(density: DensityModel, t: float) -> BoundReport:
     """Worst log-Hessian margin of Q_t f over ``HESSIAN_PROBES`` on the
-    diagonal, from one ``fd_hessian`` of the image's log_f over all probes;
-    the margin lambda_min + 1/(2t) must be >= -HESSIAN_TOL at every probe.
+    diagonal, from one ``fd_hessian`` of the image's log_f over all probes.
+
+    The margin lambda_min + 1/(2t) must be >= -HESSIAN_TOL everywhere; it
+    confirms the 1/(2t) semi-convexity floor of the smoothed log-density.
     """
     if t <= 0:
         raise ValueError("Hessian floor check needs t > 0")
     points = np.tile(HESSIAN_PROBES[:, None], density.dim)
     hess = fd_hessian(ou_image(density, t).log_f, points)
     worst = float((np.linalg.eigvalsh(hess)[:, 0] + 0.5 / t).min())
-    return BoundReport(name="log_hessian_floor", family=density.name, dim=density.dim, t=t,
-                       beta=density.beta, estimate=-worst, ci_half_width=0.0, bound=HESSIAN_TOL,
-                       n_samples=len(points))
+    return BoundReport(
+        name="log_hessian_floor",
+        family=density.name,
+        dim=density.dim,
+        t=t,
+        beta=density.beta,
+        estimate=-worst,
+        ci_half_width=0.0,
+        bound=HESSIAN_TOL,
+        n_samples=len(points),
+        seed=0,
+    )

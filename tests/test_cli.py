@@ -776,15 +776,12 @@ class TestVerifyAll:
             for diag in summary["diagnostics"].values():
                 assert [row["r"] for row in diag] == list(verify.DEFAULT_R_GRID)
                 assert all(0.0 <= row["never_stopped"] <= 1.0 for row in diag)
-
-    def test_json_flags_the_vacuous_rows(self, tmp_path):
-        """A row is ``vacuous`` when its bound reaches its cap (1 for the
-        probability and TV rows).  At seed 42 and 2000 x 128 the anchored
-        vacuous rows are every ``tv_lower_bound``, ``shell_shift`` and
-        ``deviation_budget`` row and three ``deviation_bound`` rows."""
-        result = verify_all(seed=42, out_dir=tmp_path, paths=2000, steps=128)
-        summary = json.loads(result.json_path.read_text(), parse_constant=_reject_constant)
-        with result.csv_path.open() as fh:
+        # A row is ``vacuous`` when its bound reaches its cap (1 for the
+        # probability and TV rows).  Here the anchored vacuous rows are every
+        # ``tv_lower_bound``, ``shell_shift`` and ``deviation_budget`` row and
+        # three ``deviation_bound`` rows.
+        summary = json.loads(r1.json_path.read_text(), parse_constant=_reject_constant)
+        with r1.csv_path.open() as fh:
             rows = list(csv.DictReader(fh))
         assert all(isinstance(js["vacuous"], bool) for js in summary["rows"])
         # every flagged row has a bound of 1 or more, whatever its cap

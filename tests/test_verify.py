@@ -13,7 +13,7 @@ from outail.stats import batch_means
 from outail.verify import (
     DEFAULT_R_GRID,
     composite_reports,
-    deviation_margin_report,
+    deviation_reports,
     drift_energy_report,
     entropy_identity_report,
     exp_moment_report,
@@ -32,6 +32,12 @@ from outail.verify import (
 )
 
 E = float(np.e)
+
+
+def deviation_bound_report(z):
+    """The ``deviation_bound`` row of ``z`` alone, at placeholder r, delta
+    and beta that only the ``deviation_budget`` row reads."""
+    return deviation_reports(z, r=E, delta=0.0, beta=0.0)[0]
 
 
 def on_record(builder, stats, density, r, delta):
@@ -229,7 +235,7 @@ class TestSyntheticDeviationBattery:
         assert p_exact <= -mean_exact
         z = c - rng.exponential(size=200000)
         rep_exp = exp_moment_report(z)
-        rep_dev = deviation_margin_report(z)
+        rep_dev = deviation_bound_report(z)
         assert rep_exp.passed
         assert rep_dev.passed
         assert rep_dev.estimate == pytest.approx(p_exact, abs=0.005)
@@ -243,7 +249,7 @@ class TestSyntheticDeviationBattery:
         assert p_exact <= -m + 1e-15
         z = rng.normal(m, sigma, size=200000)
         assert exp_moment_report(z).passed
-        assert deviation_margin_report(z).passed
+        assert deviation_bound_report(z).passed
 
     def test_two_point_law(self, rng):
         # Z in {-3, b} with P(-3) = 0.3 and b tuned so E[e^Z] = 1
@@ -253,12 +259,12 @@ class TestSyntheticDeviationBattery:
         assert p <= -mean_exact
         z = np.where(rng.random(100000) < p, -3.0, b)
         assert exp_moment_report(z).passed
-        assert deviation_margin_report(z).passed
+        assert deviation_bound_report(z).passed
 
     def test_delta_zero_degenerate(self):
         z = np.zeros(5000)
         rep = exp_moment_report(z)
-        dev = deviation_margin_report(z)
+        dev = deviation_bound_report(z)
         assert rep.estimate == 1.0 and rep.passed
         assert dev.estimate == 0.0 and dev.bound == 0.0 and dev.passed
 
