@@ -49,10 +49,13 @@ MIN_MC_PATHS = 1000
 GIRSANOV_EQ_DELTA_MAX = 0.25
 # Philox keys are 128-bit.
 SEED_LIMIT = 2**128
+# The largest fixed delta whose square, in the Girsanov weight and Z, is a
+# finite float.
+DELTA_MAX = math.sqrt(sys.float_info.max)
 # Largest |integral of f d(gamma) - 1| a configured mixture may show on the
 # rule the quadrature checks integrate with.  A narrow spread puts the mass
-# of each component between the nodes, so the checks would integrate a
-# density they cannot see.
+# of each component between the nodes, and a far mean beyond the last one,
+# so the checks would integrate a density they cannot see.
 NORMALIZATION_TOL = 1e-6
 
 
@@ -93,8 +96,9 @@ class ExperimentConfig:
         if any(t < 0 for t in self.t_values):
             raise ConfigError("t", "times must be >= 0")
         _check_thresholds(self.r_values)
-        if self.delta is not None and not self.delta >= 0:
-            raise ConfigError("delta", "fixed delta must be >= 0")
+        if self.delta is not None and not 0 <= self.delta <= DELTA_MAX:
+            raise ConfigError("delta", f"fixed delta must lie in [0, {DELTA_MAX:.4g}], "
+                              "where its square is finite")
         if self.beta_override is not None and not self.beta_override >= 0:
             raise ConfigError("beta", "beta override must be >= 0")
         if self.paths < MIN_MC_PATHS:
@@ -259,7 +263,8 @@ def _build_experiment(parser: configparser.ConfigParser) -> ExperimentConfig:
         if not residual <= NORMALIZATION_TOL:
             raise ConfigError("family", f"mixture has normalization residual {residual:.3g} on the "
                               f"{DEFAULT_NODES}-node rule (limit {NORMALIZATION_TOL:g}): "
-                              f"spread {density.spread:g} is too narrow")
+                              f"spread {density.spread:g} or largest |mean| "
+                              f"{np.abs(density.means).max():g} puts the mass out of its reach")
     unknown = [key for key in sec if key != "family" and key not in CONFIG_KEYS
                and key not in defaults]
     if unknown:

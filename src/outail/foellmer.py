@@ -25,9 +25,9 @@ whose drift depends on the state.
 Thresholds are part of each ``simulate_batch`` job: each distinct one is one
 more stopping time on the same paths, stored threshold-major in increasing
 order as (n_thresholds, N) arrays whose rows are the ``StoppedSlice`` views;
-delta and beta enter only ``perturbation_arrays``.  The step loop writes
-each chunk into views of the batch arrays, and one per-node observer records
-the drift at the fixed checkpoints (batch) or every node (``simulate_path``).
+delta and beta enter only ``perturbation_arrays``.  The one step loop,
+``_Batch.step``, writes each chunk into views of the batch arrays, the
+drift at the fixed checkpoint nodes among them.
 
 First passages cost per crossing, not per (threshold, path) pair: each
 path keeps how many of the sorted thresholds it has passed and the next
@@ -187,31 +187,6 @@ class DriftField:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One simulated path with its drift, value process, and Ito sums.
-
-    ``stoch_int[i]`` and ``energy[i]`` are the running left-endpoint sums
-    over steps j < i, so index m holds the full-horizon integrals.
-    """
-
-    times: np.ndarray      # (m+1,)
-    x: np.ndarray          # (m+1, n)
-    db: np.ndarray         # (m, n)
-    v: np.ndarray          # (m+1, n)
-    k: np.ndarray          # (m+1,)
-    stoch_int: np.ndarray  # (m+1,)
-    energy: np.ndarray     # (m+1,)
-
-    @property
-    def steps(self) -> int:
-        return len(self.times) - 1
-
-    def reconstruction_residual(self) -> np.ndarray:
-        """K_i - K_0 - stoch_int_i - energy_i/2 along the grid."""
-        return self.k - self.k[0] - self.stoch_int - 0.5 * self.energy
-
-
-@dataclass(frozen=True)
 class StoppedSlice:
     """Per-path integrals frozen at the passage time of one threshold.
 
@@ -309,20 +284,51 @@ class _Batch:
         self.drift = DriftField(density, cfg.steps)
 
     def step(self, start: int, incs: np.ndarray, ready: Callable[[int], int]) -> None:
-        """Run the paths from ``start`` on, driven by the chunk ``incs``
-        whose steps ``ready`` hands out (see ``_run_paths``)."""
+        """Run paths [start, start + c) of the zeroed outputs, driven by the
+        step-major Brownian increments ``incs`` (m, c, dim), and set K_0.
+
+        ``ready(i)`` blocks until step i of ``incs`` is drawn and returns how
+        many leading steps are; the loop calls it only when it reaches a step
+        beyond the last count, so it waits per tile of the draw.
+
+        The loop state lives in views of the outputs: (X, v, K, S, E) ends at
+        (X_1, v_1, K_1, S_1, E_1), where (K, v) = (log f, grad log f)(X_1);
+        the threshold-major frozen views get the integrals stopped at each
+        log r; a checkpoint node's drift is recorded before its step.
+        """
         sl = slice(start, start + incs.shape[1])
-        cp_views = {i: self.cps[tc][sl] for tc, i in self.cp_idx.items()}
+        cps = {i: self.cps[tc][sl] for tc, i in self.cp_idx.items()}
+        x, v_end, k_end, stoch, energy = [a[sl] for a in self.ends]
+        frozen = [a[:, sl] for a in self.frozen]
+        drift = self.drift
+        m = len(incs)
+        dt = 1.0 / m
+        vds = np.zeros_like(x)
+        passages = _Passages(self.log_rs, len(x))
+        drawn = 0
 
-        def record_checkpoints(i, x, v, k, stoch, energy):
-            if i in cp_views:
-                cp_views[i][...] = v
+        for i in range(m):
+            if i == drawn:
+                drawn = ready(i)
+            k_i, v_i = drift.eval(i, x)
+            if i == 0:
+                self.k0 = float(k_i[0])
+            passages.check(frozen, i, stoch, energy, vds, k_i)
+            if i in cps:
+                cps[i][...] = v_i
+            db = incs[i]
+            v_dt = v_i * dt
+            stoch += _dot(v_i, db)
+            energy += _dot(v_i, v_i) * dt
+            vds += v_dt
+            x += db
+            x += v_dt
+            if not np.isfinite(x).all():
+                raise NonFiniteValueError(f"path state non-finite at step {i}")
 
-        self.k0 = _run_paths(
-            self.density, self.drift, incs, self.log_rs,
-            [a[sl] for a in self.ends], [a[:, sl] for a in self.frozen], record_checkpoints,
-            ready,
-        )
+        k_end[...] = self.density.log_f(x)
+        v_end[...] = self.density.grad_log_f(x)
+        passages.finish(frozen, m, stoch, energy, vds, k_end)
 
     def finish(self) -> BatchStats:
         stats = BatchStats(
@@ -481,82 +487,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return p[:, 0] if p.shape[1] == 1 else p.sum(-1)
 
 
-def _run_paths(density, drift, increments, log_rs, ends, frozen, observe, ready=None) -> float:
-    """Run one path per row of the zeroed ``ends`` views, driven by the
-    step-major Brownian ``increments`` (m, paths, dim), and return K_0.
-
-    ``ready(i)``, if given, blocks until step i of ``increments`` is drawn
-    and returns how many leading steps are; the loop calls it only when it
-    reaches a step beyond the last count, so it waits per tile of the draw.
-
-    The loop state lives in the views: ``ends`` = (X, v, K, S, E) ends at
-    (X_1, v_1, K_1, S_1, E_1), and the threshold-major ``frozen`` views get
-    the integrals stopped at each log r in ``log_rs``.
-    ``observe(i, x, v, k, stoch, energy)`` sees every node i = 0..m before
-    its step; at node m, (k, v) = (log f, grad log f)(X_1).
-    """
-    x, v_end, k_end, stoch, energy = ends
-    m = len(increments)
-    dt = 1.0 / m
-    vds = np.zeros_like(x)
-    passages = _Passages(log_rs, len(x))
-    k0 = None
-    drawn = m if ready is None else 0
-
-    for i in range(m):
-        if i == drawn:
-            drawn = ready(i)
-        k_i, v_i = drift.eval(i, x)
-        if i == 0:
-            k0 = float(k_i[0])
-        passages.check(frozen, i, stoch, energy, vds, k_i)
-        observe(i, x, v_i, k_i, stoch, energy)
-        db = increments[i]
-        v_dt = v_i * dt
-        stoch += _dot(v_i, db)
-        energy += _dot(v_i, v_i) * dt
-        vds += v_dt
-        x += db
-        x += v_dt
-        if not np.isfinite(x).all():
-            raise NonFiniteValueError(f"path state non-finite at step {i}")
-
-    k_end[...] = density.log_f(x)
-    v_end[...] = density.grad_log_f(x)
-    passages.finish(frozen, m, stoch, energy, vds, k_end)
-    observe(m, x, v_end, k_end, stoch, energy)
-    return k0
-
-
-def simulate_path(density: DensityModel, cfg: PathConfig, path_index: int = 0) -> Trajectory:
-    """Simulate one path with full per-node recording.
-
-    Path ``path_index`` of a batch with the same config is bit-identical to
-    this trajectory (shared random stream and arithmetic).
-    """
-    m, n = cfg.steps, density.dim
-    nodes, _ = _path_arrays(m + 1, n, 0)  # x, v, k, stoch, energy at every node
-
-    def record_node(i, *state):
-        for rec, val in zip(nodes, state):
-            rec[i] = val[0]
-
-    ends, frozen = _path_arrays(1, n, 0)
-    db = np.empty((m, n))
-    path_normals(cfg.seed, path_index, 1, m, n, out=db[None], scale=np.sqrt(1.0 / m))
-    _run_paths(density, DriftField(density, m), db[:, None], np.empty(0), ends, frozen, record_node)
-    xs, vs, ks, stochs, energies = nodes
-    return Trajectory(
-        times=np.arange(m + 1) / m,
-        x=xs,
-        db=db,
-        v=vs,
-        k=ks,
-        stoch_int=stochs,
-        energy=energies,
-    )
-
-
 # -- batch-level perturbation arrays ---------------------------------------
 
 
@@ -567,7 +497,6 @@ class Perturbation(NamedTuple):
     r: float
     delta: float
     beta: float
-    x_delta: np.ndarray           # (N, n)
     log_f_xd: np.ndarray          # (N,)
     log_d: np.ndarray             # (N,)
     z: np.ndarray                 # (N,)
@@ -604,6 +533,6 @@ def perturbation_arrays(
     z = -delta * sl.stoch + delta * (vdot - sl.energy) - 0.5 * (beta + 1.0) * delta**2 * sl.energy
     convexity = log_f_xd - (stats.k_final + delta * vdot - 0.5 * beta * delta**2 * sl.energy)
     return Perturbation(
-        r=r, delta=delta, beta=beta, x_delta=x_delta, log_f_xd=log_f_xd, log_d=log_d,
-        z=z, convexity_margin=convexity, product_excess=log_f_xd + log_d - z,
+        r=r, delta=delta, beta=beta, log_f_xd=log_f_xd, log_d=log_d, z=z,
+        convexity_margin=convexity, product_excess=log_f_xd + log_d - z,
     )

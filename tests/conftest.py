@@ -5,11 +5,13 @@ expensive, so they are simulated once per session and shared by the law,
 entropy, Girsanov, and acceptance tests.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp, ndtri, softmax
 
-from outail.foellmer import PathConfig, simulate_batch
+from outail.foellmer import DriftField, PathConfig, simulate_batch
 from outail.rng import _U_MIN, words_per_path
 from outail.verify import DEFAULT_R_GRID, default_families
 
@@ -71,3 +73,32 @@ def reference_normals():
         return np.array(paths)
 
     return normals
+
+
+@pytest.fixture(scope="session")
+def reference_path(reference_normals):
+    """(density, cfg, p) -> path p of a batch under ``cfg``, stepped on its
+    own in a plain loop over the nodes.  It holds ``db`` (m, dim), the
+    increments, and at every node i = 0..m: ``x`` and ``v`` (m + 1, dim),
+    ``k`` = K and the left-endpoint sums ``stoch`` = sum_{j<i} <v_j, dB_j>
+    and ``energy`` = sum_{j<i} |v_j|^2 dt (m + 1,); at node m, (k, v) =
+    (log f, grad log f)(X_1)."""
+
+    def path(density, cfg, p=0):
+        m, dim = cfg.steps, density.dim
+        dt = 1.0 / m
+        db = np.sqrt(dt) * reference_normals(cfg.seed, p, 1, m, dim)[0]
+        drift = DriftField(density, m)
+        x, v = np.zeros((m + 1, dim)), np.zeros((m + 1, dim))
+        k, stoch, energy = np.zeros(m + 1), np.zeros(m + 1), np.zeros(m + 1)
+        for i in range(m):
+            k_i, v_i = drift.eval(i, x[i:i + 1])
+            k[i], v[i] = k_i[0], v_i[0]
+            stoch[i + 1] = stoch[i] + (v[i] * db[i]).sum()
+            energy[i + 1] = energy[i] + (v[i] * v[i]).sum() * dt
+            x[i + 1] = x[i] + db[i] + v[i] * dt
+        k[m] = density.log_f(x[m:])[0]
+        v[m] = density.grad_log_f(x[m:])[0]
+        return SimpleNamespace(db=db, x=x, v=v, k=k, stoch=stoch, energy=energy)
+
+    return path

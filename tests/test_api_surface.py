@@ -23,13 +23,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "outail"
 
 ALLOWED = {
-    "simulate_path": "reference implementation: records one path in full; the batch kernel "
-                     "is tested against it path by path",
-    "Trajectory": "reference implementation: the record simulate_path returns",
     "fd_gradient": "reference implementation: the closed gradients are tested against it",
     "beta_probe": "ROADMAP item 4 promotes it to a run-time certificate",
-    "Perturbation.x_delta": "the perturbed endpoint X_1^delta itself, which the tests compare "
-                            "with simulate_path; the rows read only log f of it",
 }
 
 

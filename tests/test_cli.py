@@ -164,6 +164,7 @@ class TestConfigParsing:
         ("family = mixture", "family = sine\neps = nan", "eps"),
         ("family = mixture", "family = sine\nwave = inf", "wave"),
         ("delta = fixed:0.1", "delta = fixed:inf", "delta"),
+        ("delta = fixed:0.1", "delta = fixed:1e155", "delta"),
         ("seed = 7", f"seed = {2**128}", "seed"),
         ("family = mixture", "family = sine\nwave = 1e308", "family"),
         ("family = mixture", "family = sine\neps = 1e10", "family"),
@@ -186,7 +187,7 @@ class TestConfigParsing:
             "negative_seed",
             "p_at_most_one", "p_not_float", "negative_beta", "negative_delta", "r_nan", "t_nan",
             "beta_inf", "p_inf", "r_overflow", "eps_nan", "wave_inf", "delta_inf",
-            "seed_2_128", "sine_beta_inf", "sine_log_z_nan", "tilt_half_square_inf",
+            "delta_square_inf", "seed_2_128", "sine_beta_inf", "sine_log_z_nan", "tilt_half_square_inf",
             "tilt_2d_norm_inf", "tilt_points", "wave_points", "weights_points", "mixture_beta_inf",
             "mixture_not_normalized", "mixture_residual_0.53", "mixture_2d_not_normalized",
             "entropy_above_quadrature_dim", "hyper_above_quadrature_dim"])
@@ -281,6 +282,7 @@ VALUE_TEXT = st.one_of(
 @example(family="tilt", key="delta", value="fixed:inf")
 @example(family="tilt", key="t", value="50%")
 @example(family="tilt", key="u", value="1e155")
+@example(family="tilt", key="delta", value="fixed:1e155")
 def test_parse_config_rejects_or_returns_finite_in_range(tmp_path_factory, family, key, value):
     """Any text under any key is a ConfigError or a config whose numbers are
     finite and in range, and whose density has a finite log f and heat
@@ -296,7 +298,7 @@ def test_parse_config_rejects_or_returns_finite_in_range(tmp_path_factory, famil
     numbers = [*cfg.t_values, *cfg.r_values, cfg.p]
     numbers += [x for v in cfg.params.values() for x in np.ravel(np.asarray(v, dtype=float))]
     numbers += [] if cfg.beta_override is None else [cfg.beta_override]
-    numbers += [] if cfg.delta is None else [cfg.delta]
+    numbers += [] if cfg.delta is None else [cfg.delta, cfg.delta ** 2]
     assert all(math.isfinite(x) for x in numbers)
     assert min(cfg.t_values) >= 0 and min(cfg.r_values) > 1 and cfg.p > 1
     assert len(set(cfg.r_values)) == len(cfg.r_values)
@@ -667,14 +669,14 @@ out = {tmp_path}
         assert summary["drift_grid_clamps"] == {"mixture": stats.drift_grid_clamps}
         assert stats.drift_grid_clamps > 0
 
-    def test_a_passage_at_the_final_node_is_a_stop(self):
+    def test_a_passage_at_the_final_node_is_a_stop(self, reference_path):
         """T = steps also means that K first exceeds log r at the final node:
         such a path passed, so it counts in the overshoot and not as never
         stopped.  The threshold is picked from the batch: between a path's
         largest K before the final node and its K_1."""
         density, cfg = TiltDensity([2.0]), PathConfig(128, 3)
         for i in range(200):
-            traj = foellmer.simulate_path(density, cfg, i)
+            traj = reference_path(density, cfg, i)
             if traj.k[-1] > traj.k[:-1].max():
                 break
         r = float(np.exp(0.5 * (traj.k[:-1].max() + traj.k[-1])))
@@ -888,9 +890,16 @@ class TestMainEntry:
         bad = write_cfg(tmp_path, "[experiment]\nfamily = unknown\n")
         assert main(["run", str(bad)]) == 2
         assert "family" in capsys.readouterr().err
-        narrow = write_cfg(tmp_path, "[experiment]\nfamily = mixture\nspread = 1e-5\n", name="narrow.cfg")
-        assert main(["run", str(narrow)]) == 2
-        assert "error: config field 'family'" in capsys.readouterr().err
+        # a narrow spread and far means both put the mass out of the rule's
+        # reach, and the message names both
+        for params, named in (("spread = 1e-5", "spread 1e-05 or largest |mean| 1 "),
+                              ("means = 1e150; -1e150", "spread 0.5 or largest |mean| 1e+150 ")):
+            narrow = write_cfg(tmp_path, f"[experiment]\nfamily = mixture\n{params}\n",
+                               name="narrow.cfg")
+            assert main(["run", str(narrow)]) == 2
+            err = capsys.readouterr().err
+            assert "error: config field 'family'" in err
+            assert named + "puts the mass out of its reach" in err
         # a 4-D mixture under the default checks (entropy among them) fails
         # at parse time, before any path is drawn
         drawn = []

@@ -23,7 +23,6 @@ from outail.foellmer import (
     _Passages,
     perturbation_arrays,
     simulate_batch,
-    simulate_path,
 )
 from outail.measures import DensityModel, MixtureDensity, SinePerturbationDensity, TiltDensity
 from outail.quadrature import QuadratureRule
@@ -41,7 +40,7 @@ def small_cfg(steps=256, seed=1234):
 
 def small_batch(density, cfg, r, delta, beta, n_paths=16):
     """A batch stopped at r and its perturbation arrays at delta and beta;
-    ``simulate_path`` reproduces any of its paths node by node."""
+    the ``reference_path`` fixture reproduces any of its paths node by node."""
     (stats,) = simulate_batch(cfg, n_paths, [(density, (r,))])
     return stats, perturbation_arrays(stats, density, r, delta, beta)
 
@@ -49,7 +48,12 @@ def small_batch(density, cfg, r, delta, beta, n_paths=16):
 def first_passage(traj, r):
     """First grid node whose K value strictly exceeds log r, else m."""
     above = traj.k > np.log(r)
-    return int(np.argmax(above)) if above.any() else traj.steps
+    return int(np.argmax(above)) if above.any() else len(traj.k) - 1
+
+
+def reconstruction_residual(traj):
+    """K_i - K_0 - S_i - E_i/2 at every node of a reference path."""
+    return traj.k - traj.k[0] - traj.stoch - 0.5 * traj.energy
 
 
 class TestPathConfigValidation:
@@ -68,12 +72,14 @@ class TestPathConfigValidation:
 
 
 class TestTiltPaths:
-    def test_drift_is_constant_and_endpoint_shifts(self):
-        traj = simulate_path(TILT, small_cfg())
+    def test_drift_is_constant_and_endpoint_shifts(self, reference_path):
+        traj = reference_path(TILT, small_cfg())
         np.testing.assert_allclose(traj.v, 2.0, atol=0.0)
         # X_1 = B_1 + alpha exactly under Euler with constant drift
         b1 = traj.db.sum(axis=0)
         assert traj.x[-1, 0] == pytest.approx(b1[0] + 2.0, abs=1e-12)
+        (stats,) = simulate_batch(small_cfg(), 1, [(TILT, ())])
+        assert stats.x1[0, 0] == pytest.approx(b1[0] + 2.0, abs=1e-12)
 
     def test_endpoint_mean(self):
         (stats,) = simulate_batch(small_cfg(), 20000, [(TILT, ())])
@@ -83,16 +89,18 @@ class TestTiltPaths:
         (stats,) = simulate_batch(small_cfg(), 100, [(TILT, ())])
         np.testing.assert_allclose(stats.energy_full, 4.0, atol=1e-12)
 
-    def test_reconstruction_is_exact(self):
-        traj = simulate_path(TILT, small_cfg())
-        assert np.abs(traj.reconstruction_residual()).max() < 1e-9
+    def test_reconstruction_is_exact(self, reference_path):
+        traj = reference_path(TILT, small_cfg())
+        assert np.abs(reconstruction_residual(traj)).max() < 1e-9
+        (stats,) = simulate_batch(small_cfg(), 100, [(TILT, ())])
+        assert np.abs(stats.fvt_residual()).max() < 1e-9
 
 
 class TestConstantDensityPaths:
-    def test_pure_brownian(self):
+    def test_pure_brownian(self, reference_path):
         flat = TiltDensity(np.zeros(1))
         cfg = small_cfg()
-        traj = simulate_path(flat, cfg)
+        traj = reference_path(flat, cfg)
         np.testing.assert_allclose(traj.v, 0.0, atol=0.0)
         np.testing.assert_allclose(traj.k, 0.0, atol=0.0)
         assert traj.x[-1, 0] == pytest.approx(float(traj.db.sum()), abs=1e-14)
@@ -117,11 +125,11 @@ class TestValueProcess:
         np.testing.assert_allclose(stats.v1, MIX.grad_log_f(stats.x1), atol=0.0)
 
     @pytest.mark.parametrize("density", [MIX, SINE], ids=["mixture", "sine"])
-    def test_reconstruction_residual_scale(self, density):
+    def test_reconstruction_residual_scale(self, reference_path, density):
         # Ito reconstruction of K drifts by O(sqrt(dt)) for curved drifts
         cfg = PathConfig(steps=2048, seed=5)
-        traj = simulate_path(density, cfg)
-        assert np.abs(traj.reconstruction_residual()).max() < 0.25
+        traj = reference_path(density, cfg)
+        assert np.abs(reconstruction_residual(traj)).max() < 0.25
 
 
 class RaisedTilt(DensityModel):
@@ -155,18 +163,18 @@ class TestStopping:
         assert np.all(sl.t_index == 0)
         assert np.all(sl.stoch == 0.0) and np.all(sl.energy == 0.0)
 
-    def test_first_passage_definition(self):
+    def test_first_passage_definition(self, reference_path):
         cfg = small_cfg()
         stats, _ = small_batch(TILT, cfg, E, 0.0, 0.0)
         t_index = stats.stopped[E].t_index
         for idx in range(len(t_index)):
-            traj = simulate_path(TILT, cfg, path_index=idx)
+            traj = reference_path(TILT, cfg, idx)
             assert t_index[idx] == first_passage(traj, E)
             if t_index[idx] < cfg.steps:
                 assert traj.k[t_index[idx]] > 1.0
                 assert np.all(traj.k[: t_index[idx]] <= 1.0)
 
-    def test_tilt_first_passage_oracle(self):
+    def test_tilt_first_passage_oracle(self, reference_path):
         # for the tilt the value process is exactly the drifted Brownian
         # walk a*B_t + a^2 t / 2; rebuild it from the raw increments and
         # confirm, for every threshold of one batch, the passage index, the
@@ -178,9 +186,9 @@ class TestStopping:
         (stats,) = simulate_batch(cfg, 40, [(tilt3, r_values)])
         stopped = dict.fromkeys(r_values, 0)
         for idx in range(40):
-            traj = simulate_path(tilt3, cfg, path_index=idx)
+            traj = reference_path(tilt3, cfg, idx)
             b = np.concatenate([[0.0], np.cumsum(traj.db[:, 0])])
-            walk = alpha * b + 0.5 * alpha**2 * traj.times
+            walk = alpha * b + 0.5 * alpha**2 * np.arange(cfg.steps + 1) / cfg.steps
             np.testing.assert_allclose(traj.k, walk, atol=1e-10)
             step_bound = np.abs(np.diff(walk)).max()
             for r in r_values:
@@ -290,22 +298,28 @@ class TestPassageBookkeeping:
 
 
 class TestPerturbation:
-    def test_delta_zero_is_identity(self):
+    def test_delta_zero_is_identity(self, reference_path):
         cfg = small_cfg()
         stats, arr = small_batch(MIX, cfg, E, 0.0, MIX.beta)
-        np.testing.assert_allclose(arr.x_delta, stats.x1, atol=0.0)
+        assert np.array_equal(arr.log_f_xd, MIX.log_f(stats.x1 + 0.0 * stats.stopped[E].vds))
         assert np.all(arr.z == 0.0)
-        traj = simulate_path(MIX, cfg, path_index=4)
-        expected_log_d = -traj.stoch_int[-1] - 0.5 * traj.energy[-1]
+        traj = reference_path(MIX, cfg, 4)
+        expected_log_d = -traj.stoch[-1] - 0.5 * traj.energy[-1]
         assert arr.log_d[4] == pytest.approx(expected_log_d, abs=1e-12)
 
-    def test_endpoint_shift_formula(self):
+    def test_endpoint_shift_formula(self, reference_path):
+        """log f is read at X_1 + delta sum_{i<T} v_i dt, the drift summed
+        up to the passage index; path 9 stops, path 11 does not."""
         cfg = small_cfg()
-        _, arr = small_batch(MIX, cfg, E, 0.2, MIX.beta)
-        traj = simulate_path(MIX, cfg, path_index=9)
-        t_idx = first_passage(traj, E)
-        shift = 0.2 * traj.v[:t_idx].sum(axis=0) / cfg.steps
-        np.testing.assert_allclose(arr.x_delta[9], traj.x[-1] + shift, atol=1e-14)
+        stats, arr = small_batch(MIX, cfg, 1.5, 0.2, MIX.beta)
+        sl = stats.stopped[1.5]
+        assert np.array_equal(arr.log_f_xd, MIX.log_f(stats.x1 + 0.2 * sl.vds))
+        for p in (9, 11):
+            traj = reference_path(MIX, cfg, p)
+            t_idx = first_passage(traj, 1.5)
+            assert (t_idx < cfg.steps) == (p == 9)
+            np.testing.assert_allclose(sl.vds[p], traj.v[:t_idx].sum(axis=0) / cfg.steps,
+                                       atol=1e-14)
 
     def test_reweighted_mass_is_one(self):
         # E[f(X^d) D^d] = 1 holds exactly under the discrete measure change
@@ -338,15 +352,37 @@ class TestConvexityMargin:
 
 
 class TestDeterminism:
-    def test_single_path_equals_batch_path(self):
-        cfg = small_cfg()
-        (stats,) = simulate_batch(cfg, 16, [(MIX, (E,))])
-        traj = simulate_path(MIX, cfg, path_index=13)
-        assert float(traj.x[-1, 0]) == stats.x1[13, 0]
-        assert float(traj.k[-1]) == stats.k_final[13]
-        assert float(traj.stoch_int[-1]) == stats.stoch_full[13]
-        normals = foellmer.path_normals(cfg.seed, 0, 16, cfg.steps, 1)
-        assert np.array_equal(traj.db, np.sqrt(1.0 / cfg.steps) * normals[13])
+    def test_single_path_equals_batch_path(self, reference_path, families):
+        """Paths of a batch of each default family in chunks of 13, stopped
+        at two thresholds, are the reference paths bit for bit: endpoint,
+        integrals, K_0 and passage indices."""
+        cfg, r_values = small_cfg(), (1.2, E)
+        for name, density in families.items():
+            (stats,) = simulate_batch(cfg, 30, [(density, r_values)], 13)
+            normals = foellmer.path_normals(cfg.seed, 0, 30, cfg.steps, density.dim)
+            for p in (0, 12, 13, 29):
+                traj = reference_path(density, cfg, p)
+                assert np.array_equal(traj.db, np.sqrt(1.0 / cfg.steps) * normals[p])
+                assert stats.k0 == traj.k[0]
+                for got, want in zip((stats.x1, stats.v1, stats.k_final, stats.stoch_full,
+                                      stats.energy_full),
+                                     (traj.x, traj.v, traj.k, traj.stoch, traj.energy)):
+                    assert np.array_equal(got[p], want[-1]), (name, p)
+                for r in r_values:
+                    assert stats.stopped[r].t_index[p] == first_passage(traj, r), (name, p, r)
+
+    @pytest.mark.parametrize("name", ["mixture", "sine", "tilt"])
+    def test_checkpoints_are_the_reference_drift(self, reference_path, families, name):
+        """The drift recorded at each checkpoint is the reference path's v
+        at the checkpoint's node, bit for bit, for two chunk layouts."""
+        density, cfg = families[name], small_cfg()
+        paths = {p: reference_path(density, cfg, p) for p in (0, 5, 13, 39)}
+        for chunk in (13, 40):
+            (stats,) = simulate_batch(cfg, 40, [(density, ())], chunk)
+            assert sorted(stats.checkpoint_indices.values()) == [64, 128, 192]
+            for p, traj in paths.items():
+                for tc, i in stats.checkpoint_indices.items():
+                    assert np.array_equal(stats.checkpoints[tc][p], traj.v[i]), (chunk, p, tc)
 
     def test_chunk_layout_independence(self):
         # sine paths cross log r < 0.66 and never E: both stop rules covered
@@ -462,7 +498,7 @@ class TestChunking:
         (MIX, 2000, 384), (MIX, 2000, 1000), (SINE, 2000, 384), (SINE, 2000, 1000),
     ], ids=["one_path", "one_path_chunks", "odd_chunks", "uneven_chunks", "mixture_2d", "mixture_3",
             "mixture_384", "mixture_1000", "sine_384", "sine_1000"])
-    def test_split_draws_match_one_chunk(self, density, n_paths, chunk):
+    def test_split_draws_match_one_chunk(self, reference_path, density, n_paths, chunk):
         """Odd chunk sizes, one-path halves and the empty half of a one-path
         chunk all reproduce the batch drawn as one chunk, and so do later
         chunks that widen the drift table windows."""
@@ -472,7 +508,7 @@ class TestChunking:
         (split,) = simulate_batch(cfg, n_paths, [(density, r_values)], chunk)
         assert_same_batch(whole, split)
         normals = foellmer.path_normals(cfg.seed, 0, n_paths, cfg.steps, density.dim)
-        paths = [simulate_path(density, cfg, j) for j in (0, n_paths - 1)]
+        paths = [reference_path(density, cfg, j) for j in (0, n_paths - 1)]
         for j, traj in zip((0, n_paths - 1), paths):
             assert np.array_equal(traj.db, np.sqrt(1.0 / cfg.steps) * normals[j])
             assert np.array_equal(traj.x[-1], whole.x1[j])
@@ -722,16 +758,16 @@ class TestTiledDraws:
             assert np.array_equal(seen[:, :k], whole[:, :k]), k
             assert ((seen[:, k:] >= 0.0) & (seen[:, k:] < 1.0)).all(), k
 
-    def test_late_tiles_give_the_batch(self, monkeypatch):
+    def test_late_tiles_give_the_batch(self, monkeypatch, reference_path):
         """The second half reports each tile after a sleep, so the first
         half runs ahead: the batch is the one drawn in one tile, and
-        ``simulate_path`` reproduces its paths; the loop steps the first tile
+        ``reference_path`` reproduces its paths; the loop steps the first tile
         before either half reports its last.  The tilt builds no tables, so
         the loop starts at once."""
         cfg = PathConfig(steps=128, seed=9)
         r_values = (E, E**2)
         (whole,) = simulate_batch(cfg, 300, [(TILT, r_values)])
-        paths = {j: simulate_path(TILT, cfg, j) for j in (0, 151, 299)}
+        paths = {j: reference_path(TILT, cfg, j) for j in (0, 151, 299)}
         draw, evaluate = foellmer.path_normals, DriftField.eval
         first_step = threading.Event()
         early = []
