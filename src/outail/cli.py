@@ -420,7 +420,8 @@ def write_reports(
 ) -> RunResult:
     """Write ``<stem>.csv`` and ``<stem>.json`` into ``_out_dir(out_dir)``;
     ``batches`` maps each simulated family to its ``BatchStats``, whose
-    ``passage_diagnostics`` and drift grid clamps the JSON carries."""
+    ``passage_diagnostics``, drift grid clamps and ``k_steps`` the JSON
+    carries."""
     batches = batches or {}
     out = _out_dir(out_dir)
     csv_path = out / f"{stem}.csv"
@@ -448,6 +449,7 @@ def write_reports(
         ],
         "diagnostics": {family: passage_diagnostics(stats) for family, stats in batches.items()},
         "drift_grid_clamps": {family: stats.drift_grid_clamps for family, stats in batches.items()},
+        "k_steps": {family: stats.k_steps for family, stats in batches.items()},
     }
     json_path = out / f"{stem}.json"
     json_path.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n", encoding="utf-8")

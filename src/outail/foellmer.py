@@ -54,10 +54,20 @@ table is built when the first chunk reaches the step, over the cells its
 paths occupy, and a later chunk's paths that go past it widen it.  At 2048
 steps the paths of the default mixture and sine occupy about a quarter of
 the 2048 cells.
+
+K is read only by the passage check and by K_0, so a step skips it when no
+path can cross there: each table window keeps a proven ceiling on every K
+its interpolation can return (its largest K plus a rounding margin), and
+while that ceiling is below the lowest next log r of any path the step
+interpolates v alone.  The default mixture and sine, whose sup log f is
+below log e, evaluate K at step 0 only.  The passages are those of a loop
+that evaluates K at every step, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -111,7 +121,9 @@ class DriftField:
     reaches past it, so each cell of a step is computed once.  A table
     value depends only on its step and cell, so results are independent of
     batch layout.  States beyond the grid clamp to its edge values;
-    ``clamps`` counts the (state, step) pairs that did.
+    ``clamps`` counts the (state, step) pairs that did.  Beside each table,
+    ``k_ceilings[i]`` bounds every K that step i's window can interpolate
+    (``_k_ceiling``), so ``eval`` can leave K out where it cannot matter.
     """
 
     def __init__(self, density: DensityModel, steps: int):
@@ -119,6 +131,7 @@ class DriftField:
         self.dt = 1.0 / steps
         self.grid = None
         self.tables: list[Optional[tuple[int, np.ndarray, np.ndarray]]] = []
+        self.k_ceilings: list[float] = []
         self.clamps = 0
         if density.dim == 1 and not isinstance(density, TiltDensity):
             self.grid = np.linspace(-DRIFT_GRID_HALFWIDTH, DRIFT_GRID_HALFWIDTH, DRIFT_GRID_POINTS)
@@ -127,21 +140,32 @@ class DriftField:
             self._pos_max = len(self.grid) - 1.000001  # so idx + 1 stays on the grid
             self._on_grid = density.closed_heat_at(self.grid[:, None])
             self.tables = [None] * steps
+            self.k_ceilings = [math.nan] * steps
 
     def raw(self, s: float, cells: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """(K, v) at bandwidth s on the table grid's ``cells``, for the tables."""
         return self._on_grid(s, cells)
 
-    def eval(self, i: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(K, v) at step i for points x of shape (..., dim)."""
+    def eval(self, i: int, x: np.ndarray, floor: Optional[float] = None
+             ) -> tuple[Optional[np.ndarray], np.ndarray]:
+        """(K, v) at step i for points x of shape (..., dim).  K is None
+        when ``floor`` is given and step i's table cannot interpolate a K
+        above it; an untabulated field always returns K.  A non-finite
+        state raises ``NonFiniteValueError`` before any evaluation."""
         if self.grid is None:
+            if not np.isfinite(x).all():
+                raise NonFiniteValueError(f"path state non-finite at step {i}")
             return self.density.closed_heat_at(x)(1.0 - i * self.dt)
         # uniform grid: fused linear interpolation, one index computation
         # for both tables; points beyond the grid clamp to the edge value,
-        # and the clip runs only on the steps whose extremes need it
+        # and the clip runs only on the steps whose extremes need it.  A NaN
+        # or infinite state shows in the extremes; a finite state far enough
+        # out to overflow pos only clamps
         pos = x[..., 0] - self._grid_lo
         pos *= self._grid_inv_h
         lo, hi = float(pos.min()), float(pos.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)) and not np.isfinite(x).all():
+            raise NonFiniteValueError(f"path state non-finite at step {i}")
         if lo < 0.0 or hi > self._pos_max:
             top = len(self.grid) - 1
             self.clamps += int(np.count_nonzero((pos < 0.0) | (pos > top)))
@@ -154,8 +178,10 @@ class DriftField:
         idx -= first
         rest = 1.0 - frac
         # k_tab[1:][idx] is k_tab[idx + 1], without a pass for idx + 1
-        k = k_tab[idx] * rest + k_tab[1:][idx] * frac
         v = (v_tab[idx] * rest + v_tab[1:][idx] * frac)[..., None]
+        if floor is not None and self.k_ceilings[i] < floor:
+            return None, v
+        k = k_tab[idx] * rest + k_tab[1:][idx] * frac
         return k, v
 
     def _window(self, i: int, lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarray]:
@@ -183,7 +209,28 @@ class DriftField:
                 vs.append(v_new[:, 0])
             table = (min(lo, first), np.concatenate(ks), np.concatenate(vs))
         self.tables[i] = table
+        self.k_ceilings[i] = _k_ceiling(table[1])
         return table
+
+
+def _k_ceiling(k: np.ndarray) -> float:
+    """A float c such that, whenever c < floor, no K interpolated from the
+    table values ``k`` exceeds floor.
+
+    ``eval`` returns fl(fl(a * r) + fl(b * f)) for neighbours a, b of k,
+    with f in [0, 1) exact and r = fl(1 - f) in [0, 1]; let M = max |k| and
+    u = 2^-53.  Exactly, a (1 - f) + b f is at most max(k).  Four roundings
+    move the result from it: r (by |a| |r - (1 - f)| <= u M), the two
+    products and the sum, each by at most u times a magnitude below
+    M (1 + u)^2, or by 2^-1075 where a result is subnormal.  So the result
+    is at most max(k) + 4u (1 + u)^2 M + 4 * 2^-1075, which the margin
+    2^-50 M + 2^-1022 (8u M plus the smallest normal) exceeds, also after
+    its own rounding.  The sum c rounds monotonically and floor is a float,
+    so c < floor implies max(k) + margin < floor.  A NaN in k gives a NaN
+    ceiling, below nothing; an infinite one gives inf or NaN.
+    """
+    # Python floats: -inf + inf is NaN without a RuntimeWarning
+    return float(k.max()) + (2.0**-50 * float(np.abs(k).max()) + sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -223,6 +270,7 @@ class BatchStats:
     checkpoint_indices: dict[float, int] = field(default_factory=dict)
     stopped: dict[float, StoppedSlice] = field(default_factory=dict)
     drift_grid_clamps: int = 0  # (path, step) states beyond the drift tables' grid
+    k_steps: int = 0  # (chunk, step) pairs on which the step loop evaluated K
 
     def fvt_residual(self) -> np.ndarray:
         """Endpoint reconstruction error of the exponential representation."""
@@ -282,6 +330,7 @@ class _Batch:
         self.ends, self.frozen = _path_arrays(n_paths, density.dim, len(self.r_values))
         self.cps = {tc: np.empty((n_paths, density.dim)) for tc in self.cp_idx}
         self.drift = DriftField(density, cfg.steps)
+        self.k_steps = 0
 
     def step(self, start: int, incs: np.ndarray, ready: Callable[[int], int]) -> None:
         """Run paths [start, start + c) of the zeroed outputs, driven by the
@@ -294,7 +343,9 @@ class _Batch:
         The loop state lives in views of the outputs: (X, v, K, S, E) ends at
         (X_1, v_1, K_1, S_1, E_1), where (K, v) = (log f, grad log f)(X_1);
         the threshold-major frozen views get the integrals stopped at each
-        log r; a checkpoint node's drift is recorded before its step.
+        log r; a checkpoint node's drift is recorded before its step.  A
+        step evaluates K only when its table can reach the lowest next log r
+        of any path, or at step 0; ``k_steps`` counts the steps that did.
         """
         sl = slice(start, start + incs.shape[1])
         cps = {i: self.cps[tc][sl] for tc, i in self.cp_idx.items()}
@@ -310,10 +361,13 @@ class _Batch:
         for i in range(m):
             if i == drawn:
                 drawn = ready(i)
-            k_i, v_i = drift.eval(i, x)
+            # K only where a path can cross, and at step 0 for K_0
+            k_i, v_i = drift.eval(i, x, passages.floor if i else None)
             if i == 0:
                 self.k0 = float(k_i[0])
-            passages.check(frozen, i, stoch, energy, vds, k_i)
+            if k_i is not None:
+                self.k_steps += 1
+                passages.check(frozen, i, stoch, energy, vds, k_i)
             if i in cps:
                 cps[i][...] = v_i
             db = incs[i]
@@ -323,9 +377,11 @@ class _Batch:
             vds += v_dt
             x += db
             x += v_dt
-            if not np.isfinite(x).all():
-                raise NonFiniteValueError(f"path state non-finite at step {i}")
 
+        # eval checked the state before each step; a non-finite state stays
+        # non-finite, so this catches one that arose at any step
+        if not np.isfinite(x).all():
+            raise NonFiniteValueError(f"path state non-finite at step {m}")
         k_end[...] = self.density.log_f(x)
         v_end[...] = self.density.grad_log_f(x)
         passages.finish(frozen, m, stoch, energy, vds, k_end)
@@ -338,6 +394,7 @@ class _Batch:
             stopped={r: StoppedSlice(r, *(a[j] for a in self.frozen))
                      for j, r in enumerate(self.r_values)},
             drift_grid_clamps=self.drift.clamps,
+            k_steps=self.k_steps,
         )
         del self.drift, self.ends, self.frozen, self.cps
         return stats
@@ -442,7 +499,8 @@ class _Passages:
     Each path keeps how many of the thresholds it has passed and the next
     log r, so a step costs one comparison per path; only the paths that
     crossed are frozen, by index, for every threshold they jumped.  A NaN K
-    crosses nothing.
+    crosses nothing.  ``floor`` is the lowest next log r, inf once every
+    path passed every threshold: a K at or below it crosses nothing.
     """
 
     def __init__(self, log_rs: np.ndarray, n_paths: int):
@@ -450,6 +508,7 @@ class _Passages:
         self._next = np.append(log_rs, np.inf)  # next log r after j passed
         self.passed = np.zeros(n_paths, np.int64)
         self.next_log_r = np.full(n_paths, self._next[0])
+        self.floor = float(self._next[0])
         self._hit = np.empty(n_paths, dtype=bool)
 
     def check(self, frozen, i, stoch, energy, vds, k) -> None:
@@ -462,6 +521,7 @@ class _Passages:
         after = np.searchsorted(self.log_rs, k[paths])  # thresholds strictly below K
         self.passed[paths] = after
         self.next_log_r[paths] = self._next[after]
+        self.floor = float(self.next_log_r.min())
         jumped = after - before
         rows = before
         if jumped.max() > 1:

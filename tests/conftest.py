@@ -82,13 +82,16 @@ def reference_path(reference_normals):
     increments, and at every node i = 0..m: ``x`` and ``v`` (m + 1, dim),
     ``k`` = K and the left-endpoint sums ``stoch`` = sum_{j<i} <v_j, dB_j>
     and ``energy`` = sum_{j<i} |v_j|^2 dt (m + 1,); at node m, (k, v) =
-    (log f, grad log f)(X_1)."""
+    (log f, grad log f)(X_1).  ``drift``, a ``DriftField(density, steps)``,
+    lets many paths share their tables, whose values do not depend on the
+    paths that built them; a fresh field by default."""
 
-    def path(density, cfg, p=0):
+    def path(density, cfg, p=0, drift=None):
         m, dim = cfg.steps, density.dim
         dt = 1.0 / m
         db = np.sqrt(dt) * reference_normals(cfg.seed, p, 1, m, dim)[0]
-        drift = DriftField(density, m)
+        if drift is None:
+            drift = DriftField(density, m)
         x, v = np.zeros((m + 1, dim)), np.zeros((m + 1, dim))
         k, stoch, energy = np.zeros(m + 1), np.zeros(m + 1), np.zeros(m + 1)
         for i in range(m):

@@ -62,8 +62,9 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
 
 def empty_batches(jobs):
     """A stand-in for the batches of ``jobs`` where the checks are recorded,
-    not run: no thresholds and no clamps, all the reports read of them."""
-    return [SimpleNamespace(stopped={}, drift_grid_clamps=0) for _ in jobs]
+    not run: no thresholds, no clamps and no K steps, all the reports read
+    of them."""
+    return [SimpleNamespace(stopped={}, drift_grid_clamps=0, k_steps=0) for _ in jobs]
 
 
 def path_batch(cfg):
@@ -711,7 +712,7 @@ out = {tmp_path}
         text = GOOD_CONFIG.format(out=tmp_path).replace("checks = energy, z, prop2", "checks = tail")
         result = run(write_cfg(tmp_path, text))
         summary = json.loads(result.json_path.read_text())
-        assert summary["diagnostics"] == summary["drift_grid_clamps"] == {}
+        assert summary["diagnostics"] == summary["drift_grid_clamps"] == summary["k_steps"] == {}
 
     @pytest.mark.parametrize("wave", ["0", "0, 0"], ids=["1d", "2d"])
     def test_a_zero_wave_sine_is_exact(self, tmp_path, capsys, wave):
@@ -771,10 +772,14 @@ class TestVerifyAll:
         r2 = verify_all(seed=42, out_dir=tmp_path / "w2", paths=2000, steps=128, chunk_paths=613)
         assert r1.exit_code == 0 and r2.exit_code == 0
         assert r1.csv_path.read_bytes() == r2.csv_path.read_bytes()
-        for result in (r1, r2):
+        # K is evaluated on every step of the tilt, which has no tables, and
+        # at step 0 only for the mixture and sine, whose K stays below log e
+        for result, n_chunks in ((r1, 1), (r2, 4)):
             summary = json.loads(result.json_path.read_text(), parse_constant=_reject_constant)
             assert list(summary["diagnostics"]) == sorted(FAMILIES)
             assert summary["drift_grid_clamps"] == {name: 0 for name in sorted(FAMILIES)}
+            assert summary["k_steps"] == {"mixture": n_chunks, "sine": n_chunks,
+                                          "tilt": n_chunks * 128}
             for diag in summary["diagnostics"].values():
                 assert [row["r"] for row in diag] == list(verify.DEFAULT_R_GRID)
                 assert all(0.0 <= row["never_stopped"] <= 1.0 for row in diag)
