@@ -554,16 +554,15 @@ def main(argv=None) -> int:
             est, ci = verify.tail_probability(build_density(cfg), t, r)
             print(f"tail({args.family}, t={t:g}, r={r:g}) = {est:.6e} +- {ci:.2e}")
             return 0
-        if args.command == "sharpness":
-            r_grid = _parse_floats("r", args.r) if isinstance(args.r, str) else args.r
-            _check_thresholds(r_grid)
-            for r, c in zip(r_grid, verify.sharpness_values(r_grid)):
-                print(f"r={r:.6g}  c_hat={c:.6f}")
-            return 0
+        # sharpness, the one command left
+        r_grid = _parse_floats("r", args.r) if isinstance(args.r, str) else args.r
+        _check_thresholds(r_grid)
+        for r, c in zip(r_grid, verify.sharpness_values(r_grid)):
+            print(f"r={r:.6g}  c_hat={c:.6f}")
+        return 0
     except OutailError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 def _emit_summary(result: RunResult) -> None:

@@ -76,7 +76,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import NonFiniteValueError
-from .measures import DensityModel, TiltDensity
+from .measures import DensityModel
 from .rng import path_normals, words_per_path
 
 DEFAULT_STEPS = 2048
@@ -112,7 +112,7 @@ class DriftField:
     drift of a ``steps``-step path, whose step i has bandwidth s = 1 - i/steps.
 
     Every evaluation comes from the family's ``closed_heat_at``.  A 1-D
-    field whose drift depends on the state (every family but the log-linear
+    field whose drift is not constant (every family but the log-linear
     tilt) is tabulated on a fixed spatial grid and evaluated by linear
     interpolation.  Step i's table ``tables[i]`` = (first cell, K, v) holds
     only a window, the contiguous run of grid cells that its evaluations
@@ -133,7 +133,7 @@ class DriftField:
         self.tables: list[Optional[tuple[int, np.ndarray, np.ndarray]]] = []
         self.k_ceilings: list[float] = []
         self.clamps = 0
-        if density.dim == 1 and not isinstance(density, TiltDensity):
+        if density.dim == 1 and not density.constant_drift:
             self.grid = np.linspace(-DRIFT_GRID_HALFWIDTH, DRIFT_GRID_HALFWIDTH, DRIFT_GRID_POINTS)
             self._grid_lo = float(self.grid[0])
             self._grid_inv_h = (len(self.grid) - 1) / (self.grid[-1] - self.grid[0])
@@ -150,12 +150,14 @@ class DriftField:
              ) -> tuple[Optional[np.ndarray], np.ndarray]:
         """(K, v) at step i for points x of shape (..., dim).  K is None
         when ``floor`` is given and step i's table cannot interpolate a K
-        above it; an untabulated field always returns K.  A non-finite
-        state raises ``NonFiniteValueError`` before any evaluation."""
+        above it; an untabulated field always returns K.  A non-finite x
+        raises ``NonFiniteValueError`` naming node i, and a non-finite v of
+        an untabulated, non-constant drift naming node i + 1."""
         if self.grid is None:
-            if not np.isfinite(x).all():
-                raise NonFiniteValueError(f"path state non-finite at step {i}")
-            return self.density.closed_heat_at(x)(1.0 - i * self.dt)
+            k, v = self.density.closed_heat_at(x)(1.0 - i * self.dt)
+            if not (self.density.constant_drift or np.isfinite(v).all()):
+                raise NonFiniteValueError(f"path state non-finite at step {i + 1}")
+            return k, v
         # uniform grid: fused linear interpolation, one index computation
         # for both tables; points beyond the grid clamp to the edge value,
         # and the clip runs only on the steps whose extremes need it.  A NaN
@@ -276,11 +278,6 @@ class BatchStats:
         """Endpoint reconstruction error of the exponential representation."""
         return self.k_final - self.k0 - self.stoch_full - 0.5 * self.energy_full
 
-    def slice_for(self, r: float) -> StoppedSlice:
-        if r not in self.stopped:
-            raise KeyError(f"no stopped integrals for r={r}; simulated {sorted(self.stopped)}")
-        return self.stopped[r]
-
 
 def _chunk_size(n_paths: int, steps: int, dim: int) -> int:
     """Paths per chunk: the fewest equal chunks whose normals fit
@@ -316,8 +313,7 @@ class _Batch:
     """One batch of a run: a density and its checked thresholds on the
     run's paths, with its zeroed outputs and drift field.  ``step`` runs
     one chunk of paths, building or widening the drift tables as it goes,
-    and ``finish`` hands the outputs over as ``BatchStats`` and drops the
-    tables."""
+    and ``finish`` hands the outputs over as ``BatchStats``."""
 
     def __init__(self, density: DensityModel, cfg: PathConfig, n_paths: int,
                  r_values: Sequence[float]):
@@ -378,7 +374,7 @@ class _Batch:
             x += db
             x += v_dt
 
-        # eval checked the state before each step; a non-finite state stays
+        # eval checked each state or drift it read; a non-finite state stays
         # non-finite, so this catches one that arose at any step
         if not np.isfinite(x).all():
             raise NonFiniteValueError(f"path state non-finite at step {m}")
@@ -387,7 +383,7 @@ class _Batch:
         passages.finish(frozen, m, stoch, energy, vds, k_end)
 
     def finish(self) -> BatchStats:
-        stats = BatchStats(
+        return BatchStats(
             self.n_paths, self.cfg.steps, self.cfg.seed, self.k0, *self.ends,
             checkpoints=self.cps,
             checkpoint_indices=self.cp_idx,
@@ -396,8 +392,6 @@ class _Batch:
             drift_grid_clamps=self.drift.clamps,
             k_steps=self.k_steps,
         )
-        del self.drift, self.ends, self.frozen, self.cps
-        return stats
 
 
 def simulate_batch(
@@ -420,9 +414,9 @@ def simulate_batch(
     path halves; the chunk is stepped for every batch, starting as its
     halves report tiles of steps, and dropped before the next chunk is
     drawn, so one chunk is held at a time.  The last chunk done, every batch
-    hands over its stats and drops its tables.  An error in a draw propagates
-    before any step it did not report is taken; the workers are joined
-    before the call returns or raises.
+    hands over its stats, and its drift tables go when the call returns.
+    An error in a draw propagates before any step it did not report is
+    taken; the workers are joined before the call returns or raises.
     """
     if n_paths < 1:
         raise ValueError(f"need at least one path, got {n_paths}")
@@ -464,7 +458,7 @@ class _Chunk:
         self._cond = threading.Condition()
         by_path = self.incs.transpose(1, 0, 2)
         halves = [(lo, hi) for lo, hi in ((0, c // 2), (c // 2, c)) if hi > lo]
-        self._steps = [-1] * len(halves)  # steps each half holds, -1 before it starts
+        self._steps = [0] * len(halves)  # leading steps each half holds
         self._draws = [
             pool.submit(self._fill, h, cfg.seed, start + lo, hi - lo, m, dim, by_path[lo:hi])
             for h, (lo, hi) in enumerate(halves)
@@ -581,7 +575,7 @@ def perturbation_arrays(
     log f(X_1^d) - [log f(X_1) + delta <v_1, I_T> - beta/2 delta^2 E_T] is
     >= 0 whenever beta certifies the log-density.
     """
-    sl = stats.slice_for(r)
+    sl = stats.stopped[r]
     vdot = (stats.v1 * sl.vds).sum(-1)
     x_delta = stats.x1 + delta * sl.vds
     log_f_xd = np.asarray(density.log_f(x_delta))

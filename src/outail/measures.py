@@ -38,8 +38,6 @@ _EPS_MACH = float(np.finfo(float).eps)
 def _as_points(x, dim: int) -> np.ndarray:
     """Coerce input to shape (..., dim); bare arrays are allowed when dim=1."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x[None]
     if x.shape[-1] != dim:
         if dim == 1:
             return x[..., None]
@@ -57,6 +55,9 @@ class DensityModel:
     dim: int
     beta: float
     name: str = "density"
+    # Whether grad log P_s f is one finite vector for every s and x: such a
+    # drift needs no tables, and the discrete K equals its Ito reconstruction.
+    constant_drift = False
 
     def log_f(self, x) -> np.ndarray:
         raise NotImplementedError
@@ -101,6 +102,7 @@ class TiltDensity(DensityModel):
     alpha: float = field(init=False, repr=False)  # tilt magnitude |u|
     dim = 1
     beta = 0.0
+    constant_drift = True
 
     def __post_init__(self):
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float).reshape(1))
@@ -429,8 +431,8 @@ FAMILIES: dict[str, Family] = {
 def validate_normalization(density: DensityModel, rule: QuadratureRule) -> float:
     """|integral of f d(gamma_n) - 1| by quadrature.
 
-    Raises on dimension mismatch or an empty rule; the caller compares the
-    residual against its own tolerance.
+    Raises on a dimension mismatch; the caller compares the residual
+    against its own tolerance.
     """
     if rule.dim != density.dim:
         raise DimensionMismatchError(

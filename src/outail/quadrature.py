@@ -20,26 +20,16 @@ MAX_QUADRATURE_DIM = 3
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and probability weights for integration against gamma_n."""
+    """Nodes and probability weights for integration against gamma_n, as
+    ``gauss_hermite`` builds them."""
 
     dim: int
-    nodes: np.ndarray    # (M, dim)
-    weights: np.ndarray  # (M,), positive, sums to 1
-    log_weights: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.nodes.ndim != 2 or self.nodes.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"nodes shape {self.nodes.shape} inconsistent with dim={self.dim}"
-            )
-        if len(self.weights) != len(self.nodes) or len(self.weights) == 0:
-            raise ValueError("weights and nodes must be equal-length and non-empty")
-        if np.any(self.weights <= 0):
-            raise ValueError("quadrature weights must be positive")
-        object.__setattr__(self, "log_weights", np.log(self.weights))
+    nodes: np.ndarray        # (M, dim)
+    weights: np.ndarray      # (M,), positive, sums to 1
+    log_weights: np.ndarray = field(repr=False)
 
     @classmethod
-    def gauss_hermite(cls, dim: int, n_nodes: int = 64) -> "QuadratureRule":
+    def gauss_hermite(cls, dim: int, n_nodes: int) -> "QuadratureRule":
         """Tensor product of 1-D probabilists' Gauss-Hermite rules.
 
         Parameters
@@ -53,17 +43,13 @@ class QuadratureRule:
             raise DimensionMismatchError(
                 f"tensorized quadrature supports 1 <= dim <= {MAX_QUADRATURE_DIM}, got {dim}"
             )
-        if n_nodes < 1:
-            raise ValueError("n_nodes must be >= 1")
         x, w = np.polynomial.hermite_e.hermegauss(n_nodes)
         w = w / np.sqrt(2.0 * np.pi)
-        if dim == 1:
-            return cls(dim=1, nodes=x[:, None], weights=w)
         grids = np.meshgrid(*([x] * dim), indexing="ij")
         nodes = np.stack([g.ravel() for g in grids], axis=-1)
         wgrids = np.meshgrid(*([w] * dim), indexing="ij")
         weights = reduce(np.multiply, [g.ravel() for g in wgrids])
-        return cls(dim=dim, nodes=nodes, weights=weights)
+        return cls(dim, nodes, weights, np.log(weights))
 
     @property
     def n_nodes(self) -> int:

@@ -130,10 +130,8 @@ class BoundReport:
         return bool(total >= 0.0) if not math.isnan(total) else False
 
     def csv_row(self) -> list[str]:
-        def fmt(v) -> str:
-            if isinstance(v, float):
-                return "" if math.isnan(v) else repr(v)
-            return str(v)
+        def fmt(v: float) -> str:
+            return "" if math.isnan(v) else repr(v)
 
         return [
             self.name, self.family, str(self.dim),

@@ -57,9 +57,8 @@ def path_normals(
     of a step-major buffer), or a new array, and returns it.  The uniforms
     go in first, in blocks of about ``_OUT_BLOCK_WORDS`` words; then ``out``
     becomes normals in tiles of about as many words across the paths.
-    ``done(k)`` is called once the draw starts, with k = 0, and after each
-    tile: steps below k then hold their final values, and the last call
-    has k = n_steps.
+    ``done(k)`` is called after each tile: steps below k then hold their
+    final values, and the last call has k = n_steps.
     """
     words = n_steps * dim
     stride = words_per_path(words)
@@ -67,8 +66,6 @@ def path_normals(
         out = np.empty((n_paths, n_steps, dim))
     elif out.shape != (n_paths, n_steps, dim):
         raise ValueError(f"out has shape {out.shape}, need {(n_paths, n_steps, dim)}")
-    if done is not None:
-        done(0)
     gen = np.random.Generator(np.random.Philox(key=seed))
     gen.bit_generator.advance(first_path * stride // _BLOCK)
     block = max(1, _OUT_BLOCK_WORDS // stride)

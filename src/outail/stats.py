@@ -18,9 +18,8 @@ LEVEL_SET_GRID = 8193
 LEVEL_SET_XTOL = 1e-12
 CDF_GRID = 2**16 + 1
 
-# Asymptotic 1% critical constants for KS statistics.
-KS_ONE_SAMPLE_CRIT = 1.63
-KS_TWO_SAMPLE_CRIT = 1.628
+# Asymptotic 1% Kolmogorov quantile: one- and two-sample KS critical value.
+KS_CRIT = 1.628
 
 
 def batch_means(values: np.ndarray) -> tuple[float, float]:

@@ -36,14 +36,14 @@ from .errors import ResolutionError
 # simulate_batch and perturbation_arrays are not called here: cli calls them
 # through this module and passes each batch and record to the builders below
 from .foellmer import BatchStats, Perturbation, perturbation_arrays, simulate_batch
-from .measures import FAMILIES, DensityModel, TiltDensity
+from .measures import FAMILIES, DensityModel
 from .numeric import fd_hessian, log_gauss_tail
 from .quadrature import QuadratureRule
 from .reports import BoundReport
 from .rng import gaussian_sample
 from .semigroup import default_rule, ou_image
 from .stats import (
-    KS_TWO_SAMPLE_CRIT,
+    KS_CRIT,
     batch_means,
     ks_two_sample,
     superlevel_gamma_mass,
@@ -227,7 +227,7 @@ def entropy_identity_report(stats: BatchStats, density: DensityModel) -> BoundRe
 
 def drift_energy_report(stats: BatchStats, density: DensityModel, r: float) -> BoundReport:
     """Expected stopped drift energy against its entropy budget 2 log r."""
-    est, se = batch_means(stats.slice_for(r).energy)
+    est, se = batch_means(stats.stopped[r].energy)
     return BoundReport(
         name="drift_energy", estimate=est, ci_half_width=CI_STANDARD_ERRORS * se,
         bound=2.0 * np.log(r), **_batch_meta(stats, density, r=r),
@@ -274,11 +274,11 @@ def deviation_reports(z: np.ndarray, r: float, delta: float, beta: float,
 def girsanov_reports(stats: BatchStats, density: DensityModel, pert: Perturbation) -> list[BoundReport]:
     """Girsanov normalization, reweighted mass, and the pathwise floors.
 
-    The product floor f(X^d) D^d >= e^Z (1 - tol) is exact only for the
-    constant-drift tilt, where the value process matches its Ito
-    reconstruction identically, so only the tilt reports it; state-dependent
-    drifts carry the endpoint reconstruction residual, and their pathwise
-    content is the convexity floor.
+    The product floor f(X^d) D^d >= e^Z (1 - tol) is exact only for a
+    constant-drift family (the tilt), where the value process matches its
+    Ito reconstruction identically, so only such a family reports it;
+    state-dependent drifts carry the endpoint reconstruction residual, and
+    their pathwise content is the convexity floor.
     """
     meta = _batch_meta(stats, density, pert)
     d_mean, d_se = batch_means(np.exp(pert.log_d))
@@ -291,7 +291,7 @@ def girsanov_reports(stats: BatchStats, density: DensityModel, pert: Perturbatio
         BoundReport(name="convexity_floor", estimate=-float(pert.convexity_margin.min()),
                     ci_half_width=0.0, bound=CONVEXITY_TOL, **meta),
     ]
-    if isinstance(density, TiltDensity):
+    if density.constant_drift:
         rows.append(
             BoundReport(name="pathwise_product_floor", estimate=-float(pert.product_excess.min()),
                         ci_half_width=0.0, bound=-float(np.log1p(-PRODUCT_TOL)), **meta)
@@ -314,7 +314,7 @@ def martingale_gap_reports(stats: BatchStats, density: DensityModel, r: float) -
     Zero in continuous time by optional stopping; the bound is a fixed
     discretization allowance on top of the Monte Carlo half-width.
     """
-    sl = stats.slice_for(r)
+    sl = stats.stopped[r]
     out = []
     for tc, v_s in sorted(stats.checkpoints.items()):
         idx = stats.checkpoint_indices[tc]
@@ -341,7 +341,7 @@ def tv_reports(stats: BatchStats, density: DensityModel, pert: Perturbation) -> 
     """
     meta = _batch_meta(stats, density, pert)
     d_hat = ks_two_sample(stats.k_final, pert.log_f_xd)
-    envelope = KS_TWO_SAMPLE_CRIT * np.sqrt(2.0 / stats.n_paths)
+    envelope = KS_CRIT * np.sqrt(2.0 / stats.n_paths)
     budget = pert.delta * np.sqrt((pert.beta + 1.0) * np.log(pert.r))
     return [
         BoundReport(name="tv_lower_bound", estimate=d_hat,

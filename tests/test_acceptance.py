@@ -17,7 +17,7 @@ from outail.cli import verify_all
 from outail.foellmer import perturbation_arrays
 from outail.measures import MixtureDensity, TiltDensity
 from outail.semigroup import ou_log
-from outail.stats import KS_ONE_SAMPLE_CRIT, DenseCdf, ks_one_sample
+from outail.stats import KS_CRIT, DenseCdf, ks_one_sample
 from outail.verify import (
     DEFAULT_R_GRID,
     HESSIAN_PROBES,
@@ -90,7 +90,7 @@ def test_02_log_hessian_floor(families):
 def test_03_law_of_endpoint(batches, families):
     """KS distance of 10^5 endpoints vs the quadrature CDF of f dgamma."""
     n = batches["tilt"].n_paths
-    crit = KS_ONE_SAMPLE_CRIT / np.sqrt(n)
+    crit = KS_CRIT / np.sqrt(n)
     cdfs = {
         "tilt": lambda x: ndtr(x - 2.0),
         "mixture": lambda x: 0.5 * ndtr((x + 1) / np.sqrt(0.5)) + 0.5 * ndtr((x - 1) / np.sqrt(0.5)),

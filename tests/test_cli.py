@@ -178,6 +178,10 @@ class TestConfigParsing:
         ("spread = 0.5", "spread = 1e-5", "family"),
         ("spread = 0.5", "spread = 0.01", "family"),
         ("means = -1, 1\nspread = 0.5", "means = -1, 0; 1, 0\nspread = 1e-3", "family"),
+        ("means = -1, 1", "means = 1, 2; 3", "means"),
+        ("seed = 7", "seed = 7\nseed = 8", "experiment"),
+        ("[experiment]", "[other]", "experiment"),
+        ("weights = 0.5, 0.5", "weights = -0.5, 1.5", "family"),
         # the entropy and hyper checks integrate on a rule that stops at dim 3
         (GOOD_CONFIG[GOOD_CONFIG.index("means"):GOOD_CONFIG.index("\nout")],
          "means = -1, 0, 0, 0; 1, 0, 0, 0\nchecks = energy, entropy", "checks"),
@@ -191,6 +195,7 @@ class TestConfigParsing:
             "delta_square_inf", "seed_2_128", "sine_beta_inf", "sine_log_z_nan", "tilt_half_square_inf",
             "tilt_2d_norm_inf", "tilt_points", "wave_points", "weights_points", "mixture_beta_inf",
             "mixture_not_normalized", "mixture_residual_0.53", "mixture_2d_not_normalized",
+            "ragged_means", "unreadable", "no_experiment_section", "negative_weight",
             "entropy_above_quadrature_dim", "hyper_above_quadrature_dim"])
     def test_bad_value_names_field(self, tmp_path, old, new, field):
         text = GOOD_CONFIG.format(out=tmp_path).replace(old, new)
@@ -637,7 +642,7 @@ out = {tmp_path}
         assert list(summary["diagnostics"]) == ["tilt"]
         assert [row["r"] for row in diag] == list(cfg.r_values)
         for row in diag:
-            sl = stats.slice_for(row["r"])
+            sl = stats.stopped[row["r"]]
             stopped = (sl.t_index < cfg.steps) | (sl.k_at_stop > np.log(row["r"]))
             assert row["never_stopped"] == np.mean(~stopped)
             assert row["overshoot_median"] == np.median(sl.overshoot()[stopped])
@@ -895,6 +900,19 @@ class TestMainEntry:
         bad = write_cfg(tmp_path, "[experiment]\nfamily = unknown\n")
         assert main(["run", str(bad)]) == 2
         assert "family" in capsys.readouterr().err
+        # ragged points, a file configparser cannot read, one without the
+        # section and a negative weight: an error naming the field, no traceback
+        for text, named in (
+            ("[experiment]\nfamily = mixture\nmeans = 1, 2; 3\n",
+             "'means': line 3: rows must share one dimension"),
+            ("family = tilt\n", "'experiment': config does not parse"),
+            ("[other]\nfamily = tilt\n", "'experiment': missing [experiment] section"),
+            ("[experiment]\nfamily = mixture\nweights = -0.5, 1.5\n",
+             "'family': line 2: mixture parameters rejected: mixture weights must be positive"),
+        ):
+            assert main(["run", str(write_cfg(tmp_path, text, name="outside.cfg"))]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: config field {named}") and "Traceback" not in err, err
         # a narrow spread and far means both put the mass out of the rule's
         # reach, and the message names both
         for params, named in (("spread = 1e-5", "spread 1e-05 or largest |mean| 1 "),

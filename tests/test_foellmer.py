@@ -71,6 +71,12 @@ class TestPathConfigValidation:
         with pytest.raises(ValueError, match="at least one path"):
             simulate_batch(small_cfg(), 0, [(TILT, ())])
 
+    def test_no_jobs_draw_nothing(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(foellmer, "path_normals", lambda *a, **kw: drawn.append(a))
+        assert simulate_batch(small_cfg(), 100, []) == []
+        assert drawn == []
+
 
 class TestTiltPaths:
     def test_drift_is_constant_and_endpoint_shifts(self, reference_path):
@@ -747,7 +753,7 @@ class TestTiledDraws:
         """Tiles that do not divide the steps, from path 5 on: the draw that
         reports equals the one-tile draw without a callback, bit for bit;
         each report covers final steps only, and the steps after it still
-        hold uniforms."""
+        hold uniforms.  The first report comes after the first tile."""
         n_paths = 6
         whole = foellmer.path_normals(7, 5, n_paths, n_steps, dim, scale=0.25)
         assert np.array_equal(whole, 0.25 * reference_normals(7, 5, n_paths, n_steps, dim))
@@ -758,8 +764,8 @@ class TestTiledDraws:
         foellmer.path_normals(7, 5, n_paths, n_steps, dim, out=by_path, scale=0.25,
                               done=lambda k: reports.append((k, by_path.copy())))
         assert np.array_equal(by_path, whole)
-        assert [k for k, _ in reports] == [0, *range(tile, n_steps, tile), n_steps]
-        for k, seen in reports[1:]:
+        assert [k for k, _ in reports] == [*range(tile, n_steps, tile), n_steps]
+        for k, seen in reports:
             assert np.array_equal(seen[:, :k], whole[:, :k]), k
             assert ((seen[:, k:] >= 0.0) & (seen[:, k:] < 1.0)).all(), k
 
@@ -1024,14 +1030,15 @@ class TestNonFiniteState:
     ], ids=["overflow", "nan", "overflow_last_step", "nan_last_step"])
     def test_a_non_finite_state_raises(self, dim, drift, s_max, step):
         """A drift that makes the state non-finite on the first step raises
-        when the next step evaluates it; on the last step, after the loop.
-        Both name the node, and no worker is left.  The arithmetic on the
-        non-finite values warns on the way, which is not checked here."""
+        before the step sums it, if untabulated, or when the next step
+        evaluates the state; on the last step, before or after the loop.
+        Each names the non-finite node, no arithmetic on the non-finite
+        values warns (the suite turns a RuntimeWarning into an error), and
+        no worker is left."""
         density = WildDrift(drift, dim, s_max)
         assert (DriftField(density, 128).grid is None) == (dim == 2)
         before = threading.active_count()
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(NonFiniteValueError, match=f"path state non-finite at step {step}$"):
+        with pytest.raises(NonFiniteValueError, match=f"path state non-finite at step {step}$"):
             simulate_batch(PathConfig(128, 3), 300, [(density, (E,))], 100)
         assert threading.active_count() == before
 

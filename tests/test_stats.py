@@ -13,7 +13,7 @@ from outail.rng import _U_MIN, gaussian_sample, path_normals, words_per_path
 from outail.semigroup import ou_image
 from outail.stats import (
     GRID_HALFWIDTH,
-    KS_ONE_SAMPLE_CRIT,
+    KS_CRIT,
     LEVEL_SET_GRID,
     LEVEL_SET_XTOL,
     N_BATCHES,
@@ -68,7 +68,7 @@ class TestKolmogorovSmirnov:
     def test_one_sample_uniform_below_critical(self, rng):
         n = 20000
         d = ks_one_sample(rng.random(n), lambda x: np.clip(x, 0, 1))
-        assert d < KS_ONE_SAMPLE_CRIT / np.sqrt(n)
+        assert d < KS_CRIT / np.sqrt(n)
 
     def test_two_sample_identical_is_zero(self, rng):
         x = rng.normal(size=500)
