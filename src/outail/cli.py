@@ -65,14 +65,6 @@ _NEEDS_PATHS = {"entropy", "energy", "z", "tv", "prop2", "composite"}
 _NEEDS_QUADRATURE = {"entropy", "hyper"}
 
 
-def _check_thresholds(r_values) -> None:
-    """The range rule of every threshold list, config and ``sharpness --r``."""
-    if any(r <= 1.0 for r in r_values):
-        raise ConfigError("r", "all thresholds must exceed 1")
-    if len(set(r_values)) != len(r_values):
-        raise ConfigError("r", "thresholds must be distinct")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """The one experiment schema: the field defaults are the defaults of
@@ -95,7 +87,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if any(t < 0 for t in self.t_values):
             raise ConfigError("t", "times must be >= 0")
-        _check_thresholds(self.r_values)
+        if any(r <= 1.0 for r in self.r_values):
+            raise ConfigError("r", "all thresholds must exceed 1")
+        if len(set(self.r_values)) != len(self.r_values):
+            raise ConfigError("r", "thresholds must be distinct")
         if self.delta is not None and not 0 <= self.delta <= DELTA_MAX:
             raise ConfigError("delta", f"fixed delta must lie in [0, {DELTA_MAX:.4g}], "
                               "where its square is finite")
@@ -218,9 +213,11 @@ def parse_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        parser.read_string(text)
+        parser.read_string(text, source=str(path))
     except (OSError, configparser.Error) as exc:
-        raise ConfigError("experiment", f"config does not parse: {exc}") from exc
+        # configparser's message spans lines; one line keeps its path and line number
+        message = " ".join(str(exc).split())
+        raise ConfigError("experiment", f"config does not parse: {message}") from exc
     try:
         return _build_experiment(parser)
     except ConfigError as exc:
@@ -556,8 +553,8 @@ def main(argv=None) -> int:
             return 0
         # sharpness, the one command left
         r_grid = _parse_floats("r", args.r) if isinstance(args.r, str) else args.r
-        _check_thresholds(r_grid)
-        for r, c in zip(r_grid, verify.sharpness_values(r_grid)):
+        cfg = ExperimentConfig("tilt", FAMILIES["tilt"].defaults, r_values=r_grid)
+        for r, c in zip(cfg.r_values, verify.sharpness_values(cfg.r_values)):
             print(f"r={r:.6g}  c_hat={c:.6f}")
         return 0
     except OutailError as exc:

@@ -14,8 +14,8 @@ class NonFiniteValueError(OutailError, FloatingPointError):
 
 
 class ResolutionError(OutailError):
-    """Monte Carlo cannot resolve the requested quantity; use an exact or
-    quadrature method instead."""
+    """Monte Carlo cannot resolve the requested quantity; only an exact
+    value can."""
 
 
 class ConfigError(OutailError, ValueError):

@@ -7,7 +7,7 @@ from scipy.special import erfcx, ndtr
 
 from .errors import NonFiniteValueError
 
-# Default relative step for first-derivative checks: cbrt(machine epsilon).
+# Relative step of first-derivative checks: cbrt(machine epsilon).
 FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 # Second-derivative stencils use a larger step, balancing truncation against
 # roundoff amplified by 1/h^2.
@@ -21,7 +21,7 @@ def _steps(x: np.ndarray, h: float) -> np.ndarray:
     return h * np.maximum(1.0, np.abs(x))
 
 
-def fd_gradient(fn, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+def fd_gradient(fn, x: np.ndarray) -> np.ndarray:
     """Second-order central-difference gradient of a scalar field.
 
     ``fn`` must accept a stacked array of points with shape (..., dim) and
@@ -30,7 +30,7 @@ def fd_gradient(fn, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    hs = _steps(x, h)
+    hs = _steps(x, FD_STEP)
     eye = np.eye(n)
     pts = np.concatenate(
         [x[..., None, :] + hs[..., None, :] * eye, x[..., None, :] - hs[..., None, :] * eye],

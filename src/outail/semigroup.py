@@ -11,7 +11,6 @@ Monte Carlo carries an explicit seed and reduces deterministically.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
@@ -33,16 +32,16 @@ def default_rule(dim: int) -> QuadratureRule:
     return QuadratureRule.gauss_hermite(dim, DEFAULT_NODES)
 
 
-def ou_log(density: DensityModel, t: float, x, rule: Optional[QuadratureRule] = None) -> np.ndarray:
-    """log Q_t f(x) by Mehler's formula on the Gauss-Hermite ``rule``
-    (``default_rule`` when None), vectorized over points; log f(x) at t = 0.
-    The quadrature reference the closed forms are tested against."""
+def ou_log(density: DensityModel, t: float, x) -> np.ndarray:
+    """log Q_t f(x) by Mehler's formula on ``default_rule``, vectorized over
+    points; log f(x) at t = 0.  The quadrature reference the closed forms
+    are tested against."""
     if t < 0:
         raise ValueError("OU time must be >= 0")
     x = _as_points(x, density.dim)
     if t == 0.0:
         return density.log_f(x)
-    rule = rule or default_rule(density.dim)
+    rule = default_rule(density.dim)
     y = np.exp(-t) * x[..., None, :] + np.sqrt(-np.expm1(-2.0 * t)) * rule.nodes
     k = logsumexp(rule.log_weights + density.log_f(y), axis=-1)
     if not np.isfinite(k).all():

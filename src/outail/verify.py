@@ -91,15 +91,18 @@ def tail_probability(
     """(estimate, ci) for gamma_n({Q_t f > r}): ``tail_curve`` at the one
     threshold r.  Raises ResolutionError when Monte Carlo cannot resolve it.
     It calls ``_tails`` directly, so a direct tail (``composite_reports``)
-    opens no ``tail_curve`` span in a traced run.  ``rule`` is unused: every
-    image is evaluated through its family's closed heat transform, and the
-    benchmark's tracer still binds the argument by name.
+    opens no ``tail_curve`` span in a traced run.  ``method`` and ``rule``
+    stay only because the benchmark's tracer binds them by name, and they go
+    with it (ROADMAP item 15): the image picks the method, so any ``method``
+    but "auto" raises ValueError, and ``rule`` is unused.
     """
-    (est,), (ci,) = _tails(density, t, np.array([float(r)]), method, n_samples, seed)
+    if method != "auto":
+        raise ValueError(f"the image picks the tail method; got method={method!r}")
+    (est,), (ci,) = _tails(density, t, np.array([float(r)]), n_samples, seed)
     if np.isnan(est):
         raise ResolutionError(
             f"tail at r={r:g} below Monte Carlo resolution "
-            f"(fewer than {MC_MIN_HITS} hits of {n_samples}); method=exact required"
+            f"(fewer than {MC_MIN_HITS} hits of {n_samples}); an exact tail is required"
         )
     return float(est), float(ci)
 
@@ -108,7 +111,7 @@ def tail_curve(
     density: DensityModel,
     t: float,
     r_grid,
-    method: str = "auto",
+    *,
     n_samples: int = 10**5,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -117,52 +120,39 @@ def tail_curve(
     t is the t = 0 tail of the image ``ou_image(density, t)``, so t = 0
     means the tail of f.
 
-    Methods: "exact" (the image's closed tail), "quadrature" (1-D level-set
-    mass), "monte_carlo" (indicator mean), "auto" picks the first that
-    applies to the image in that order.  The image is built, and log Q_t f
-    evaluated on the level-set grid or the Monte Carlo sample, once for the
-    whole curve.  A Monte Carlo threshold with fewer than ``MC_MIN_HITS``
-    hits has NaN tail and ci: the exact tail is required there.
+    The image picks the method: its closed tail if it has one, else the 1-D
+    level-set mass, else the indicator mean over ``n_samples`` Gaussian
+    points drawn from ``seed``.  The image is built, and log Q_t f evaluated
+    on the level-set grid or the sample, once for the whole curve.  A Monte
+    Carlo threshold with fewer than ``MC_MIN_HITS`` hits has NaN tail and
+    ci: the exact tail is required there.
     """
     r = np.asarray(sorted(float(x) for x in r_grid))
     if np.any(np.diff(r) == 0.0):
         raise ValueError("tail thresholds must be distinct")
-    return (r, *_tails(density, t, r, method, n_samples, seed))
+    return (r, *_tails(density, t, r, n_samples, seed))
 
 
-def _tails(density: DensityModel, t: float, r: np.ndarray, method: str,
+def _tails(density: DensityModel, t: float, r: np.ndarray,
            n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(tail, ci) of ``tail_curve`` at the thresholds r, in their order."""
     if np.any(r <= 1.0):
         raise ValueError("tail threshold must satisfy r > 1")
     image = ou_image(density, t)
-    if method == "auto":
-        if image.closed_tail is not None:
-            method = "exact"
-        elif image.dim == 1:
-            method = "quadrature"
-        else:
-            method = "monte_carlo"
     zeros = np.zeros(r.shape)
-    if method == "exact":
-        if image.closed_tail is None:
-            raise ValueError(f"{image.name} has no exact tail")
+    if image.closed_tail is not None:
         return np.array([image.closed_tail(x) for x in r]), zeros
-    if method == "quadrature":
-        if image.dim != 1:
-            raise ValueError("quadrature tails are 1-D only")
+    if image.dim == 1:
         return superlevel_gamma_mass(image.log_f, np.log(r)), zeros
-    if method == "monte_carlo":
-        x = gaussian_sample(seed, n_samples, image.dim, stream=7)
-        log_f = np.asarray(image.log_f(x))
-        tail, ci = np.full(r.shape, np.nan), np.full(r.shape, np.nan)
-        for i, log_r in enumerate(np.log(r)):
-            hits = log_f > log_r
-            if hits.sum() >= MC_MIN_HITS:
-                est, se = batch_means(hits.astype(float))
-                tail[i], ci[i] = est, CI_STANDARD_ERRORS * se
-        return tail, ci
-    raise ValueError(f"unknown tail method {method!r}")
+    x = gaussian_sample(seed, n_samples, image.dim, stream=7)
+    log_f = np.asarray(image.log_f(x))
+    tail, ci = np.full(r.shape, np.nan), np.full(r.shape, np.nan)
+    for i, log_r in enumerate(np.log(r)):
+        hits = log_f > log_r
+        if hits.sum() >= MC_MIN_HITS:
+            est, se = batch_means(hits.astype(float))
+            tail[i], ci[i] = est, CI_STANDARD_ERRORS * se
+    return tail, ci
 
 
 def sharpness_values(r_grid=SHARPNESS_R_GRID) -> np.ndarray:
@@ -383,7 +373,8 @@ def composite_reports(stats: BatchStats, density: DensityModel, r: float) -> lis
     weights = np.where(gap > 0.0, np.exp(-np.floor(np.maximum(gap, 0.0)) - logr), 0.0)
     w_mean, w_se = batch_means(weights)
     try:
-        direct, direct_ci = tail_probability(density, 0.0, r, method="auto", seed=stats.seed)
+        direct, direct_ci = tail_probability(density, 0.0, r, n_samples=stats.n_paths,
+                                             seed=stats.seed)
     except ResolutionError:
         nan = float("nan")
         return [shell_row, BoundReport(name="tail_reduction!exact_required", estimate=nan,

@@ -209,16 +209,16 @@ def test_11_tail_curve_envelopes(families):
     trend_flags = []
     for r in (E**2, E**4, E**6, E**8):
         alpha = np.sqrt(2.0 * np.log(r)) * np.exp(1.0)
-        rs, tail, ci = tail_curve(TiltDensity([alpha]), 1.0, (r,), "exact")
+        rs, tail, ci = tail_curve(TiltDensity([alpha]), 1.0, (r,))
         ok = ok and markov_ok(rs, tail, ci) and float(tail[0] * r * np.sqrt(np.log(r))) <= 20.0
     peaky = MixtureDensity([0.5, 0.5], [-2.0, 2.0], 0.25)
     for t in (0.1, 0.5, 1.0):
-        r, tail, ci = tail_curve(peaky, t, (1.5, 2.0, 5.0, 10.0), "quadrature")
+        r, tail, ci = tail_curve(peaky, t, (1.5, 2.0, 5.0, 10.0))
         ratio = tail * r * np.sqrt(np.log(r)) / max(peaky.beta, 1.0)
         ok = ok and markov_ok(r, tail, ci) and bool(np.all(ratio <= 20.0))
         # a flag, not an assertion: the tail is non-increasing along the grid
         trend_flags.append(bool(np.all(np.diff(tail) <= ci[:-1] + ci[1:] + 1e-12)))
-    r, tail, ci = tail_curve(families["sine"], 0.5, DEFAULT_R_GRID, "quadrature")
+    r, tail, ci = tail_curve(families["sine"], 0.5, DEFAULT_R_GRID)
     ok = ok and markov_ok(r, tail, ci) and bool(np.all(tail == 0.0))
     criterion(11, f"tail ratios <= 20 and Markov envelope (trend flags {trend_flags})", ok)
 

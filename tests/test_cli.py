@@ -770,6 +770,27 @@ out = {tmp_path}
         assert not any(row["anchored"] for row in summary["rows"]
                        if row["name"] == "tail_reduction!exact_required")
 
+    def test_direct_tail_draws_the_configured_paths(self, tmp_path):
+        """The Monte Carlo tail of ``tail_reduction`` draws ``paths`` points,
+        as its ``n_samples`` column says, like ``tail_markov``: each resolved
+        estimate is the ``tail_markov`` estimate at t = 0 bit for bit, and
+        r = e is unresolved in both."""
+        cfg = write_cfg(tmp_path, "[experiment]\nfamily = mixture\nmeans = -1, 0; 1, 0\n"
+                                  "t = 0, 0.5\nr = 1.1, 1.2, 1.5, e1\npaths = 20000\n"
+                                  "steps = 100\nchecks = tail, composite\n")
+        rows = run(cfg, out_dir=tmp_path).rows
+        markov = [row for row in rows if row.name.startswith("tail_markov") and row.t == 0.0]
+        direct = [row for row in rows if row.name.startswith("tail_reduction")]
+        assert [row.r for row in markov] == [row.r for row in direct] == [1.1, 1.2, 1.5, E]
+        for tail, row in zip(markov, direct):
+            assert row.n_samples == tail.n_samples == 20000
+            if tail.r == E:
+                assert tail.name == "tail_markov!exact_required"
+                assert row.name == "tail_reduction!exact_required"
+            else:
+                assert tail.name == "tail_markov" and row.name == "tail_reduction"
+                assert row.estimate == tail.estimate
+
 
 class TestVerifyAll:
     def test_exit_zero_and_determinism(self, tmp_path):
@@ -913,6 +934,13 @@ class TestMainEntry:
             assert main(["run", str(write_cfg(tmp_path, text, name="outside.cfg"))]) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: config field {named}") and "Traceback" not in err, err
+        # what configparser cannot read is one stderr line naming the file and the line
+        for text, line in (("family = tilt\n", "line: 1"),
+                           ("[experiment]\nfamily = tilt\nfamily = sine\n", "[line 3]")):
+            path = write_cfg(tmp_path, text, name="unread.cfg")
+            assert main(["run", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and str(path) in err and line in err, err
         # a narrow spread and far means both put the mass out of the rule's
         # reach, and the message names both
         for params, named in (("spread = 1e-5", "spread 1e-05 or largest |mean| 1 "),

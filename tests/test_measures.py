@@ -17,7 +17,7 @@ from outail.measures import (
     beta_probe,
     validate_normalization,
 )
-from outail.numeric import FD_STEP, fd_gradient
+from outail.numeric import fd_gradient
 from outail.quadrature import QuadratureRule
 
 RULE64 = QuadratureRule.gauss_hermite(1, 64)
@@ -109,7 +109,7 @@ class TestGradients:
         }[name]
         x = rng.normal(size=(100, 1)) * 2.0
         grad = density.grad_log_f(x)
-        fd = fd_gradient(density.log_f, x, h=FD_STEP)
+        fd = fd_gradient(density.log_f, x)
         np.testing.assert_allclose(grad, fd, atol=5e-9, rtol=1e-7)
 
     def test_grad_2d(self, rng):

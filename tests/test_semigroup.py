@@ -236,7 +236,7 @@ class TestSineHeatSeries:
         for t in (0.02, 0.1, 0.3, 0.6, 1.0):
             quad = lambda xs: ou_log(SINE, t, xs)
             for log_r in (0.01, 0.03, 0.08, 0.2, 0.45, 1.0, 4.0, 16.0):
-                mehler, _ = tail_probability(SINE, t, np.exp(log_r), method="quadrature")
+                mehler, _ = tail_probability(SINE, t, np.exp(log_r))
                 assert abs(mehler - superlevel_gamma_mass(quad, log_r)) < 1e-9
 
 
@@ -335,15 +335,15 @@ class TestSemigroupAlgebra:
         t, s = 0.4, 0.9
         inner = tilt.closed_ou(s)
         for x in (-1.0, 0.2, 2.0):
-            lhs = float(ou_log(tilt, t + s, np.array([x]), RULE))
-            rhs = float(ou_log(inner, t, np.array([x]), RULE))
+            lhs = float(ou_log(tilt, t + s, np.array([x])))
+            rhs = float(ou_log(inner, t, np.array([x])))
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
     @pytest.mark.parametrize("density", [TiltDensity([1.0]), MIX, SINE],
                              ids=["tilt", "mixture", "sine"])
     @pytest.mark.parametrize("t", [0.1, 1.0, 3.0])
     def test_mass_conservation(self, density, t):
-        vals = np.exp(ou_log(density, t, RULE.nodes, RULE))
+        vals = np.exp(ou_log(density, t, RULE.nodes))
         assert float(RULE.weights @ vals) == pytest.approx(1.0, abs=1e-9)
 
     def test_markov_baseline_tilt_tails(self):

@@ -9,7 +9,8 @@ from outail.errors import ResolutionError
 from outail.foellmer import MIN_STEPS, PathConfig, perturbation_arrays, simulate_batch
 from outail.measures import FAMILIES, MixtureDensity, TiltDensity
 from outail.reports import ROWS, BoundReport
-from outail.stats import batch_means
+from outail.semigroup import ou_image
+from outail.stats import batch_means, superlevel_gamma_mass
 from outail.verify import (
     DEFAULT_R_GRID,
     composite_reports,
@@ -82,59 +83,64 @@ class TestBoundReport:
 
 class TestTailProbability:
     def test_constant_density_has_no_tail(self):
-        est, ci = tail_probability(TiltDensity(np.zeros(1)), 0.5, 2.0, "exact")
+        est, ci = tail_probability(TiltDensity(np.zeros(1)), 0.5, 2.0)
         assert est == 0.0 and ci == 0.0
 
     def test_matched_tilt_at_e8(self):
         # alpha = sqrt(2 log r) puts the threshold at the alpha-sigma line
         r = E**8
         tilt = TiltDensity([np.sqrt(2.0 * np.log(r))])
-        est, _ = tail_probability(tilt, 0.0, r, "exact")
+        est, _ = tail_probability(tilt, 0.0, r)
         assert est == pytest.approx(norm.sf(4.0), rel=1e-12)
         assert est * r * np.sqrt(np.log(r)) == pytest.approx(0.26703, abs=2e-5)
 
     def test_unit_tilt_at_e(self):
-        est, _ = tail_probability(TiltDensity([1.0]), 0.0, E, "exact")
+        est, _ = tail_probability(TiltDensity([1.0]), 0.0, E)
         assert est == pytest.approx(norm.sf(1.5), rel=1e-12)
         assert est <= 1.0 / E
 
     def test_quadrature_matches_exact_for_tilt(self):
+        """A tilt image's level-set mass agrees with its closed tail, which
+        ``tail_probability`` returns bit for bit."""
         tilt = TiltDensity([1.2])
         for t, r in [(0.0, 2.0), (0.5, 1.5)]:
-            q, _ = tail_probability(tilt, t, r, "quadrature")
-            e, _ = tail_probability(tilt, t, r, "exact")
-            assert q == pytest.approx(e, rel=1e-8, abs=1e-12)
+            image = ou_image(tilt, t)
+            (q,) = superlevel_gamma_mass(image.log_f, np.log([r]))
+            assert q == pytest.approx(image.closed_tail(r), rel=1e-8, abs=1e-12)
+            assert tail_probability(tilt, t, r) == (image.closed_tail(r), 0.0)
 
     def test_monte_carlo_agrees_with_quadrature(self):
-        mix = MixtureDensity([0.5, 0.5], [-1.0, 1.0], 0.5)
-        q, _ = tail_probability(mix, 0.5, 1.2, "quadrature")
-        m, ci = tail_probability(mix, 0.5, 1.2, "monte_carlo", n_samples=10**5, seed=5)
+        """With spread 1 the 2-D mixture is a mixture of tilts along the
+        first axis, so f depends on x_1 alone: its Monte Carlo tail must
+        cover the level-set mass of its 1-D profile."""
+        mix2 = MixtureDensity([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], 1.0)
+        profile = MixtureDensity([0.5, 0.5], [-1.0, 1.0], 1.0)
+        (q,) = superlevel_gamma_mass(ou_image(profile, 0.5).log_f, np.log([1.2]))
+        m, ci = tail_probability(mix2, 0.5, 1.2, n_samples=10**5, seed=5)
         assert abs(m - q) <= ci
 
     def test_resolution_guard(self):
-        mix = MixtureDensity([0.5, 0.5], [-1.0, 1.0], 0.5)
+        mix2 = MixtureDensity([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], 0.5)
         with pytest.raises(ResolutionError):
-            tail_probability(mix, 0.0, 40.0, "monte_carlo", n_samples=2000, seed=1)
+            tail_probability(mix2, 0.0, 40.0, n_samples=2000, seed=1)
 
     def test_r_must_exceed_one(self):
         with pytest.raises(ValueError):
             tail_probability(TiltDensity([1.0]), 0.0, 1.0)
 
-    def test_exact_needs_a_closed_tail(self):
-        mix = MixtureDensity([0.5, 0.5], [-1.0, 1.0], 0.5)
-        with pytest.raises(ValueError, match="mixture"):
-            tail_probability(mix, 0.5, 2.0, "exact")
-
-    @pytest.mark.parametrize("density, t, method, match", [
-        (FAMILIES["sine"].build(**FAMILIES["sine"].defaults), 0.5, "exact", "sine has no exact tail"),
-        (MixtureDensity([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], 0.5), 0.5, "quadrature", "1-D only"),
-        (TiltDensity([1.0]), 0.0, "simpson", "unknown tail method 'simpson'"),
-    ], ids=["exact_on_a_mehler_image", "quadrature_in_2d", "unknown_method"])
-    def test_a_method_that_does_not_apply_is_rejected(self, density, t, method, match):
-        for tails in (lambda: tail_probability(density, t, 2.0, method),
-                      lambda: tail_curve(density, t, (2.0, 3.0), method)):
-            with pytest.raises(ValueError, match=match):
-                tails()
+    @pytest.mark.parametrize("density, method", [
+        (TiltDensity([1.0]), "exact"),
+        (MixtureDensity([0.5, 0.5], [-1.0, 1.0], 0.5), "quadrature"),
+        (MixtureDensity([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], 0.5), "monte_carlo"),
+        (TiltDensity([1.0]), "simpson"),
+    ], ids=["exact", "quadrature", "monte_carlo", "simpson"])
+    def test_a_method_other_than_auto_is_rejected(self, density, method):
+        """The image picks the method, so naming one raises, even the one
+        it would pick; ``tail_curve`` takes no method at all."""
+        with pytest.raises(ValueError, match=f"method={method!r}"):
+            tail_probability(density, 0.5, 2.0, method)
+        with pytest.raises(TypeError):
+            tail_curve(density, 0.5, (2.0, 3.0), method)
 
 
 def markov_ok(r, tail, ci) -> bool:
@@ -147,17 +153,17 @@ class TestTailCurve:
         t = 1.0
         for r in (E**2, E**4, E**6, E**8):
             alpha = np.sqrt(2.0 * np.log(r)) * np.exp(t)
-            rs, tail, ci = tail_curve(TiltDensity([alpha]), t, (r,), "exact")
+            rs, tail, ci = tail_curve(TiltDensity([alpha]), t, (r,))
             assert float(tail[0] * r * np.sqrt(np.log(r)) * min(1.0, t)) <= 0.3
             assert markov_ok(rs, tail, ci)
 
     def test_constant_density_all_zero(self):
-        _, tail, ci = tail_curve(TiltDensity(np.zeros(1)), 0.5, DEFAULT_R_GRID, "exact")
+        _, tail, ci = tail_curve(TiltDensity(np.zeros(1)), 0.5, DEFAULT_R_GRID)
         assert np.all(tail == 0.0) and np.all(ci == 0.0)
 
     def test_peaky_mixture_markov_and_ceiling(self):
         peaky = MixtureDensity([0.5, 0.5], [-2.0, 2.0], 0.25)
-        r, tail, ci = tail_curve(peaky, 0.5, (2.0, 5.0, 10.0), "quadrature")
+        r, tail, ci = tail_curve(peaky, 0.5, (2.0, 5.0, 10.0))
         assert markov_ok(r, tail, ci)
         assert np.all(tail * r * np.sqrt(np.log(r)) / max(peaky.beta, 1.0) <= 20.0)
         # non-increasing along the grid, up to the half-widths
@@ -165,10 +171,10 @@ class TestTailCurve:
 
     def test_grid_must_increase(self):
         # an unsorted grid comes back in increasing order; a repeat is refused
-        r, tail, _ = tail_curve(TiltDensity([1.0]), 0.0, (5.0, 2.0), "exact")
+        r, tail, _ = tail_curve(TiltDensity([1.0]), 0.0, (5.0, 2.0))
         assert list(r) == [2.0, 5.0] and tail[0] > tail[1]
         with pytest.raises(ValueError):
-            tail_curve(TiltDensity([1.0]), 0.0, (2.0, 2.0), "exact")
+            tail_curve(TiltDensity([1.0]), 0.0, (2.0, 2.0))
 
 
 class TestSharpness:
@@ -381,7 +387,7 @@ class TestComposite:
         gap = stats.k_final - np.log(r)
         weights = np.where(gap > 0.0, np.exp(-np.floor(np.maximum(gap, 0.0)) - np.log(r)), 0.0)
         _, w_se = batch_means(weights)
-        _, _, (tail_ci,) = tail_curve(mix2, 0.0, (r,), seed=stats.seed)
+        _, _, (tail_ci,) = tail_curve(mix2, 0.0, (r,), n_samples=stats.n_paths, seed=stats.seed)
         assert tail_ci > 0.0
         assert row.ci_half_width == verify.CI_STANDARD_ERRORS * w_se + tail_ci
 
