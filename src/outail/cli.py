@@ -417,8 +417,8 @@ def write_reports(
 ) -> RunResult:
     """Write ``<stem>.csv`` and ``<stem>.json`` into ``_out_dir(out_dir)``;
     ``batches`` maps each simulated family to its ``BatchStats``, whose
-    ``passage_diagnostics``, drift grid clamps and ``k_steps`` the JSON
-    carries."""
+    ``passage_diagnostics``, drift grid clamps, ``k_steps`` and drift table
+    bytes the JSON carries."""
     batches = batches or {}
     out = _out_dir(out_dir)
     csv_path = out / f"{stem}.csv"
@@ -447,6 +447,8 @@ def write_reports(
         "diagnostics": {family: passage_diagnostics(stats) for family, stats in batches.items()},
         "drift_grid_clamps": {family: stats.drift_grid_clamps for family, stats in batches.items()},
         "k_steps": {family: stats.k_steps for family, stats in batches.items()},
+        "drift_table_bytes": {family: dict(zip(("K", "v"), stats.drift_table_bytes))
+                              for family, stats in batches.items()},
     }
     json_path = out / f"{stem}.json"
     json_path.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n", encoding="utf-8")

@@ -59,9 +59,12 @@ K is read only by the passage check and by K_0, so a step skips it when no
 path can cross there: each table window keeps a proven ceiling on every K
 its interpolation can return (its largest K plus a rounding margin), and
 while that ceiling is below the lowest next log r of any path the step
-interpolates v alone.  The default mixture and sine, whose sup log f is
-below log e, evaluate K at step 0 only.  The passages are those of a loop
-that evaluates K at every step, bit for bit.
+interpolates v alone.  A window of a step after the first whose ceiling is
+below the batch's lowest log r, which no next log r falls under, holds no K
+at all, only the two numbers its ceiling is built from.  The default
+mixture and sine, whose sup log f is below log e, evaluate and keep K at
+step 0 only.  The passages are those of a loop that evaluates K at every
+step, bit for bit.
 """
 
 from __future__ import annotations
@@ -121,16 +124,27 @@ class DriftField:
     reaches past it, so each cell of a step is computed once.  A table
     value depends only on its step and cell, so results are independent of
     batch layout.  States beyond the grid clamp to its edge values;
-    ``clamps`` counts the (state, step) pairs that did.  Beside each table,
-    ``k_ceilings[i]`` bounds every K that step i's window can interpolate
-    (``_k_ceiling``), so ``eval`` can leave K out where it cannot matter.
+    ``clamps`` counts the (state, step) pairs that did.
+
+    Beside each table, ``k_extremes[i]`` = (largest K, largest |K|) of the
+    window and ``k_ceilings[i]``, built from them, bound every K that step
+    i's window can interpolate (``_k_ceiling``), so ``eval`` can leave K
+    out where it cannot matter.  A window of a step i > 0 whose ceiling is
+    below ``lowest_log_r`` (the same comparison ``eval`` makes) keeps no K:
+    its table reads (first cell, None, v).  Widening such a window combines
+    the new cells' extremes with its own, so its ceiling is that of the
+    whole window; once the ceiling reaches ``lowest_log_r``, one ``raw``
+    call rebuilds K over the whole window.  The default, -inf, keeps K on
+    every step.
     """
 
-    def __init__(self, density: DensityModel, steps: int):
+    def __init__(self, density: DensityModel, steps: int, lowest_log_r: float = -math.inf):
         self.density = density
         self.dt = 1.0 / steps
+        self.lowest_log_r = lowest_log_r
         self.grid = None
-        self.tables: list[Optional[tuple[int, np.ndarray, np.ndarray]]] = []
+        self.tables: list[Optional[tuple[int, Optional[np.ndarray], np.ndarray]]] = []
+        self.k_extremes: list[np.ndarray] = []
         self.k_ceilings: list[float] = []
         self.clamps = 0
         if density.dim == 1 and not density.constant_drift:
@@ -140,19 +154,28 @@ class DriftField:
             self._pos_max = len(self.grid) - 1.000001  # so idx + 1 stays on the grid
             self._on_grid = density.closed_heat_at(self.grid[:, None])
             self.tables = [None] * steps
+            self.k_extremes = [_NO_EXTREMES] * steps
             self.k_ceilings = [math.nan] * steps
 
     def raw(self, s: float, cells: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """(K, v) at bandwidth s on the table grid's ``cells``, for the tables."""
         return self._on_grid(s, cells)
 
+    def table_bytes(self) -> tuple[int, int]:
+        """The bytes that the K and the v windows of the tables hold."""
+        tables = [t for t in self.tables if t is not None]
+        return (sum(k.nbytes for _, k, _ in tables if k is not None),
+                sum(v.nbytes for _, _, v in tables))
+
     def eval(self, i: int, x: np.ndarray, floor: Optional[float] = None
              ) -> tuple[Optional[np.ndarray], np.ndarray]:
         """(K, v) at step i for points x of shape (..., dim).  K is None
         when ``floor`` is given and step i's table cannot interpolate a K
-        above it; an untabulated field always returns K.  A non-finite x
-        raises ``NonFiniteValueError`` naming node i, and a non-finite v of
-        an untabulated, non-constant drift naming node i + 1."""
+        above it; an untabulated field always returns K.  On a step i > 0 a
+        tabulated field needs a ``floor`` no lower than ``lowest_log_r``, as
+        the step loop's passage floor is.  A non-finite x raises
+        ``NonFiniteValueError`` naming node i, and a non-finite v of an
+        untabulated, non-constant drift naming node i + 1."""
         if self.grid is None:
             k, v = self.density.closed_heat_at(x)(1.0 - i * self.dt)
             if not (self.density.constant_drift or np.isfinite(v).all()):
@@ -186,38 +209,60 @@ class DriftField:
         k = k_tab[idx] * rest + k_tab[1:][idx] * frac
         return k, v
 
-    def _window(self, i: int, lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarray]:
+    def _window(self, i: int, lo: int, hi: int
+                ) -> tuple[int, Optional[np.ndarray], np.ndarray]:
         """Step i's table, built or widened to hold cells [lo, hi): one
-        ``raw`` call per side that needs new cells."""
+        ``raw`` call per side that needs new cells, and one more over the
+        whole window when widening lifts the ceiling of a window without K
+        to ``lowest_log_r``."""
         table = self.tables[i]
-        if table is not None and table[0] <= lo and hi <= table[0] + len(table[1]):
+        if table is not None and table[0] <= lo and hi <= table[0] + len(table[2]):
             return table
         lo, hi = max(lo - DRIFT_WINDOW_PAD, 0), min(hi + DRIFT_WINDOW_PAD, len(self.grid))
         s = 1.0 - i * self.dt
-        if table is None:
-            k, v = self.raw(s, slice(lo, hi))
-            table = (lo, k, v[:, 0])
+        # a step not yet built is an empty window at lo
+        first, k, v = table or (lo, _EMPTY, _EMPTY)
+        end = first + len(v)
+        extremes = self.k_extremes[i]
+        ks, vs = [k], [v]
+        if lo < first:
+            k_new, v_new = self.raw(s, slice(lo, first))
+            ks.insert(0, k_new)
+            vs.insert(0, v_new[:, 0])
+            extremes = np.maximum(extremes, _k_extremes(k_new))  # NaN propagates
+        if hi > end:
+            k_new, v_new = self.raw(s, slice(end, hi))
+            ks.append(k_new)
+            vs.append(v_new[:, 0])
+            extremes = np.maximum(extremes, _k_extremes(k_new))
+        first, v = min(lo, first), np.concatenate(vs)
+        ceiling = _k_ceiling(extremes)
+        if i > 0 and ceiling < self.lowest_log_r:
+            k = None
+        elif k is None:
+            k = self.raw(s, slice(first, first + len(v)))[0]
         else:
-            first, k, v = table
-            end = first + len(k)
-            ks, vs = [k], [v]
-            if lo < first:
-                k_new, v_new = self.raw(s, slice(lo, first))
-                ks.insert(0, k_new)
-                vs.insert(0, v_new[:, 0])
-            if hi > end:
-                k_new, v_new = self.raw(s, slice(end, hi))
-                ks.append(k_new)
-                vs.append(v_new[:, 0])
-            table = (min(lo, first), np.concatenate(ks), np.concatenate(vs))
-        self.tables[i] = table
-        self.k_ceilings[i] = _k_ceiling(table[1])
+            k = np.concatenate(ks)
+        self.tables[i] = table = (first, k, v)
+        self.k_extremes[i], self.k_ceilings[i] = extremes, ceiling
         return table
 
 
-def _k_ceiling(k: np.ndarray) -> float:
-    """A float c such that, whenever c < floor, no K interpolated from the
-    table values ``k`` exceeds floor.
+# (largest K, largest |K|) of a window with no cells, the identity of their
+# elementwise maximum
+_NO_EXTREMES = np.array([-math.inf, 0.0])
+_EMPTY = np.empty(0)
+
+
+def _k_extremes(k: np.ndarray) -> np.ndarray:
+    """(largest K, largest |K|) of the table values ``k``; a NaN in k makes
+    both NaN."""
+    return np.array([k.max(), np.abs(k).max()])
+
+
+def _k_ceiling(extremes: np.ndarray) -> float:
+    """A float c such that, whenever c < floor, no K interpolated from
+    table values k with ``extremes`` = (max(k), max |k|) exceeds floor.
 
     ``eval`` returns fl(fl(a * r) + fl(b * f)) for neighbours a, b of k,
     with f in [0, 1) exact and r = fl(1 - f) in [0, 1]; let M = max |k| and
@@ -232,7 +277,8 @@ def _k_ceiling(k: np.ndarray) -> float:
     ceiling, below nothing; an infinite one gives inf or NaN.
     """
     # Python floats: -inf + inf is NaN without a RuntimeWarning
-    return float(k.max()) + (2.0**-50 * float(np.abs(k).max()) + sys.float_info.min)
+    top, mag = float(extremes[0]), float(extremes[1])
+    return top + (2.0**-50 * mag + sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -273,6 +319,7 @@ class BatchStats:
     stopped: dict[float, StoppedSlice] = field(default_factory=dict)
     drift_grid_clamps: int = 0  # (path, step) states beyond the drift tables' grid
     k_steps: int = 0  # (chunk, step) pairs on which the step loop evaluated K
+    drift_table_bytes: tuple[int, int] = (0, 0)  # bytes of the K and the v windows
 
     def fvt_residual(self) -> np.ndarray:
         """Endpoint reconstruction error of the exponential representation."""
@@ -325,7 +372,8 @@ class _Batch:
         self.cp_idx = {tc: int(round(tc * cfg.steps)) for tc in CHECKPOINT_TIMES}
         self.ends, self.frozen = _path_arrays(n_paths, density.dim, len(self.r_values))
         self.cps = {tc: np.empty((n_paths, density.dim)) for tc in self.cp_idx}
-        self.drift = DriftField(density, cfg.steps)
+        # no passage floor falls below the lowest log r (inf with none)
+        self.drift = DriftField(density, cfg.steps, float(min(self.log_rs, default=math.inf)))
         self.k_steps = 0
 
     def step(self, start: int, incs: np.ndarray, ready: Callable[[int], int]) -> None:
@@ -391,6 +439,7 @@ class _Batch:
                      for j, r in enumerate(self.r_values)},
             drift_grid_clamps=self.drift.clamps,
             k_steps=self.k_steps,
+            drift_table_bytes=self.drift.table_bytes(),
         )
 
 
@@ -574,19 +623,29 @@ def perturbation_arrays(
     integral, subscripted by their upper limit.  The convexity margin
     log f(X_1^d) - [log f(X_1) + delta <v_1, I_T> - beta/2 delta^2 E_T] is
     >= 0 whenever beta certifies the log-density.
+
+    A delta large enough that log f(X_1^d), log D_1^d or Z is not finite
+    on some path (delta^2 E_T overflows near ``cli.DELTA_MAX``) raises
+    ``NonFiniteValueError`` naming delta and r.
     """
     sl = stats.stopped[r]
-    vdot = (stats.v1 * sl.vds).sum(-1)
-    x_delta = stats.x1 + delta * sl.vds
-    log_f_xd = np.asarray(density.log_f(x_delta))
-    log_d = (
-        -(stats.stoch_full + delta * sl.stoch)
-        - 0.5 * stats.energy_full
-        - (delta + 0.5 * delta**2) * sl.energy
-    )
-    z = -delta * sl.stoch + delta * (vdot - sl.energy) - 0.5 * (beta + 1.0) * delta**2 * sl.energy
-    convexity = log_f_xd - (stats.k_final + delta * vdot - 0.5 * beta * delta**2 * sl.energy)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is rejected below
+        vdot = (stats.v1 * sl.vds).sum(-1)
+        x_delta = stats.x1 + delta * sl.vds
+        log_f_xd = np.asarray(density.log_f(x_delta))
+        log_d = (
+            -(stats.stoch_full + delta * sl.stoch)
+            - 0.5 * stats.energy_full
+            - (delta + 0.5 * delta**2) * sl.energy
+        )
+        z = -delta * sl.stoch + delta * (vdot - sl.energy) - 0.5 * (beta + 1.0) * delta**2 * sl.energy
+        convexity = log_f_xd - (stats.k_final + delta * vdot - 0.5 * beta * delta**2 * sl.energy)
+        product_excess = log_f_xd + log_d - z
+    bad = [name for name, a in (("log f(X^delta)", log_f_xd), ("log D^delta", log_d), ("Z", z))
+           if not np.isfinite(a).all()]
+    if bad:
+        raise NonFiniteValueError(f"{' and '.join(bad)} non-finite at delta={delta:g}, r={r:g}")
     return Perturbation(
         r=r, delta=delta, beta=beta, log_f_xd=log_f_xd, log_d=log_d, z=z,
-        convexity_margin=convexity, product_excess=log_f_xd + log_d - z,
+        convexity_margin=convexity, product_excess=product_excess,
     )

@@ -64,7 +64,8 @@ def empty_batches(jobs):
     """A stand-in for the batches of ``jobs`` where the checks are recorded,
     not run: no thresholds, no clamps and no K steps, all the reports read
     of them."""
-    return [SimpleNamespace(stopped={}, drift_grid_clamps=0, k_steps=0) for _ in jobs]
+    return [SimpleNamespace(stopped={}, drift_grid_clamps=0, k_steps=0,
+                            drift_table_bytes=(0, 0)) for _ in jobs]
 
 
 def path_batch(cfg):
@@ -793,6 +794,30 @@ out = {tmp_path}
 
 
 class TestVerifyAll:
+    def test_json_gives_the_drift_table_bytes(self, tmp_path, monkeypatch):
+        """The strict JSON's ``drift_table_bytes`` maps each family to the
+        bytes its K and v windows hold when ``simulate_batch`` returns: the
+        default mixture and sine keep K at step 0 only, and the tilt has no
+        tables."""
+        fields = {}
+        init = foellmer.DriftField.__init__
+
+        def keep(self, density, *args):
+            init(self, density, *args)
+            fields[density.name] = self
+
+        monkeypatch.setattr(foellmer.DriftField, "__init__", keep)
+        result = verify_all(seed=42, out_dir=tmp_path, paths=2000, steps=128)
+        summary = json.loads(result.json_path.read_text(), parse_constant=_reject_constant)
+        assert list(summary["drift_table_bytes"]) == sorted(FAMILIES)
+        assert summary["drift_table_bytes"]["tilt"] == {"K": 0, "v": 0}
+        for name in ("mixture", "sine"):
+            (_, k0, _), *later = fields[name].tables
+            assert all(k is None for _, k, _ in later)
+            v_bytes = sum(v.nbytes for _, _, v in fields[name].tables)
+            assert summary["drift_table_bytes"][name] == {"K": k0.nbytes, "v": v_bytes}
+            assert 0 < 64 * k0.nbytes < v_bytes
+
     def test_exit_zero_and_determinism(self, tmp_path):
         r1 = verify_all(seed=42, out_dir=tmp_path / "w1", paths=2000, steps=128)
         r2 = verify_all(seed=42, out_dir=tmp_path / "w2", paths=2000, steps=128, chunk_paths=613)
@@ -1004,6 +1029,18 @@ class TestMainEntry:
         assert "eps = 6 is too large" in err and "SERIES_TOL" in err and drawn == []
         assert main(["run", str(write_cfg(tmp_path, cfg.format(4.8))), "--out", str(tmp_path)]) == 0
         assert drawn
+
+    def test_a_fixed_delta_that_overflows_exits_2(self, tmp_path, capsys):
+        """A fixed delta just under ``cli.DELTA_MAX`` parses, but delta^2 E_T
+        overflows: the run exits 2 with one stderr line naming delta and r,
+        raises no RuntimeWarning (the suite makes one an error) and writes
+        no report."""
+        cfg = write_cfg(tmp_path, "[experiment]\nfamily = tilt\ndelta = fixed:1.3e154\n"
+                                  "paths = 1000\nsteps = 100\nchecks = z, tv, prop2\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: log D^delta and Z non-finite at delta=1.3e+154, r=2.71828\n"
+        assert not (tmp_path / "report.csv").exists()
 
     def test_verify_all_seed_range_covers_every_family(self, tmp_path, capsys, monkeypatch):
         """verify-all runs every family with the one seed it is given, so it

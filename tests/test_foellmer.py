@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from outail import foellmer
 from outail import rng as rng_module
+from outail import verify
 from outail.errors import NonFiniteValueError
 from outail.foellmer import (
     MIN_CHUNK_PATHS,
@@ -435,11 +436,13 @@ def chunk_sizes(n_paths, chunk):
 
 def assert_same_batch(a, b):
     """Every array of two BatchStats, and of their stopped slices, agrees bit
-    for bit.  ``k_steps`` counts (chunk, step) pairs, so it is compared only
-    by the tests that fix the chunk layout."""
+    for bit.  ``k_steps`` counts (chunk, step) pairs and the table windows
+    span the cells each chunk reached, so ``k_steps`` and
+    ``drift_table_bytes`` are compared only by the tests that fix the chunk
+    layout."""
     for f in dataclasses.fields(a):
         va, vb = getattr(a, f.name), getattr(b, f.name)
-        if f.name == "k_steps":
+        if f.name in ("k_steps", "drift_table_bytes"):
             continue
         if f.name == "stopped":
             assert va.keys() == vb.keys()
@@ -927,7 +930,7 @@ class TestDriftTabulation:
         for density in (MIX, SINE):
             simulate_batch(PathConfig(foellmer.DEFAULT_STEPS, seed=11), 2000, [(density, ())])
         for field in fields:
-            cells = sum(len(k) for _, k, _ in field.tables)
+            cells = sum(len(v) for _, _, v in field.tables)
             assert cells < 0.4 * foellmer.DEFAULT_STEPS * foellmer.DRIFT_GRID_POINTS
 
     def test_final_node_bypasses_table(self):
@@ -991,10 +994,90 @@ class TestLazyK:
                         assert np.array_equal(k, k_all)
         assert skipped and evaluated
 
+    @pytest.mark.parametrize("name, r_values, n_kept", [
+        ("mixture", verify.DEFAULT_R_GRID, 1), ("sine", verify.DEFAULT_R_GRID, 1),
+        ("mixture", (1.05,), 128), ("mixture", (1.5, E), None),
+    ], ids=["mixture", "sine", "mixture_r1.05", "mixture_r1.5"])
+    def test_k_is_kept_where_a_step_can_read_it(self, reference_path, families, monkeypatch,
+                                                name, r_values, n_kept):
+        """At 2000 paths x 128 steps a window keeps K at step 0 and on
+        exactly the steps whose ceiling reaches the lowest log r: step 0
+        alone for the default thresholds, whose log r is above sup log f,
+        every step for the mixture at r = 1.05 (log r 0.049, below every
+        ceiling), and the later steps at r = 1.5.  The batch equals the
+        reference paths bit for bit, passages included."""
+        fields = []
+        init = DriftField.__init__
+
+        def keep(self, *args):
+            init(self, *args)
+            fields.append(self)
+
+        monkeypatch.setattr(DriftField, "__init__", keep)
+        density, cfg = families[name], PathConfig(128, 42)
+        (stats,) = simulate_batch(cfg, 2000, [(density, r_values)])
+        (drift,) = fields
+        low = np.log(min(r_values))
+        kept = [i for i, (_, k, _) in enumerate(drift.tables) if k is not None]
+        assert kept == [0] + [i for i in range(1, 128) if not drift.k_ceilings[i] < low]
+        assert len(kept) == n_kept if n_kept else 1 < len(kept) < 127
+        # the paths cross before the final node exactly where K is kept later
+        assert (stats.stopped[min(r_values)].t_index < 128).any() == (len(kept) > 1)
+        shared = DriftField(density, 128)
+        for p in range(0, 2000, 97):
+            traj = reference_path(density, cfg, p, shared)
+            assert stats.k0 == traj.k[0]
+            for got, want in zip((stats.x1, stats.v1, stats.k_final, stats.stoch_full,
+                                  stats.energy_full),
+                                 (traj.x, traj.v, traj.k, traj.stoch, traj.energy)):
+                assert np.array_equal(got[p], want[-1]), p
+            for r in r_values:
+                sl, t = stats.stopped[r], first_passage(traj, r)
+                assert sl.t_index[p] == t and sl.k_at_stop[p] == traj.k[t], (p, r)
+
+    def test_widening_rebuilds_k_with_one_raw_call(self, monkeypatch, rng):
+        """A window that keeps no K and is widened keeps the extremes of the
+        whole window; once its ceiling reaches the lowest log r, one ``raw``
+        call over the whole window rebuilds K.  Either way the table equals a
+        fresh build of the window bit for bit."""
+        m, i = 128, 100
+        near, far = rng.normal(size=(50, 1)) * 0.05, rng.normal(size=(50, 1)) * 0.05 + 1.0
+        probe = DriftField(MIX, m)
+        probe.eval(i, near.copy())
+        c_near = probe.k_ceilings[i]
+        probe.eval(i, far.copy())
+        c_far = probe.k_ceilings[i]
+        assert c_near < c_far
+        calls = []
+        raw = DriftField.raw
+
+        def count(self, s, cells=slice(None)):
+            calls.append(cells)
+            return raw(self, s, cells)
+
+        monkeypatch.setattr(DriftField, "raw", count)
+        for lowest, rebuilt in ((np.nextafter(c_far, np.inf), False), (c_far, True)):
+            drift = DriftField(MIX, m, lowest)
+            assert drift.eval(i, near.copy(), lowest)[0] is None
+            calls.clear()
+            k, _ = drift.eval(i, far.copy(), lowest)
+            assert (k is not None) == rebuilt
+            first, k_tab, v_tab = drift.tables[i]
+            whole = slice(first, first + len(v_tab))
+            assert (calls[-1] == whole) == rebuilt and len(calls) == 1 + rebuilt
+            k_fresh, v_fresh = raw(drift, 1.0 - i / m, whole)
+            assert np.array_equal(v_tab, v_fresh[:, 0])
+            assert rebuilt == (k_tab is not None) and (k_tab is None or np.array_equal(k_tab, k_fresh))
+            assert np.array_equal(drift.k_extremes[i], foellmer._k_extremes(k_fresh))
+            assert drift.k_ceilings[i] == c_far
+
     def test_nan_or_infinite_tables_never_skip(self):
-        assert np.isnan(foellmer._k_ceiling(np.array([0.0, np.nan, 1.0])))
-        assert foellmer._k_ceiling(np.array([-np.inf, 0.0])) == np.inf
-        assert np.isnan(foellmer._k_ceiling(np.array([-np.inf, -np.inf])))
+        def ceiling(k):
+            return foellmer._k_ceiling(foellmer._k_extremes(np.array(k)))
+
+        assert np.isnan(ceiling([0.0, np.nan, 1.0]))
+        assert ceiling([-np.inf, 0.0]) == np.inf
+        assert np.isnan(ceiling([-np.inf, -np.inf]))
 
 
 class WildDrift(DensityModel):
