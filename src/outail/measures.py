@@ -33,6 +33,8 @@ from .quadrature import QuadratureRule
 SERIES_TOL = 1e-10
 MAX_SERIES_TERMS = 4096
 _EPS_MACH = float(np.finfo(float).eps)
+# A term below this cannot move a float sum that stays in [0.5, 1.5].
+_ROUNDS_AWAY = 2.0**-56
 
 
 def _as_points(x, dim: int) -> np.ndarray:
@@ -346,23 +348,29 @@ class SinePerturbationDensity(DensityModel):
     def _theta(self, x) -> np.ndarray:
         return _as_points(x, 1)[..., 0] * self._rho * self.wave[0] + 0.0  # k rho x, -0 as +0
 
-    def _phase(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """theta at x and its phases j theta - j pi/2, (J + 1, points)."""
-        theta = self._theta(x)
-        return theta, np.multiply.outer(self._j, theta.ravel() - 0.5 * np.pi)
-
     def _weights_at(self, s: float) -> np.ndarray:
         """The series weights c_j of P_{s0 + rho^2 s}: sum_j c_j cos(phase_j)
         is P_{s0 + rho^2 s} e^{eps sin}(rho x) / I_0, positive."""
         return self._weights * np.exp((self._s0 + self._rho**2 * s) * self._decay)
 
     def log_f(self, x) -> np.ndarray:
+        """log f(x); on an image, the cosine sum of ``closed_heat_at(x)(0)``
+        alone, added from 0 in order of j as einsum adds it, so with the
+        same bits, over the terms that can move it.
+
+        The weights c_j of j >= 1 decrease in j and c_0 cos(0) = 1, so when
+        sum_{j>=1} c_j < 1/2 every partial sum lies in [0.5, 1.5], where half
+        an ulp is at least 2^-54: a term with c_j < 2^-56 rounds away and
+        the sum stops before it.  Otherwise every term is added.
+        """
+        theta = self._theta(x)
         if not self._s0:
-            return self.eps * np.sin(self._theta(x)) - self.log_z
-        # the cosine sum of closed_heat_at(x)(0) alone, added from 0 in order
-        # of j as einsum adds it, so with the same bits
-        theta, phase = self._phase(x)
-        a = sum(map(np.multiply, self._weights_at(0.0), np.cos(phase)))
+            return self.eps * np.sin(theta) - self.log_z
+        c = self._weights_at(0.0)
+        if c[1:].sum() < 0.5:
+            c = c[: np.flatnonzero(c >= _ROUNDS_AWAY)[-1] + 1]
+        phase = np.multiply.outer(self._j[: c.size], theta.ravel() - 0.5 * np.pi)
+        a = sum(map(np.multiply, c, np.cos(phase)))
         return (np.log(a) - self._log_z_over_i0).reshape(theta.shape)
 
     def grad_log_f(self, x) -> np.ndarray:
@@ -380,7 +388,8 @@ class SinePerturbationDensity(DensityModel):
         """The cosines cos(j theta - j pi/2) and the derivatives
         -j sin(j theta - j pi/2) at x, computed once; each bandwidth s is
         then one weighted sum over j of each, over the cells asked for."""
-        theta, phase = self._phase(x)
+        theta = self._theta(x)
+        phase = np.multiply.outer(self._j, theta.ravel() - 0.5 * np.pi)
         trig = np.stack([np.cos(phase), -self._j[:, None] * np.sin(phase)], 1)
         trig = trig.reshape(trig.shape[:2] + theta.shape)  # (J + 1, 2, *points)
 

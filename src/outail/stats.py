@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NonFiniteValueError
 from .numeric import gauss_interval_mass
 
 N_BATCHES = 32
@@ -16,6 +17,9 @@ N_BATCHES = 32
 GRID_HALFWIDTH = 12.0
 LEVEL_SET_GRID = 8193
 LEVEL_SET_XTOL = 1e-12
+# Calls of the function on secant iterates per level-set curve; the smooth
+# crossings of the OU images converge in three.
+SECANT_CALLS = 6
 CDF_GRID = 2**16 + 1
 
 # Asymptotic 1% Kolmogorov quantile: one- and two-sample KS critical value.
@@ -28,25 +32,32 @@ def batch_means(values: np.ndarray) -> tuple[float, float]:
     Splits the sample into ``N_BATCHES`` contiguous batches (sizes differing
     by at most one) and estimates the SE of the grand mean from the spread of
     batch means.  Returns (mean, se); se is 0 when the spread is degenerate.
+    Raises ``NonFiniteValueError`` when the SE is not finite, as when the
+    squared spread of finite values overflows.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
     if n == 0:
         raise ValueError("batch_means needs at least one sample")
     mean = float(values.mean())
-    if n < 2 * N_BATCHES:
-        se = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        return mean, se
-    # the first n % N_BATCHES batches hold one sample more, as np.array_split
-    q, big = divmod(n, N_BATCHES)
-    cut = big * (q + 1)
-    sums = np.concatenate([values[:cut].reshape(big, q + 1).sum(1),
-                           values[cut:].reshape(N_BATCHES - big, q).sum(1)])
-    sizes = np.repeat([q + 1.0, q], [big, N_BATCHES - big])
-    bmeans = sums / sizes
-    grand = float(bmeans @ sizes / n)
-    var_bm = float(((bmeans - grand) ** 2 * sizes).sum() / (N_BATCHES - 1))
-    return mean, float(np.sqrt(var_bm / n))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite SE raises below
+        if n < 2 * N_BATCHES:
+            se = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        else:
+            # the first n % N_BATCHES batches hold one sample more, as np.array_split
+            q, big = divmod(n, N_BATCHES)
+            cut = big * (q + 1)
+            sums = np.concatenate([values[:cut].reshape(big, q + 1).sum(1),
+                                   values[cut:].reshape(N_BATCHES - big, q).sum(1)])
+            sizes = np.repeat([q + 1.0, q], [big, N_BATCHES - big])
+            bmeans = sums / sizes
+            grand = float(bmeans @ sizes / n)
+            var_bm = float(((bmeans - grand) ** 2 * sizes).sum() / (N_BATCHES - 1))
+            se = float(np.sqrt(var_bm / n))
+    if not np.isfinite(se):
+        raise NonFiniteValueError(f"batch-means standard error non-finite for {n} samples "
+                                  f"up to |x| = {np.abs(values).max():g}")
+    return mean, se
 
 
 def ks_one_sample(samples: np.ndarray, cdf) -> float:
@@ -95,31 +106,81 @@ def superlevel_gamma_mass(log_value_fn, log_levels) -> np.ndarray:
     the levels of one curve; the result has the shape of ``log_levels``.
 
     Evaluates g once on a dense grid, shared by every level, and takes the
-    sign changes of g - level of all levels together.  All brackets are
-    bisected together, one call of g on the array of midpoints per halving,
-    until they are narrower than ``LEVEL_SET_XTOL``; each crossing is the
-    midpoint of its last bracket.  The Gaussian masses of the intervals
-    above each level are summed in increasing x.  The function is assumed
-    continuous with finitely many crossings resolved by the grid.
+    sign changes of g - level of all levels together.  Each sign change
+    brackets a crossing in one grid cell.  All brackets are refined
+    together, one call of g on the array of their iterates per step: a
+    regula-falsi step from the two grid values, then secant steps, at most
+    ``SECANT_CALLS`` calls, until a step is below ``LEVEL_SET_XTOL`` / 4 or
+    the two values are equal.  One call on the 2k points x -/+
+    ``LEVEL_SET_XTOL`` / 2 then certifies each estimate x: the above-flags
+    there must equal those of the cell's ends, so the level is crossed
+    within ``LEVEL_SET_XTOL`` / 2 of x.  A bracket whose iterate leaves its
+    cell or fails the certificate is bisected from its cell, one call per
+    halving on the midpoints of those brackets, until it is narrower than
+    ``LEVEL_SET_XTOL``; its crossing is the midpoint of its last bracket.
+    Each crossing thus lies within ``LEVEL_SET_XTOL`` / 2 of a sign change,
+    and each bracket's result depends on its own level only.  The Gaussian
+    masses of the intervals above each level are summed in increasing x.
+    The function is assumed continuous with finitely many crossings
+    resolved by the grid.
     """
     xs = np.linspace(-GRID_HALFWIDTH, GRID_HALFWIDTH, LEVEL_SET_GRID)
     levels = np.asarray(log_levels, dtype=float)
     flat = levels.ravel()
-    above = np.asarray(log_value_fn(xs)) > flat[:, None]  # (levels, grid)
+    values = np.asarray(log_value_fn(xs))
+    above = values > flat[:, None]  # (levels, grid)
     level, i = np.nonzero(above[:, 1:] != above[:, :-1])
-    lo, hi, lo_above = xs[i], xs[i + 1], above[level, i]
-    halvings = int(np.ceil(np.log2((xs[1] - xs[0]) / LEVEL_SET_XTOL))) if level.size else 0
-    for _ in range(halvings):
-        mid = 0.5 * (lo + hi)
-        to_lo = (np.asarray(log_value_fn(mid)) > flat[level]) == lo_above
-        lo, hi = np.where(to_lo, mid, lo), np.where(to_lo, hi, mid)
+    lo, hi, lo_above, at = xs[i], xs[i + 1], above[level, i], flat[level]
+    x = _secant(log_value_fn, at, lo, hi, values[i] - at, values[i + 1] - at)
+    ok = (lo <= x) & (x <= hi)  # False at a NaN iterate
+    k = np.flatnonzero(ok)
+    if k.size:
+        h = 0.5 * LEVEL_SET_XTOL
+        flags = np.asarray(log_value_fn(np.concatenate([x[k] - h, x[k] + h]))) > np.tile(at[k], 2)
+        ok[k] = (flags[: k.size] == lo_above[k]) & (flags[k.size :] != lo_above[k])
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        lo, hi, lo_above, at = lo[bad], hi[bad], lo_above[bad], at[bad]
+        for _ in range(int(np.ceil(np.log2((xs[1] - xs[0]) / LEVEL_SET_XTOL)))):
+            mid = 0.5 * (lo + hi)
+            to_lo = (np.asarray(log_value_fn(mid)) > at) == lo_above
+            lo, hi = np.where(to_lo, mid, lo), np.where(to_lo, hi, mid)
+        x[bad] = 0.5 * (lo + hi)
     # a set still above at an end of the grid is closed far out
     far = 10.0 * GRID_HALFWIDTH
     open_left, open_right = np.flatnonzero(above[:, 0]), np.flatnonzero(above[:, -1])
-    edges = np.concatenate([0.5 * (lo + hi), np.full(open_left.size, -far),
-                            np.full(open_right.size, far)])
+    edges = np.concatenate([x, np.full(open_left.size, -far), np.full(open_right.size, far)])
     owner = np.concatenate([level, open_left, open_right])
     order = np.lexsort((edges, owner))
     edges, owner = edges[order], owner[order]
     mass = gauss_interval_mass(edges[0::2], edges[1::2])
     return np.bincount(owner[0::2], weights=mass, minlength=flat.size).reshape(levels.shape)
+
+
+def _secant(log_value_fn, at, lo, hi, f_lo, f_hi) -> np.ndarray:
+    """Secant estimates of the crossings of g = ``at`` in the cells
+    [lo, hi], whose values g - at are ``f_lo`` and ``f_hi`` of opposite
+    signs.  An estimate outside its cell (or NaN) marks a bracket to bisect;
+    the arithmetic is elementwise, so each estimate depends on its own
+    bracket only."""
+    step = _secant_step(hi, f_hi, lo, f_lo)  # regula falsi
+    x = hi - step
+    est, run, b, fb = x, np.arange(x.size), hi, f_hi
+    for _ in range(SECANT_CALLS):
+        go = (np.abs(step) >= 0.25 * LEVEL_SET_XTOL) & (lo[run] <= x) & (x <= hi[run])
+        run, b, fb, x = run[go], b[go], fb[go], x[go]
+        if not run.size:
+            break
+        fx = np.asarray(log_value_fn(x)) - at[run]
+        step = _secant_step(x, fx, b, fb)
+        b, fb, x = x, fx, x - step
+        est[run] = x
+    return est
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _secant_step(x, fx, b, fb) -> np.ndarray:
+    """The step from x to the root of the line through (b, fb) and (x, fx),
+    0 where fx == fb.  A NaN or infinite step leaves the cell, so its
+    bracket is bisected."""
+    return np.where(fx == fb, 0.0, fx / (fx - fb) * (x - b))

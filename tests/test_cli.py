@@ -434,8 +434,8 @@ paths = 20000
                                                           family, image):
         """A ``tail`` run with 8 thresholds evaluates log Q_t f on the
         level-set grid once per t: f itself at t = 0, else the family's
-        ``closed_ou``.  Only grid-sized inputs count; the bisection
-        evaluates the midpoints of the brackets."""
+        ``closed_ou``.  Only grid-sized inputs count; the refinement
+        evaluates the iterates of the brackets."""
         grid_calls = []
         for cls in (SinePerturbationDensity, MixtureDensity):
             def counted(self, x, cls=cls, log_f=cls.log_f):
@@ -1040,6 +1040,19 @@ class TestMainEntry:
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err == "error: log D^delta and Z non-finite at delta=1.3e+154, r=2.71828\n"
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_a_fixed_delta_whose_spread_overflows_exits_2(self, tmp_path, capsys):
+        """At delta = 1e100 the perturbation arrays are finite, but the
+        squared spread of the deviation sample (about 1e200) overflows in
+        ``batch_means``: the run exits 2 with one stderr line, no
+        RuntimeWarning and no report, where it once wrote ci = inf."""
+        cfg = write_cfg(tmp_path, "[experiment]\nfamily = tilt\ndelta = fixed:1e100\n"
+                                  "paths = 1000\nsteps = 100\nchecks = z, tv, prop2\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: batch-means standard error non-finite for 1000 samples")
+        assert err.count("\n") == 1
         assert not (tmp_path / "report.csv").exists()
 
     def test_verify_all_seed_range_covers_every_family(self, tmp_path, capsys, monkeypatch):

@@ -343,6 +343,23 @@ class TestSineFamily:
         with pytest.raises(ValueError):
             SinePerturbationDensity(eps, wave)
 
+    @pytest.mark.parametrize("eps, t_values", [
+        (0.3, (0.02, 0.1, 0.3, 0.6, 1.0)),  # the analytic t grid: 10, 7, 6, 5, 5 of 12 terms
+        (4.8, (0.02, 0.1, 0.3)),  # sum_{j>=1} c_j >= 1/2: every term is added
+    ], ids=["cut", "all-terms"])
+    def test_image_log_f_equals_the_full_series(self, eps, t_values):
+        """On an image, log f drops the terms below 2^-56 when the weights
+        of j >= 1 sum below 1/2, and equals the sum over every term, added
+        from 0 in order of j, bit for bit, on the level-set grid."""
+        x = np.linspace(-12.0, 12.0, 8193)
+        for t in t_values:
+            image = SinePerturbationDensity(eps, [2.0]).closed_ou(t)
+            c = image._weights_at(0.0)
+            assert (c[1:].sum() < 0.5) == (eps == 0.3)
+            phase = np.multiply.outer(image._j, 2.0 * np.exp(-t) * x - 0.5 * np.pi)
+            full = np.log(sum(map(np.multiply, c, np.cos(phase)))) - image._log_z_over_i0
+            np.testing.assert_array_equal(image.log_f(x), full)
+
     def test_eps_zero_is_constant(self):
         flat = SinePerturbationDensity(0.0, [2.0])
         assert abs(flat.log_z) < 1e-14

@@ -17,6 +17,7 @@ from outail.stats import (
     LEVEL_SET_GRID,
     LEVEL_SET_XTOL,
     N_BATCHES,
+    SECANT_CALLS,
     DenseCdf,
     batch_means,
     ks_one_sample,
@@ -57,6 +58,14 @@ class TestBatchMeans:
         grand = float(bmeans @ sizes / n)
         var_bm = float(((bmeans - grand) ** 2 * sizes).sum() / (N_BATCHES - 1))
         assert batch_means(x) == (float(x.mean()), float(np.sqrt(var_bm / n)))
+
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_an_overflowing_spread_raises(self, n):
+        """Finite values whose squared spread overflows raise
+        NonFiniteValueError, with no RuntimeWarning, in both branches."""
+        x = np.where(np.arange(n) % 2, 2e200, -2e200)
+        with pytest.raises(NonFiniteValueError, match=f"non-finite for {n} samples"):
+            batch_means(x)
 
 
 class TestKolmogorovSmirnov:
@@ -188,13 +197,31 @@ class TestSuperlevelMass:
 
     @pytest.mark.parametrize("log_levels", [np.array([0.1]), np.linspace(-0.5, 0.5, 8)],
                              ids=["one", "eight"])
-    def test_one_call_per_halving(self, log_levels):
-        """One grid evaluation, then one call per halving on the midpoints of
-        all brackets: ceil(log2(grid step / LEVEL_SET_XTOL)) = 32 halvings."""
+    def test_few_calls_per_curve(self, log_levels):
+        """One grid evaluation, at most ``SECANT_CALLS`` calls on the secant
+        iterates of all brackets, then one certificate call on x -/+
+        LEVEL_SET_XTOL / 2 of every bracket: no bisection on a smooth
+        crossing."""
         fn, sizes = counted(MIX.log_f)
         superlevel_gamma_mass(fn, log_levels)
-        assert len(sizes) == 1 + 32 and sizes[0] == LEVEL_SET_GRID
-        assert set(sizes[1:]) == {4 * len(log_levels)}  # four crossings per level
+        k = 4 * len(log_levels)  # four crossings per level
+        assert sizes[0] == LEVEL_SET_GRID and 2 <= len(sizes) <= 1 + SECANT_CALLS + 1 <= 8
+        assert sizes[-1] == 2 * k and max(sizes[1:-1]) <= k
+
+    @pytest.mark.parametrize("log_value_fn", [
+        lambda x: np.cbrt(x - 0.3001) * (1.7 - x),
+        lambda x: np.where(x < 0.3001, -1.0, 1.0) * (1.7 - x),
+    ], ids=["cube-root", "jump"])
+    def test_an_uncertified_bracket_is_bisected_alone(self, log_value_fn):
+        """A crossing at 0.3001 that the secant cannot pin down (infinite
+        slope, or a jump) inside one grid cell is bisected from its cell,
+        32 halvings on that one bracket; the smooth crossing at 1.7 is
+        certified.  Both still match brentq to LEVEL_SET_XTOL."""
+        fn, sizes = counted(log_value_fn)
+        (got,) = superlevel_gamma_mass(fn, [0.0])
+        assert sizes[-32:] == [1] * 32 and len(sizes) <= 1 + SECANT_CALLS + 1 + 32
+        assert got == pytest.approx(brentq_superlevel_mass(log_value_fn, 0.0),
+                                    rel=0.0, abs=LEVEL_SET_XTOL)
 
     def test_no_crossing_evaluates_the_grid_only(self):
         fn, sizes = counted(SINE.log_f)
